@@ -441,7 +441,9 @@ class FileBucket(Bucket):
             # stream it straight to the writer.  The lazy zip feeds the
             # batch writer's unpack loop, which lets CPython reuse one
             # result tuple instead of materializing a record per pair.
-            self._write_batch(zip(keys, other._pairs))
+            # It can be consumed only once, so the pairs ride along for
+            # writers that need a second pass (the sidecar's user file).
+            self._write_batch(zip(keys, other._pairs), other._pairs)
         else:
             self._spill_buffer.extend(zip(keys, other._pairs))
             if len(self._spill_buffer) >= self.spill_buffer_pairs:
@@ -489,11 +491,17 @@ class FileBucket(Bucket):
             self._spill_buffer = []
             self._write_batch(batch)
 
-    def _write_batch(self, records: List[Record]) -> None:
+    def _write_batch(
+        self, records: Iterable[Record], pairs: Optional[List[KeyValue]] = None
+    ) -> None:
+        """Write one batch.  ``pairs``, when given, is the batch's pair
+        column; only then may ``records`` be a one-shot iterator."""
         writer = self.open_writer()
         writerecords = getattr(writer, "writerecords", None)
         if writerecords is not None:
             writerecords(records)
+        elif pairs is not None:
+            writer.writepairs(pairs)
         else:
             writer.writepairs([record[1] for record in records])
 
@@ -569,9 +577,13 @@ class SidecarFileBucket(FileBucket):
             self._user_writer = writer_cls(open(self.user_path, "wb"))
         return writer
 
-    def _write_batch(self, records: List[Record]) -> None:
-        super()._write_batch(records)
-        self._user_writer.writepairs([record[1] for record in records])
+    def _write_batch(
+        self, records: Iterable[Record], pairs: Optional[List[KeyValue]] = None
+    ) -> None:
+        if pairs is None:
+            pairs = [record[1] for record in records]
+        super()._write_batch(records, pairs)
+        self._user_writer.writepairs(pairs)
 
     def close_writer(self) -> None:
         super().close_writer()

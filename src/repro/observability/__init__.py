@@ -180,6 +180,26 @@ class Observability:
         self._operation_kinds[dataset_id] = kind
         self.registry.counter(f"operations.{kind}").inc()
 
+    def note_submitted(self, dataset: Any) -> None:
+        """Record a computed dataset's submission: its operation kind,
+        a ``queued`` mark on every task span, and the matching
+        ``dataset.submitted`` / ``task.queued`` events."""
+        self.note_operation(dataset.id, dataset.operation.kind)
+        events = self.events
+        if events is not None:
+            events.emit(
+                "dataset.submitted",
+                dataset_id=dataset.id,
+                kind=dataset.operation.kind,
+                tasks=dataset.ntasks,
+            )
+        for task_index in dataset.task_indices():
+            self.tracer.span(dataset.id, task_index).mark("queued")
+            if events is not None:
+                events.emit(
+                    "task.queued", dataset_id=dataset.id, task_index=task_index
+                )
+
     def merge_remote(
         self, snapshot: Dict[str, Any], source: Optional[str] = None
     ) -> None:

@@ -1,10 +1,14 @@
 """Master side of the distributed implementation.
 
-The master owns the job state machine: it registers slaves as they sign
-in (a slave needs only the master's address and port, section IV), runs
-the user program's ``run`` method in the main thread, and drives the
-affinity-aware :class:`~repro.runtime.scheduler.Scheduler` from RPC
-handler threads as results arrive.
+The master is the :class:`~repro.runtime.coordinator.Coordinator`'s
+XML-RPC transport: it registers slaves as they sign in (a slave needs
+only the master's address and port, section IV), pushes task
+descriptors with ``start_task``, and feeds the slaves' ``done`` /
+``failed`` reports back into the coordinator from RPC handler threads
+while the user program's ``run`` method drives the job from the main
+thread.  What it owns beyond the shared control plane is liveness (the
+ping watchdog), lineage recovery for slave-local data, and the job
+namespaces of service mode.
 
 Data plane (section IV-B): by default intermediate buckets are files in
 a tmpdir shared by all slaves ("increased fault-tolerance" — a slave's
@@ -18,32 +22,20 @@ from __future__ import annotations
 
 import logging
 import os
-import shutil
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+import weakref
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.comm import protocol
 from repro.comm.dataserver import DataServer
 from repro.comm.rpc import RpcServer, format_address, rpc_client
-from repro.core.dataset import BaseDataset, ComputedData
-from repro.core.job import Backend, Job
+from repro.core.dataset import ComputedData
+from repro.core.job import Job
 from repro.core.options import resolve_heartbeat_interval
-from repro.io.bucket import Bucket
-from repro.observability import (
-    MetricsRegistry,
-    Observability,
-    PIGGYBACK_PHASES,
-)
-from repro.observability.telemetry import StragglerScorer
-from repro.runtime import dataplane
-from repro.runtime.failures import (
-    MAX_TASK_FAILURES,
-    FailureTracker,
-    propagate_error,
-)
-from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskId
+from repro.observability import MetricsRegistry
+from repro.runtime.coordinator import Coordinator
+from repro.runtime.scheduler import TaskId
 
 logger = logging.getLogger("repro.master")
 
@@ -88,8 +80,6 @@ class SlaveRecord:
         self.id = slave_id
         self.address = address
         self.alive = True
-        #: Task currently executing on the slave, if any.
-        self.busy: Optional[TaskId] = None
         #: Metrics registry receiving master->slave RPC latencies.
         self.registry = registry
         #: Consecutive watchdog ping failures (reset on any success).
@@ -106,55 +96,27 @@ class SlaveRecord:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"SlaveRecord({self.id}, {self.address}, {state}, busy={self.busy})"
+        return f"SlaveRecord({self.id}, {self.address}, {state})"
 
 
-class MasterBackend(Backend):
+class MasterBackend(Coordinator):
     """The Job backend that distributes tasks to slaves over XML-RPC."""
 
+    role = "master"
+    tmpdir_prefix = "mrs_master_"
+    worker_label = "slave"
+
     def __init__(self, program: Any, opts: Any):
-        self.program = program
-        self.opts = opts
-        self._owns_tmpdir = opts.tmpdir is None
-        self.tmpdir = opts.tmpdir or tempfile.mkdtemp(prefix="mrs_master_")
-        os.makedirs(self.tmpdir, exist_ok=True)
+        super().__init__(program, opts)
         self.data_plane = getattr(opts, "data_plane", "file") or "file"
-        #: --mrs-timeout: default deadline for Job.wait calls.
-        self.default_timeout = getattr(opts, "timeout", None)
-
-        self.observability = Observability(role="master")
-        self.observability.configure_from_opts(opts)
-
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self.scheduler = Scheduler(
-            affinity=not getattr(opts, "no_affinity", False),
-            pipeline=getattr(opts, "pipeline", "buckets") != "off",
-        )
         #: Watchdog cadence (--mrs-heartbeat-interval; historically 2 s).
         self._ping_interval = resolve_heartbeat_interval(opts, PING_INTERVAL)
-        telemetry = self.observability.telemetry
-        if telemetry is not None:
-            telemetry.set_rundir(self.tmpdir)
-            self.scheduler.straggler_scorer = StragglerScorer(
-                factor=telemetry.straggler_factor
-            )
-        #: Mirror of the scheduler's pipelined-dispatch count already
-        #: folded into the metrics registry.
-        self._pipelined_seen = 0
-        self.observability.registry.counter("scheduler.pipelined_dispatches")
         self._slaves: Dict[int, SlaveRecord] = {}
         self._next_slave_id = 1
-        self._datasets: Dict[str, BaseDataset] = {}
-        self._failures = FailureTracker()
         #: Which slave produced each completed task's output buckets —
         #: the lineage needed to re-execute tasks whose data died with
         #: a slave (http data plane only).
         self._producers: Dict[TaskId, int] = {}
-        #: Wall seconds per completed task, per dataset (profiling:
-        #: "Profiling has helped to identify real bottlenecks",
-        #: section IV-B).
-        self._task_seconds: Dict[str, List[float]] = {}
         #: Service mode: job namespace -> (program_spec, program_args)
         #: attached to that job's task descriptors so a shared slave
         #: pool can execute tasks from many programs.
@@ -162,7 +124,6 @@ class MasterBackend(Backend):
         #: Per-job metrics registries (isolated from the server-wide
         #: registry; fed alongside it on every accepted completion).
         self._job_registries: Dict[str, MetricsRegistry] = {}
-        self._closed = False
 
         # Control-plane server (instrumented: every handled RPC is
         # timed into rpc.server.* in the master's registry).
@@ -188,177 +149,57 @@ class MasterBackend(Backend):
                 f.write(self.rpc.address + "\n")
             os.replace(runfile + ".tmp", runfile)
 
+        #: Set by close(): wakes the watchdog out of its sleep so the
+        #: thread (and its reference to this backend) ends promptly.
+        self._stop_watchdog = threading.Event()
         self._watchdog = threading.Thread(
             target=self._watchdog_loop, name="master-watchdog", daemon=True
         )
         self._watchdog.start()
 
     # ------------------------------------------------------------------
-    # Backend interface (called from the program's main thread)
+    # Transport hooks
     # ------------------------------------------------------------------
 
-    @property
-    def default_splits(self) -> int:
-        with self._lock:
-            alive = sum(1 for s in self._slaves.values() if s.alive)
-        requested = getattr(self.opts, "reduce_tasks", 0)
-        return requested or max(1, alive)
+    def _live_workers(self) -> Iterator[int]:
+        return (s.id for s in self._slaves.values() if s.alive)
 
-    def submit(self, dataset: ComputedData, job: Job) -> None:
-        self.observability.note_operation(dataset.id, dataset.operation.kind)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "dataset.submitted",
-                dataset_id=dataset.id,
-                kind=dataset.operation.kind,
-                tasks=dataset.ntasks,
-            )
-        for task_index in dataset.task_indices():
-            self.observability.tracer.span(dataset.id, task_index).mark(
-                "queued"
-            )
-            if events is not None:
-                events.emit(
-                    "task.queued", dataset_id=dataset.id, task_index=task_index
-                )
-        with self._lock:
-            input_dataset = job.get_dataset(dataset.input_id)
-            self._datasets[dataset.id] = dataset
-            self._datasets.setdefault(input_dataset.id, input_dataset)
-            for blocker_id in dataset.blocking_ids:
-                self._datasets.setdefault(blocker_id, job.get_dataset(blocker_id))
-            # Non-computed inputs (LocalData/FileData) are complete on
-            # arrival; tell the scheduler so dependents can activate.
-            for dep_id in [dataset.input_id, *dataset.blocking_ids]:
-                dep = self._datasets[dep_id]
-                if dep.complete and not self.scheduler.is_complete(dep_id):
-                    self.scheduler.mark_input_complete(dep_id)
-            self.scheduler.add_dataset(
-                ScheduledDataset(
-                    dataset.id,
-                    ntasks=dataset.ntasks,
-                    affinity_group=dataset.affinity_group,
-                    input_id=dataset.input_id,
-                    blocking_ids=dataset.blocking_ids,
-                    routing=dataplane.derive_routing(dataset, input_dataset),
-                    job_id=getattr(job, "namespace", None),
-                )
-            )
-            self._drain_scheduler()
-        self._dispatch()
+    def _send(self, worker_id: int, descriptor: Dict[str, Any]) -> None:
+        self._slaves[worker_id].client().start_task(descriptor)
 
-    def _drain_scheduler(self) -> None:
-        """Publish scheduler-side transitions (caller holds the lock):
-        zero-task datasets that completed without any task report, and
-        pipelined tasks whose input buckets just committed."""
-        events = self.observability.events
-        for dataset_id in self.scheduler.take_completed_datasets():
-            dataset = self._datasets.get(dataset_id)
-            if dataset is not None and not dataset.complete:
-                dataset.complete = True
-                logger.info("dataset %s complete (no tasks)", dataset_id)
-                if events is not None:
-                    events.emit(
-                        "dataset.complete", dataset_id=dataset_id, tasks=0
-                    )
-        for entry in self.scheduler.take_unblocked():
-            dataset_id, task_index = entry["task"]
-            if events is not None:
-                events.emit(
-                    "task.unblocked",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    input_id=entry["input_id"],
-                    source=entry["source"],
-                    split=entry["split"],
-                )
-        self._cond.notify_all()
+    def _output_dir(self, dataset: ComputedData) -> Optional[str]:
+        if self.data_plane == "file":
+            return super()._output_dir(dataset)
+        return None  # slave-local + HTTP
 
-    def wait(
-        self,
-        datasets: Sequence[BaseDataset],
-        job: Job,
-        timeout: Optional[float] = None,
-    ) -> List[BaseDataset]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._dispatch()
-        with self._cond:
-            while True:
-                done = [d for d in datasets if d.complete or d.error]
-                if done:
-                    # Wait semantics: return once at least one target
-                    # dataset is finished; report every finished target.
-                    if all(d.complete or d.error for d in datasets):
-                        return done
-                    return done
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return done
-                    self._cond.wait(remaining)
-                else:
-                    self._cond.wait(1.0)
+    def _spill_url(self, path: str) -> str:
+        if self.dataserver is not None:
+            return self.dataserver.url_for(path)
+        return super()._spill_url(path)
 
-    def progress(self, dataset: BaseDataset) -> float:
-        if dataset.complete:
-            return 1.0
-        with self._lock:
-            return self.scheduler.progress(dataset.id)
+    def _job_program(
+        self, dataset_id: str
+    ) -> Tuple[Optional[str], Optional[List[str]]]:
+        return self._job_programs.get(
+            self._namespace_of(dataset_id), (None, None)
+        )
 
-    def remove_data(self, dataset_id: str, job: Optional[Job] = None) -> None:
-        # Ordering matters for spill-file hygiene: first stop any more
-        # of this dataset's tasks from running (drop pending work and
-        # lineage), then release slave-local copies, and only *then*
-        # delete the master-side run directory — deleting it first left
-        # a window where an in-flight task re-created the directory
-        # with fresh spill files that nothing would ever clean up.
-        with self._lock:
-            self.scheduler.cancel_dataset(dataset_id)
-            # Released datasets are exempt from lineage recovery: their
-            # data is gone on purpose and nothing will read it again.
-            self._producers = {
-                task: producer
-                for task, producer in self._producers.items()
-                if task[0] != dataset_id
-            }
-            slaves = [s for s in self._slaves.values() if s.alive]
-        for record in slaves:
+    def _job_registry(self, dataset_id: str) -> Optional[MetricsRegistry]:
+        return self._job_registries.get(self._namespace_of(dataset_id))
+
+    def _task_accepted(self, worker_id: int, task: TaskId) -> None:
+        self._producers[task] = worker_id
+
+    def _release_worker_copies(self, dataset_id: str) -> None:
+        for record in self.alive_slaves():
             try:
                 record.client().remove_data(dataset_id)
             except Exception:
                 pass  # best-effort cleanup
-        shared_dir = os.path.join(self.tmpdir, dataset_id)
-        if os.path.isdir(shared_dir):
-            shutil.rmtree(shared_dir, ignore_errors=True)
 
-    def _sweep_errored_dirs(self) -> None:
-        """Delete run directories of failed/canceled datasets.
-
-        Their contents are unreadable by definition (the dataset will
-        never complete), and canceled tasks that were already in flight
-        may have spilled buckets after the cancel — without this sweep
-        those files outlive the job even in a caller-owned tmpdir.
-        User-facing outdirs are never touched.
-        """
-        with self._lock:
-            doomed = [
-                ds_id
-                for ds_id, dataset in self._datasets.items()
-                if dataset.error and not getattr(dataset, "outdir", None)
-            ]
-        for ds_id in doomed:
-            path = os.path.join(self.tmpdir, ds_id)
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            slaves = [s for s in self._slaves.values() if s.alive]
-        for record in slaves:
+    def _shutdown_transport(self) -> None:
+        self._stop_watchdog.set()
+        for record in self.alive_slaves():
             try:
                 record.client().quit()
             except Exception:
@@ -372,10 +213,26 @@ class MasterBackend(Backend):
                 os.unlink(runfile)
             except OSError:
                 pass
-        if self._owns_tmpdir:
-            shutil.rmtree(self.tmpdir, ignore_errors=True)
-        else:
-            self._sweep_errored_dirs()
+
+    # ------------------------------------------------------------------
+    # Backend interface (called from the program's main thread)
+    # ------------------------------------------------------------------
+
+    @property
+    def default_splits(self) -> int:
+        requested = getattr(self.opts, "reduce_tasks", 0)
+        return requested or max(1, len(self.alive_slaves()))
+
+    def remove_data(self, dataset_id: str, job: Optional[Job] = None) -> None:
+        with self._lock:
+            # Released datasets are exempt from lineage recovery: their
+            # data is gone on purpose and nothing will read it again.
+            self._producers = {
+                task: producer
+                for task, producer in self._producers.items()
+                if task[0] != dataset_id
+            }
+        super().remove_data(dataset_id, job)
 
     # ------------------------------------------------------------------
     # Slave management (called from RPC handler threads)
@@ -394,7 +251,7 @@ class MasterBackend(Backend):
                 slave_id, address, registry=self.observability.registry
             )
             self.scheduler.add_slave(slave_id)
-            alive = sum(1 for s in self._slaves.values() if s.alive)
+            alive = len(self.alive_slaves())
             self._cond.notify_all()
         self.observability.registry.counter("slaves.signins").inc()
         self.observability.registry.gauge("slaves.alive").set(alive)
@@ -418,7 +275,7 @@ class MasterBackend(Backend):
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                alive = sum(1 for s in self._slaves.values() if s.alive)
+                alive = len(self.alive_slaves())
                 if alive >= count:
                     # The cluster is ready: this is the paper's "~2 s"
                     # startup quantity, master launch to N slaves ready.
@@ -520,15 +377,9 @@ class MasterBackend(Backend):
             ds_ids = [i for i in self._datasets if i.startswith(prefix)]
         for ds_id in ds_ids:
             self.remove_data(ds_id)
-        telemetry = self.observability.telemetry
         with self._lock:
             for ds_id in ds_ids:
-                self._datasets.pop(ds_id, None)
-                self._task_seconds.pop(ds_id, None)
-                self._failures.forget_dataset(ds_id)
-                self.scheduler.forget_dataset(ds_id)
-                if telemetry is not None:
-                    telemetry.skew.forget_dataset(ds_id)
+                self._forget_dataset(ds_id)
             self._job_programs.pop(namespace, None)
             self.scheduler.job_dispatches.pop(namespace, None)
         return len(ds_ids)
@@ -538,16 +389,7 @@ class MasterBackend(Backend):
         spans, and (isolated) metrics registry."""
         prefix = namespace + "."
         with self._lock:
-            datasets = [
-                {
-                    "id": dataset.id,
-                    "complete": bool(dataset.complete),
-                    "error": dataset.error,
-                    "progress": self.scheduler.progress(dataset.id),
-                }
-                for ds_id, dataset in self._datasets.items()
-                if ds_id.startswith(prefix)
-            ]
+            datasets = self._dataset_rows(prefix)
             registry = self._job_registries.get(namespace)
             snapshot = registry.snapshot() if registry is not None else {}
             dispatched = self.scheduler.job_dispatches.get(namespace, 0)
@@ -562,30 +404,37 @@ class MasterBackend(Backend):
         )
         return view
 
+    def _dataset_rows(self, prefix: str = "") -> List[Dict[str, Any]]:
+        """Status rows of the datasets under ``prefix`` (caller holds
+        the lock)."""
+        return [
+            {
+                "id": dataset.id,
+                "complete": bool(dataset.complete),
+                "error": dataset.error,
+                "progress": self.scheduler.progress(dataset.id),
+            }
+            for ds_id, dataset in self._datasets.items()
+            if ds_id.startswith(prefix)
+        ]
+
     def status(self) -> Dict[str, Any]:
         """A snapshot of the job for monitoring: slaves, datasets,
         progress, outstanding work.  Exposed over RPC as ``status`` so
         external tools (or a curious user with ``xmlrpc.client``) can
         watch a running master."""
         with self._lock:
-            slaves = [
-                {
-                    "id": record.id,
-                    "address": record.address,
-                    "alive": record.alive,
-                    "busy": list(record.busy) if record.busy else None,
-                }
-                for record in self._slaves.values()
-            ]
-            datasets = [
-                {
-                    "id": dataset.id,
-                    "complete": bool(dataset.complete),
-                    "error": dataset.error,
-                    "progress": self.scheduler.progress(dataset.id),
-                }
-                for dataset in self._datasets.values()
-            ]
+            slaves = []
+            for record in self._slaves.values():
+                busy = self._busy.get(record.id)
+                slaves.append(
+                    {
+                        "id": record.id,
+                        "address": record.address,
+                        "alive": record.alive,
+                        "busy": list(busy) if busy else None,
+                    }
+                )
             status = self.observability.status_view()
             status.update(
                 {
@@ -593,259 +442,14 @@ class MasterBackend(Backend):
                     "data_plane": self.data_plane,
                     "outstanding_tasks": self.scheduler.outstanding(),
                     "slaves": slaves,
-                    "datasets": datasets,
+                    "datasets": self._dataset_rows(),
                 }
             )
             return status
 
-    def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry snapshot, including the scheduler's
-        live straggler candidates (empty when --mrs-telemetry off)."""
-        telemetry = self.observability.telemetry
-        if telemetry is None:
-            return {}
-        with self._lock:
-            candidates = self.scheduler.straggler_candidates()
-            scorer = self.scheduler.straggler_scorer
-            flagged = scorer.flagged_total if scorer is not None else 0
-        return telemetry.snapshot(
-            stragglers=candidates, flagged_total=flagged
-        )
-
-    def task_stats(self, dataset_id: str) -> Dict[str, float]:
-        """Count/total/mean/max wall seconds of a dataset's tasks."""
-        with self._lock:
-            samples = list(self._task_seconds.get(dataset_id, ()))
-        if not samples:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
-        return {
-            "count": len(samples),
-            "total": sum(samples),
-            "mean": sum(samples) / len(samples),
-            "max": max(samples),
-        }
-
-    def task_done(
-        self,
-        slave_id: int,
-        dataset_id: str,
-        task_index: int,
-        bucket_urls: List[Tuple[int, str]],
-        seconds: float = 0.0,
-        metrics: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        task: TaskId = (dataset_id, task_index)
-        # Accept both (split, url) pairs and (split, url, sorted) triples.
-        reported = protocol.parse_bucket_urls(bucket_urls)
-        cleanup_dir: Optional[str] = None
-        with self._lock:
-            record = self._slaves.get(slave_id)
-            if record is not None and record.busy == task:
-                record.busy = None
-            dataset = self._datasets.get(dataset_id)
-            if dataset is None or dataset.error:
-                # Released or canceled dataset: clear the assignment,
-                # but the output is unwanted — a straggler finishing
-                # after a cancel/remove_data would otherwise leave
-                # fresh spill files in the run dir forever.  User
-                # outdirs are never swept.
-                self.scheduler.task_done(slave_id, task)
-                if dataset is None or not getattr(dataset, "outdir", None):
-                    cleanup_dir = os.path.join(self.tmpdir, dataset_id)
-                self._cond.notify_all()
-            else:
-                self._accept_task_done(
-                    slave_id, dataset, task, reported, seconds, metrics
-                )
-        if cleanup_dir is not None and os.path.isdir(cleanup_dir):
-            shutil.rmtree(cleanup_dir, ignore_errors=True)
-        self._dispatch()
-
-    def _accept_task_done(
-        self,
-        slave_id: int,
-        dataset: BaseDataset,
-        task: TaskId,
-        reported: List[Tuple[int, str, bool]],
-        seconds: float,
-        metrics: Optional[Dict[str, Any]],
-    ) -> None:
-        """Record a live dataset's task completion (caller holds the
-        lock)."""
-        dataset_id, task_index = task
-        # The scheduler rejects stale duplicate reports (e.g. from a
-        # slave presumed dead whose tasks were reassigned).
-        accepted, dataset_complete = self.scheduler.task_done(slave_id, task)
-        if accepted:
-            self._producers[task] = slave_id
-            self._task_seconds.setdefault(dataset_id, []).append(
-                float(seconds)
-            )
-            for split, url, url_sorted in reported:
-                bucket = Bucket(source=task_index, split=split, url=url)
-                bucket.url_sorted = url_sorted
-                dataset.add_bucket(bucket)
-            self._record_task_metrics(
-                slave_id, dataset_id, task_index, float(seconds), metrics
-            )
-        if dataset_complete:
-            dataset.complete = True
-            logger.info("dataset %s complete", dataset_id)
-            events = self.observability.events
-            if events is not None:
-                events.emit("dataset.complete", dataset_id=dataset_id)
-        self._drain_scheduler()
-        self._cond.notify_all()
-
-    def _record_task_metrics(
-        self,
-        slave_id: int,
-        dataset_id: str,
-        task_index: int,
-        seconds: float,
-        metrics: Optional[Dict[str, Any]],
-    ) -> None:
-        """Fold one accepted completion (and its piggybacked slave
-        metrics) into the whole-job view.  Caller holds the lock."""
-        obs = self.observability
-        obs.registry.counter("tasks.completed").inc()
-        obs.registry.histogram("task.seconds").observe(seconds)
-        span = obs.tracer.span(dataset_id, task_index)
-        payload = protocol.parse_task_metrics(metrics)
-        namespace = self._namespace_of(dataset_id)
-        if namespace is not None:
-            job_registry = self._job_registries.get(namespace)
-            if job_registry is not None:
-                job_registry.counter("tasks.completed").inc()
-                job_registry.histogram("task.seconds").observe(seconds)
-                job_registry.merge_snapshot(payload["registry"])
-        for event, phase_seconds in payload["durations"].items():
-            span.add_duration(event, phase_seconds)
-            if event in PIGGYBACK_PHASES:
-                obs.phases.add(event, phase_seconds)
-        obs.merge_remote(payload["registry"], source=f"slave-{slave_id}")
-        telemetry = obs.telemetry
-        if telemetry is not None:
-            telemetry.record_remote(
-                f"slave-{slave_id}", payload.get("health")
-            )
-            if payload["buckets"]:
-                telemetry.skew.record_emitted(
-                    dataset_id, payload["buckets"]
-                )
-            counters = payload["registry"].get("counters")
-            if isinstance(counters, dict):
-                fetched = counters.get("fetch.bytes")
-                if fetched:
-                    # The reduce side of skew: what this task actually
-                    # pulled over the data plane for its input split.
-                    telemetry.skew.record_fetched(
-                        dataset_id, task_index, fetched
-                    )
-        span.mark("committed")
-        events = obs.events
-        if events is not None:
-            # Re-anchor the slave's per-task event batch (offsets from
-            # its own task start) at this master's dispatch timestamp —
-            # the same skew-tolerant model as span.add_duration.
-            anchor = span.event_time("started")
-            if anchor is not None and payload["events"]:
-                events.emit_anchored(
-                    payload["events"],
-                    anchor,
-                    role="slave",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    slave=slave_id,
-                )
-            events.emit(
-                "task.committed",
-                dataset_id=dataset_id,
-                task_index=task_index,
-                slave=slave_id,
-                seconds=seconds,
-            )
-
-    def task_failed(
-        self, slave_id: int, dataset_id: str, task_index: int, message: str
-    ) -> None:
-        task: TaskId = (dataset_id, task_index)
-        logger.warning(
-            "task %s failed on slave %d: %s", task, slave_id, message
-        )
-        self.observability.registry.counter("tasks.failed").inc()
-        with self._lock:
-            namespace = self._namespace_of(dataset_id)
-            if namespace is not None:
-                job_registry = self._job_registries.get(namespace)
-                if job_registry is not None:
-                    job_registry.counter("tasks.failed").inc()
-            record = self._slaves.get(slave_id)
-            if record is not None and record.busy == task:
-                record.busy = None
-            # A fetch failure while the input dataset is being
-            # re-executed (lineage recovery) is expected, not a strike:
-            # requeue without burning the failure budget.
-            dataset = self._datasets.get(dataset_id)
-            input_dataset = (
-                self._datasets.get(getattr(dataset, "input_id", None))
-                if dataset is not None
-                else None
-            )
-            free_retry = (
-                "FetchError" in message
-                and input_dataset is not None
-                and not input_dataset.complete
-                and not input_dataset.error
-            )
-            events = self.observability.events
-            if events is not None:
-                events.emit(
-                    "task.failed",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    slave=slave_id,
-                    error=message,
-                    free_retry=free_retry,
-                )
-            if free_retry:
-                self.scheduler.task_failed(slave_id, task)
-            elif self._failures.record(task):
-                if dataset is not None and not dataset.error:
-                    dataset.error = (
-                        f"task {task_index} failed "
-                        f"{self._failures.count(task)} times; "
-                        f"last: {message}"
-                    )
-                    # Dependents can never run; fail them too so any
-                    # wait() on them returns instead of hanging, and
-                    # drop the dataset's remaining queued tasks.
-                    propagate_error(self._datasets, dataset_id)
-                    # Dependents may hold pre-queued pipelined tasks;
-                    # drop those too, they can only waste slaves.
-                    for errored_id, errored in self._datasets.items():
-                        if errored.error:
-                            self.scheduler.cancel_dataset(errored_id)
-                    if events is not None:
-                        events.emit(
-                            "dataset.failed",
-                            dataset_id=dataset_id,
-                            error=dataset.error,
-                        )
-            else:
-                self.scheduler.task_failed(slave_id, task)
-            if events is not None and (
-                free_retry or (dataset is not None and not dataset.error)
-            ):
-                events.emit(
-                    "task.requeued",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    failures=self._failures.count(task),
-                    free_retry=free_retry,
-                )
-            self._cond.notify_all()
-        self._dispatch()
+    # ------------------------------------------------------------------
+    # Liveness and lineage recovery
+    # ------------------------------------------------------------------
 
     def lose_slave(self, slave_id: int, reason: str) -> None:
         with self._lock:
@@ -853,12 +457,12 @@ class MasterBackend(Backend):
             if record is None or not record.alive:
                 return
             record.alive = False
-            record.busy = None
+            self._busy.pop(slave_id, None)
             reassigned = self.scheduler.remove_slave(slave_id)
             recomputed = 0
             if self.data_plane == "http":
                 recomputed = self._recover_lost_data(slave_id)
-            alive = sum(1 for s in self._slaves.values() if s.alive)
+            alive = len(self.alive_slaves())
             self._cond.notify_all()
         self.observability.registry.counter("slaves.lost").inc()
         self.observability.registry.gauge("slaves.alive").set(alive)
@@ -881,6 +485,8 @@ class MasterBackend(Backend):
                 recomputed,
             )
         self._dispatch()
+
+    _lose_worker = lose_slave
 
     def _recover_lost_data(self, slave_id: int) -> int:
         """Lineage re-execution for the direct (http) data plane.
@@ -918,129 +524,9 @@ class MasterBackend(Backend):
                 recomputed += reset
         return recomputed
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        """Hand pending tasks to idle slaves (outside the lock for I/O)."""
-        while True:
-            to_send: List[Tuple[SlaveRecord, TaskId, Dict[str, Any]]] = []
-            with self._lock:
-                for record in self._slaves.values():
-                    if not record.alive or record.busy is not None:
-                        continue
-                    task = self.scheduler.next_task(record.id)
-                    if task is None:
-                        continue
-                    descriptor = self._build_descriptor(task)
-                    record.busy = task
-                    to_send.append((record, task, descriptor))
-                pipelined = self.scheduler.pipelined_dispatches
-                if pipelined > self._pipelined_seen:
-                    self.observability.registry.counter(
-                        "scheduler.pipelined_dispatches"
-                    ).inc(pipelined - self._pipelined_seen)
-                    self._pipelined_seen = pipelined
-            if not to_send:
-                return
-            # First work handed out: the job is effectively started even
-            # if the caller never blocked in wait_for_slaves.
-            self.observability.mark_startup_complete()
-            events = self.observability.events
-            for record, task, descriptor in to_send:
-                dataset_id, task_index = task
-                self.observability.tracer.span(dataset_id, task_index).mark(
-                    "started"
-                )
-                self.observability.registry.counter("tasks.dispatched").inc()
-                if events is not None:
-                    events.emit(
-                        "task.started",
-                        dataset_id=dataset_id,
-                        task_index=task_index,
-                        slave=record.id,
-                    )
-                try:
-                    record.client().start_task(descriptor)
-                except Exception as exc:
-                    self.lose_slave(record.id, f"start_task failed: {exc}")
-
-    def _build_descriptor(self, task: TaskId) -> Dict[str, Any]:
-        """Build the wire descriptor for a task (caller holds the lock)."""
-        dataset_id, task_index = task
-        dataset = self._datasets[dataset_id]
-        assert isinstance(dataset, ComputedData)
-        input_dataset = self._datasets[dataset.input_id]
-        input_urls = []
-        input_sorted = []
-        for bucket in input_dataset.buckets_for_split(task_index):
-            if bucket.url is None:
-                self._spill_bucket(input_dataset, bucket)
-            input_urls.append(bucket.url)
-            input_sorted.append(bucket.url_sorted)
-        user_output = dataset.outdir is not None
-        if user_output:
-            outdir: Optional[str] = dataset.outdir
-            ext = dataset.format_ext or "txt"
-        elif self.data_plane == "file":
-            outdir = os.path.join(self.tmpdir, dataset.id)
-            ext = dataset.format_ext or "mrsb"
-        else:
-            outdir = None  # slave-local + HTTP
-            ext = dataset.format_ext or "mrsb"
-        program_spec: Optional[str] = None
-        program_args: Optional[List[str]] = None
-        namespace = self._namespace_of(dataset.id)
-        if namespace is not None:
-            program_spec, program_args = self._job_programs[namespace]
-        return protocol.make_task_descriptor(
-            program_spec=program_spec,
-            program_args=program_args,
-            dataset_id=dataset.id,
-            task_index=task_index,
-            op_dict=dataset.operation.to_dict(),
-            input_urls=input_urls,
-            outdir=outdir,
-            format_ext=ext,
-            user_output=user_output,
-            key_serializer=dataset.key_serializer,
-            value_serializer=dataset.value_serializer,
-            input_key_serializer=getattr(input_dataset, "key_serializer", None),
-            input_value_serializer=getattr(
-                input_dataset, "value_serializer", None
-            ),
-            input_sorted=input_sorted,
-        )
-
-    def _spill_bucket(self, dataset: BaseDataset, bucket: Bucket) -> None:
-        """Write a master-resident bucket to the data plane so slaves
-        can read it (LocalData pairs live only in master memory)."""
-        path = dataplane.spill_bucket(dataset, bucket, self.tmpdir)
-        if self.data_plane == "http" and self.dataserver is not None:
-            bucket.url = self.dataserver.url_for(path)
-        else:
-            bucket.url = "file:" + path
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "spill.bucket",
-                dataset_id=dataset.id,
-                split=bucket.split,
-                url=bucket.url,
-            )
-
-    # ------------------------------------------------------------------
-    # Watchdog
-    # ------------------------------------------------------------------
-
     def _watchdog_loop(self) -> None:
-        while not self._closed:
-            time.sleep(self._ping_interval)
-            if self._closed:
-                return
-            with self._lock:
-                records = [s for s in self._slaves.values() if s.alive]
+        while not self._stop_watchdog.wait(self._ping_interval):
+            records = self.alive_slaves()
             events = self.observability.events
             if events is not None:
                 events.emit("heartbeat", alive=len(records))
@@ -1110,7 +596,10 @@ class MasterInterface:
     """RPC surface exposed to slaves (``rpc_`` prefix is stripped)."""
 
     def __init__(self, backend: MasterBackend):
-        self.backend = backend
+        # Weak: the backend owns the RPC server that owns this object,
+        # and a strong reference back would make every closed master
+        # (and the datasets it tracks) wait for the cycle collector.
+        self.backend = weakref.proxy(backend)
 
     def rpc_signin(self, version: int, slave_host: str, slave_port: int) -> int:
         address = format_address(slave_host, slave_port)
@@ -1125,9 +614,8 @@ class MasterInterface:
         seconds: float = 0.0,
         metrics: Any = None,
     ) -> bool:
-        urls = protocol.parse_bucket_urls(bucket_urls)
         self.backend.task_done(
-            slave_id, dataset_id, task_index, urls, seconds, metrics
+            slave_id, dataset_id, task_index, bucket_urls, seconds, metrics
         )
         return True
 

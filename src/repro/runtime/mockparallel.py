@@ -7,6 +7,11 @@ survives serialization, a filesystem round-trip, and re-parsing here
 will also survive the distributed data plane — which is why the paper
 recommends this mode for debugging ("Intermediate data between tasks is
 saved to files which can be helpful for debugging").
+
+It is the serial backend with a different bucket policy: same FIFO
+sweep, same task loop, but every dataset has an output directory (so
+its buckets are always files) and intermediate buckets' in-memory pairs
+are dropped as soon as they are written.
 """
 
 from __future__ import annotations
@@ -15,20 +20,17 @@ import atexit
 import os
 import shutil
 import tempfile
-import time
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.core.dataset import BaseDataset, ComputedData
-from repro.core.job import Backend, Job
-from repro.observability import Observability
-from repro.observability.profiling import profiler_from_opts
-from repro.runtime import taskrunner
-from repro.runtime.serial import PHASE_FOR_KIND, _emit_task_events
+from repro.core.dataset import ComputedData
+from repro.core.job import Job
+from repro.runtime.serial import SerialBackend
 
 
-class MockParallelBackend(Backend):
+class MockParallelBackend(SerialBackend):
     #: Mimic a small cluster's task decomposition by default.
     default_splits = 4
+    role = "mockparallel"
 
     def __init__(
         self,
@@ -37,9 +39,7 @@ class MockParallelBackend(Backend):
         default_splits: Optional[int] = None,
         opts=None,
     ):
-        self.program = program
-        if opts is None:
-            opts = getattr(program, "opts", None)
+        super().__init__(program, opts)
         if tmpdir:
             self.tmpdir = tmpdir
         else:
@@ -50,183 +50,18 @@ class MockParallelBackend(Backend):
             atexit.register(shutil.rmtree, self.tmpdir, ignore_errors=True)
         if default_splits:
             self.default_splits = default_splits
-        self.observability = Observability(role="mockparallel")
-        self.observability.configure_from_opts(opts)
-        #: --mrs-profile-tasks N: keep the N slowest tasks' profiles.
-        self.profiler = profiler_from_opts(opts)
-        self._queue: List[ComputedData] = []
-        self._completed_tasks = {}
-        #: Wall seconds per completed task, per dataset (same
-        #: profiling surface as the master backend).
-        self._task_seconds = {}
 
-    def submit(self, dataset: ComputedData, job: Job) -> None:
-        self._queue.append(dataset)
-        self.observability.note_operation(dataset.id, dataset.operation.kind)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "dataset.submitted",
-                dataset_id=dataset.id,
-                kind=dataset.operation.kind,
-                tasks=len(list(dataset.task_indices())),
-            )
-        for task_index in dataset.task_indices():
-            self.observability.tracer.span(dataset.id, task_index).mark(
-                "queued"
-            )
-            if events is not None:
-                events.emit(
-                    "task.queued", dataset_id=dataset.id, task_index=task_index
-                )
+    def _output_dir(self, dataset: ComputedData) -> str:
+        return dataset.outdir or os.path.join(self.tmpdir, dataset.id)
 
-    def wait(
-        self,
-        datasets: Sequence[BaseDataset],
-        job: Job,
-        timeout: Optional[float] = None,
-    ) -> List[BaseDataset]:
-        self.observability.mark_startup_complete()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self._queue and not all(d.complete or d.error for d in datasets):
-            # Tasks are not preemptible, so the deadline is checked
-            # between dataset computations: on expiry the caller gets
-            # whatever subset finished in time, like the master's wait.
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            dataset = self._queue.pop(0)
-            self._compute(dataset, job)
-        return [d for d in datasets if d.complete or d.error]
-
-    def progress(self, dataset: BaseDataset) -> float:
-        if dataset.complete:
-            return 1.0
-        done = self._completed_tasks.get(dataset.id, 0)
-        ntasks = getattr(dataset, "ntasks", 1) or 1
-        return done / ntasks
-
-    def task_stats(self, dataset_id: str):
-        """Count/total/mean/max wall seconds of a dataset's tasks."""
-        samples = list(self._task_seconds.get(dataset_id, ()))
-        if not samples:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
-        return {
-            "count": len(samples),
-            "total": sum(samples),
-            "mean": sum(samples) / len(samples),
-            "max": max(samples),
-        }
-
-    def _compute(self, dataset: ComputedData, job: Job) -> None:
-        if dataset.complete or dataset.error:
-            return
-        input_dataset = job.get_dataset(dataset.input_id)
-        if input_dataset.error:
-            # Propagate upstream failure instead of computing garbage.
-            dataset.error = (
-                f"input dataset {input_dataset.id} failed: "
-                f"{input_dataset.error}"
-            )
-            return
-        if not input_dataset.complete:
-            raise RuntimeError(
-                f"dataset {dataset.id} scheduled before input "
-                f"{input_dataset.id} completed; submission order violated"
-            )
-        is_user_output = dataset.outdir is not None
-        outdir = dataset.outdir or os.path.join(self.tmpdir, dataset.id)
-        ext = dataset.format_ext or "mrsb"
-        obs = self.observability
-        events = obs.events
-        phase = PHASE_FOR_KIND.get(dataset.operation.kind, "map")
-        try:
-            for task_index in dataset.task_indices():
-                span = obs.tracer.span(dataset.id, task_index)
-                # Reduce-side input gathering is the shuffle (see the
-                # serial backend).  Buckets stay URL-only and the
-                # reduce merge streams the spill files, so the format
-                # and serializer layers are still exercised — their
-                # cost now lands in the "reduce" phase.
-                if phase == "reduce":
-                    with obs.phases.measure("shuffle"):
-                        input_buckets = taskrunner.materialize_input_buckets(
-                            input_dataset, task_index, streaming=True
-                        )
-                else:
-                    input_buckets = taskrunner.materialize_input_buckets(
-                        input_dataset, task_index
-                    )
-                factory = taskrunner.file_bucket_factory(
-                    outdir, dataset.id, task_index, ext=ext,
-                    key_serializer=dataset.key_serializer,
-                    value_serializer=dataset.value_serializer,
-                )
-                started = time.perf_counter()
-                span.mark("started", started)
-                if events is not None:
-                    events.emit(
-                        "task.started",
-                        t=started,
-                        dataset_id=dataset.id,
-                        task_index=task_index,
-                    )
-                with obs.phases.measure(phase):
-                    out_buckets = self._execute(
-                        dataset, task_index, input_buckets, factory, span
-                    )
-                seconds = time.perf_counter() - started
-                self._task_seconds.setdefault(dataset.id, []).append(seconds)
-                obs.registry.histogram("task.seconds").observe(seconds)
-                for bucket in out_buckets:
-                    # Drop the in-memory copy of intermediate data:
-                    # downstream tasks must re-read through the file,
-                    # exercising the format and serializer layers.
-                    # User-facing output keeps its pairs (its on-disk
-                    # format, e.g. text, may be write-only).
-                    if not is_user_output:
-                        bucket.clean()
-                    dataset.add_bucket(bucket)
-                span.mark("committed")
-                obs.registry.counter("tasks.completed").inc()
-                self._completed_tasks[dataset.id] = (
-                    self._completed_tasks.get(dataset.id, 0) + 1
-                )
-                if events is not None:
-                    _emit_task_events(events, span, dataset.id, task_index)
-            dataset.complete = True
-            if events is not None:
-                events.emit("dataset.complete", dataset_id=dataset.id)
-        except taskrunner.TaskError as exc:
-            obs.registry.counter("tasks.failed").inc()
-            dataset.error = str(exc)
-            if events is not None:
-                events.emit(
-                    "task.failed", dataset_id=dataset.id, error=str(exc)
-                )
-                events.emit(
-                    "dataset.failed", dataset_id=dataset.id, error=str(exc)
-                )
-
-    def _execute(self, dataset, task_index, input_buckets, factory, span):
-        """Run one task, under cProfile when --mrs-profile-tasks is on."""
-        if self.profiler is None:
-            return taskrunner.execute_task(
-                self.program, dataset, task_index, input_buckets, factory,
-                span=span,
-            )
-        return self.profiler.run(
-            taskrunner.execute_task,
-            self.program,
-            dataset,
-            task_index,
-            input_buckets,
-            factory,
-            span=span,
-            profile_dataset_id=dataset.id,
-            profile_task_index=task_index,
-            profile_span=span,
-            profile_events=self.observability.events,
-        )
+    def _commit_bucket(self, dataset: ComputedData, bucket) -> None:
+        # Drop the in-memory copy of intermediate data: downstream
+        # tasks must re-read through the file, exercising the format
+        # and serializer layers.  User-facing output keeps its pairs
+        # (its on-disk format, e.g. text, may be write-only).
+        if dataset.outdir is None:
+            bucket.clean()
+        super()._commit_bucket(dataset, bucket)
 
     def remove_data(self, dataset_id: str, job: Job) -> None:
         dataset_dir = os.path.join(self.tmpdir, dataset_id)
@@ -236,4 +71,4 @@ class MockParallelBackend(Backend):
                     os.unlink(os.path.join(dataset_dir, name))
                 except OSError:
                     pass
-        self._completed_tasks.pop(dataset_id, None)
+        super().remove_data(dataset_id, job)

@@ -1,18 +1,18 @@
 """The multiprocess worker-pool backend (single-node parallelism).
 
-Structurally this is the cluster master with the network removed: the
-same affinity-aware :class:`~repro.runtime.scheduler.Scheduler`, the
-same task descriptors, the same shared-tmpdir file data plane, and the
-same per-task failure budget — but the control plane is a pair of
+This is the :class:`~repro.runtime.coordinator.Coordinator`'s queue
+transport — the cluster master with the network removed: the same
+scheduler, task descriptors, shared-tmpdir file data plane and per-task
+failure budget, but descriptors travel over per-worker
 ``multiprocessing`` queues instead of XML-RPC, and "slaves" are local
 worker processes the pool itself forks (or spawns).
 
-Fault tolerance mirrors the cluster: a worker that dies mid-task is
-detected by the collector thread's liveness sweep, its in-flight task
-is requeued (burning one strike of the shared ``MAX_TASK_FAILURES``
-budget — a crash is evidence against the task as well as the worker),
-and a replacement process is spawned, up to a respawn cap that stops a
-crash-looping program from forking forever.
+Liveness is the pool's own: a worker that dies mid-task is detected by
+the collector thread's sweep, its in-flight task is requeued (burning
+one strike of the shared ``MAX_TASK_FAILURES`` budget — a crash is
+evidence against the task as well as the worker), and a replacement
+process is spawned, up to a respawn cap that stops a crash-looping
+program from forking forever.
 
 Observability mirrors the slave piggyback: each ``done`` message
 carries the worker's span durations and a fresh per-task registry
@@ -26,23 +26,13 @@ import logging
 import multiprocessing
 import os
 import queue as queue_mod
-import shutil
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.comm import protocol
-from repro.core.dataset import BaseDataset, ComputedData
-from repro.core.job import Backend, Job
 from repro.core.options import resolve_heartbeat_interval
-from repro.io.bucket import Bucket
-from repro.observability import Observability, PIGGYBACK_PHASES
-from repro.observability.telemetry import StragglerScorer
-from repro.runtime import dataplane
-from repro.runtime.failures import FailureTracker, propagate_error
+from repro.runtime.coordinator import Coordinator
 from repro.runtime.multiprocess.pool import WorkerPool
-from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskId
 
 logger = logging.getLogger("repro.multiprocess")
 
@@ -55,78 +45,86 @@ IDLE_POLL = 0.2
 HEARTBEAT_INTERVAL = 5.0
 
 
-class MultiprocessBackend(Backend):
+class MultiprocessBackend(Coordinator):
     """Job backend that runs tasks on a pool of local processes."""
 
+    role = "multiprocess"
+    tmpdir_prefix = "mrs_mp_"
+    worker_label = "worker"
+
     def __init__(self, program: Any, opts: Any, args: Optional[List[str]] = None):
-        self.program = program
-        self.opts = opts
-        self._owns_tmpdir = getattr(opts, "tmpdir", None) is None
-        self.tmpdir = getattr(opts, "tmpdir", None) or tempfile.mkdtemp(
-            prefix="mrs_mp_"
-        )
-        os.makedirs(self.tmpdir, exist_ok=True)
-        self.default_timeout = getattr(opts, "timeout", None)
+        super().__init__(program, opts)
         #: --mrs-procs: pool size (0 = one worker per core).
         self.n_procs = int(getattr(opts, "procs", 0) or 0) or (
             os.cpu_count() or 1
         )
         start_method = getattr(opts, "start_method", None)
         self.ctx = multiprocessing.get_context(start_method)
-
-        self.observability = Observability(role="multiprocess")
-        self.observability.configure_from_opts(opts)
         #: Throttle for heartbeat events (the liveness sweep itself runs
         #: every IDLE_POLL seconds, far too often to log).
         self._last_heartbeat = 0.0
         self._heartbeat_interval = resolve_heartbeat_interval(
             opts, HEARTBEAT_INTERVAL
         )
-
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self.scheduler = Scheduler(
-            affinity=not getattr(opts, "no_affinity", False),
-            pipeline=getattr(opts, "pipeline", "buckets") != "off",
-        )
-        telemetry = self.observability.telemetry
-        if telemetry is not None:
-            telemetry.set_rundir(self.tmpdir)
-            self.scheduler.straggler_scorer = StragglerScorer(
-                factor=telemetry.straggler_factor
-            )
-        #: Mirror of the scheduler's pipelined-dispatch count already
-        #: folded into the metrics registry.
-        self._pipelined_seen = 0
-        self.observability.registry.counter("scheduler.pipelined_dispatches")
-        self._failures = FailureTracker()
-        self._datasets: Dict[str, BaseDataset] = {}
-        self._task_seconds: Dict[str, List[float]] = {}
         self._ready: set = set()
         self._respawns = 0
         #: Crash-loop guard: stop replacing dead workers after this many
         #: losses (a program whose __init__ or map kills every process
         #: would otherwise fork forever).
         self._max_respawns = max(4, 2 * self.n_procs)
-        self._closed = False
 
         self.result_queue = self.ctx.Queue()
         self.pool = WorkerPool(
             self.ctx, type(program), opts, list(args or []), self.result_queue
         )
-        events = self.observability.events
         with self._lock:
             for _ in range(self.n_procs):
-                handle = self.pool.spawn()
-                self.scheduler.add_slave(handle.worker_id)
-                if events is not None:
-                    events.emit("worker.spawned", worker=handle.worker_id)
+                self._spawn_worker()
         self.observability.registry.gauge("workers.alive").set(self.n_procs)
 
         self._collector = threading.Thread(
             target=self._collector_loop, name="mrs-mp-collector", daemon=True
         )
         self._collector.start()
+
+    def _spawn_worker(self, replaces: Optional[int] = None) -> int:
+        """Start one worker and register it with the scheduler (caller
+        holds the lock)."""
+        worker_id = self.pool.spawn().worker_id
+        self.scheduler.add_slave(worker_id)
+        events = self.observability.events
+        if events is not None:
+            fields = {} if replaces is None else {"replaces": replaces}
+            events.emit("worker.spawned", worker=worker_id, **fields)
+        return worker_id
+
+    # ------------------------------------------------------------------
+    # Transport hooks
+    # ------------------------------------------------------------------
+
+    def _live_workers(self) -> List[int]:
+        return [handle.worker_id for handle in self.pool.alive_handles()]
+
+    def _send(self, worker_id: int, descriptor: Dict[str, Any]) -> None:
+        handle = self.pool.get(worker_id)
+        # A worker reaped since the lock was dropped has already had
+        # this task requeued by the crash sweep.
+        if handle is not None:
+            handle.task_queue.put(descriptor)
+
+    def _lose_worker(self, worker_id: int, reason: str) -> None:
+        """A worker whose queue rejects a descriptor is unusable: kill
+        it and let the crash sweep requeue its task and respawn."""
+        logger.warning("worker %d lost: %s", worker_id, reason)
+        handle = self.pool.get(worker_id)
+        if handle is not None:
+            handle.process.terminate()
+
+    def _shutdown_transport(self) -> None:
+        self.pool.shutdown()
+        self._collector.join(timeout=2.0)
+        self.result_queue.close()
+        self.result_queue.cancel_join_thread()
 
     # ------------------------------------------------------------------
     # Backend interface (called from the program's main thread)
@@ -137,103 +135,6 @@ class MultiprocessBackend(Backend):
         requested = getattr(self.opts, "reduce_tasks", 0)
         return requested or self.n_procs
 
-    def submit(self, dataset: ComputedData, job: Job) -> None:
-        self.observability.note_operation(dataset.id, dataset.operation.kind)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "dataset.submitted",
-                dataset_id=dataset.id,
-                kind=dataset.operation.kind,
-                tasks=dataset.ntasks,
-            )
-        for task_index in dataset.task_indices():
-            self.observability.tracer.span(dataset.id, task_index).mark(
-                "queued"
-            )
-            if events is not None:
-                events.emit(
-                    "task.queued", dataset_id=dataset.id, task_index=task_index
-                )
-        with self._lock:
-            input_dataset = job.get_dataset(dataset.input_id)
-            self._datasets[dataset.id] = dataset
-            self._datasets.setdefault(input_dataset.id, input_dataset)
-            for blocker_id in dataset.blocking_ids:
-                self._datasets.setdefault(
-                    blocker_id, job.get_dataset(blocker_id)
-                )
-            for dep_id in [dataset.input_id, *dataset.blocking_ids]:
-                dep = self._datasets[dep_id]
-                if dep.complete and not self.scheduler.is_complete(dep_id):
-                    self.scheduler.mark_input_complete(dep_id)
-            self.scheduler.add_dataset(
-                ScheduledDataset(
-                    dataset.id,
-                    ntasks=dataset.ntasks,
-                    affinity_group=dataset.affinity_group,
-                    input_id=dataset.input_id,
-                    blocking_ids=dataset.blocking_ids,
-                    routing=dataplane.derive_routing(dataset, input_dataset),
-                )
-            )
-            self._drain_scheduler()
-        self._dispatch()
-
-    def _drain_scheduler(self) -> None:
-        """Publish scheduler-side transitions (caller holds the lock):
-        zero-task datasets that completed without any task report, and
-        pipelined tasks whose input buckets just committed."""
-        events = self.observability.events
-        for dataset_id in self.scheduler.take_completed_datasets():
-            dataset = self._datasets.get(dataset_id)
-            if dataset is not None and not dataset.complete:
-                dataset.complete = True
-                logger.info("dataset %s complete (no tasks)", dataset_id)
-                if events is not None:
-                    events.emit(
-                        "dataset.complete", dataset_id=dataset_id, tasks=0
-                    )
-        for entry in self.scheduler.take_unblocked():
-            dataset_id, task_index = entry["task"]
-            if events is not None:
-                events.emit(
-                    "task.unblocked",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    input_id=entry["input_id"],
-                    source=entry["source"],
-                    split=entry["split"],
-                )
-        self._cond.notify_all()
-
-    def wait(
-        self,
-        datasets: Sequence[BaseDataset],
-        job: Job,
-        timeout: Optional[float] = None,
-    ) -> List[BaseDataset]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        self._dispatch()
-        with self._cond:
-            while True:
-                done = [d for d in datasets if d.complete or d.error]
-                if done:
-                    return done
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return done
-                    self._cond.wait(remaining)
-                else:
-                    self._cond.wait(1.0)
-
-    def progress(self, dataset: BaseDataset) -> float:
-        if dataset.complete:
-            return 1.0
-        with self._lock:
-            return self.scheduler.progress(dataset.id)
-
     def status(self) -> Dict[str, Any]:
         """Live snapshot: the observability view plus pool state."""
         status = self.observability.status_view()
@@ -242,7 +143,7 @@ class MultiprocessBackend(Backend):
             status["workers"] = {
                 "alive": len(alive),
                 "ready": len(self._ready),
-                "busy": sum(1 for h in alive if h.busy is not None),
+                "busy": sum(1 for h in alive if h.worker_id in self._busy),
                 "respawns": self._respawns,
             }
             status["outstanding"] = self.scheduler.outstanding()
@@ -255,51 +156,6 @@ class MultiprocessBackend(Backend):
                 for dataset_id, d in self._datasets.items()
             }
         return status
-
-    def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry snapshot, including the scheduler's
-        live straggler candidates (empty when --mrs-telemetry off)."""
-        telemetry = self.observability.telemetry
-        if telemetry is None:
-            return {}
-        with self._lock:
-            candidates = self.scheduler.straggler_candidates()
-            scorer = self.scheduler.straggler_scorer
-            flagged = scorer.flagged_total if scorer is not None else 0
-        return telemetry.snapshot(
-            stragglers=candidates, flagged_total=flagged
-        )
-
-    def task_stats(self, dataset_id: str) -> Dict[str, float]:
-        """Count/total/mean/max wall seconds of a dataset's tasks."""
-        with self._lock:
-            samples = list(self._task_seconds.get(dataset_id, ()))
-        if not samples:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
-        return {
-            "count": len(samples),
-            "total": sum(samples),
-            "mean": sum(samples) / len(samples),
-            "max": max(samples),
-        }
-
-    def remove_data(self, dataset_id: str, job: Job) -> None:
-        shared_dir = os.path.join(self.tmpdir, dataset_id)
-        if os.path.isdir(shared_dir):
-            shutil.rmtree(shared_dir, ignore_errors=True)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        self.pool.shutdown()
-        self._collector.join(timeout=2.0)
-        self.result_queue.close()
-        self.result_queue.cancel_join_thread()
-        if self._owns_tmpdir:
-            shutil.rmtree(self.tmpdir, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Collector (runs on its own thread; the pool's "RPC handler")
@@ -320,9 +176,21 @@ class MultiprocessBackend(Backend):
             if mtype == "ready":
                 self._on_ready(int(message["worker_id"]))
             elif mtype == "done":
-                self._on_done(message)
+                self.task_done(
+                    int(message["worker_id"]),
+                    message["dataset_id"],
+                    int(message["task_index"]),
+                    message["bucket_urls"],
+                    message.get("seconds", 0.0),
+                    message.get("metrics"),
+                )
             elif mtype == "failed":
-                self._on_failed(message)
+                self.task_failed(
+                    int(message["worker_id"]),
+                    message["dataset_id"],
+                    int(message["task_index"]),
+                    str(message.get("message", "")),
+                )
             elif mtype == "init_failed":
                 # The worker exits right after sending this; the next
                 # liveness sweep reaps and (maybe) replaces it.
@@ -339,164 +207,6 @@ class MultiprocessBackend(Backend):
                 # The pool is ready: the single-node analogue of the
                 # paper's "~2 s" cluster startup quantity.
                 self.observability.mark_startup_complete()
-            self._cond.notify_all()
-        self._dispatch()
-
-    def _on_done(self, message: Dict[str, Any]) -> None:
-        worker_id = int(message["worker_id"])
-        dataset_id = message["dataset_id"]
-        task_index = int(message["task_index"])
-        task: TaskId = (dataset_id, task_index)
-        with self._lock:
-            handle = self.pool.get(worker_id)
-            if handle is not None and handle.busy == task:
-                handle.busy = None
-            dataset = self._datasets.get(dataset_id)
-            if dataset is None:
-                return
-            # The scheduler rejects stale duplicate reports (a worker
-            # presumed dead whose task was already given away).
-            accepted, dataset_complete = self.scheduler.task_done(
-                worker_id, task
-            )
-            if accepted:
-                seconds = float(message.get("seconds", 0.0))
-                self._task_seconds.setdefault(dataset_id, []).append(seconds)
-                for split, url, url_sorted in protocol.parse_bucket_urls(
-                    message["bucket_urls"]
-                ):
-                    bucket = Bucket(source=task_index, split=split, url=url)
-                    bucket.url_sorted = url_sorted
-                    dataset.add_bucket(bucket)
-                self._record_task_metrics(
-                    worker_id,
-                    dataset_id,
-                    task_index,
-                    seconds,
-                    message.get("metrics"),
-                )
-            if dataset_complete:
-                dataset.complete = True
-                logger.info("dataset %s complete", dataset_id)
-                events = self.observability.events
-                if events is not None:
-                    events.emit("dataset.complete", dataset_id=dataset_id)
-            self._drain_scheduler()
-            self._cond.notify_all()
-        self._dispatch()
-
-    def _record_task_metrics(
-        self,
-        worker_id: int,
-        dataset_id: str,
-        task_index: int,
-        seconds: float,
-        metrics: Optional[Dict[str, Any]],
-    ) -> None:
-        """Fold one accepted completion (and its piggybacked worker
-        metrics) into the whole-job view.  Caller holds the lock."""
-        obs = self.observability
-        obs.registry.counter("tasks.completed").inc()
-        obs.registry.histogram("task.seconds").observe(seconds)
-        span = obs.tracer.span(dataset_id, task_index)
-        payload = protocol.parse_task_metrics(metrics)
-        for event, phase_seconds in payload["durations"].items():
-            span.add_duration(event, phase_seconds)
-            if event in PIGGYBACK_PHASES:
-                obs.phases.add(event, phase_seconds)
-        obs.merge_remote(payload["registry"], source=f"worker-{worker_id}")
-        telemetry = obs.telemetry
-        if telemetry is not None:
-            telemetry.record_remote(
-                f"worker-{worker_id}", payload.get("health")
-            )
-            if payload["buckets"]:
-                telemetry.skew.record_emitted(dataset_id, payload["buckets"])
-            counters = payload["registry"].get("counters")
-            if isinstance(counters, dict):
-                fetched = counters.get("fetch.bytes")
-                if fetched:
-                    telemetry.skew.record_fetched(
-                        dataset_id, task_index, fetched
-                    )
-        span.mark("committed")
-        events = obs.events
-        if events is not None:
-            # Re-anchor the worker's per-task event batch (offsets from
-            # its own task start) at this process's dispatch timestamp —
-            # the same skew-tolerant model as span.add_duration.
-            anchor = span.event_time("started")
-            if anchor is not None and payload["events"]:
-                events.emit_anchored(
-                    payload["events"],
-                    anchor,
-                    role="worker",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    worker=worker_id,
-                )
-            events.emit(
-                "task.committed",
-                dataset_id=dataset_id,
-                task_index=task_index,
-                worker=worker_id,
-                seconds=seconds,
-            )
-
-    def _on_failed(self, message: Dict[str, Any]) -> None:
-        worker_id = int(message["worker_id"])
-        dataset_id = message["dataset_id"]
-        task_index = int(message["task_index"])
-        text = str(message.get("message", ""))
-        task: TaskId = (dataset_id, task_index)
-        logger.warning(
-            "task %s failed on worker %d: %s", task, worker_id, text
-        )
-        self.observability.registry.counter("tasks.failed").inc()
-        with self._lock:
-            handle = self.pool.get(worker_id)
-            if handle is not None and handle.busy == task:
-                handle.busy = None
-            dataset = self._datasets.get(dataset_id)
-            events = self.observability.events
-            if events is not None:
-                events.emit(
-                    "task.failed",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    worker=worker_id,
-                    error=text,
-                )
-            if self._failures.record(task):
-                if dataset is not None and not dataset.error:
-                    dataset.error = (
-                        f"task {task_index} failed "
-                        f"{self._failures.count(task)} times; last: {text}"
-                    )
-                    # Dependents can never run; fail them too so any
-                    # wait() on them returns instead of hanging, and
-                    # drop the dataset's remaining queued tasks.
-                    propagate_error(self._datasets, dataset_id)
-                    # Dependents may hold pre-queued pipelined tasks;
-                    # drop those too, they can only waste workers.
-                    for errored_id, errored in self._datasets.items():
-                        if errored.error:
-                            self.scheduler.cancel_dataset(errored_id)
-                    if events is not None:
-                        events.emit(
-                            "dataset.failed",
-                            dataset_id=dataset_id,
-                            error=dataset.error,
-                        )
-            else:
-                self.scheduler.task_failed(worker_id, task)
-                if events is not None:
-                    events.emit(
-                        "task.requeued",
-                        dataset_id=dataset_id,
-                        task_index=task_index,
-                        failures=self._failures.count(task),
-                    )
             self._cond.notify_all()
         self._dispatch()
 
@@ -524,55 +234,34 @@ class MultiprocessBackend(Backend):
             if not dead:
                 return
             for handle in dead:
+                worker_id = handle.worker_id
+                task = self._busy.pop(worker_id, None)
                 logger.warning(
                     "worker %d died unexpectedly (exitcode %s)",
-                    handle.worker_id,
+                    worker_id,
                     handle.process.exitcode,
                 )
                 self.observability.registry.counter("workers.lost").inc()
                 if events is not None:
                     events.emit(
                         "worker.lost",
-                        worker=handle.worker_id,
+                        worker=worker_id,
                         exitcode=handle.process.exitcode,
-                        busy_task=list(handle.busy) if handle.busy else None,
+                        busy_task=list(task) if task else None,
                     )
-                self._ready.discard(handle.worker_id)
+                self._ready.discard(worker_id)
                 # Requeues the worker's assigned task, like a lost slave.
-                self.scheduler.remove_slave(handle.worker_id)
-                task = handle.busy
-                if task is not None and self._failures.record(task):
-                    dataset = self._datasets.get(task[0])
-                    if dataset is not None and not dataset.error:
-                        dataset.error = (
-                            f"task {task[1]} killed its worker "
-                            f"{self._failures.count(task)} times"
-                        )
-                        propagate_error(self._datasets, task[0])
-                        for errored_id, errored in self._datasets.items():
-                            if errored.error:
-                                self.scheduler.cancel_dataset(errored_id)
-                elif task is not None and events is not None:
-                    events.emit(
-                        "task.requeued",
-                        dataset_id=task[0],
-                        task_index=task[1],
-                        failures=self._failures.count(task),
-                    )
+                self.scheduler.remove_slave(worker_id)
+                if task is not None:
+                    self._strike(task, "killed its worker")
+                    self._note_requeued(task)
                 if self._respawns < self._max_respawns:
                     self._respawns += 1
-                    replacement = self.pool.spawn()
-                    self.scheduler.add_slave(replacement.worker_id)
-                    if events is not None:
-                        events.emit(
-                            "worker.spawned",
-                            worker=replacement.worker_id,
-                            replaces=handle.worker_id,
-                        )
+                    replacement = self._spawn_worker(replaces=worker_id)
                     logger.info(
                         "respawned worker %d to replace %d",
-                        replacement.worker_id,
-                        handle.worker_id,
+                        replacement,
+                        worker_id,
                     )
             alive = len(self.pool.alive_handles())
             self.observability.registry.gauge("workers.alive").set(alive)
@@ -582,101 +271,3 @@ class MultiprocessBackend(Backend):
                         dataset.error = "all workers died"
             self._cond.notify_all()
         self._dispatch()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        """Hand pending tasks to idle workers (queue puts happen
-        outside the lock, like the master's RPC sends)."""
-        while True:
-            to_send = []
-            with self._lock:
-                if self._closed:
-                    return
-                for handle in self.pool.alive_handles():
-                    if handle.busy is not None:
-                        continue
-                    task = self.scheduler.next_task(handle.worker_id)
-                    if task is None:
-                        continue
-                    descriptor = self._build_descriptor(task)
-                    handle.busy = task
-                    to_send.append((handle, task, descriptor))
-                pipelined = self.scheduler.pipelined_dispatches
-                if pipelined > self._pipelined_seen:
-                    self.observability.registry.counter(
-                        "scheduler.pipelined_dispatches"
-                    ).inc(pipelined - self._pipelined_seen)
-                    self._pipelined_seen = pipelined
-            if not to_send:
-                return
-            # First work handed out: the job is effectively started.
-            self.observability.mark_startup_complete()
-            events = self.observability.events
-            for handle, task, descriptor in to_send:
-                dataset_id, task_index = task
-                self.observability.tracer.span(dataset_id, task_index).mark(
-                    "started"
-                )
-                self.observability.registry.counter("tasks.dispatched").inc()
-                if events is not None:
-                    events.emit(
-                        "task.started",
-                        dataset_id=dataset_id,
-                        task_index=task_index,
-                        worker=handle.worker_id,
-                    )
-                handle.task_queue.put(descriptor)
-
-    def _build_descriptor(self, task: TaskId) -> Dict[str, Any]:
-        """Build the task descriptor (caller holds the lock).  Same
-        wire schema as the cluster, always on the file data plane."""
-        dataset_id, task_index = task
-        dataset = self._datasets[dataset_id]
-        assert isinstance(dataset, ComputedData)
-        input_dataset = self._datasets[dataset.input_id]
-        input_urls = []
-        input_sorted = []
-        events = self.observability.events
-        for bucket in input_dataset.buckets_for_split(task_index):
-            if bucket.url is None:
-                path = dataplane.spill_bucket(
-                    input_dataset, bucket, self.tmpdir
-                )
-                bucket.url = "file:" + path
-                if events is not None:
-                    events.emit(
-                        "spill.bucket",
-                        dataset_id=input_dataset.id,
-                        split=bucket.split,
-                        path=path,
-                    )
-            input_urls.append(bucket.url)
-            input_sorted.append(bucket.url_sorted)
-        user_output = dataset.outdir is not None
-        if user_output:
-            outdir: Optional[str] = dataset.outdir
-            ext = dataset.format_ext or "txt"
-        else:
-            outdir = os.path.join(self.tmpdir, dataset.id)
-            ext = dataset.format_ext or "mrsb"
-        return protocol.make_task_descriptor(
-            dataset_id=dataset.id,
-            task_index=task_index,
-            op_dict=dataset.operation.to_dict(),
-            input_urls=input_urls,
-            outdir=outdir,
-            format_ext=ext,
-            user_output=user_output,
-            key_serializer=dataset.key_serializer,
-            value_serializer=dataset.value_serializer,
-            input_key_serializer=getattr(
-                input_dataset, "key_serializer", None
-            ),
-            input_value_serializer=getattr(
-                input_dataset, "value_serializer", None
-            ),
-            input_sorted=input_sorted,
-        )

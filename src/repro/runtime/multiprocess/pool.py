@@ -10,13 +10,11 @@ workers share one result queue back to the pool.
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.runtime.multiprocess import worker as worker_mod
 
 logger = logging.getLogger("repro.multiprocess")
-
-TaskId = Tuple[str, int]
 
 #: Seconds to wait for a worker to drain its queue and exit cleanly
 #: before terminating it.
@@ -31,15 +29,13 @@ class WorkerHandle:
         self.worker_id = worker_id
         self.process = process
         self.task_queue = task_queue
-        #: Task currently executing on the worker, if any.
-        self.busy: Optional[TaskId] = None
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def __repr__(self) -> str:
         state = "alive" if self.alive() else "dead"
-        return f"WorkerHandle({self.worker_id}, {state}, busy={self.busy})"
+        return f"WorkerHandle({self.worker_id}, {state})"
 
 
 class WorkerPool:

@@ -27,143 +27,14 @@ control-plane discipline of :mod:`repro.comm.protocol`):
 from __future__ import annotations
 
 import logging
-import os
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, List
 
-from repro.comm import protocol
-from repro.core.operations import Operation
-from repro.io.bucket import FileBucket
-from repro.observability.events import piggyback_events_from_span
-from repro.observability.metrics import MetricsRegistry
+from repro.comm import transfer
 from repro.observability.profiling import profiler_from_opts
-from repro.observability.tracing import TaskSpan
-from repro.runtime import taskrunner
+from repro.runtime.executor import execute_descriptor
 
 logger = logging.getLogger("repro.worker")
-
-
-def run_task(
-    program: Any,
-    descriptor: Dict[str, Any],
-    profiler: Any = None,
-    boot_seconds: Any = None,
-    sampler: Any = None,
-) -> Tuple[List[Tuple[int, str]], float, Dict[str, Any]]:
-    """Execute one task descriptor in this process.
-
-    Returns ``(bucket_urls, seconds, metrics)`` exactly as the ``done``
-    message needs them; raises on any task error (the caller turns that
-    into a ``failed`` message).
-    """
-    from repro.comm import transfer
-
-    dataset_id = descriptor["dataset_id"]
-    task_index = int(descriptor["task_index"])
-    started = time.perf_counter()
-    fetch_before = transfer.STATS.totals()
-    # A fresh span per execution: its phase durations ride back to the
-    # pool on the done message (input fetch lands in "started", compute
-    # in "map"/"reduce", output writing in "serialize", URL publication
-    # in "transfer").
-    span = TaskSpan(dataset_id, task_index)
-    span.mark("queued", started)
-    op = Operation.from_dict(descriptor["op"])
-    # Reduce-kind tasks merge their inputs, and the merge streams
-    # straight from the bucket files — so those inputs stay URL-only
-    # (the read cost lands in "reduce" instead of "started").  Map
-    # inputs are iterated as plain pairs and are fetched here.
-    streaming = op.kind in ("reduce", "reducemap")
-    input_buckets = taskrunner.buckets_from_urls(
-        descriptor["input_urls"],
-        split=task_index,
-        key_serializer=descriptor.get("input_key_serializer"),
-        value_serializer=descriptor.get("input_value_serializer"),
-        streaming=streaming,
-        sorted_flags=descriptor.get("input_sorted"),
-    )
-    span.mark("started")
-    factory = taskrunner.file_bucket_factory(
-        descriptor["outdir"],
-        dataset_id,
-        task_index,
-        ext=descriptor["format_ext"],
-        sidecar=bool(descriptor.get("user_output")),
-        key_serializer=descriptor.get("key_serializer"),
-        value_serializer=descriptor.get("value_serializer"),
-    )
-    if profiler is None:
-        out_buckets = taskrunner.run_operation(
-            program, op, input_buckets, factory, span=span
-        )
-    else:
-        out_buckets = profiler.run(
-            taskrunner.run_operation,
-            program,
-            op,
-            input_buckets,
-            factory,
-            span=span,
-            profile_dataset_id=dataset_id,
-            profile_task_index=task_index,
-            profile_span=span,
-        )
-    urls: List[Tuple[int, str, bool]] = []
-    bucket_stats: List[Tuple[int, float, float]] = []
-    for bucket in out_buckets:
-        assert isinstance(bucket, FileBucket)
-        # The sortedness flag lets the consuming reduce task stream
-        # this file through its merge without re-sorting.
-        urls.append((bucket.split, "file:" + bucket.path, bucket.url_sorted))
-        if sampler is not None:
-            # Per-bucket emitted records/bytes for shuffle-skew
-            # accounting on the pool side (telemetry on).
-            try:
-                bucket_stats.append(
-                    (
-                        bucket.split,
-                        float(len(bucket)),
-                        float(os.path.getsize(bucket.path)),
-                    )
-                )
-            except OSError:
-                pass
-    span.mark("transfer")
-    seconds = time.perf_counter() - started
-    # Deliberately a *per-task* registry snapshot rather than the
-    # worker's cumulative state: the pool merges every payload it
-    # receives, and merging cumulative counters repeatedly would
-    # double-count (same discipline as the slave piggyback).
-    registry = MetricsRegistry()
-    registry.counter("worker.tasks.completed").inc()
-    registry.histogram("worker.task.seconds").observe(seconds)
-    if boot_seconds is not None:
-        # First task only: the executing process's boot-to-first-task
-        # latency, the role-appropriate startup number for a worker.
-        registry.gauge("worker.boot_to_first_task.seconds").set(boot_seconds)
-    # What the transfer plane moved *for this task* (delta against the
-    # process-wide stats, same no-double-count discipline as above).
-    for name, amount in transfer.STATS.delta(fetch_before).items():
-        registry.counter(name).inc(amount)
-    # Per-task event batch (phase boundaries as offsets from task
-    # start); the pool re-anchors them on its own clock.
-    events = piggyback_events_from_span(span)
-    if span.profile_path:
-        events.append(
-            {
-                "name": "task.profiled",
-                "offset": span.total_seconds,
-                "fields": {"path": span.profile_path, "seconds": seconds},
-            }
-        )
-    metrics = protocol.make_task_metrics(
-        durations=span.durations_dict(),
-        registry=registry.snapshot(),
-        events=events,
-        health=sampler.maybe_sample() if sampler is not None else None,
-        buckets=bucket_stats or None,
-    )
-    return urls, seconds, metrics
 
 
 def worker_main(
@@ -183,8 +54,6 @@ def worker_main(
     boot = time.perf_counter()
     # Apply --mrs-fetch-* knobs to this worker process's transfer plane
     # (module state does not cross the spawn boundary).
-    from repro.comm import transfer
-
     transfer.configure(opts)
     try:
         program = program_class(opts, args)
@@ -227,12 +96,13 @@ def worker_main(
         dataset_id = descriptor["dataset_id"]
         task_index = int(descriptor["task_index"])
         try:
-            urls, seconds, metrics = run_task(
+            urls, seconds, metrics = execute_descriptor(
                 program,
                 descriptor,
+                "worker",
                 profiler=profiler,
-                boot_seconds=boot_seconds,
                 sampler=sampler,
+                boot_seconds=boot_seconds,
             )
             boot_seconds = None
             completed[0] += 1.0

@@ -18,6 +18,7 @@ from repro.observability import Observability
 from repro.observability.events import span_phase_marks
 from repro.observability.profiling import profiler_from_opts
 from repro.runtime import taskrunner
+from repro.util.timing import summarize_seconds
 
 #: Phase name each operation kind's compute is attributed to.
 PHASE_FOR_KIND = {"map": "map", "reduce": "reduce", "reducemap": "reduce"}
@@ -53,13 +54,15 @@ def _emit_task_events(events, span, dataset_id, task_index):
 
 class SerialBackend(Backend):
     default_splits = 1
+    role = "serial"
 
-    def __init__(self, program=None, outdir_default: Optional[str] = None):
+    def __init__(self, program=None, opts=None):
         self.program = program
-        opts = getattr(program, "opts", None)
+        if opts is None:
+            opts = getattr(program, "opts", None)
         #: --mrs-profile DIR: cProfile each task into DIR.
         self.profile_dir = getattr(opts, "profile_dir", None)
-        self.observability = Observability(role="serial")
+        self.observability = Observability(role=self.role)
         self.observability.configure_from_opts(opts)
         #: --mrs-profile-tasks N: keep the N slowest tasks' profiles.
         self.profiler = profiler_from_opts(opts)
@@ -71,23 +74,7 @@ class SerialBackend(Backend):
 
     def submit(self, dataset: ComputedData, job: Job) -> None:
         self._queue.append(dataset)
-        self.observability.note_operation(dataset.id, dataset.operation.kind)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "dataset.submitted",
-                dataset_id=dataset.id,
-                kind=dataset.operation.kind,
-                tasks=len(list(dataset.task_indices())),
-            )
-        for task_index in dataset.task_indices():
-            self.observability.tracer.span(dataset.id, task_index).mark(
-                "queued"
-            )
-            if events is not None:
-                events.emit(
-                    "task.queued", dataset_id=dataset.id, task_index=task_index
-                )
+        self.observability.note_submitted(dataset)
 
     def wait(
         self,
@@ -98,18 +85,17 @@ class SerialBackend(Backend):
         # Startup for the serial backend is everything before the first
         # task can run: construction to the first wait.
         self.observability.mark_startup_complete()
-        wanted = {d.id for d in datasets}
+        deadline = None if timeout is None else time.monotonic() + timeout
         # Run queued operations in order until every wanted dataset is
         # complete (or the queue empties).
         while self._queue and not all(d.complete or d.error for d in datasets):
-            dataset = self._queue.pop(0)
-            self._compute(dataset, job)
-            if dataset.id in wanted and (dataset.complete or dataset.error):
-                # At least one target done; serial semantics still run
-                # the rest only when asked again, matching the lazy
-                # contract.  But finishing all requested targets in one
-                # call is what callers almost always want:
-                continue
+            # Tasks are not preemptible, so the deadline is checked
+            # between dataset computations: on expiry the caller gets
+            # whatever subset finished in time, like the coordinator's
+            # wait.
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            self._compute(self._queue.pop(0), job)
         return [d for d in datasets if d.complete or d.error]
 
     def progress(self, dataset: BaseDataset) -> float:
@@ -121,15 +107,29 @@ class SerialBackend(Backend):
 
     def task_stats(self, dataset_id: str):
         """Count/total/mean/max wall seconds of a dataset's tasks."""
-        samples = list(self._task_seconds.get(dataset_id, ()))
-        if not samples:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
-        return {
-            "count": len(samples),
-            "total": sum(samples),
-            "mean": sum(samples) / len(samples),
-            "max": max(samples),
-        }
+        return summarize_seconds(self._task_seconds.get(dataset_id, []))
+
+    def _output_dir(self, dataset: ComputedData) -> Optional[str]:
+        """Directory a dataset's output buckets are written to as
+        files; None keeps them in memory."""
+        return dataset.outdir
+
+    def _bucket_factory(self, dataset: ComputedData, task_index: int):
+        outdir = self._output_dir(dataset)
+        if outdir:
+            return taskrunner.file_bucket_factory(
+                outdir,
+                dataset.id,
+                task_index,
+                ext=dataset.format_ext or "mrsb",
+                key_serializer=dataset.key_serializer,
+                value_serializer=dataset.value_serializer,
+            )
+        return taskrunner.memory_bucket_factory(task_index)
+
+    def _commit_bucket(self, dataset: ComputedData, bucket) -> None:
+        """Register one finished output bucket with its dataset."""
+        dataset.add_bucket(bucket)
 
     def _compute(self, dataset: ComputedData, job: Job) -> None:
         if dataset.complete or dataset.error:
@@ -168,17 +168,7 @@ class SerialBackend(Backend):
                     input_buckets = taskrunner.materialize_input_buckets(
                         input_dataset, task_index
                     )
-                if dataset.outdir:
-                    factory = taskrunner.file_bucket_factory(
-                        dataset.outdir,
-                        dataset.id,
-                        task_index,
-                        ext=dataset.format_ext or "mrsb",
-                        key_serializer=dataset.key_serializer,
-                        value_serializer=dataset.value_serializer,
-                    )
-                else:
-                    factory = taskrunner.memory_bucket_factory(task_index)
+                factory = self._bucket_factory(dataset, task_index)
                 started = time.perf_counter()
                 span.mark("started", started)
                 if events is not None:
@@ -196,7 +186,7 @@ class SerialBackend(Backend):
                 self._task_seconds.setdefault(dataset.id, []).append(seconds)
                 obs.registry.histogram("task.seconds").observe(seconds)
                 for bucket in out_buckets:
-                    dataset.add_bucket(bucket)
+                    self._commit_bucket(dataset, bucket)
                 span.mark("committed")
                 obs.registry.counter("tasks.completed").inc()
                 self._completed_tasks[dataset.id] = (

@@ -30,13 +30,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.comm import protocol, transfer
 from repro.comm.dataserver import DataServer
 from repro.comm.rpc import RpcServer, rpc_client
-from repro.core.operations import Operation
-from repro.io.bucket import FileBucket
 from repro.observability import Observability
-from repro.observability.events import piggyback_events_from_span
 from repro.observability.profiling import profiler_from_opts
-from repro.observability.tracing import TaskSpan
-from repro.runtime import taskrunner
+from repro.runtime.executor import execute_descriptor
 
 logger = logging.getLogger("repro.slave")
 
@@ -189,114 +185,25 @@ class Slave:
         task_index = int(descriptor["task_index"])
         # Slave startup is role-appropriately "boot to first task":
         # seconds from process construction to the first task arriving.
-        self.observability.mark_startup_complete()
-        started = time.perf_counter()
-        # A fresh span per execution: its phase durations ride back to
-        # the master on the done RPC (input fetch lands in "started",
-        # compute in "map"/"reduce", output writing in "serialize",
-        # URL publication in "transfer").
-        span = TaskSpan(dataset_id, task_index)
-        span.mark("queued", started)
-        fetch_before = transfer.STATS.totals()
+        boot_seconds = self.observability.mark_startup_complete()
+        telemetry = self.observability.telemetry
         try:
-            program = self._program_for(descriptor)
-            op = Operation.from_dict(descriptor["op"])
-            # Reduce-kind inputs stay URL-only so the merge can stream
-            # straight from the bucket files (see worker.run_task).
-            streaming = op.kind in ("reduce", "reducemap")
-            input_buckets = taskrunner.buckets_from_urls(
-                descriptor["input_urls"],
-                split=task_index,
-                key_serializer=descriptor.get("input_key_serializer"),
-                value_serializer=descriptor.get("input_value_serializer"),
-                streaming=streaming,
-                sorted_flags=descriptor.get("input_sorted"),
+            urls, seconds, metrics = execute_descriptor(
+                self._program_for(descriptor),
+                descriptor,
+                "slave",
+                localdir=self.localdir,
+                url_for=self.dataserver.url_for if self.dataserver else None,
+                profiler=self.profiler,
+                sampler=telemetry.sampler if telemetry is not None else None,
+                # Shipped once, so the master's report can break down
+                # cluster spin-up per slave under ``sources``.
+                boot_seconds=None if self._reported_startup else boot_seconds,
             )
-            span.mark("started")
-            outdir = descriptor.get("outdir") or os.path.join(
-                self.localdir, dataset_id
-            )
-            ext = descriptor["format_ext"]
-            factory = taskrunner.file_bucket_factory(
-                outdir,
-                dataset_id,
-                task_index,
-                ext=ext,
-                sidecar=bool(descriptor.get("user_output")),
-                key_serializer=descriptor.get("key_serializer"),
-                value_serializer=descriptor.get("value_serializer"),
-            )
-            if self.profiler is None:
-                out_buckets = taskrunner.run_operation(
-                    program, op, input_buckets, factory, span=span,
-                )
-            else:
-                out_buckets = self.profiler.run(
-                    taskrunner.run_operation,
-                    program,
-                    op,
-                    input_buckets,
-                    factory,
-                    span=span,
-                    profile_dataset_id=dataset_id,
-                    profile_task_index=task_index,
-                    profile_span=span,
-                )
-            telemetry = self.observability.telemetry
-            urls: List[Tuple[int, str, bool]] = []
-            bucket_stats: List[Tuple[int, float, float]] = []
-            for bucket in out_buckets:
-                assert isinstance(bucket, FileBucket)
-                if descriptor.get("outdir") is None and self.dataserver:
-                    url = self.dataserver.url_for(bucket.path)
-                else:
-                    url = "file:" + bucket.path
-                # Sortedness rides along so the consuming reduce task
-                # can stream this file through its merge.
-                urls.append((bucket.split, url, bucket.url_sorted))
-                if telemetry is not None:
-                    # Per-bucket emitted records/bytes for shuffle-skew
-                    # accounting on the master.
-                    try:
-                        bucket_stats.append(
-                            (
-                                bucket.split,
-                                float(len(bucket)),
-                                float(os.path.getsize(bucket.path)),
-                            )
-                        )
-                    except OSError:
-                        pass
-            span.mark("transfer")
-            seconds = time.perf_counter() - started
+            self._reported_startup = True
             self.observability.registry.counter("tasks.completed").inc()
             self.observability.registry.histogram("task.seconds").observe(
                 seconds
-            )
-            # Per-task event batch (phase boundaries as offsets from
-            # task start); the master re-anchors them on its own clock.
-            event_batch = piggyback_events_from_span(span)
-            if span.profile_path:
-                event_batch.append(
-                    {
-                        "name": "task.profiled",
-                        "offset": span.total_seconds,
-                        "fields": {
-                            "path": span.profile_path,
-                            "seconds": seconds,
-                        },
-                    }
-                )
-            metrics = protocol.make_task_metrics(
-                durations=span.durations_dict(),
-                registry=self._task_registry_snapshot(seconds, fetch_before),
-                events=event_batch,
-                health=(
-                    telemetry.sampler.maybe_sample()
-                    if telemetry is not None
-                    else None
-                ),
-                buckets=bucket_stats or None,
             )
             self._master().done(
                 self.slave_id, dataset_id, task_index, urls, seconds, metrics
@@ -314,35 +221,6 @@ class Slave:
                 # Master unreachable; the main loop's liveness check
                 # will notice and exit.
                 pass
-
-    def _task_registry_snapshot(
-        self, seconds: float, fetch_before: Optional[Dict[str, float]] = None
-    ) -> Dict[str, Any]:
-        """A *per-task* registry snapshot for piggybacking.
-
-        Deliberately built fresh for each completion rather than
-        snapshotting the slave's cumulative registry: the master merges
-        every payload it receives, and merging cumulative counter
-        snapshots repeatedly would double-count.
-        """
-        from repro.observability.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("slave.tasks.completed").inc()
-        registry.histogram("slave.task.seconds").observe(seconds)
-        if not self._reported_startup:
-            self._reported_startup = True
-            # Role-appropriate startup for a slave: boot-to-first-task
-            # latency, shipped once so the master's report can break
-            # down cluster spin-up per slave under ``sources``.
-            registry.gauge("slave.boot_to_first_task.seconds").set(
-                self.observability.startup_seconds or 0.0
-            )
-        if fetch_before is not None:
-            # What the transfer plane moved for *this* task.
-            for name, amount in transfer.STATS.delta(fetch_before).items():
-                registry.counter(name).inc(amount)
-        return registry.snapshot()
 
     def remove_data(self, dataset_id: str) -> None:
         path = os.path.join(self.localdir, dataset_id)

@@ -132,3 +132,16 @@ class PhaseTimer:
     def __repr__(self) -> str:
         parts = ", ".join(f"{p}={s:.3f}s" for p, s in self.breakdown())
         return f"PhaseTimer({parts})"
+
+
+def summarize_seconds(samples: List[float]) -> Dict[str, float]:
+    """Count/total/mean/max of a list of wall-second samples."""
+    if not samples:
+        return {"count": 0, "total": 0.0, "mean": 0.0, "max": 0.0}
+    total = sum(samples)
+    return {
+        "count": len(samples),
+        "total": total,
+        "mean": total / len(samples),
+        "max": max(samples),
+    }

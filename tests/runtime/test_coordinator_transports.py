@@ -1,0 +1,230 @@
+"""Behaviour both coordinator transports must share.
+
+Every test runs against the cluster master and the multiprocess pool.
+Auto-dispatch is disabled: the tests assign tasks by hand and report
+completions and failures through the coordinator's own entry points,
+standing in for slave RPC traffic and for the pool's result queue.
+"""
+
+import gc
+import multiprocessing
+import os
+import weakref
+
+import pytest
+
+from repro.core.job import Job
+from repro.core.options import default_options
+from repro.runtime.failures import MAX_TASK_FAILURES
+from repro.runtime.master import MasterBackend
+from repro.runtime.multiprocess import MultiprocessBackend
+
+from tests.runtime.programs_mp import Tally
+
+#: The master, and the pool under each start method this host offers
+#: (CI's fork/spawn matrix selects one pool leg with ``-k``).
+PLANES = ["master"] + [
+    f"multiprocess-{method}"
+    for method in ("fork", "spawn")
+    if method in multiprocessing.get_all_start_methods()
+]
+
+
+def make_backend(plane, tmpdir):
+    kind, _, start_method = plane.partition("-")
+    opts = default_options(
+        tmpdir=tmpdir, procs=1, start_method=start_method or None
+    )
+    program = Tally(opts, [])
+    if kind == "master":
+        backend = MasterBackend(program, opts)
+    else:
+        backend = MultiprocessBackend(program, opts, [])
+    return backend, program
+
+
+class Harness:
+    def __init__(self, plane, backend, program):
+        self.plane = plane.partition("-")[0]
+        self.backend = backend
+        self.program = program
+        self.job = Job(backend, program)
+        if self.plane == "master":
+            self.worker = backend.slave_signin(1, "127.0.0.1:9")
+        else:
+            self.worker = backend.pool.handles()[0].worker_id
+
+    def assign(self):
+        """What ``_dispatch`` does under the lock, minus the send."""
+        backend = self.backend
+        with backend._lock:
+            task = backend.scheduler.next_task(self.worker)
+            assert task is not None
+            descriptor = backend._build_descriptor(task)
+            backend._busy[self.worker] = task
+        return task, descriptor
+
+    def finish(self, task, url="file:/nowhere"):
+        self.backend.task_done(
+            self.worker, task[0], task[1], [(task[1], url, True)]
+        )
+
+    def fail(self, task):
+        """One failed attempt, as each plane's own liveness machinery
+        sees it: a ``failed`` report on the cluster, a worker killed
+        mid-task on the pool."""
+        if self.plane == "master":
+            self.backend.task_failed(self.worker, task[0], task[1], "boom")
+            return
+        process = self.backend.pool.get(self.worker).process
+        process.kill()
+        process.join(timeout=10)
+        assert not process.is_alive()
+        self.backend._check_workers()
+        # The sweep respawned a replacement; later attempts go there.
+        self.worker = self.backend.pool.handles()[0].worker_id
+
+
+@pytest.fixture(params=PLANES)
+def harness(request, tmp_path, monkeypatch):
+    backend, program = make_backend(request.param, str(tmp_path / "run"))
+    monkeypatch.setattr(backend, "_dispatch", lambda: None)
+    backend.observability.enable_events(unbounded=True)
+    yield Harness(request.param, backend, program)
+    backend.close()
+
+
+def event_names(backend):
+    return [e["name"] for e in backend.observability.events.snapshot()]
+
+
+class TestDescriptors:
+    def test_localdata_spilled_for_workers(self, harness):
+        job, program = harness.job, harness.program
+        source = job.local_data([(0, "x")], splits=1)
+        mapped = job.map_data(source, program.map, splits=1)
+        _, descriptor = harness.assign()
+        # The LocalData bucket must now be backed by a real file.
+        url = descriptor["input_urls"][0]
+        assert url.startswith("file:")
+        assert os.path.exists(url[len("file:"):])
+        assert descriptor["dataset_id"] == mapped.id
+        assert descriptor["outdir"] == os.path.join(
+            harness.backend.tmpdir, mapped.id
+        )
+        assert descriptor["format_ext"] == "mrsb"
+        assert descriptor["program_spec"] is None
+
+    def test_user_output_descriptor(self, harness, tmp_path):
+        job, program = harness.job, harness.program
+        source = job.local_data([(0, "x")], splits=1)
+        job.map_data(
+            source, program.map, splits=1,
+            outdir=str(tmp_path / "user"), format="txt",
+        )
+        _, descriptor = harness.assign()
+        assert descriptor["user_output"] is True
+        assert descriptor["format_ext"] == "txt"
+        assert descriptor["outdir"].endswith("user")
+
+
+class TestSpillHygiene:
+    def spill(self, harness, dataset):
+        """A straggler's output appearing in the run directory."""
+        rundir = os.path.join(harness.backend.tmpdir, dataset.id)
+        os.makedirs(rundir, exist_ok=True)
+        path = os.path.join(rundir, f"{dataset.id}_0_0.mrsb")
+        with open(path, "wb") as f:
+            f.write(b"late")
+        return rundir, "file:" + path
+
+    @pytest.mark.parametrize("fate", ("released", "errored"))
+    def test_late_completion_leaves_no_spill_dir(
+        self, harness, fate, assert_no_tmpdir_leak
+    ):
+        backend, job, program = harness.backend, harness.job, harness.program
+        source = job.local_data([(0, 1)], splits=1)
+        mapped = job.map_data(source, program.map, splits=1)
+        task, _ = harness.assign()
+        if fate == "released":
+            backend.remove_data(mapped.id)
+            with backend._lock:
+                backend._forget_dataset(mapped.id)
+        else:
+            mapped.error = "canceled"
+        rundir, url = self.spill(harness, mapped)
+        assert_no_tmpdir_leak.append(rundir)
+        harness.finish(task, url)
+        assert not os.path.exists(rundir)
+        assert not mapped.existing_buckets()
+        assert harness.worker not in backend._busy
+
+    def test_remove_data_cancels_before_deleting(self, harness):
+        backend, job, program = harness.backend, harness.job, harness.program
+        source = job.local_data([(i, i) for i in range(4)], splits=2)
+        mapped = job.map_data(source, program.map, splits=1)
+        harness.assign()  # spills the input, one task in flight
+        assert backend.scheduler.outstanding() == 2
+        rundir = os.path.join(backend.tmpdir, source.id)
+        assert os.path.isdir(rundir)
+        job.remove_data(mapped)
+        job.remove_data(source)
+        # The queued task is gone; only the in-flight one remains.
+        assert not backend.scheduler.has_pending()
+        assert backend.scheduler.outstanding() == 1
+        assert not os.path.exists(rundir)
+
+
+class TestStrikeOut:
+    def test_three_failed_attempts_fail_dataset_and_pipelined_dependents(
+        self, harness
+    ):
+        backend, job, program = harness.backend, harness.job, harness.program
+        source = job.local_data([(i, i) for i in range(4)], splits=2)
+        mapped = job.map_data(source, program.map, splits=2)
+        # Identity-routed reduce: its consumer's tasks are pre-queued.
+        reduced = job.reduce_data(mapped, program.reduce, splits=2)
+        again = job.map_data(reduced, program.map, splits=2)
+        for _ in range(2):
+            task, _ = harness.assign()
+            harness.finish(task)
+        assert mapped.complete
+        assert backend.scheduler.outstanding() == 4  # 2 reduce + 2 queued
+        for attempt in range(MAX_TASK_FAILURES):
+            assert not reduced.error, f"failed after {attempt} attempts"
+            task, _ = harness.assign()
+            assert task == (reduced.id, 0)
+            harness.fail(task)
+        assert reduced.error and "3 times" in reduced.error
+        assert again.error
+        assert not backend.scheduler.has_pending()
+        names = event_names(backend)
+        assert names.count("dataset.failed") == 1
+        assert names.count("task.requeued") == MAX_TASK_FAILURES - 1
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
+    """No reference cycle may pin a finished job: once the backend is
+    closed and the caller lets go, the datasets (and the buffers in
+    their buckets) must die by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        backend, program = make_backend(plane, str(tmp_path / "run"))
+        job = Job(backend, program)
+        source = job.local_data([(i, i) for i in range(6)], splits=2)
+        mapped = job.map_data(source, program.map, splits=2)
+        if plane != "master":
+            job.wait(mapped, timeout=60)
+            assert mapped.data()
+        threads = [backend._watchdog if plane == "master" else backend._collector]
+        refs = [weakref.ref(obj) for obj in (source, mapped, backend)]
+        backend.close()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        del backend, program, job, source, mapped, thread, threads
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()

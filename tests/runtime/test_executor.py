@@ -1,0 +1,82 @@
+"""execute_descriptor: the one descriptor -> buckets -> metrics routine
+behind both the cluster slave and the pool worker."""
+
+import os
+
+from repro.comm import protocol
+from repro.core.dataset import LocalData
+from repro.core.operations import MapOperation
+from repro.core.options import default_options
+from repro.io import urls as url_io
+from repro.runtime import dataplane
+from repro.runtime.executor import execute_descriptor
+
+from tests.runtime.programs_mp import Tally
+
+
+def make_descriptor(tmp_path, outdir):
+    source = LocalData([(i, i) for i in range(9)], splits=1)
+    bucket = source.bucket(0, 0)
+    path = dataplane.spill_bucket(source, bucket, str(tmp_path / "in"))
+    return protocol.make_task_descriptor(
+        dataset_id="map_x",
+        task_index=0,
+        op_dict=MapOperation(map_name="map", splits=2).to_dict(),
+        input_urls=["file:" + path],
+        outdir=outdir,
+        format_ext="mrsb",
+        input_sorted=[bucket.url_sorted],
+    )
+
+
+def test_slave_and_pool_paths_agree(tmp_path):
+    """Same descriptor, same answer: the two callers differ only in the
+    label on their per-task registry names."""
+    program = Tally(default_options(), [])
+    descriptor = make_descriptor(tmp_path, str(tmp_path / "shared"))
+    as_slave = execute_descriptor(
+        program, descriptor, "slave",
+        localdir=str(tmp_path / "local"), boot_seconds=1.5,
+    )
+    as_worker = execute_descriptor(
+        program, descriptor, "worker", boot_seconds=1.5
+    )
+    urls, seconds, metrics = as_worker
+    assert as_slave[0] == urls
+    assert [split for split, _, _ in urls] == [0, 1]
+    assert all(url.startswith("file:" + str(tmp_path / "shared")) for _, url, _ in urls)
+    assert seconds > 0
+    assert as_slave[2].keys() == metrics.keys()
+    assert metrics["durations"].keys() == as_slave[2]["durations"].keys()
+
+    def names(payload, label):
+        registry = payload["registry"]
+        found = {
+            name.replace(label + ".", "", 1)
+            for kind in ("counters", "gauges", "histograms")
+            for name in registry.get(kind, {})
+        }
+        assert f"{label}.tasks.completed" in registry["counters"]
+        return found
+
+    assert names(as_slave[2], "slave") == names(metrics, "worker")
+    pairs = [
+        pair for _, url, _ in urls for pair in url_io.fetch_pairs(url)
+    ]
+    assert sorted(pairs) == sorted((i % 3, 1) for i in range(9))
+
+
+def test_local_output_is_published_through_url_for(tmp_path):
+    """No shared outdir (http data plane): buckets stay under the
+    worker's local dir and are advertised by its data server's URLs."""
+    program = Tally(default_options(), [])
+    descriptor = make_descriptor(tmp_path, None)
+    localdir = str(tmp_path / "local")
+    urls, _, _ = execute_descriptor(
+        program, descriptor, "slave",
+        localdir=localdir, url_for=lambda path: "http://host:1/" + path,
+    )
+    for _, url, _ in urls:
+        path = url[len("http://host:1/"):]
+        assert os.path.dirname(path) == os.path.join(localdir, "map_x")
+        assert os.path.exists(path)

@@ -1,4 +1,8 @@
-"""MasterBackend internals, tested in-process without real slaves."""
+"""MasterBackend internals, tested in-process without real slaves.
+
+(Descriptor building and everything else the master shares with the
+multiprocess pool is covered for both in test_coordinator*.py.)
+"""
 
 import os
 
@@ -54,37 +58,6 @@ class TestSubmission:
             assert b.default_splits == 7
         finally:
             b.close()
-
-
-class TestDescriptors:
-    def test_localdata_spilled_for_slaves(self, backend):
-        b, job = backend
-        source = job.local_data([(0, "x")], splits=1)
-        mapped = job.map_data(source, b.program.map, splits=1)
-        b.slave_signin(1, "127.0.0.1:9")  # no real slave listening
-        with b._lock:
-            task = b.scheduler.next_task(1)
-            descriptor = b._build_descriptor(task)
-        # LocalData bucket must now be backed by a real file.
-        url = descriptor["input_urls"][0]
-        assert url.startswith("file:")
-        assert os.path.exists(url[len("file:"):])
-        assert descriptor["dataset_id"] == mapped.id
-
-    def test_user_output_descriptor(self, backend, tmp_path):
-        b, job = backend
-        source = job.local_data([(0, "x")], splits=1)
-        out = job.map_data(
-            source, b.program.map, splits=1,
-            outdir=str(tmp_path / "user"), format="txt",
-        )
-        b.slave_signin(1, "127.0.0.1:9")
-        with b._lock:
-            task = b.scheduler.next_task(1)
-            descriptor = b._build_descriptor(task)
-        assert descriptor["user_output"] is True
-        assert descriptor["format_ext"] == "txt"
-        assert descriptor["outdir"].endswith("user")
 
 
 class TestCompletionBookkeeping:
