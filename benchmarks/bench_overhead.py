@@ -92,7 +92,7 @@ def measure(
     """Derive the gated overhead numbers from real runs.
 
     Plain, event-logged, and telemetry-on runs are interleaved round by
-    round (as in bench_shuffle) and each side keeps its best time, so
+    round and each side keeps its best time, so
     slow drift in machine load cannot masquerade as instrumentation
     overhead.  The plain and event legs pin ``--mrs-telemetry off`` so
     each fraction isolates exactly one plane.

@@ -105,14 +105,6 @@ def metrics_startup_seconds(backend) -> float:
     return export.startup_seconds(backend.metrics())
 
 
-def metrics_phase_rows(report, phases=("map", "shuffle", "reduce")):
-    """Table rows for a metrics report's per-phase breakdown."""
-    return [
-        [phase, fmt_seconds(float((report.get("phases") or {}).get(phase, 0.0)))]
-        for phase in phases
-    ]
-
-
 def once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 

@@ -20,7 +20,6 @@ from repro.comm.transfer import (
     FetchError,
     FetchPolicy,
     Prefetcher,
-    TransferConfig,
 )
 from repro.comm.wakeup import Wakeup
 
@@ -34,6 +33,5 @@ __all__ = [
     "FetchError",
     "FetchPolicy",
     "Prefetcher",
-    "TransferConfig",
     "Wakeup",
 ]

@@ -6,9 +6,8 @@ the cross-node fetch path deserves the same care the in-node data plane
 got.  This module owns everything between a bucket URL and the decoded
 record stream a reduce task merges:
 
-* :class:`FetchPolicy` — one configurable timeout/retries/backoff
-  policy shared by every HTTP fetch in the process (previously a
-  hard-coded 30 s timeout and a duplicated retry loop).
+* :class:`FetchPolicy` — the one timeout/retries/backoff policy shared
+  by every HTTP fetch in the process.
 * :class:`ConnectionPool` — persistent keep-alive
   :class:`http.client.HTTPConnection` objects keyed by ``host:port``
   with a per-host concurrency cap, so an R-bucket shuffle pays one TCP
@@ -26,16 +25,16 @@ record stream a reduce task merges:
   retries, and prefetch stall time, mirrored into the process's metrics
   registry and piggybacked per task to the coordinator.
 
-The plane is configured once per process from the ``--mrs-fetch-*``
-options (:func:`configure`); library callers get sane env-overridable
-defaults without any setup.
+The plane has no options: its settings are the module constants below
+(:data:`FETCH_THREADS`, :data:`FETCH_BUFFER_BYTES`, :data:`COMPRESSION`
+and :class:`FetchPolicy`'s defaults).  Callers that need other values —
+tests, probes — pass them to the constructors and ``fetch_*`` functions.
 """
 
 from __future__ import annotations
 
 import http.client
 import io
-import os
 import threading
 import time
 import urllib.parse
@@ -62,12 +61,9 @@ Record = Tuple[bytes, KeyValue]
 __all__ = [
     "FetchError",
     "FetchPolicy",
-    "TransferConfig",
     "ConnectionPool",
     "TransferStats",
     "STATS",
-    "configure",
-    "get_config",
     "get_pool",
     "install_registry",
     "fetch_record_stream",
@@ -83,7 +79,7 @@ class FetchError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Policy and configuration
+# Policy and settings
 # ----------------------------------------------------------------------
 
 
@@ -102,92 +98,20 @@ class FetchPolicy:
     retries: int = 3
     retry_delay: float = 0.2
 
-    @classmethod
-    def from_env(cls) -> "FetchPolicy":
-        return cls(
-            timeout=float(os.environ.get("MRS_FETCH_TIMEOUT", 30.0)),
-            retries=int(os.environ.get("MRS_FETCH_RETRIES", 3)),
-            retry_delay=float(os.environ.get("MRS_FETCH_RETRY_DELAY", 0.2)),
-        )
-
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (0-based)."""
         return self.retry_delay * (attempt + 1)
 
 
-@dataclass
-class TransferConfig:
-    """Per-process transfer-plane configuration (``--mrs-fetch-*``)."""
-
-    policy: FetchPolicy
-    #: Parallel prefetch threads per reduce task (0 disables prefetch).
-    fetch_threads: int = 4
-    #: Byte budget for records buffered ahead of the merge.
-    fetch_buffer_bytes: int = 32 * 1024 * 1024
-    #: ``auto`` requests gzip from non-loopback peers only; ``gzip``
-    #: always; ``off`` never.
-    compression: str = "auto"
-
-    @classmethod
-    def from_env(cls) -> "TransferConfig":
-        return cls(
-            policy=FetchPolicy.from_env(),
-            fetch_threads=int(os.environ.get("MRS_FETCH_THREADS", 4)),
-            fetch_buffer_bytes=int(
-                float(os.environ.get("MRS_FETCH_BUFFER_MB", 32)) * 1024 * 1024
-            ),
-            compression=os.environ.get("MRS_FETCH_COMPRESSION", "auto"),
-        )
-
-
-_config_lock = threading.Lock()
-_config: Optional[TransferConfig] = None
-
-
-def get_config() -> TransferConfig:
-    global _config
-    with _config_lock:
-        if _config is None:
-            _config = TransferConfig.from_env()
-        return _config
-
-
-def configure(opts: Any) -> TransferConfig:
-    """Wire the ``--mrs-fetch-*`` options into the process-wide config.
-
-    Called by backend constructors; missing attributes (programmatic
-    opts, older namespaces) keep their env/default values.
-    """
-    global _config
-    config = TransferConfig.from_env()
-    if opts is not None:
-        timeout = getattr(opts, "fetch_timeout", None)
-        retries = getattr(opts, "fetch_retries", None)
-        policy = config.policy
-        if timeout is not None or retries is not None:
-            policy = FetchPolicy(
-                timeout=policy.timeout if timeout is None else float(timeout),
-                retries=policy.retries if retries is None else int(retries),
-                retry_delay=policy.retry_delay,
-            )
-        threads = getattr(opts, "fetch_threads", None)
-        buffer_mb = getattr(opts, "fetch_buffer_mb", None)
-        compression = getattr(opts, "fetch_compression", None)
-        config = TransferConfig(
-            policy=policy,
-            fetch_threads=(
-                config.fetch_threads if threads is None else int(threads)
-            ),
-            fetch_buffer_bytes=(
-                config.fetch_buffer_bytes
-                if buffer_mb is None
-                else int(float(buffer_mb) * 1024 * 1024)
-            ),
-            compression=compression or config.compression,
-        )
-    with _config_lock:
-        _config = config
-    return config
+#: The policy every fetch uses unless the caller passes its own.
+DEFAULT_POLICY = FetchPolicy()
+#: Parallel fetch threads per task (reduce prefetch, map-side fan-in).
+FETCH_THREADS = 4
+#: Byte budget for records buffered ahead of a reduce merge.
+FETCH_BUFFER_BYTES = 32 * 1024 * 1024
+#: ``auto`` requests gzip from non-loopback peers only; ``gzip``
+#: always; ``off`` never.
+COMPRESSION = "auto"
 
 
 # ----------------------------------------------------------------------
@@ -508,15 +432,14 @@ def _stream_items(
     server that stays dead escalates to :exc:`FetchError` after the
     policy's retries.
     """
-    config = get_config()
     if policy is None:
-        policy = config.policy
+        policy = DEFAULT_POLICY
     if pool is None:
         pool = get_pool()
     parsed = urllib.parse.urlparse(url)
-    gzip_ok = _want_gzip(parsed.hostname or "127.0.0.1", compression or config.compression)
     host = parsed.hostname or "127.0.0.1"
     port = parsed.port or 80
+    gzip_ok = _want_gzip(host, compression or COMPRESSION)
     delivered = 0
     last_error: Exception = FetchError(url)
     for attempt in range(policy.retries):
@@ -561,20 +484,6 @@ def _stream_items(
     raise FetchError(f"failed to fetch {url}: {last_error}") from last_error
 
 
-def _make_reader(reader_cls, fileobj, key_serializer, value_serializer):
-    if issubclass(reader_cls, formats.BinReader) and (
-        key_serializer or value_serializer
-    ):
-        from repro.io.serializers import get_serializer
-
-        return reader_cls(
-            fileobj,
-            key_serializer=get_serializer(key_serializer),
-            value_serializer=get_serializer(value_serializer),
-        )
-    return reader_cls(fileobj)
-
-
 def fetch_record_stream(
     url: str,
     key_serializer: Optional[str] = None,
@@ -589,16 +498,12 @@ def fetch_record_stream(
     canonical key bytes are sliced from the wire encoding — remote and
     local buckets share the same encode-once pipeline.
     """
-    reader_cls = formats.reader_for(urllib.parse.urlparse(url).path)
+    path = urllib.parse.urlparse(url).path
 
     def make_iter(stream: Any) -> Iterator[Record]:
-        reader = _make_reader(reader_cls, stream, key_serializer, value_serializer)
-        records = getattr(reader, "iter_records", None)
-        if records is not None:
-            return records()
-        from repro.util.hashing import key_to_bytes
-
-        return ((key_to_bytes(pair[0]), pair) for pair in reader)
+        return formats.open_reader(
+            path, stream, key_serializer, value_serializer
+        ).iter_records()
 
     return _stream_items(url, make_iter, policy, pool, compression)
 
@@ -612,17 +517,18 @@ def fetch_pair_stream(
     compression: Optional[str] = None,
 ) -> Iterator[KeyValue]:
     """Plain pairs streamed off the socket (no key-byte decoration)."""
-    reader_cls = formats.reader_for(urllib.parse.urlparse(url).path)
+    path = urllib.parse.urlparse(url).path
 
     def make_iter(stream: Any) -> Iterator[KeyValue]:
-        return iter(_make_reader(reader_cls, stream, key_serializer, value_serializer))
+        return iter(
+            formats.open_reader(path, stream, key_serializer, value_serializer)
+        )
 
     return _stream_items(url, make_iter, policy, pool, compression)
 
 
 def fetch_pairs_parallel(
     jobs: Sequence[Tuple[str, Optional[str], Optional[str]]],
-    threads: Optional[int] = None,
 ) -> List[List[KeyValue]]:
     """Fetch several ``(url, key_serializer, value_serializer)`` jobs in
     parallel, returning pair lists in job order.
@@ -630,12 +536,6 @@ def fetch_pairs_parallel(
     The map-side analogue of the reduce prefetcher: a map task whose
     inputs are N remote buckets pays ~one round trip instead of N.
     """
-    if threads is None:
-        threads = get_config().fetch_threads
-    if len(jobs) <= 1 or threads <= 1:
-        return [
-            list(fetch_pair_stream(url, ks, vs)) for url, ks, vs in jobs
-        ]
     results: List[Any] = [None] * len(jobs)
     errors: List[Exception] = []
     index_lock = threading.Lock()
@@ -657,7 +557,7 @@ def fetch_pairs_parallel(
 
     workers = [
         threading.Thread(target=worker, name=f"mrs-fetch-{i}", daemon=True)
-        for i in range(min(threads, len(jobs)))
+        for i in range(min(FETCH_THREADS, len(jobs)))
     ]
     for thread in workers:
         thread.start()
@@ -910,7 +810,7 @@ class Prefetcher:
         if not getattr(bucket, "url_sorted", False):
             # One materialized bucket at a time, its bytes charged to
             # the budget while resident — without the gate and charge,
-            # ``fetch_threads`` full buckets could be in memory at once,
+            # one full bucket per fetch thread could be in memory at once,
             # all invisible to the budget.
             with self._sort_gate:
                 self._fetch_unsorted(bucket, stream)
@@ -976,15 +876,14 @@ def bucket_record_streams(
     buckets in parallel.
 
     Buckets backed by HTTP URLs are routed through a
-    :class:`Prefetcher` (when ``--mrs-fetch-threads`` > 0 and there is
-    more than one of them); everything else streams through
+    :class:`Prefetcher` (when there is more than one of them);
+    everything else streams through
     :func:`repro.io.bucket.bucket_sorted_records` unchanged.  Stream
     order matches bucket order, so the merge's output — and therefore
     the reduce output — is byte-identical to a sequential fetch.
     """
     from repro.io.bucket import bucket_sorted_records
 
-    config = get_config()
     remote = [
         bucket
         for bucket in input_buckets
@@ -992,12 +891,10 @@ def bucket_record_streams(
         and bucket.url
         and bucket.url.startswith(("http://", "https://"))
     ]
-    if config.fetch_threads <= 0 or len(remote) <= 1:
+    if len(remote) <= 1:
         return [bucket_sorted_records(b) for b in input_buckets], None
     prefetcher = Prefetcher(
-        threads=config.fetch_threads,
-        buffer_bytes=config.fetch_buffer_bytes,
-        span=span,
+        threads=FETCH_THREADS, buffer_bytes=FETCH_BUFFER_BYTES, span=span
     )
     remote_ids = {id(bucket) for bucket in remote}
     streams: List[Iterator[Record]] = []

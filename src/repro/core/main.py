@@ -18,14 +18,17 @@ from repro.core.job import Job
 logger = logging.getLogger("repro")
 
 
-def _configure_native(opts) -> None:
-    """Apply ``--mrs-native`` and ``--mrs-zero-copy`` before any
-    shuffle code runs.
+def configure_process(opts) -> None:
+    """Turn parsed options into process-wide state, before any shuffle
+    code runs: ``--mrs-native`` and ``--mrs-zero-copy``.
 
-    Setting a mode also mirrors it into its environment variable
-    (``MRS_NATIVE`` / ``MRS_ZERO_COPY``), so worker processes spawned
-    later (multiprocess pool, slaves launched with the job's
-    environment) resolve the same path.
+    The one place that does so — every entry point that parses options
+    (:func:`main`, :func:`run_program`, ``LocalCluster.start``) calls
+    it.  Setting a mode also mirrors it into its environment variable
+    (``MRS_NATIVE`` / ``MRS_ZERO_COPY``), the only two option->
+    environment mirrors, so worker processes spawned later
+    (multiprocess pool, slaves launched with the job's environment)
+    resolve the same path.
     """
     from repro.io import serializers
     from repro.native import kernels
@@ -57,7 +60,7 @@ def main(program_class: Any, argv: Optional[Sequence[str]] = None) -> int:
     """
     opts, args = options_mod.parse_options(program_class, argv)
     _configure_logging(opts)
-    _configure_native(opts)
+    configure_process(opts)
     impl = opts.mrs_impl
 
     if impl == "slave":
@@ -225,7 +228,7 @@ def run_program(
     opts, positional = options_mod.parse_options(program_class, flags + args)
     for key, value in opt_overrides.items():
         setattr(opts, key, value)
-    _configure_native(opts)
+    configure_process(opts)
     program = program_class(opts, positional)
 
     if impl == "bypass":

@@ -9,7 +9,6 @@ options added via ``Program.update_parser``.
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Any, List, Optional, Sequence, Tuple
 
 #: Implementation names accepted by ``--mrs`` (case-insensitive).
@@ -230,35 +229,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         "all sampling; outputs are byte-identical either way)",
     )
     group.add_argument(
-        "--mrs-telemetry-interval",
-        dest="telemetry_interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="seconds between health samples (and the downsampling "
-        "slot width of the master's telemetry store)",
-    )
-    group.add_argument(
-        "--mrs-straggler-factor",
-        dest="straggler_factor",
-        type=float,
-        default=1.5,
-        metavar="X",
-        help="flag a running task as a straggler candidate once its "
-        "elapsed time exceeds X times the running median of its "
-        "dataset's completed tasks",
-    )
-    group.add_argument(
-        "--mrs-heartbeat-interval",
-        dest="heartbeat_interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat cadence: the master watchdog's ping period and "
-        "the multiprocess backend's heartbeat-event throttle "
-        "(default: MRS_HEARTBEAT_INTERVAL or the per-backend default)",
-    )
-    group.add_argument(
         "--mrs-profile-tasks",
         dest="profile_tasks",
         type=int,
@@ -267,49 +237,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         help="run tasks under cProfile and keep the .pstats dumps of "
         "the N slowest tasks per process (paths attached to their "
         "spans and announced as task.profiled events)",
-    )
-    group.add_argument(
-        "--mrs-fetch-threads",
-        dest="fetch_threads",
-        type=int,
-        default=4,
-        metavar="N",
-        help="parallel bucket-fetch threads per reduce task "
-        "(0 = sequential fetches, no prefetch pipeline)",
-    )
-    group.add_argument(
-        "--mrs-fetch-buffer-mb",
-        dest="fetch_buffer_mb",
-        type=int,
-        default=32,
-        metavar="MB",
-        help="byte budget shared by in-flight prefetched bucket data "
-        "(bounds reduce-side fetch memory)",
-    )
-    group.add_argument(
-        "--mrs-fetch-timeout",
-        dest="fetch_timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="socket timeout for each bucket-fetch attempt",
-    )
-    group.add_argument(
-        "--mrs-fetch-retries",
-        dest="fetch_retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts per bucket fetch before the task fails "
-        "(mid-stream failures resume at the last delivered record)",
-    )
-    group.add_argument(
-        "--mrs-fetch-compression",
-        dest="fetch_compression",
-        choices=("auto", "gzip", "off"),
-        default="auto",
-        help="negotiate gzip bucket transfers: 'auto' compresses "
-        "except over loopback, 'gzip' always asks, 'off' never does",
     )
     group.add_argument(
         "--mrs-timeout",
@@ -379,26 +306,6 @@ def parse_options(
     if stray:
         parser.error(f"unrecognized options: {' '.join(stray)}")
     return opts, args
-
-
-def resolve_heartbeat_interval(opts: Any, default: float) -> float:
-    """The shared heartbeat cadence for a call site whose historical
-    default is ``default``: ``--mrs-heartbeat-interval``, else the
-    ``MRS_HEARTBEAT_INTERVAL`` environment variable, else ``default``
-    (so the master keeps 2 s pings and the multiprocess backend keeps
-    its 5 s heartbeat-event throttle unless the knob is turned).
-    """
-    value = getattr(opts, "heartbeat_interval", None) if opts else None
-    if value is None:
-        env = os.environ.get("MRS_HEARTBEAT_INTERVAL")
-        if env:
-            try:
-                value = float(env)
-            except ValueError:
-                value = None
-    if value is None:
-        return float(default)
-    return max(0.05, float(value))
 
 
 def default_options(**overrides: Any) -> argparse.Namespace:

@@ -53,9 +53,8 @@ record_value = itemgetter(1)
 
 #: Pairs buffered in a :class:`FileBucket` before they are batch-written
 #: to the backing file.  Overridable per bucket via the
-#: ``spill_buffer_pairs`` constructor argument or globally with the
-#: ``MRS_SPILL_BUFFER_PAIRS`` environment variable.
-DEFAULT_SPILL_BUFFER_PAIRS = int(os.environ.get("MRS_SPILL_BUFFER_PAIRS", 4096))
+#: ``spill_buffer_pairs`` constructor argument.
+DEFAULT_SPILL_BUFFER_PAIRS = 4096
 
 
 def sort_key(pair: KeyValue) -> bytes:

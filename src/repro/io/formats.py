@@ -84,6 +84,15 @@ class Reader:
     def __iter__(self) -> Iterator[KeyValue]:
         raise NotImplementedError
 
+    def iter_records(self) -> Iterator[Tuple[bytes, KeyValue]]:
+        """Decorated ``(keybytes, pair)`` records: each key is encoded
+        exactly once here (:class:`BinReader` instead rebuilds the bytes
+        from the wire encoding when the key serializer is canonical)."""
+        from repro.util.hashing import key_to_bytes
+
+        for pair in self:
+            yield key_to_bytes(pair[0]), pair
+
     def close(self) -> None:
         self.fileobj.close()
 
@@ -663,6 +672,34 @@ def reader_for(path: str) -> type:
     corpus files (``.html``, bare names, etc.) as line records.
     """
     return _READERS.get(_extension(path), TextReader)
+
+
+def open_reader(
+    path: str,
+    fileobj: BinaryIO,
+    key_serializer: Optional[str] = None,
+    value_serializer: Optional[str] = None,
+) -> Reader:
+    """The reader for ``path``'s format over ``fileobj``, passing the
+    named serializers where supported.
+
+    Only the binary format has pluggable serializers; text and hex
+    readers have fixed encodings.  When the value serializer supports
+    zero-copy decoding (``loads_view``) and the zero-copy knob is on,
+    binary readers open in mmap mode: values decode as views over the
+    page cache instead of copies (sockets and other non-file objects
+    stay on the streaming path).
+    """
+    reader_cls = reader_for(path)
+    if issubclass(reader_cls, BinReader) and (key_serializer or value_serializer):
+        value_s = get_serializer(value_serializer)
+        return reader_cls(
+            fileobj,
+            key_serializer=get_serializer(key_serializer),
+            value_serializer=value_s,
+            use_mmap=loads_view_for(value_s) is not None,
+        )
+    return reader_cls(fileobj)
 
 
 def default_read_pairs(path: str) -> Iterator[KeyValue]:

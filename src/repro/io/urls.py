@@ -7,8 +7,8 @@ reduce task resolves each input URL with :func:`fetch_pairs` without
 caring which transport backs it.
 
 HTTP fetches ride the transfer plane (:mod:`repro.comm.transfer`):
-pooled keep-alive connections, one configurable retry/timeout policy,
-negotiated compression, and response bodies streamed straight into the
+pooled keep-alive connections, one retry/timeout policy, negotiated
+compression, and response bodies streamed straight into the
 format readers — so remote buckets take the same canonical-key-bytes
 fast path as local files instead of being materialized and re-encoded.
 """
@@ -16,31 +16,17 @@ fast path as local files instead of being materialized and re-encoded.
 from __future__ import annotations
 
 import urllib.parse
-import urllib.request
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.comm.transfer import (  # noqa: F401  (FetchError re-exported)
     FetchError,
-    FetchPolicy,
     fetch_pair_stream,
     fetch_record_stream,
-    get_config as _get_transfer_config,
 )
 from repro.io import formats
 
 KeyValue = Tuple[Any, Any]
-
-
-def __getattr__(name: str) -> Any:
-    # Legacy aliases for the live fetch policy.  Resolved per access so
-    # they track MRS_FETCH_* env vars and --mrs-fetch-* options instead
-    # of freezing the class defaults at import time; new code should
-    # read ``repro.comm.transfer.get_config().policy`` directly.
-    if name == "FETCH_RETRIES":
-        return _get_transfer_config().policy.retries
-    if name == "FETCH_RETRY_DELAY":
-        return _get_transfer_config().policy.retry_delay
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+Record = Tuple[bytes, KeyValue]
 
 
 def parse(url: str) -> urllib.parse.ParseResult:
@@ -55,28 +41,26 @@ def path_of_file_url(url: str) -> str:
     return parsed.path or parsed.netloc
 
 
-def _make_reader(reader_cls, fileobj, key_serializer, value_serializer):
-    """Instantiate a reader, passing serializers where supported.
-
-    Only the binary format has pluggable serializers; text and hex
-    readers have fixed encodings.  When the value serializer supports
-    zero-copy decoding (``loads_view``) and the zero-copy knob is on,
-    local binary files open in mmap mode: values decode as views over
-    the page cache instead of copies.
-    """
-    if issubclass(reader_cls, formats.BinReader) and (
-        key_serializer or value_serializer
-    ):
-        from repro.io.serializers import get_serializer, loads_view_for
-
-        value_s = get_serializer(value_serializer)
-        return reader_cls(
-            fileobj,
-            key_serializer=get_serializer(key_serializer),
-            value_serializer=value_s,
-            use_mmap=loads_view_for(value_s) is not None,
-        )
-    return reader_cls(fileobj)
+def _open(
+    url: str,
+    key_serializer: Optional[str],
+    value_serializer: Optional[str],
+    records: bool,
+) -> Iterator[Any]:
+    """Stream what is behind ``url``: plain pairs, or with ``records``
+    the decorated ``(keybytes, pair)`` form.  The one place a URL's
+    scheme picks its transport."""
+    scheme = parse(url).scheme
+    if scheme in ("", "file"):
+        path = path_of_file_url(url)
+        with open(path, "rb") as f:
+            reader = formats.open_reader(path, f, key_serializer, value_serializer)
+            yield from reader.iter_records() if records else reader
+    elif scheme in ("http", "https"):
+        fetch = fetch_record_stream if records else fetch_pair_stream
+        yield from fetch(url, key_serializer, value_serializer)
+    else:
+        raise ValueError(f"unsupported url scheme {scheme!r} in {url}")
 
 
 def fetch_pairs(
@@ -89,15 +73,7 @@ def fetch_pairs(
     ``key_serializer``/``value_serializer`` name registered serializers
     for binary-format data written with non-default codecs.
     """
-    parsed = parse(url)
-    if parsed.scheme in ("", "file"):
-        path = path_of_file_url(url)
-        reader_cls = formats.reader_for(path)
-        with open(path, "rb") as f:
-            return list(_make_reader(reader_cls, f, key_serializer, value_serializer))
-    if parsed.scheme in ("http", "https"):
-        return list(fetch_pair_stream(url, key_serializer, value_serializer))
-    raise ValueError(f"unsupported url scheme {parsed.scheme!r} in {url}")
+    return list(iter_pairs(url, key_serializer, value_serializer))
 
 
 def iter_pairs(
@@ -113,24 +89,14 @@ def iter_pairs(
     skipping already-delivered records — so a consumer that merges or
     filters never holds the whole bucket in memory on either transport.
     """
-    parsed = parse(url)
-    if parsed.scheme in ("", "file"):
-        path = path_of_file_url(url)
-        reader_cls = formats.reader_for(path)
-        with open(path, "rb") as f:
-            yield from _make_reader(reader_cls, f, key_serializer, value_serializer)
-        return
-    if parsed.scheme in ("http", "https"):
-        yield from fetch_pair_stream(url, key_serializer, value_serializer)
-        return
-    raise ValueError(f"unsupported url scheme {parsed.scheme!r} in {url}")
+    return _open(url, key_serializer, value_serializer, records=False)
 
 
 def iter_records(
     url: str,
     key_serializer: Optional[str] = None,
     value_serializer: Optional[str] = None,
-) -> Iterator[Tuple[bytes, KeyValue]]:
+) -> Iterator[Record]:
     """Iterate decorated ``(keybytes, pair)`` records behind ``url``.
 
     Like :func:`iter_pairs`, but each pair arrives with its canonical
@@ -140,24 +106,6 @@ def iter_records(
     buckets feed ``BinReader.iter_records`` directly off the socket, so
     canonical bytes are sliced from the wire without a detour through a
     materialized pair list.  Every other source re-encodes each key
-    exactly once here.
+    exactly once (``Reader.iter_records``).
     """
-    parsed = parse(url)
-    if parsed.scheme in ("", "file"):
-        path = path_of_file_url(url)
-        reader_cls = formats.reader_for(path)
-        with open(path, "rb") as f:
-            reader = _make_reader(reader_cls, f, key_serializer, value_serializer)
-            records = getattr(reader, "iter_records", None)
-            if records is not None:
-                yield from records()
-                return
-            from repro.util.hashing import key_to_bytes
-
-            for pair in reader:
-                yield key_to_bytes(pair[0]), pair
-        return
-    if parsed.scheme in ("http", "https"):
-        yield from fetch_record_stream(url, key_serializer, value_serializer)
-        return
-    raise ValueError(f"unsupported url scheme {parsed.scheme!r} in {url}")
+    return _open(url, key_serializer, value_serializer, records=True)

@@ -152,12 +152,11 @@ class Observability:
             # A requested trace is built from memory at job end, so the
             # ring must keep the whole stream.
             self.enable_events(path=event_log, unbounded=bool(trace))
-        # The transfer plane (--mrs-fetch-* knobs) is process-global;
-        # mirror its counters into this backend's registry so fetch
-        # traffic performed by this process shows up in the report.
+        # The transfer plane is process-global; mirror its counters
+        # into this backend's registry so fetch traffic performed by
+        # this process shows up in the report.
         from repro.comm import transfer
 
-        transfer.configure(opts)
         transfer.install_registry(self.registry)
         self.enable_telemetry(opts, rundir=getattr(opts, "tmpdir", None))
 

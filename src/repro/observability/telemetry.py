@@ -40,14 +40,14 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-#: Default seconds between health samples (and the downsampling slot
-#: width of the master-side store); ``--mrs-telemetry-interval``.
+#: Seconds between health samples (and the downsampling slot width of
+#: the master-side store).
 DEFAULT_INTERVAL = 5.0
 
 #: Default ring capacity per source: 240 slots x 5 s = 20 minutes.
 DEFAULT_CAPACITY = 240
 
-#: Default straggler threshold multiple; ``--mrs-straggler-factor``.
+#: Straggler threshold: multiple of the running median task time.
 DEFAULT_STRAGGLER_FACTOR = 1.5
 
 #: Content type of the Prometheus text exposition format.
@@ -447,29 +447,7 @@ def telemetry_from_opts(
     """
     if opts is not None and getattr(opts, "telemetry", "on") == "off":
         return None
-    interval = DEFAULT_INTERVAL
-    factor = DEFAULT_STRAGGLER_FACTOR
-    if opts is not None:
-        try:
-            interval = float(
-                getattr(opts, "telemetry_interval", None) or DEFAULT_INTERVAL
-            )
-        except (TypeError, ValueError):
-            interval = DEFAULT_INTERVAL
-        try:
-            factor = float(
-                getattr(opts, "straggler_factor", None)
-                or DEFAULT_STRAGGLER_FACTOR
-            )
-        except (TypeError, ValueError):
-            factor = DEFAULT_STRAGGLER_FACTOR
-    return Telemetry(
-        role=role,
-        interval=interval,
-        straggler_factor=factor,
-        rundir=rundir,
-        task_counter=task_counter,
-    )
+    return Telemetry(role=role, rundir=rundir, task_counter=task_counter)
 
 
 # ---------------------------------------------------------------------------

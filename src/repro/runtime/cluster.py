@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import options as options_mod
 from repro.core.job import Job
+from repro.core.main import _finalize_run, configure_process
 from repro.runtime.master import MasterBackend
 
 #: Seconds a cluster launch waits for slaves to sign in.
@@ -115,6 +116,7 @@ class LocalCluster:
         )
         for key, value in self.opt_overrides.items():
             setattr(opts, key, value)
+        configure_process(opts)
         self.program = self.program_class(opts, positional)
         self.backend = MasterBackend(self.program, opts)
         spec = program_spec(self.program_class)
@@ -160,8 +162,6 @@ class LocalCluster:
             )
         # Same end-of-job observability outputs as main()/run_program:
         # metrics report, timeline trace, event-log flush.
-        from repro.core.main import _finalize_run
-
         _finalize_run(self.backend, self.backend.opts)
         self.program.metrics_report = self.backend.metrics()
         return self.program

@@ -32,15 +32,13 @@ from repro.comm.dataserver import DataServer
 from repro.comm.rpc import RpcServer, format_address, rpc_client
 from repro.core.dataset import ComputedData
 from repro.core.job import Job
-from repro.core.options import resolve_heartbeat_interval
 from repro.observability import MetricsRegistry
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.scheduler import TaskId
 
 logger = logging.getLogger("repro.master")
 
-#: Default watchdog ping period (seconds); override with
-#: --mrs-heartbeat-interval / MRS_HEARTBEAT_INTERVAL.
+#: Watchdog ping period (seconds).
 PING_INTERVAL = 2.0
 
 #: Consecutive failed pings before a slave is declared lost — the same
@@ -109,8 +107,6 @@ class MasterBackend(Coordinator):
     def __init__(self, program: Any, opts: Any):
         super().__init__(program, opts)
         self.data_plane = getattr(opts, "data_plane", "file") or "file"
-        #: Watchdog cadence (--mrs-heartbeat-interval; historically 2 s).
-        self._ping_interval = resolve_heartbeat_interval(opts, PING_INTERVAL)
         self._slaves: Dict[int, SlaveRecord] = {}
         self._next_slave_id = 1
         #: Which slave produced each completed task's output buckets —
@@ -525,7 +521,7 @@ class MasterBackend(Coordinator):
         return recomputed
 
     def _watchdog_loop(self) -> None:
-        while not self._stop_watchdog.wait(self._ping_interval):
+        while not self._stop_watchdog.wait(PING_INTERVAL):
             records = self.alive_slaves()
             events = self.observability.events
             if events is not None:

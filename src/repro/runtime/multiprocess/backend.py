@@ -30,7 +30,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.core.options import resolve_heartbeat_interval
 from repro.runtime.coordinator import Coordinator
 from repro.runtime.multiprocess.pool import WorkerPool
 
@@ -40,8 +39,7 @@ logger = logging.getLogger("repro.multiprocess")
 #: worker-crash detection latency.
 IDLE_POLL = 0.2
 
-#: Default heartbeat-event throttle (seconds); override with
-#: --mrs-heartbeat-interval / MRS_HEARTBEAT_INTERVAL.
+#: Seconds between heartbeat events.
 HEARTBEAT_INTERVAL = 5.0
 
 
@@ -63,9 +61,6 @@ class MultiprocessBackend(Coordinator):
         #: Throttle for heartbeat events (the liveness sweep itself runs
         #: every IDLE_POLL seconds, far too often to log).
         self._last_heartbeat = 0.0
-        self._heartbeat_interval = resolve_heartbeat_interval(
-            opts, HEARTBEAT_INTERVAL
-        )
         self._ready: set = set()
         self._respawns = 0
         #: Crash-loop guard: stop replacing dead workers after this many
@@ -223,7 +218,7 @@ class MultiprocessBackend(Coordinator):
             events = self.observability.events
             if events is not None:
                 now = time.monotonic()
-                if now - self._last_heartbeat >= self._heartbeat_interval:
+                if now - self._last_heartbeat >= HEARTBEAT_INTERVAL:
                     self._last_heartbeat = now
                     events.emit(
                         "heartbeat",

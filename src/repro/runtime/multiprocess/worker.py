@@ -30,7 +30,6 @@ import logging
 import time
 from typing import Any, List
 
-from repro.comm import transfer
 from repro.observability.profiling import profiler_from_opts
 from repro.runtime.executor import execute_descriptor
 
@@ -52,9 +51,6 @@ def worker_main(
     be importable, not defined in a script body or closure).
     """
     boot = time.perf_counter()
-    # Apply --mrs-fetch-* knobs to this worker process's transfer plane
-    # (module state does not cross the spawn boundary).
-    transfer.configure(opts)
     try:
         program = program_class(opts, args)
     except Exception as exc:
@@ -74,13 +70,8 @@ def worker_main(
     if getattr(opts, "telemetry", "on") != "off":
         from repro.observability.telemetry import HealthSampler
 
-        try:
-            interval = float(getattr(opts, "telemetry_interval", 5.0) or 5.0)
-        except (TypeError, ValueError):
-            interval = 5.0
         sampler = HealthSampler(
             rundir=getattr(opts, "tmpdir", None),
-            interval=interval,
             task_counter=lambda: completed[0],
         )
     result_queue.put({"type": "ready", "worker_id": worker_id})

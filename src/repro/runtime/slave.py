@@ -95,9 +95,8 @@ class Slave:
         self.quit_event = threading.Event()
         self.data_plane = getattr(opts, "data_plane", "file") or "file"
         self.observability = Observability(role="slave")
-        # Apply --mrs-fetch-* knobs to this process's transfer plane
-        # and mirror its counters into the slave's live registry.
-        transfer.configure(opts)
+        # Mirror the transfer plane's counters into the slave's live
+        # registry.
         transfer.install_registry(self.observability.registry)
         #: --mrs-profile-tasks N: keep the N slowest tasks' profiles.
         self.profiler = profiler_from_opts(opts)

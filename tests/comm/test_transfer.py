@@ -17,21 +17,17 @@ from repro.comm.transfer import (
     bucket_record_streams,
     fetch_pair_stream,
 )
-from repro.io.bucket import Bucket, FileBucket, merge_sorted_records, record_key
+from repro.io.bucket import (
+    Bucket,
+    FileBucket,
+    bucket_sorted_records,
+    merge_sorted_records,
+    record_key,
+)
 
 
 #: A fast policy so failure tests don't sleep through real backoff.
 FAST = FetchPolicy(timeout=5.0, retries=2, retry_delay=0.01)
-
-
-@pytest.fixture
-def fresh_config():
-    """Isolate the process-global transfer config across tests."""
-    with transfer._config_lock:
-        saved = transfer._config
-    yield
-    with transfer._config_lock:
-        transfer._config = saved
 
 
 def write_bucket(tmp_path, name, pairs):
@@ -155,36 +151,49 @@ class TestPrefetchMerge:
             buckets.append(bucket)
         return buckets
 
-    def merged(self, buckets, threads):
-        opts_like = type("O", (), {"fetch_threads": threads})()
-        transfer.configure(opts_like)
+    def prefetched(self, buckets):
         streams, prefetcher = bucket_record_streams(buckets)
+        assert prefetcher is not None
         try:
             return list(merge_sorted_records(streams))
         finally:
-            if prefetcher is not None:
-                prefetcher.close()
+            prefetcher.close()
 
+    def sequential(self, buckets):
+        return list(
+            merge_sorted_records([bucket_sorted_records(b) for b in buckets])
+        )
+
+    @pytest.mark.parametrize(
+        "compression, threads", [("auto", 4), ("gzip", 1)]
+    )
     def test_prefetched_merge_matches_sequential(
-        self, tmp_path, fresh_config
+        self, tmp_path, monkeypatch, compression, threads
     ):
+        # The merge a reduce sees is the same records in the same order
+        # whether its inputs arrive one by one or prefetched, on any
+        # number of threads, gzip negotiated or not.
+        monkeypatch.setattr(transfer, "COMPRESSION", compression)
+        monkeypatch.setattr(transfer, "FETCH_THREADS", threads)
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server)
-            sequential = self.merged(buckets, threads=0)
-            prefetched = self.merged(buckets, threads=4)
+            sequential = self.sequential(buckets)
+            before = transfer.STATS.totals()
+            prefetched = self.prefetched(buckets)
+            delta = transfer.STATS.delta(before)
         assert prefetched == sequential
         assert sequential == sorted(sequential, key=record_key)
         assert len(sequential) == 4 * 50
+        gzipped = delta["fetch.wire_bytes"] < delta["fetch.bytes"]
+        assert gzipped == (compression == "gzip")
 
-    def test_prefetch_records_fetch_spans(self, tmp_path, fresh_config):
+    def test_prefetch_records_fetch_spans(self, tmp_path):
         from repro.observability.tracing import TaskSpan
 
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server)
             span = TaskSpan("ds", 0)
             span.mark("started")
-            opts_like = type("O", (), {"fetch_threads": 2})()
-            transfer.configure(opts_like)
             streams, prefetcher = bucket_record_streams(buckets, span=span)
             try:
                 list(merge_sorted_records(streams))
@@ -195,18 +204,14 @@ class TestPrefetchMerge:
         assert {f["source"] for f in fetches} == {0, 1, 2, 3}
         assert all(f["seconds"] >= 0 for f in fetches)
 
-    def test_single_remote_bucket_skips_prefetcher(
-        self, tmp_path, fresh_config
-    ):
+    def test_single_remote_bucket_skips_prefetcher(self, tmp_path):
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server, n=1)
-            opts_like = type("O", (), {"fetch_threads": 4})()
-            transfer.configure(opts_like)
             streams, prefetcher = bucket_record_streams(buckets)
             assert prefetcher is None
             assert len(list(streams[0])) == 50
 
-    def test_tiny_byte_budget_still_completes(self, tmp_path, fresh_config):
+    def test_tiny_byte_budget_still_completes(self, tmp_path):
         # A budget smaller than one block must not deadlock: a block is
         # admitted whenever nothing else is in flight.
         with DataServer(str(tmp_path)) as server:
@@ -221,7 +226,7 @@ class TestPrefetchMerge:
         assert len(merged) == 3 * 50
 
     def test_disjoint_key_ranges_small_budget_no_deadlock(
-        self, tmp_path, monkeypatch, fresh_config
+        self, tmp_path, monkeypatch
     ):
         # Regression: with range-disjoint buckets the merge drains one
         # stream completely while the others' queued blocks hold the
@@ -253,9 +258,7 @@ class TestPrefetchMerge:
             assert not hung, "merge deadlocked under a skewed byte budget"
         assert [pair for _, pair in merged] == expected
 
-    def test_unsorted_buckets_release_budget_when_consumed(
-        self, tmp_path, fresh_config
-    ):
+    def test_unsorted_buckets_release_budget_when_consumed(self, tmp_path):
         # Unsorted buckets are materialized in the fetch threads; their
         # bytes are charged to the budget while resident and released
         # block by block as the merge consumes them — fully drained, the
@@ -339,11 +342,16 @@ class TestFailureHandling:
         assert got == pairs  # each record exactly once, in order
         assert delta["fetch.retries"] >= 1
 
-    def test_server_dead_after_retries_raises(self, truncating_server):
+    @pytest.mark.parametrize("policy, attempts", [(FAST, 2), (None, 3)])
+    def test_server_dead_after_retries_raises(
+        self, truncating_server, policy, attempts
+    ):
         handler, url, _ = truncating_server
         handler.failures = 99  # never recovers within the retry budget
         with pytest.raises(FetchError):
-            list(fetch_pair_stream(url, policy=FAST, pool=ConnectionPool()))
+            list(fetch_pair_stream(url, policy=policy, pool=ConnectionPool()))
+        # The default policy (None) gives up after three attempts.
+        assert handler.failures == 99 - attempts
 
     def test_connect_refused_raises_fetch_error(self):
         with pytest.raises(FetchError):
@@ -387,47 +395,3 @@ class TestDataServerHardening:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request)
             assert err.value.code == 404
-
-
-class TestPolicyConfiguration:
-    def test_configure_from_opts(self, fresh_config):
-        opts_like = type(
-            "O",
-            (),
-            {
-                "fetch_timeout": 7.5,
-                "fetch_retries": 9,
-                "fetch_threads": 2,
-                "fetch_buffer_mb": 1,
-                "fetch_compression": "gzip",
-            },
-        )()
-        config = transfer.configure(opts_like)
-        assert config.policy.timeout == 7.5
-        assert config.policy.retries == 9
-        assert config.fetch_threads == 2
-        assert config.fetch_buffer_bytes == 1024 * 1024
-        assert config.compression == "gzip"
-        assert transfer.get_config() is config
-
-    def test_env_overrides(self, fresh_config, monkeypatch):
-        monkeypatch.setenv("MRS_FETCH_TIMEOUT", "3")
-        monkeypatch.setenv("MRS_FETCH_RETRIES", "5")
-        monkeypatch.setenv("MRS_FETCH_COMPRESSION", "off")
-        config = transfer.TransferConfig.from_env()
-        assert config.policy.timeout == 3.0
-        assert config.policy.retries == 5
-        assert config.compression == "off"
-
-    def test_partial_opts_keep_defaults(self, fresh_config):
-        config = transfer.configure(type("O", (), {})())
-        assert config.policy.timeout == FetchPolicy().timeout
-        assert config.fetch_threads == 4
-
-    def test_legacy_url_constants_track_live_policy(self, fresh_config):
-        from repro.io import urls as url_io
-
-        opts_like = type("O", (), {"fetch_retries": 9})()
-        transfer.configure(opts_like)
-        assert url_io.FETCH_RETRIES == 9
-        assert url_io.FETCH_RETRY_DELAY == FetchPolicy().retry_delay

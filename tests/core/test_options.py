@@ -1,7 +1,11 @@
 """Command-line option parsing."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.core.options import default_options, make_parser, parse_options
 
 
@@ -83,3 +87,122 @@ class TestDefaultOptions:
 
     def test_parser_builds_without_program(self):
         assert make_parser(None) is not None
+
+
+#: Every framework flag.  A new one must earn its place: two existing
+#: non-test callers need different values, or it is a deployment setting
+#: (addresses, paths, tokens, process counts); otherwise it is a constant
+#: next to the code that uses it (docs/programming-guide.md, section 14).
+FRAMEWORK_FLAGS = {
+    "--mrs",
+    "--mrs-auth-token",
+    "--mrs-data-plane",
+    "--mrs-debug",
+    "--mrs-event-log",
+    "--mrs-host",
+    "--mrs-master",
+    "--mrs-max-concurrent-jobs",
+    "--mrs-metrics-json",
+    "--mrs-native",
+    "--mrs-no-affinity",
+    "--mrs-pipeline",
+    "--mrs-port",
+    "--mrs-procs",
+    "--mrs-profile",
+    "--mrs-profile-tasks",
+    "--mrs-progress",
+    "--mrs-reduce-tasks",
+    "--mrs-register",
+    "--mrs-runfile",
+    "--mrs-seed",
+    "--mrs-slave-wait-timeout",
+    "--mrs-start-method",
+    "--mrs-status-http",
+    "--mrs-telemetry",
+    "--mrs-timeout",
+    "--mrs-tmpdir",
+    "--mrs-trace",
+    "--mrs-verbose",
+    "--mrs-zero-copy",
+}
+
+#: Flags that were options once and are constants now.
+REMOVED_FLAGS = [
+    "--mrs-fetch-threads",
+    "--mrs-fetch-buffer-mb",
+    "--mrs-fetch-timeout",
+    "--mrs-fetch-retries",
+    "--mrs-fetch-compression",
+    "--mrs-telemetry-interval",
+    "--mrs-straggler-factor",
+    "--mrs-heartbeat-interval",
+]
+
+#: Every environment variable the framework reads or writes.
+FRAMEWORK_ENVIRONMENT = {
+    "MRS_NATIVE",
+    "MRS_ZERO_COPY",
+    "MRS_SLAVE_WAIT_TIMEOUT",
+    "MRS_AUTH_TOKEN",
+    "MRS_SERVER",
+}
+
+
+def framework_actions():
+    (group,) = [
+        g for g in make_parser()._action_groups if g.title == "Mrs options"
+    ]
+    return group._group_actions
+
+
+def framework_source(exclude=()):
+    root = pathlib.Path(repro.__file__).parent
+    return "\n".join(
+        path.read_text()
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() not in exclude
+    )
+
+
+class TestOptionCensus:
+    """Knobs do not creep back: the flag list and the environment
+    variable list are literal, and an option nobody reads fails."""
+
+    def test_flags_are_exactly_these(self):
+        flags = {
+            flag
+            for action in framework_actions()
+            for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        assert flags == FRAMEWORK_FLAGS
+        assert len(flags) == 30
+
+    def test_every_option_is_read_outside_the_parser(self):
+        source = framework_source(exclude=("core/options.py",))
+        unread = [
+            action.dest
+            for action in framework_actions()
+            if not re.search(
+                rf"opts\.{action.dest}\b"
+                rf"|getattr\(\s*[\w.]*opts[\w.]*,\s*[\"']{action.dest}[\"']",
+                source,
+            )
+        ]
+        assert unread == []
+
+    def test_environment_variables_are_exactly_these(self):
+        names = set(
+            re.findall(
+                r"os\.environ(?:\.get\(|\[)\s*[\"'](MRS_[A-Z_]+)[\"']",
+                framework_source(),
+            )
+        )
+        assert names == FRAMEWORK_ENVIRONMENT
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_options(None, [flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized options: {flag}" in capsys.readouterr().err

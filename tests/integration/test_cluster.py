@@ -52,6 +52,37 @@ class TestWordCountDistributed:
         assert visible and all(f.endswith(".txt") for f in visible)
 
 
+class TestProcessWideOptions:
+    def test_native_and_zero_copy_flags_reach_the_master(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        """``--mrs-native`` / ``--mrs-zero-copy`` configure the master
+        process too, not just the slaves that re-parse the flags —
+        whichever entry point parsed them."""
+        from repro.io import serializers
+        from repro.native import kernels
+
+        # A known starting point in every CI leg, restored on exit.
+        monkeypatch.setenv("MRS_NATIVE", "auto")
+        monkeypatch.setenv("MRS_ZERO_COPY", "on")
+        monkeypatch.setattr(kernels, "_mode", None)
+        monkeypatch.setattr(serializers, "_zero_copy_mode", None)
+        root, _ = small_corpus
+        flags = ["--mrs-native", "off", "--mrs-zero-copy", "off"]
+        with LocalCluster(
+            WordCountCombined, flags + [root, str(tmp_path / "out")], n_slaves=1
+        ) as cluster:
+            assert kernels.mode() == "off"
+            assert serializers.zero_copy_mode() == "off"
+            assert os.environ["MRS_NATIVE"] == "off"
+            assert os.environ["MRS_ZERO_COPY"] == "off"
+            distributed = cluster.run()
+        serial = run_program(
+            WordCountCombined, [root, str(tmp_path / "s")], impl="serial"
+        )
+        assert output_counts(distributed) == output_counts(serial)
+
+
 class TestTransferPlaneDistributed:
     def test_fetch_counters_reach_master_metrics(self, small_corpus, tmp_path):
         """With the http data plane, reduce inputs are fetched through

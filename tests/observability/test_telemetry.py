@@ -21,6 +21,8 @@ from repro.observability.analyze import (
 )
 from repro.observability.skew import SkewTracker, gini, max_over_median
 from repro.observability.telemetry import (
+    DEFAULT_INTERVAL,
+    DEFAULT_STRAGGLER_FACTOR,
     HealthSampler,
     StragglerScorer,
     Telemetry,
@@ -325,19 +327,23 @@ class TestSkew:
 class TestTelemetryFromOpts:
     class Opts:
         telemetry = "on"
-        telemetry_interval = 2.0
-        straggler_factor = 3.0
 
     def test_off_returns_none(self):
         opts = self.Opts()
         opts.telemetry = "off"
         assert telemetry_from_opts(opts, role="serial") is None
 
-    def test_on_builds_configured_bundle(self):
+    def test_on_builds_bundle(self):
         bundle = telemetry_from_opts(self.Opts(), role="serial")
-        assert bundle.interval == 2.0
-        assert bundle.straggler_factor == 3.0
         assert bundle.role == "serial"
+        assert bundle.interval == DEFAULT_INTERVAL
+        assert bundle.straggler_factor == DEFAULT_STRAGGLER_FACTOR
+
+    def test_constructor_sets_cadence_and_factor(self):
+        bundle = Telemetry(role="serial", interval=2.0, straggler_factor=3.0)
+        assert bundle.interval == 2.0
+        assert bundle.sampler.interval == 2.0
+        assert bundle.straggler_factor == 3.0
 
     def test_observability_wiring(self, tmp_path):
         class Opts:
