@@ -17,10 +17,9 @@ master method             meaning
 ========================  =======================================
 
 A ``done`` message optionally carries a *task metrics* payload — the
-slave's measured phase durations for the task and a snapshot of its
-metrics registry — so the master can aggregate a whole-job view without
-any extra round trips.  The field is optional and ignored by old
-masters, so the protocol version is unchanged.
+slave's span for the task (its marks as offsets from the task's start)
+and a snapshot of its metrics registry — so the master can aggregate a
+whole-job view without any extra round trips.
 
 ========================  =======================================
 slave method              meaning
@@ -104,58 +103,28 @@ def check_task_descriptor(descriptor: Dict[str, Any]) -> Dict[str, Any]:
     return descriptor
 
 
-def make_done_message(
-    slave_id: int,
-    dataset_id: str,
-    task_index: int,
-    bucket_urls: Sequence[Sequence[Any]],
-    seconds: float = 0.0,
-    metrics: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    return {
-        "slave_id": int(slave_id),
-        "dataset_id": dataset_id,
-        "task_index": int(task_index),
-        "bucket_urls": [
-            [int(entry[0]), entry[1], bool(entry[2]) if len(entry) > 2 else False]
-            for entry in bucket_urls
-        ],
-        "seconds": float(seconds),
-        "metrics": metrics,
-    }
-
-
 def make_task_metrics(
-    durations: Optional[Dict[str, float]] = None,
+    span: Optional[Dict[str, Any]] = None,
     registry: Optional[Dict[str, Any]] = None,
-    events: Optional[Sequence[Dict[str, Any]]] = None,
     health: Optional[Dict[str, float]] = None,
     buckets: Optional[Sequence[Sequence[Any]]] = None,
 ) -> Dict[str, Any]:
     """The per-task metrics payload piggybacked on ``done``.
 
-    ``durations`` maps span event names to seconds measured on the
-    slave; ``registry`` is a
+    ``span`` is the executor's
+    :meth:`~repro.observability.tracing.TaskSpan.to_wire` record (marks
+    as offsets from its own task start, never absolute timestamps);
+    ``registry`` a
     :meth:`~repro.observability.metrics.MetricsRegistry.snapshot`;
-    ``events`` is the slave's per-task event batch — dicts of scalars
-    with an ``offset`` (seconds from the slave's task start) instead of
-    an absolute timestamp, so the coordinator can re-anchor them on its
-    own clock.  ``health`` is an optional throttled
+    ``health`` an optional throttled
     :func:`~repro.observability.telemetry.sample_health` snapshot;
     ``buckets`` an optional list of ``[split, records, bytes]`` triples
-    for shuffle-skew accounting.  Everything rides the existing
-    completion message: no extra round trips, and old coordinators
-    ignore unknown fields.
+    for shuffle-skew accounting.
     """
     payload: Dict[str, Any] = {
-        "durations": {
-            str(name): float(value)
-            for name, value in (durations or {}).items()
-        },
+        "span": dict(span or {}),
         "registry": dict(registry or {}),
     }
-    if events:
-        payload["events"] = [dict(event) for event in events]
     if health:
         payload["health"] = {
             str(name): float(value) for name, value in health.items()
@@ -170,35 +139,12 @@ def make_task_metrics(
 
 def parse_task_metrics(raw: Any) -> Dict[str, Any]:
     """Validate a piggybacked metrics payload; tolerates None/garbage
-    (metrics must never fail a task completion)."""
+    (metrics must never fail a task completion).  The span record is
+    only type-checked here: ``TaskSpan.absorb`` skips bad entries."""
     if not isinstance(raw, dict):
-        return {
-            "durations": {},
-            "registry": {},
-            "events": [],
-            "health": None,
-            "buckets": [],
-        }
-    durations: Dict[str, float] = {}
-    raw_durations = raw.get("durations")
-    if isinstance(raw_durations, dict):
-        for name, value in raw_durations.items():
-            try:
-                durations[str(name)] = float(value)
-            except (TypeError, ValueError):
-                continue
+        raw = {}
+    span = raw.get("span")
     registry = raw.get("registry")
-    events: List[Dict[str, Any]] = []
-    raw_events = raw.get("events")
-    if isinstance(raw_events, (list, tuple)):
-        for entry in raw_events:
-            if not isinstance(entry, dict) or "name" not in entry:
-                continue
-            try:
-                float(entry.get("offset", 0.0))
-            except (TypeError, ValueError):
-                continue
-            events.append(entry)
     health: Optional[Dict[str, float]] = None
     raw_health = raw.get("health")
     if isinstance(raw_health, dict):
@@ -221,9 +167,8 @@ def parse_task_metrics(raw: Any) -> Dict[str, Any]:
             except (TypeError, ValueError, IndexError):
                 continue
     return {
-        "durations": durations,
+        "span": span if isinstance(span, dict) else {},
         "registry": registry if isinstance(registry, dict) else {},
-        "events": events,
         "health": health,
         "buckets": buckets,
     }

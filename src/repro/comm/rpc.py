@@ -12,7 +12,6 @@ surface.
 from __future__ import annotations
 
 import functools
-import socket
 import threading
 import time
 from typing import Any, Optional, Tuple
@@ -190,14 +189,6 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
-
-
-def local_hostname() -> str:
-    """Best-effort externally visible hostname (Program 3, step 1)."""
-    try:
-        return socket.gethostbyname(socket.gethostname())
-    except OSError:
-        return "127.0.0.1"
 
 
 from xmlrpc.client import Transport

@@ -66,6 +66,12 @@ class Backend:
             return {}
         return self.observability.report()
 
+    def task_stats(self, dataset_id: str) -> Dict[str, float]:
+        """Count/total/mean/max wall seconds of a dataset's tasks."""
+        if self.observability is None:
+            return {}
+        return self.observability.task_stats(dataset_id)
+
     def status(self) -> Dict[str, Any]:
         """A cheap live snapshot of the running job: tasks done/total,
         ETA, overhead fraction.  Backends with richer state (slaves,

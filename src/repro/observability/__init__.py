@@ -1,18 +1,19 @@
 """Runtime observability: metrics, task spans, and JSON export.
 
 Every execution backend owns one :class:`Observability` instance
-bundling the three primitives the runtime instruments itself with:
+bundling what the runtime records about itself:
 
-* a :class:`~repro.observability.metrics.MetricsRegistry` of counters,
-  gauges, and histograms,
 * a :class:`~repro.observability.tracing.Tracer` holding one
-  :class:`~repro.observability.tracing.TaskSpan` per task,
-* a :class:`~repro.util.timing.PhaseTimer` accumulating per-phase
-  (map / reduce / shuffle) wall clock.
+  :class:`~repro.observability.tracing.TaskSpan` per task — the only
+  place a task's time is kept, freed with its dataset,
+* a :class:`~repro.observability.metrics.MetricsRegistry` of counters,
+  gauges, and histograms (bounded aggregates),
+* optionally an :class:`~repro.observability.events.EventLog` and the
+  cluster telemetry plane.
 
 ``Observability.report()`` assembles the whole-job view that
 ``Job.metrics()`` returns and ``--mrs-metrics-json`` dumps; slaves ship
-registry snapshots and span durations to the master on the existing
+a registry snapshot and their span to the master on the existing
 task-completion RPC, so the master's report covers the entire cluster.
 """
 
@@ -27,31 +28,25 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.observability.tracing import EVENTS, TaskSpan, Tracer
+from repro.observability.tracing import PHASES, TaskSpan, Tracer, merge_rows
 from repro.observability.events import EventLog
 from repro.observability import export
-from repro.util.timing import PhaseTimer
+from repro.util.timing import summarize_seconds
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "EVENTS",
     "EventLog",
     "TaskSpan",
     "Tracer",
     "Observability",
-    "PIGGYBACK_PHASES",
     "export",
 ]
 
 #: Span duration keys that count as user compute.
 _COMPUTE_EVENTS = ("map", "reduce")
-
-#: Remote-reported span durations that fold into a coordinating
-#: backend's phase timer (slave->master and worker->pool piggybacks).
-PIGGYBACK_PHASES = ("map", "reduce", "serialize", "transfer")
 
 #: Roles whose startup means "boot to first task" rather than
 #: "coordinator ready" (they do not own a job; they serve one).
@@ -59,13 +54,12 @@ _EXECUTOR_ROLES = frozenset({"slave", "worker"})
 
 
 class Observability:
-    """Per-backend bundle of registry + tracer + phase timer + events."""
+    """Per-backend bundle of tracer + registry + events + telemetry."""
 
     def __init__(self, role: str = "serial"):
         self.role = role
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        self.phases = PhaseTimer()
         #: Structured event log; None until a consumer asks for events
         #: (so the hot emit path ``events = obs.events; if events is
         #: not None: ...`` costs one attribute check when disabled).
@@ -219,24 +213,34 @@ class Observability:
 
     # -- reporting ------------------------------------------------------
 
-    def operations_breakdown(self) -> list:
-        """Per-dataset wall/compute/overhead rows derived from spans."""
-        rows = []
-        by_dataset: Dict[str, list] = {}
-        for span in self.tracer.spans():
-            by_dataset.setdefault(span.dataset_id, []).append(span)
-        for dataset_id, spans in sorted(by_dataset.items()):
-            wall = sum(s.total_seconds for s in spans)
-            durations: Dict[str, float] = {}
-            for span in spans:
-                for event, seconds in span.durations_dict().items():
-                    durations[event] = durations.get(event, 0.0) + seconds
+    def task_stats(self, dataset_id: str) -> Dict[str, float]:
+        """Count/total/mean/max wall seconds of a dataset's committed
+        tasks (zeros once the dataset's spans have been folded)."""
+        return summarize_seconds(
+            [
+                span.seconds
+                for span in self.tracer.spans_for(dataset_id)
+                if span.seconds is not None
+            ]
+        )
+
+    def operations_breakdown(
+        self, rows: Optional[Dict[str, Dict[str, Any]]] = None
+    ) -> list:
+        """Per-dataset wall/compute/overhead rows derived from spans
+        (and from the folded rows of released datasets)."""
+        if rows is None:
+            rows = self.tracer.rows()
+        operations = []
+        for dataset_id, row in sorted(rows.items()):
+            durations = row["durations"]
+            wall = row["wall_seconds"]
             compute = sum(durations.get(e, 0.0) for e in _COMPUTE_EVENTS)
-            rows.append(
+            operations.append(
                 {
                     "dataset_id": dataset_id,
                     "kind": self._operation_kinds.get(dataset_id),
-                    "tasks": len(spans),
+                    "tasks": row["tasks"],
                     "wall_seconds": wall,
                     "compute_seconds": compute,
                     "serialize_seconds": durations.get("serialize", 0.0),
@@ -244,11 +248,9 @@ class Observability:
                     "overhead_seconds": max(0.0, wall - compute),
                 }
             )
-        return rows
+        return operations
 
-    def status_view(
-        self, dataset_prefix: Optional[str] = None
-    ) -> Dict[str, Any]:
+    def status_view(self, namespace: Optional[str] = None) -> Dict[str, Any]:
         """A cheap live snapshot for tickers and status endpoints.
 
         Derived from the tracer and registry only (no remote calls):
@@ -256,43 +258,31 @@ class Observability:
         histogram, and the live overhead fraction — the in-flight
         version of the report's summary numbers.
 
-        ``dataset_prefix`` restricts the span scan to datasets whose id
-        starts with it — the per-job view a multi-job server exposes at
-        ``GET /jobs/<id>`` (job namespaces prefix every dataset id).
+        ``namespace`` restricts the view to one job's datasets — the
+        per-job view a multi-job server exposes at ``GET /jobs/<id>``
+        (job namespaces prefix every dataset id).  Its cost depends on
+        that job's datasets only, not on every job ever run.
         """
-        spans = self.tracer.spans()
-        if dataset_prefix is not None:
-            spans = [
-                span
-                for span in spans
-                if span.dataset_id.startswith(dataset_prefix)
-            ]
-        total = len(spans)
-        done = 0
-        running = 0
-        wall = 0.0
-        compute = 0.0
-        for span in spans:
-            durations = span.durations_dict()
-            if "committed" in durations or span.has_event("committed"):
-                done += 1
-                wall += span.total_seconds
-                compute += sum(
-                    durations.get(e, 0.0) for e in _COMPUTE_EVENTS
-                )
-            elif span.has_event("started"):
-                running += 1
+        totals = merge_rows(self.tracer.rows(namespace).values())
+        wall = totals["wall_seconds"]
+        compute = sum(
+            totals["durations"].get(e, 0.0) for e in _COMPUTE_EVENTS
+        )
         mean = self.registry.histogram("task.seconds").mean
-        remaining = max(0, total - done)
+        remaining = max(0, totals["tasks"] - totals["done"])
         status: Dict[str, Any] = {
             "role": self.role,
             "startup_seconds": self.startup_seconds,
-            "tasks": {"total": total, "done": done, "running": running},
+            "tasks": {
+                "total": totals["tasks"],
+                "done": totals["done"],
+                "running": totals["running"],
+            },
             "eta_seconds": (remaining * mean) if (mean and remaining) else None,
             "overhead_fraction": (
                 max(0.0, wall - compute) / wall if wall > 0 else None
             ),
-            "phases": dict(self.phases.breakdown()),
+            "phases": _phases(totals),
         }
         events = self.events
         if events is not None:
@@ -304,7 +294,9 @@ class Observability:
 
     def report(self) -> Dict[str, Any]:
         """The aggregate whole-job view (see export module docstring)."""
-        operations = self.operations_breakdown()
+        rows = self.tracer.rows()
+        totals = merge_rows(rows.values())
+        operations = self.operations_breakdown(rows)
         compute = sum(op["compute_seconds"] for op in operations)
         overhead = sum(op["overhead_seconds"] for op in operations)
         return {
@@ -314,7 +306,7 @@ class Observability:
                 "seconds": self.startup_seconds,
                 "kind": self.startup_kind,
             },
-            "phases": dict(self.phases.breakdown()),
+            "phases": _phases(totals),
             "metrics": self.registry.snapshot(),
             "sources": {
                 name: registry.snapshot()
@@ -326,6 +318,12 @@ class Observability:
                 "startup_seconds": self.startup_seconds or 0.0,
                 "compute_seconds": compute,
                 "overhead_seconds": overhead,
-                "task_count": len(self.tracer),
+                "task_count": totals["tasks"],
             },
         }
+
+
+def _phases(totals: Dict[str, Any]) -> Dict[str, float]:
+    """Per-phase seconds of a summary row, in lifecycle order."""
+    durations = totals["durations"]
+    return {phase: durations[phase] for phase in PHASES if phase in durations}

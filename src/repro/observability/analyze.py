@@ -28,10 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from repro.observability import events as events_mod
 
-#: Events that carry a dataset_id/task_index pair we analyze.
-_TASK_EVENTS = ("task.started", "task.committed")
-
-
 def _job_of(dataset_id: str) -> str:
     """The ``job-N`` namespace of a dataset id, or ``default``."""
     if dataset_id.startswith("job-"):

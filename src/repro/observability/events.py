@@ -29,12 +29,12 @@ Event envelope (one JSON object per line)::
      "task_index": 0, "worker": 2}}
 
 ``t`` is ``time.perf_counter()`` of the *emitting* process — monotonic
-but process-local.  Cross-process merging therefore never compares raw
-stamps: a slave/worker ships its per-task events as *offsets* from its
-own task start (:func:`piggyback_events_from_span`), and the
-coordinator re-anchors them at its local dispatch timestamp for the
-same task (:meth:`EventLog.emit_anchored`) — the same skew-tolerant
-model ``TaskSpan.add_duration`` uses for durations.
+but process-local, so raw stamps never cross processes.  A task's
+phase events are not emitted where the work happens: the process that
+owns the event log derives them from the task's span when it commits
+(:func:`emit_task_events`); a coordinator's span has by then absorbed
+the executor's marks, re-anchored on its own clock
+(:meth:`~repro.observability.tracing.TaskSpan.absorb`).
 """
 
 from __future__ import annotations
@@ -44,27 +44,18 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
+
+from repro.observability.tracing import PHASES
 
 __all__ = [
     "EventLog",
     "read_jsonl",
-    "piggyback_events_from_span",
-    "span_phase_marks",
-    "PHASE_MARKS",
+    "emit_task_events",
 ]
 
 #: Default ring-buffer capacity when the full stream need not be kept.
 DEFAULT_RING_SIZE = 4096
-
-#: Span marks that delimit task phases, in lifecycle order.  The phase
-#: *ending* at mark ``m`` spans from the previous mark to ``m``; the
-#: pair ending at "started" is the input fetch.
-PHASE_MARKS = ("started", "map", "reduce", "serialize", "transfer")
-
-#: Display name for the phase that ends at each mark ("started" means
-#: "inputs became ready", so the phase before it is the fetch).
-PHASE_LABELS = {"started": "fetch"}
 
 
 class EventLog:
@@ -132,59 +123,6 @@ class EventLog:
                 )
                 self._file.flush()
         return event
-
-    def emit_anchored(
-        self,
-        remote_events: Iterable[Dict[str, Any]],
-        anchor_t: float,
-        role: str,
-        pid: Optional[int] = None,
-        **extra_fields: Any,
-    ) -> int:
-        """Merge another process's piggybacked events into this log.
-
-        ``remote_events`` carry ``offset`` seconds relative to the
-        remote task start; each is re-stamped at ``anchor_t + offset``
-        on *this* process's clock (``anchor_t`` is normally the local
-        span's "started" mark for the same task, so clock skew between
-        processes never leaks into the merged stream).  Returns the
-        number of events merged.
-        """
-        count = 0
-        for remote in remote_events:
-            name = remote.get("name")
-            if not name:
-                continue
-            try:
-                offset = float(remote.get("offset", 0.0))
-            except (TypeError, ValueError):
-                continue
-            fields = dict(remote.get("fields") or {})
-            fields.update(extra_fields)
-            event: Dict[str, Any] = {
-                "seq": 0,
-                "t": anchor_t + offset,
-                "name": str(name),
-                # Default to *this* process's pid: merged events then
-                # share a trace lane with the coordinator's own
-                # task.started/committed markers for the same worker.
-                "pid": int(remote.get("pid", pid if pid is not None else self.pid)),
-                "role": str(remote.get("role", role)),
-            }
-            if fields:
-                event["fields"] = fields
-            with self._lock:
-                self._seq += 1
-                event["seq"] = self._seq
-                self._ring.append(event)
-                if self._file is not None:
-                    self._file.write(
-                        json.dumps(event, separators=(",", ":"), sort_keys=True)
-                        + "\n"
-                    )
-                    self._file.flush()
-            count += 1
-        return count
 
     # -- reading --------------------------------------------------------
 
@@ -268,65 +206,52 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
     return events
 
 
-def span_phase_marks(span: Any, include_fetch: bool) -> List[Dict[str, Any]]:
-    """Phase boundaries from a span's recorded marks.
+def emit_task_events(events: EventLog, span: Any, **who: Any) -> None:
+    """Emit a just-committed task's ``task.phase``, ``fetch.span``,
+    ``task.profiled`` and ``task.committed`` events from its span.
 
-    Returns ``[{"phase": name, "offset": end_offset, "seconds": dur}]``
-    where offsets are relative to the span's first mark.  Consecutive
-    marks delimit phases; the pair ending at "started" (everything
-    between task receipt and inputs-ready) is the input *fetch* and is
-    only meaningful on the executing process — coordinators pass
-    ``include_fetch=False`` because their queued→started gap is
-    scheduler wait, not work.
+    Each is stamped where the span says it happened, not when it was
+    derived, so the timeline places them correctly.  Consecutive marks
+    delimit phases; only marks after the last ``started`` count (a
+    requeued task's earlier dispatches ended in failure, not phases;
+    the gap ending at ``started`` is scheduler wait).  ``who``
+    (``worker=3`` / ``slave=2``) names the executor, which is the
+    events' trace lane.
     """
-    marks = span.to_dict()["events"]
-    phases: List[Dict[str, Any]] = []
-    for previous, current in zip(marks, marks[1:]):
-        name = current["event"]
-        if name not in PHASE_MARKS:
-            continue
-        if name == "started" and not include_fetch:
-            continue
-        phases.append(
-            {
-                "phase": PHASE_LABELS.get(name, name),
-                "offset": current["offset"],
-                "seconds": max(0.0, current["offset"] - previous["offset"]),
-            }
-        )
-    return phases
-
-
-def piggyback_events_from_span(span: Any) -> List[Dict[str, Any]]:
-    """The per-task event batch a slave/worker ships on its done RPC.
-
-    Offsets are relative to the remote task start (the span's first
-    mark), so the coordinator can re-anchor them on its own clock with
-    :meth:`EventLog.emit_anchored`.  Kept deliberately tiny — a handful
-    of dicts of scalars per task — because it rides the existing
-    task-completion message.
-    """
-    batch: List[Dict[str, Any]] = [
-        {
-            "name": "task.phase",
-            "offset": phase["offset"],
-            "fields": {"phase": phase["phase"], "seconds": phase["seconds"]},
-        }
-        for phase in span_phase_marks(span, include_fetch=True)
-    ]
-    # Transfer-plane fetch sub-spans (reduce-side prefetcher), shipped
-    # as end-offset + duration like task.phase so the coordinator's
-    # timeline can draw them overlapping the merge.
-    for fetch in span.to_dict().get("fetches", ()):
-        batch.append(
-            {
-                "name": "fetch.span",
-                "offset": fetch["offset"] + fetch["seconds"],
-                "fields": {
-                    "seconds": fetch["seconds"],
-                    "thread": fetch.get("thread", 0),
-                    "source": fetch.get("source"),
-                },
-            }
-        )
-    return batch
+    fields = {
+        "dataset_id": span.dataset_id, "task_index": span.task_index, **who
+    }
+    marks = list(span.events)
+    begin = max(
+        (i for i, (name, _) in enumerate(marks) if name == "started"),
+        default=0,
+    )
+    started = ended = marks[begin][1]
+    for (_, previous), (name, t) in zip(marks[begin:], marks[begin + 1:]):
+        if name in PHASES:
+            ended = t
+            events.emit(
+                "task.phase",
+                t=t,
+                phase=name,
+                seconds=max(0.0, t - previous),
+                **fields,
+            )
+    # The committing execution's transfer-plane fetches, stamped at
+    # their end like task.phase so the timeline can draw them
+    # overlapping the merge.
+    for start, end, fetch in span.fetch_spans:
+        if start >= started:
+            events.emit(
+                "fetch.span",
+                t=end,
+                seconds=end - start,
+                thread=fetch.get("thread", 0),
+                source=fetch.get("source"),
+                **fields,
+            )
+    if span.seconds is not None:
+        fields["seconds"] = span.seconds
+    if span.profile_path is not None:
+        events.emit("task.profiled", t=ended, path=span.profile_path, **fields)
+    events.emit("task.committed", t=marks[-1][1], **fields)

@@ -13,7 +13,8 @@ and dashboards from any real run::
       "phases": {"map": 0.2, "reduce": 0.1},
       "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
       "spans": [{"dataset_id": ..., "task_index": 0, "events": [...],
-                 "durations": {...}, "total_seconds": ...}, ...],
+                 "durations": {...}, "seconds": ...,
+                 "total_seconds": ...}, ...],
       "operations": [{"dataset_id": ..., "kind": "map", "tasks": 4,
                       "wall_seconds": ..., "compute_seconds": ...,
                       "serialize_seconds": ..., "transfer_seconds": ...,

@@ -7,9 +7,9 @@ slowest tasks seen so far: every task runs under ``cProfile`` while the
 flag is on, but a task's profile is persisted only if it ranks among
 the N slowest at the moment it finishes (evicting — and deleting — the
 fastest retained profile).  Retained paths are attached to the task's
-span (``profile_path``) and announced with a ``task.profiled`` event,
-so the report and the event log both point at the evidence for the
-job's worst tasks.
+span (``profile_path``), from which the ``task.profiled`` event is
+derived when the task commits, so the report and the event log both
+point at the evidence for the job's worst tasks.
 
 Each process profiles independently (one profiler per slave/worker),
 so "N slowest" is per-process; the directory is shared and file names
@@ -47,15 +47,13 @@ class TaskProfiler:
         profile_dataset_id: str,
         profile_task_index: int,
         profile_span: Any = None,
-        profile_events: Any = None,
         **kwargs: Any,
     ) -> Any:
         """Execute ``fn(*args, **kwargs)`` under the profiler.
 
         The ``profile_*`` keywords are consumed here (namespaced so they
         can never collide with ``fn``'s own keywords): they identify the
-        task, and name the span/event log that should learn about a
-        retained dump.
+        task, and name the span that should learn about a retained dump.
         """
         profiler = cProfile.Profile()
         started = time.perf_counter()
@@ -70,17 +68,8 @@ class TaskProfiler:
                 seconds,
                 profile_span,
             )
-            if path is not None:
-                if profile_span is not None:
-                    profile_span.profile_path = path
-                if profile_events is not None:
-                    profile_events.emit(
-                        "task.profiled",
-                        dataset_id=profile_dataset_id,
-                        task_index=profile_task_index,
-                        path=path,
-                        seconds=seconds,
-                    )
+            if path is not None and profile_span is not None:
+                profile_span.profile_path = path
 
     def _retain(
         self,

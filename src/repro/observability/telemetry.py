@@ -14,11 +14,11 @@ Four pieces:
 * :class:`TimeSeriesStore` — the master-side ring-buffered store:
   per-source series with fixed-interval downsampling (samples landing
   in the same interval slot merge; the ring bounds memory).
-* :class:`StragglerScorer` — per-dataset runtime distributions from
-  live task timings; a running task exceeding ``factor`` × the running
-  median of its dataset's completed tasks is a straggler candidate.
-  The scheduler embeds one and exposes
-  :meth:`~repro.runtime.scheduler.Scheduler.straggler_candidates`.
+* :class:`StragglerScorer` — a running task exceeding ``factor`` × the
+  median run time of its dataset's committed tasks is a straggler
+  candidate.  It reads the coordinator's task spans and keeps no
+  timings of its own
+  (:meth:`~repro.runtime.coordinator.Coordinator.straggler_candidates`).
 * :func:`render_prometheus` / :func:`render_dashboard` — the live
   ``GET /metrics`` (Prometheus text exposition) and ``GET /dashboard``
   (self-refreshing HTML, no external assets) views grown onto the
@@ -257,112 +257,100 @@ class TimeSeriesStore:
 # ---------------------------------------------------------------------------
 
 
-def running_median(values: List[float]) -> float:
-    """Median of a non-empty list (n=1 returns the single value)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 class StragglerScorer:
-    """Flags running tasks that exceed ``factor`` × the running median
-    of their dataset's completed-task durations.
+    """Flags running tasks that exceed ``factor`` × the median run time
+    of their dataset's committed tasks.
 
-    The scheduler drives it under the backend lock: ``task_started``
-    when a task is assigned, ``task_finished`` on completion,
-    ``task_abandoned`` on failure/requeue (its timing would poison the
-    distribution).  ``candidates()`` needs at least one completed
-    sample per dataset — with n=1 the median *is* that sample, and an
-    all-equal distribution flags only genuinely slower tasks.
+    A function of what the coordinator already records, evaluated under
+    its lock: *running* is its worker -> task map, *since when* each
+    running task's last ``started`` mark, the median that of the
+    dataset's committed spans (last ``started`` to ``committed``; a
+    failed or abandoned dispatch never committed, so it cannot poison
+    it).  With one committed task the median *is* that task.  All the
+    scorer remembers is which dispatches it has already reported.
     """
 
-    def __init__(
-        self,
-        factor: float = DEFAULT_STRAGGLER_FACTOR,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, factor: float = DEFAULT_STRAGGLER_FACTOR):
         self.factor = float(factor)
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: (dataset_id, task_index) -> (slave_id, start time).
-        self._running: Dict[Any, Any] = {}
-        #: dataset_id -> completed durations.
-        self._durations: Dict[str, List[float]] = {}
-        #: (dataset_id, task_index) keys already reported once.
-        self._flagged: set = set()
+        #: (dataset_id, task_index) -> the ``started`` stamp of the
+        #: dispatch already reported; a redispatch is a new candidate.
+        self._flagged: Dict[Any, float] = {}
         self.flagged_total = 0
 
-    def task_started(
-        self, dataset_id: str, task_index: int, slave_id: Any = None
-    ) -> None:
-        with self._lock:
-            self._running[(dataset_id, task_index)] = (
-                slave_id,
-                self._clock(),
-            )
-
-    def task_finished(self, dataset_id: str, task_index: int) -> None:
-        with self._lock:
-            entry = self._running.pop((dataset_id, task_index), None)
-            if entry is None:
-                return
-            self._durations.setdefault(dataset_id, []).append(
-                max(0.0, self._clock() - entry[1])
-            )
-
-    def task_abandoned(self, dataset_id: str, task_index: int) -> None:
-        with self._lock:
-            self._running.pop((dataset_id, task_index), None)
-            self._flagged.discard((dataset_id, task_index))
-
     def forget_dataset(self, dataset_id: str) -> None:
-        with self._lock:
-            self._durations.pop(dataset_id, None)
-            for key in [k for k in self._running if k[0] == dataset_id]:
-                del self._running[key]
-            self._flagged = {
-                k for k in self._flagged if k[0] != dataset_id
-            }
+        self._flagged = {
+            key: started
+            for key, started in self._flagged.items()
+            if key[0] != dataset_id
+        }
 
-    def candidates(self) -> List[Dict[str, Any]]:
+    def candidates(
+        self,
+        running: Dict[Any, Any],
+        tracer: Any,
+        now: Optional[float] = None,
+    ) -> List[Dict[str, Any]]:
         """Running tasks currently over the straggler threshold, most
-        severe first.  Each entry names the task, its slave, elapsed
-        seconds, the dataset median, and the elapsed/median ratio —
-        exactly what a speculative re-launcher needs to pick victims.
+        severe first: task, slave, elapsed seconds, dataset median and
+        their ratio — what a speculative re-launcher needs to pick
+        victims.  ``running`` maps worker id -> ``(dataset_id,
+        task_index)``; ``now`` is on the spans' clock.
         """
-        now = self._clock()
+        if now is None:
+            now = time.perf_counter()
+        by_dataset: Dict[str, Any] = {}
         out: List[Dict[str, Any]] = []
-        with self._lock:
-            for (dataset_id, task_index), (slave_id, started) in (
-                self._running.items()
-            ):
-                completed = self._durations.get(dataset_id)
-                if not completed:
-                    continue
-                median = running_median(completed)
-                elapsed = max(0.0, now - started)
-                if median <= 0.0 or elapsed <= self.factor * median:
-                    continue
-                first_flag = (dataset_id, task_index) not in self._flagged
-                if first_flag:
-                    self._flagged.add((dataset_id, task_index))
-                    self.flagged_total += 1
-                out.append(
-                    {
-                        "dataset_id": dataset_id,
-                        "task_index": task_index,
-                        "slave": slave_id,
-                        "elapsed_seconds": elapsed,
-                        "median_seconds": median,
-                        "ratio": elapsed / median,
-                        "first_flag": first_flag,
-                    }
+        for slave_id, task in running.items():
+            dataset_id, task_index = task
+            if dataset_id not in by_dataset:
+                spans = tracer.spans_for(dataset_id)
+                by_dataset[dataset_id] = (
+                    {span.task_index: span for span in spans},
+                    _median_run_seconds(spans),
                 )
+            spans_by_index, median = by_dataset[dataset_id]
+            span = spans_by_index.get(task_index)
+            started = None if span is None else span.last_time("started")
+            if started is None or median <= 0.0:
+                continue
+            elapsed = max(0.0, now - started)
+            if elapsed <= self.factor * median:
+                continue
+            first_flag = self._flagged.get(task) != started
+            if first_flag:
+                self._flagged[task] = started
+                self.flagged_total += 1
+            out.append(
+                {
+                    "dataset_id": dataset_id,
+                    "task_index": task_index,
+                    "slave": slave_id,
+                    "elapsed_seconds": elapsed,
+                    "median_seconds": median,
+                    "ratio": elapsed / median,
+                    "first_flag": first_flag,
+                }
+            )
         out.sort(key=lambda c: c["ratio"], reverse=True)
         return out
+
+
+def _median_run_seconds(spans: List[Any]) -> float:
+    """Median last-``started`` -> ``committed`` seconds of the spans
+    whose latest dispatch committed; 0.0 when none has."""
+    runs = []
+    for span in spans:
+        started = span.last_time("started")
+        committed = span.last_time("committed")
+        if started is not None and committed is not None and committed >= started:
+            runs.append(committed - started)
+    if not runs:
+        return 0.0
+    # Not statistics.median: importing it pulls in fractions/decimal,
+    # ~2 MB and ~10 ms in every slave and worker process.
+    runs.sort()
+    mid = len(runs) // 2
+    return runs[mid] if len(runs) % 2 else 0.5 * (runs[mid - 1] + runs[mid])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ instant events for failures, requeues, and worker/slave deaths — so a
 1000-row table.
 
 Input is either a live :class:`~repro.observability.events.EventLog`
-snapshot, a JSONL file written with ``--mrs-event-log``
-(:func:`trace_from_jsonl`), or — degraded, structure-only — a finished
-metrics report (:func:`trace_from_report`; spans keep their internal
-phase layout but each task is re-based at its own zero because the
-report stores only per-span offsets).
+snapshot or a JSONL file written with ``--mrs-event-log``
+(:func:`trace_from_jsonl`).
 
 Output schema (the "JSON Array Format" plus process/thread metadata)::
 
@@ -45,7 +42,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "trace_from_events",
     "trace_from_jsonl",
-    "trace_from_report",
     "write_trace",
 ]
 
@@ -291,73 +287,6 @@ def trace_from_jsonl(path: str) -> Dict[str, Any]:
     from repro.observability.events import read_jsonl
 
     return trace_from_events(read_jsonl(path))
-
-
-def trace_from_report(report: Dict[str, Any]) -> Dict[str, Any]:
-    """Structure-only trace from a finished metrics report.
-
-    The report keeps only per-span *offsets*, so absolute alignment
-    across tasks is lost: each task is re-based at zero on its own
-    lane (``tid`` = task index).  Useful for inspecting relative phase
-    layout of an already-collected report; for a true timeline, record
-    an event log.
-    """
-    from repro.observability.events import PHASE_LABELS, PHASE_MARKS
-
-    trace: List[Dict[str, Any]] = []
-    role = str(report.get("role", "mrs"))
-    for span in report.get("spans") or []:
-        dataset_id = span.get("dataset_id")
-        task_index = int(span.get("task_index", 0))
-        marks = span.get("events") or []
-        if len(marks) < 2:
-            continue
-        begin = float(marks[0]["offset"]) * _MICROS
-        end = float(marks[-1]["offset"]) * _MICROS
-        trace.append(
-            {
-                "ph": "B",
-                "pid": 1,
-                "tid": task_index,
-                "ts": begin,
-                "name": f"{dataset_id}[{task_index}]",
-                "cat": "task",
-                "args": {"dataset_id": dataset_id, "task_index": task_index},
-            }
-        )
-        for previous, current in zip(marks, marks[1:]):
-            name = current.get("event")
-            if name not in PHASE_MARKS:
-                continue
-            trace.append(
-                {
-                    "ph": "B",
-                    "pid": 1,
-                    "tid": task_index,
-                    "ts": float(previous["offset"]) * _MICROS,
-                    "name": PHASE_LABELS.get(name, name),
-                    "cat": "phase",
-                }
-            )
-            trace.append(
-                {
-                    "ph": "E",
-                    "pid": 1,
-                    "tid": task_index,
-                    "ts": float(current["offset"]) * _MICROS,
-                }
-            )
-        trace.append({"ph": "E", "pid": 1, "tid": task_index, "ts": end})
-    trace.append(
-        {
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"{role} (report, per-task offsets)"},
-        }
-    )
-    return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
 
 def write_trace(trace: Dict[str, Any], path: str) -> str:

@@ -50,16 +50,12 @@ from repro.comm import protocol
 from repro.core.dataset import BaseDataset, ComputedData
 from repro.core.job import Backend, Job
 from repro.io.bucket import Bucket
-from repro.observability import (
-    MetricsRegistry,
-    Observability,
-    PIGGYBACK_PHASES,
-)
+from repro.observability import MetricsRegistry, Observability
+from repro.observability.events import emit_task_events
 from repro.observability.telemetry import StragglerScorer
 from repro.runtime import dataplane
 from repro.runtime.failures import FailureTracker, propagate_error
 from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskId
-from repro.util.timing import summarize_seconds
 
 logger = logging.getLogger("repro.coordinator")
 
@@ -91,10 +87,13 @@ class Coordinator(Backend):
             affinity=not getattr(opts, "no_affinity", False),
             pipeline=getattr(opts, "pipeline", "buckets") != "off",
         )
+        #: Straggler scorer (telemetry on): reads ``_busy`` and the
+        #: task spans; see :meth:`straggler_candidates`.
+        self._stragglers: Optional[StragglerScorer] = None
         telemetry = self.observability.telemetry
         if telemetry is not None:
             telemetry.set_rundir(self.tmpdir)
-            self.scheduler.straggler_scorer = StragglerScorer(
+            self._stragglers = StragglerScorer(
                 factor=telemetry.straggler_factor
             )
         #: Mirror of the scheduler's pipelined-dispatch count already
@@ -103,11 +102,8 @@ class Coordinator(Backend):
         self.observability.registry.counter("scheduler.pipelined_dispatches")
         self._datasets: Dict[str, BaseDataset] = {}
         self._failures = FailureTracker()
-        #: Wall seconds per completed task, per dataset (profiling:
-        #: "Profiling has helped to identify real bottlenecks",
-        #: section IV-B).
-        self._task_seconds: Dict[str, List[float]] = {}
-        #: Task each worker is currently executing (absent = idle).
+        #: Task each worker is currently executing (absent = idle);
+        #: set together with the task span's ``started`` mark.
         self._busy: Dict[int, TaskId] = {}
         self._closed = False
 
@@ -255,19 +251,21 @@ class Coordinator(Backend):
         telemetry = self.observability.telemetry
         if telemetry is None:
             return {}
-        with self._lock:
-            candidates = self.scheduler.straggler_candidates()
-            scorer = self.scheduler.straggler_scorer
-            flagged = scorer.flagged_total if scorer is not None else 0
         return telemetry.snapshot(
-            stragglers=candidates, flagged_total=flagged
+            stragglers=self.straggler_candidates(),
+            flagged_total=self._stragglers.flagged_total,
         )
 
-    def task_stats(self, dataset_id: str) -> Dict[str, float]:
-        """Count/total/mean/max wall seconds of a dataset's tasks."""
+    def straggler_candidates(self) -> List[Dict[str, Any]]:
+        """Running tasks over the straggler threshold, most severe
+        first; empty with telemetry off.  This is the API speculative
+        execution consumes to pick re-launch victims."""
+        if self._stragglers is None:
+            return []
         with self._lock:
-            samples = list(self._task_seconds.get(dataset_id, ()))
-        return summarize_seconds(samples)
+            return self._stragglers.candidates(
+                self._busy, self.observability.tracer
+            )
 
     def remove_data(self, dataset_id: str, job: Optional[Job] = None) -> None:
         # Ordering matters for spill-file hygiene: first stop any more
@@ -286,12 +284,15 @@ class Coordinator(Backend):
         lock), so a long-lived coordinator's memory does not grow with
         every dataset ever run."""
         self._datasets.pop(dataset_id, None)
-        self._task_seconds.pop(dataset_id, None)
         self._failures.forget_dataset(dataset_id)
         self.scheduler.forget_dataset(dataset_id)
+        # The spans shrink to the one row the report and status views
+        # still need.
+        self.observability.tracer.fold(dataset_id)
         telemetry = self.observability.telemetry
         if telemetry is not None:
             telemetry.skew.forget_dataset(dataset_id)
+            self._stragglers.forget_dataset(dataset_id)
 
     def close(self) -> None:
         with self._lock:
@@ -355,9 +356,6 @@ class Coordinator(Backend):
             else:
                 if accepted:
                     self._task_accepted(worker_id, task)
-                    self._task_seconds.setdefault(dataset_id, []).append(
-                        seconds
-                    )
                     for split, url, url_sorted in reported:
                         bucket = Bucket(
                             source=task_index, split=split, url=url
@@ -394,17 +392,19 @@ class Coordinator(Backend):
         source = f"{label}-{worker_id}"
         obs.registry.counter("tasks.completed").inc()
         obs.registry.histogram("task.seconds").observe(seconds)
-        span = obs.tracer.span(dataset_id, task_index)
         payload = protocol.parse_task_metrics(metrics)
         job_registry = self._job_registry(dataset_id)
         if job_registry is not None:
             job_registry.counter("tasks.completed").inc()
             job_registry.histogram("task.seconds").observe(seconds)
             job_registry.merge_snapshot(payload["registry"])
-        for event, phase_seconds in payload["durations"].items():
-            span.add_duration(event, phase_seconds)
-            if event in PIGGYBACK_PHASES:
-                obs.phases.add(event, phase_seconds)
+        # The worker's marks (offsets from its own task start) land in
+        # this process's span for the task, re-anchored at the dispatch
+        # timestamp: raw stamps never cross processes.
+        span = obs.tracer.span(dataset_id, task_index)
+        span.absorb(payload["span"])
+        span.seconds = seconds
+        span.mark("committed")
         obs.merge_remote(payload["registry"], source=source)
         telemetry = obs.telemetry
         if telemetry is not None:
@@ -420,29 +420,9 @@ class Coordinator(Backend):
                     telemetry.skew.record_fetched(
                         dataset_id, task_index, fetched
                     )
-        span.mark("committed")
         events = obs.events
         if events is not None:
-            # Re-anchor the worker's per-task event batch (offsets from
-            # its own task start) at this process's dispatch timestamp —
-            # the same skew-tolerant model as span.add_duration.
-            anchor = span.event_time("started")
-            if anchor is not None and payload["events"]:
-                events.emit_anchored(
-                    payload["events"],
-                    anchor,
-                    role=label,
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    **{label: worker_id},
-                )
-            events.emit(
-                "task.committed",
-                dataset_id=dataset_id,
-                task_index=task_index,
-                **{label: worker_id},
-                seconds=seconds,
-            )
+            emit_task_events(events, span, **{label: worker_id})
 
     def task_failed(
         self, worker_id: int, dataset_id: str, task_index: int, message: str
@@ -559,6 +539,7 @@ class Coordinator(Backend):
                         continue
                     descriptor = self._build_descriptor(task)
                     self._busy[worker_id] = task
+                    self.observability.tracer.span(*task).mark("started")
                     to_send.append((worker_id, task, descriptor))
                 pipelined = self.scheduler.pipelined_dispatches
                 if pipelined > self._pipelined_seen:
@@ -573,9 +554,6 @@ class Coordinator(Backend):
             self.observability.mark_startup_complete()
             events = self.observability.events
             for worker_id, (dataset_id, task_index), descriptor in to_send:
-                self.observability.tracer.span(dataset_id, task_index).mark(
-                    "started"
-                )
                 self.observability.registry.counter("tasks.dispatched").inc()
                 if events is not None:
                     events.emit(

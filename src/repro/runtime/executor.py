@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.comm import protocol, transfer
 from repro.core.operations import Operation
 from repro.io.bucket import FileBucket
-from repro.observability.events import piggyback_events_from_span
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TaskSpan
 from repro.runtime import taskrunner
@@ -51,16 +50,16 @@ def execute_descriptor(
     task_index = int(descriptor["task_index"])
     started = time.perf_counter()
     fetch_before = transfer.STATS.totals()
-    # A fresh span per execution: its phase durations ride back on the
-    # completion report (input fetch lands in "started", compute in
-    # "map"/"reduce", output writing in "serialize", URL publication in
-    # "transfer").
+    # A fresh span per execution, shipped whole on the completion
+    # report: input fetch ends at the "fetch" mark, compute at
+    # "map"/"reduce", output writing at "serialize", URL publication at
+    # "transfer".
     span = TaskSpan(dataset_id, task_index)
-    span.mark("queued", started)
+    span.mark("started", started)
     op = Operation.from_dict(descriptor["op"])
     # Reduce-kind tasks merge their inputs, and the merge streams
     # straight from the bucket files — so those inputs stay URL-only
-    # (the read cost lands in "reduce" instead of "started").  Map
+    # (the read cost lands in "reduce" instead of "fetch").  Map
     # inputs are iterated as plain pairs and are fetched here.
     input_buckets = taskrunner.buckets_from_urls(
         descriptor["input_urls"],
@@ -70,7 +69,7 @@ def execute_descriptor(
         streaming=op.kind in ("reduce", "reducemap"),
         sorted_flags=descriptor.get("input_sorted"),
     )
-    span.mark("started")
+    span.mark("fetch")
     shared_outdir = descriptor.get("outdir")
     factory = taskrunner.file_bucket_factory(
         shared_outdir or os.path.join(localdir, dataset_id),
@@ -138,21 +137,9 @@ def execute_descriptor(
     # process-wide stats, same no-double-count discipline as above).
     for name, amount in transfer.STATS.delta(fetch_before).items():
         registry.counter(name).inc(amount)
-    # Per-task event batch (phase boundaries as offsets from task
-    # start); the coordinator re-anchors them on its own clock.
-    events = piggyback_events_from_span(span)
-    if span.profile_path:
-        events.append(
-            {
-                "name": "task.profiled",
-                "offset": span.total_seconds,
-                "fields": {"path": span.profile_path, "seconds": seconds},
-            }
-        )
     metrics = protocol.make_task_metrics(
-        durations=span.durations_dict(),
+        span=span.to_wire(),
         registry=registry.snapshot(),
-        events=events,
         health=sampler.maybe_sample() if sampler is not None else None,
         buckets=bucket_stats or None,
     )

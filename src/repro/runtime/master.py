@@ -389,7 +389,7 @@ class MasterBackend(Coordinator):
             registry = self._job_registries.get(namespace)
             snapshot = registry.snapshot() if registry is not None else {}
             dispatched = self.scheduler.job_dispatches.get(namespace, 0)
-        view = self.observability.status_view(dataset_prefix=prefix)
+        view = self.observability.status_view(namespace=namespace)
         view.update(
             {
                 "job_id": namespace,
@@ -568,10 +568,7 @@ class MasterBackend(Coordinator):
     def _poll_stragglers(self) -> None:
         """Emit ``task.straggler`` events for tasks newly over the
         threshold (telemetry on; piggybacks on the watchdog cadence)."""
-        if self.observability.telemetry is None:
-            return
-        with self._lock:
-            candidates = self.scheduler.straggler_candidates()
+        candidates = self.straggler_candidates()
         events = self.observability.events
         if events is None:
             return

@@ -15,7 +15,7 @@ process is spawned, up to a respawn cap that stops a crash-looping
 program from forking forever.
 
 Observability mirrors the slave piggyback: each ``done`` message
-carries the worker's span durations and a fresh per-task registry
+carries the worker's span for the task and a fresh per-task registry
 snapshot, so ``Job.metrics()`` totals cover the whole pool with every
 task counted exactly once, broken down per worker under ``sources``.
 """

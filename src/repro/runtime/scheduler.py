@@ -139,11 +139,6 @@ class Scheduler:
         #: and tasks whose eligibility just flipped on a bucket commit.
         self._completed_datasets: List[str] = []
         self._unblocked: List[Dict[str, Any]] = []
-        #: Straggler scorer (telemetry plane): set by the backend when
-        #: ``--mrs-telemetry`` is on; the scheduler feeds it assignment
-        #: and completion timings under the backend's lock.  None costs
-        #: one attribute check per transition.
-        self.straggler_scorer: Optional[Any] = None
 
     # -- dataset lifecycle ------------------------------------------------
 
@@ -239,8 +234,6 @@ class Scheduler:
         for task in tasks:
             self._assigned.pop(task, None)
             dataset_id, task_index = task
-            if self.straggler_scorer is not None:
-                self.straggler_scorer.task_abandoned(dataset_id, task_index)
             sched = self._datasets.get(dataset_id)
             if sched is not None and sched.task_state.get(task_index) == (
                 TaskState.ASSIGNED
@@ -254,9 +247,6 @@ class Scheduler:
             if slave != slave_id
         }
         return tasks
-
-    def known_slaves(self) -> List[int]:
-        return sorted(self._slave_tasks)
 
     # -- assignment ----------------------------------------------------------
 
@@ -354,10 +344,6 @@ class Scheduler:
             self._datasets[dataset_id].input_id not in self._complete_ids
         ):
             self.pipelined_dispatches += 1
-        if self.straggler_scorer is not None:
-            self.straggler_scorer.task_started(
-                dataset_id, task_index, slave_id
-            )
         return task
 
     def _pick_job(self, candidates: Dict[Optional[str], Any]) -> Optional[str]:
@@ -375,9 +361,6 @@ class Scheduler:
 
     def has_pending(self) -> bool:
         return bool(self._pending)
-
-    def assigned_slave(self, task: TaskId) -> Optional[int]:
-        return self._assigned.get(task)
 
     # -- completion ------------------------------------------------------------
 
@@ -400,8 +383,6 @@ class Scheduler:
         sched.task_state[task_index] = TaskState.DONE
         del self._assigned[task]
         self._slave_tasks[slave_id].discard(task)
-        if self.straggler_scorer is not None:
-            self.straggler_scorer.task_finished(dataset_id, task_index)
         if self.affinity_enabled:
             self._affinity[(sched.affinity_group, task_index)] = slave_id
         # The producing task is known and its bucket bytes are durable
@@ -479,8 +460,6 @@ class Scheduler:
         sched = self._datasets.pop(dataset_id, None)
         if sched is None:
             return
-        if self.straggler_scorer is not None:
-            self.straggler_scorer.forget_dataset(dataset_id)
         # _order keeps its other entries' ranks stable: the rank map is
         # per-id, not positional, so removal never renumbers.
         if dataset_id in self._order:
@@ -513,8 +492,6 @@ class Scheduler:
             return
         del self._assigned[task]
         self._slave_tasks[slave_id].discard(task)
-        if self.straggler_scorer is not None:
-            self.straggler_scorer.task_abandoned(dataset_id, task_index)
         sched.task_state[task_index] = TaskState.PENDING
         self._insert_pending(task)
         # Affinity must not steer the retry straight back to the slave
@@ -539,12 +516,3 @@ class Scheduler:
     def outstanding(self) -> int:
         """Tasks pending or assigned across all runnable datasets."""
         return len(self._pending) + len(self._assigned)
-
-    def straggler_candidates(self) -> List[Dict[str, Any]]:
-        """Running tasks over the straggler threshold (telemetry plane),
-        most severe first; empty when no scorer is attached.  This is
-        the API speculative execution consumes to pick re-launch
-        victims."""
-        if self.straggler_scorer is None:
-            return []
-        return self.straggler_scorer.candidates()

@@ -15,41 +15,9 @@ from typing import List, Optional, Sequence
 from repro.core.dataset import BaseDataset, ComputedData
 from repro.core.job import Backend, Job
 from repro.observability import Observability
-from repro.observability.events import span_phase_marks
+from repro.observability.events import emit_task_events
 from repro.observability.profiling import profiler_from_opts
 from repro.runtime import taskrunner
-from repro.util.timing import summarize_seconds
-
-#: Phase name each operation kind's compute is attributed to.
-PHASE_FOR_KIND = {"map": "map", "reduce": "reduce", "reducemap": "reduce"}
-
-
-def _emit_task_events(events, span, dataset_id, task_index):
-    """Emit phase + committed events for a locally executed task.
-
-    Phase boundaries are re-stamped at the span's recorded mark times
-    (anchored at its first mark) so the timeline places them where they
-    actually happened, not when they were derived.
-    """
-    anchor = span.event_time("queued")
-    if anchor is None:
-        anchor = span.event_time("started")
-    if anchor is not None:
-        for boundary in span_phase_marks(span, include_fetch=False):
-            events.emit(
-                "task.phase",
-                t=anchor + boundary["offset"],
-                dataset_id=dataset_id,
-                task_index=task_index,
-                phase=boundary["phase"],
-                seconds=boundary["seconds"],
-            )
-    events.emit(
-        "task.committed",
-        t=span.event_time("committed"),
-        dataset_id=dataset_id,
-        task_index=task_index,
-    )
 
 
 class SerialBackend(Backend):
@@ -68,9 +36,6 @@ class SerialBackend(Backend):
         self.profiler = profiler_from_opts(opts)
         self._queue: List[ComputedData] = []
         self._completed_tasks = {}
-        #: Wall seconds per completed task, per dataset (same
-        #: profiling surface as the master backend).
-        self._task_seconds = {}
 
     def submit(self, dataset: ComputedData, job: Job) -> None:
         self._queue.append(dataset)
@@ -104,10 +69,6 @@ class SerialBackend(Backend):
         done = self._completed_tasks.get(dataset.id, 0)
         ntasks = getattr(dataset, "ntasks", 1) or 1
         return done / ntasks
-
-    def task_stats(self, dataset_id: str):
-        """Count/total/mean/max wall seconds of a dataset's tasks."""
-        return summarize_seconds(self._task_seconds.get(dataset_id, []))
 
     def _output_dir(self, dataset: ComputedData) -> Optional[str]:
         """Directory a dataset's output buckets are written to as
@@ -149,7 +110,7 @@ class SerialBackend(Backend):
             )
         obs = self.observability
         events = obs.events
-        phase = PHASE_FOR_KIND.get(dataset.operation.kind, "map")
+        reduce_kind = dataset.operation.kind in ("reduce", "reducemap")
         try:
             for task_index in dataset.task_indices():
                 span = obs.tracer.span(dataset.id, task_index)
@@ -159,17 +120,14 @@ class SerialBackend(Backend):
                 # file-backed buckets stay URL-only here; the reduce
                 # merge streams them (their read cost lands in the
                 # "reduce" phase).
-                if phase == "reduce":
-                    with obs.phases.measure("shuffle"):
-                        input_buckets = taskrunner.materialize_input_buckets(
-                            input_dataset, task_index, streaming=True
-                        )
-                else:
-                    input_buckets = taskrunner.materialize_input_buckets(
-                        input_dataset, task_index
-                    )
                 factory = self._bucket_factory(dataset, task_index)
+                gathering = time.perf_counter()
+                input_buckets = taskrunner.materialize_input_buckets(
+                    input_dataset, task_index, streaming=reduce_kind
+                )
                 started = time.perf_counter()
+                if reduce_kind:
+                    span.add_duration("shuffle", started - gathering)
                 span.mark("started", started)
                 if events is not None:
                     events.emit(
@@ -178,13 +136,11 @@ class SerialBackend(Backend):
                         dataset_id=dataset.id,
                         task_index=task_index,
                     )
-                with obs.phases.measure(phase):
-                    out_buckets = self._execute(
-                        dataset, task_index, input_buckets, factory, span
-                    )
-                seconds = time.perf_counter() - started
-                self._task_seconds.setdefault(dataset.id, []).append(seconds)
-                obs.registry.histogram("task.seconds").observe(seconds)
+                out_buckets = self._execute(
+                    dataset, task_index, input_buckets, factory, span
+                )
+                span.seconds = time.perf_counter() - started
+                obs.registry.histogram("task.seconds").observe(span.seconds)
                 for bucket in out_buckets:
                     self._commit_bucket(dataset, bucket)
                 span.mark("committed")
@@ -193,7 +149,7 @@ class SerialBackend(Backend):
                     self._completed_tasks.get(dataset.id, 0) + 1
                 )
                 if events is not None:
-                    _emit_task_events(events, span, dataset.id, task_index)
+                    emit_task_events(events, span)
             dataset.complete = True
             if events is not None:
                 events.emit("dataset.complete", dataset_id=dataset.id)
@@ -224,7 +180,6 @@ class SerialBackend(Backend):
                 profile_dataset_id=dataset.id,
                 profile_task_index=task_index,
                 profile_span=span,
-                profile_events=self.observability.events,
             )
         if not self.profile_dir:
             return taskrunner.execute_task(

@@ -6,11 +6,8 @@ library" constraint (section IV).
 """
 
 from repro.util.hashing import stable_hash, stable_hash_bytes
-from repro.util.timing import Stopwatch, PhaseTimer
 
 __all__ = [
     "stable_hash",
     "stable_hash_bytes",
-    "Stopwatch",
-    "PhaseTimer",
 ]

@@ -41,21 +41,46 @@ class TestTaskDescriptor:
 
 
 class TestDoneMessage:
+    """What the master runs on a ``done`` report's positional
+    arguments (slaves call ``done(...)`` directly)."""
+
     def test_roundtrip(self):
-        message = protocol.make_done_message(
-            3, "map_1", 0, [(0, "file:/x", True), (1, "http://h:1/y", False)]
+        urls = protocol.parse_bucket_urls(
+            [[0, "file:/x", True], [1, "http://h:1/y", False]]
         )
-        urls = protocol.parse_bucket_urls(message["bucket_urls"])
         assert urls == [(0, "file:/x", True), (1, "http://h:1/y", False)]
 
     def test_legacy_pairs_accepted(self):
         # Old slaves report (split, url) pairs; sortedness defaults to
         # False (a safe "unknown" — the consumer just re-sorts).
-        message = protocol.make_done_message(
-            3, "map_1", 0, [(0, "file:/x"), (1, "http://h:1/y")]
+        urls = protocol.parse_bucket_urls(
+            [(0, "file:/x"), (1, "http://h:1/y")]
         )
-        urls = protocol.parse_bucket_urls(message["bucket_urls"])
         assert urls == [(0, "file:/x", False), (1, "http://h:1/y", False)]
+
+    def test_metrics_roundtrip(self):
+        payload = protocol.make_task_metrics(
+            span={"marks": [["fetch", 0.1], ["map", 0.5]]},
+            registry={"counters": {"slave.tasks.completed": 1.0}},
+            health={"rss_bytes": 5},
+            buckets=[(0, 3, 120)],
+        )
+        assert protocol.parse_task_metrics(payload) == {
+            "span": {"marks": [["fetch", 0.1], ["map", 0.5]]},
+            "registry": {"counters": {"slave.tasks.completed": 1.0}},
+            "health": {"rss_bytes": 5.0},
+            "buckets": [[0, 3.0, 120.0]],
+        }
+
+    @pytest.mark.parametrize(
+        "raw", [None, 42, "x", {"span": 7, "registry": [], "health": "no",
+                                "buckets": [["a"], 5]}]
+    )
+    def test_metrics_garbage_tolerated(self, raw):
+        """Metrics must never fail a completion."""
+        assert protocol.parse_task_metrics(raw) == {
+            "span": {}, "registry": {}, "health": None, "buckets": [],
+        }
 
     def test_malformed_urls_rejected(self):
         with pytest.raises(protocol.ProtocolError):

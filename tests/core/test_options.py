@@ -200,6 +200,20 @@ class TestOptionCensus:
         )
         assert names == FRAMEWORK_ENVIRONMENT
 
+    def test_observability_records_in_exactly_these_places(self):
+        """A task's time lives in its span; the registry holds bounded
+        aggregates; the event log and the telemetry plane are optional.
+        An eighth timing store would show up here as a new member."""
+        from repro.observability import Observability
+
+        descriptive = {"role", "startup_seconds", "startup_kind"}
+        members = {
+            name
+            for name in vars(Observability())
+            if not name.startswith("_") and name not in descriptive
+        }
+        assert members == {"registry", "tracer", "events", "telemetry"}
+
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,4 @@
-"""EventLog: ring buffer, crash-safe JSONL, and skew-tolerant merge."""
+"""EventLog: ring buffer, crash-safe JSONL, and span-derived task events."""
 
 import json
 import os
@@ -10,9 +10,8 @@ from repro.observability import Observability
 from repro.observability.events import (
     DEFAULT_RING_SIZE,
     EventLog,
-    piggyback_events_from_span,
+    emit_task_events,
     read_jsonl,
-    span_phase_marks,
 )
 from repro.observability.tracing import TaskSpan
 
@@ -201,65 +200,6 @@ class TestDisabledPath:
         assert obs.enable_events() is obs.enable_events()
 
 
-class TestEmitAnchored:
-    def make_batch(self):
-        return [
-            {"name": "task.phase", "offset": 0.1,
-             "fields": {"phase": "fetch", "seconds": 0.1}},
-            {"name": "task.phase", "offset": 0.5,
-             "fields": {"phase": "map", "seconds": 0.4}},
-        ]
-
-    def test_offsets_reanchored_on_local_clock(self):
-        log = EventLog("master")
-        merged = log.emit_anchored(self.make_batch(), anchor_t=100.0,
-                                   role="slave")
-        assert merged == 2
-        events = log.snapshot()
-        assert [e["t"] for e in events] == [100.1, 100.5]
-        assert [e["seq"] for e in events] == [1, 2]
-
-    def test_default_pid_is_local_log_pid(self):
-        """Merged events land on the coordinator's trace lane: the
-        local pid, not the remote one (remote clocks are skewed; remote
-        pids would split one worker's task across two lanes)."""
-        log = EventLog("master", pid=777)
-        log.emit_anchored(self.make_batch(), anchor_t=0.0, role="slave")
-        assert all(e["pid"] == 777 for e in log.snapshot())
-
-    def test_explicit_pid_honored(self):
-        log = EventLog("master", pid=777)
-        log.emit_anchored(self.make_batch(), anchor_t=0.0, role="slave",
-                          pid=555)
-        assert all(e["pid"] == 555 for e in log.snapshot())
-
-    def test_extra_fields_attached(self):
-        log = EventLog("master")
-        log.emit_anchored(self.make_batch(), anchor_t=0.0, role="slave",
-                          dataset_id="ds1", task_index=2, slave=1)
-        for event in log.snapshot():
-            assert event["fields"]["dataset_id"] == "ds1"
-            assert event["fields"]["task_index"] == 2
-            assert event["fields"]["slave"] == 1
-            assert event["role"] == "slave"
-
-    def test_garbage_entries_skipped(self):
-        log = EventLog("master")
-        batch = [
-            {"offset": 0.1},  # no name
-            {"name": "ok", "offset": "not-a-number"},
-            {"name": "ok", "offset": 0.2},
-        ]
-        assert log.emit_anchored(batch, anchor_t=0.0, role="slave") == 1
-
-    def test_merged_events_reach_the_jsonl_sink(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog("master", path=path)
-        log.emit_anchored(self.make_batch(), anchor_t=5.0, role="worker")
-        log.close()
-        assert [e["t"] for e in read_jsonl(path)] == [5.1, 5.5]
-
-
 class TestConcurrentEmission:
     def test_parallel_emitters_never_lose_or_duplicate_seq(self):
         log = EventLog("serial", ring_size=None)
@@ -295,59 +235,209 @@ class TestConcurrentEmission:
         assert sorted(e["seq"] for e in events) == list(range(1, 401))
 
 
-def make_span(include_all_marks=True):
+def executor_span():
+    """What a slave/worker records for one execution."""
     span = TaskSpan("ds1", 0)
-    span.mark("queued", timestamp=10.0)
-    span.mark("started", timestamp=10.2)
-    if include_all_marks:
-        span.mark("map", timestamp=10.7)
-        span.mark("serialize", timestamp=10.8)
-        span.mark("transfer", timestamp=10.9)
-    span.mark("committed", timestamp=11.0)
+    span.mark("started", timestamp=10.0)
+    span.mark("fetch", timestamp=10.2)
+    span.mark("map", timestamp=10.7)
+    span.mark("serialize", timestamp=10.8)
+    span.mark("transfer", timestamp=10.9)
     return span
 
 
-class TestSpanPhaseMarks:
-    def test_executor_view_includes_fetch(self):
-        phases = span_phase_marks(make_span(), include_fetch=True)
-        assert [p["phase"] for p in phases] == [
+def coordinator_span(wire, started=500.0, committed=501.0):
+    """The coordinator's span for the same task: dispatched at
+    ``started`` on its own clock, then the executor's record arrives."""
+    span = TaskSpan("ds1", 0)
+    span.mark("queued", timestamp=started - 1.0)
+    span.mark("started", timestamp=started)
+    span.absorb(wire)
+    span.seconds = 0.9
+    span.mark("committed", timestamp=committed)
+    return span
+
+
+def emitted(span, log=None, **who):
+    if log is None:
+        log = EventLog("master")
+    emit_task_events(log, span, **who)
+    return log.snapshot()
+
+
+def phases_of(span):
+    return [
+        (e["fields"]["phase"], e["t"], e["fields"]["seconds"])
+        for e in emitted(span)
+        if e["name"] == "task.phase"
+    ]
+
+
+class TestPhaseBoundaries:
+    def test_phases_between_started_and_committed(self):
+        phases = phases_of(coordinator_span(executor_span().to_wire()))
+        assert [name for name, _, _ in phases] == [
             "fetch", "map", "serialize", "transfer",
         ]
-        fetch = phases[0]
-        assert fetch["offset"] == pytest.approx(0.2)
-        assert fetch["seconds"] == pytest.approx(0.2)
-
-    def test_coordinator_view_skips_fetch(self):
-        """queued->started on a coordinator is scheduler wait, not work."""
-        phases = span_phase_marks(make_span(), include_fetch=False)
-        assert [p["phase"] for p in phases] == ["map", "serialize", "transfer"]
-        assert phases[0]["seconds"] == pytest.approx(0.5)
-
-    def test_offsets_relative_to_first_mark(self):
-        phases = span_phase_marks(make_span(), include_fetch=True)
-        assert phases[-1]["offset"] == pytest.approx(0.9)
-
-    def test_span_without_phase_marks_yields_fetch_only(self):
-        phases = span_phase_marks(
-            make_span(include_all_marks=False), include_fetch=True
+        assert [seconds for _, _, seconds in phases] == pytest.approx(
+            [0.2, 0.5, 0.1, 0.1]
         )
-        assert [p["phase"] for p in phases] == ["fetch"]
 
-
-class TestPiggyback:
-    def test_batch_shape(self):
-        batch = piggyback_events_from_span(make_span())
-        assert all(e["name"] == "task.phase" for e in batch)
-        assert [e["fields"]["phase"] for e in batch] == [
-            "fetch", "map", "serialize", "transfer",
+    def test_queued_to_started_is_wait_not_a_phase(self):
+        """Serial spans have no fetch mark: the gap ending at started
+        is scheduler wait, not work."""
+        span = TaskSpan("ds1", 0)
+        span.mark("queued", timestamp=10.0)
+        span.mark("started", timestamp=10.2)
+        span.mark("map", timestamp=10.7)
+        span.mark("serialize", timestamp=10.8)
+        span.mark("committed", timestamp=11.0)
+        assert phases_of(span) == [
+            ("map", 10.7, pytest.approx(0.5)),
+            ("serialize", 10.8, pytest.approx(0.1)),
         ]
 
-    def test_round_trip_through_emit_anchored(self):
-        """The slave->master path end to end: offsets from the remote
-        span re-anchor at the master's own dispatch timestamp."""
-        batch = piggyback_events_from_span(make_span())
-        master = EventLog("master")
-        master.emit_anchored(batch, anchor_t=500.0, role="slave",
-                             dataset_id="ds1", task_index=0)
-        times = [e["t"] for e in master.snapshot()]
-        assert times == pytest.approx([500.2, 500.7, 500.8, 500.9])
+    def test_only_the_last_dispatch_has_phases(self):
+        """A requeued task is started twice; the first dispatch ended
+        in a failure, so its marks (none arrive) are not phases and the
+        second dispatch's phases are anchored at the second start."""
+        span = TaskSpan("ds1", 0)
+        span.mark("queued", timestamp=0.0)
+        span.mark("started", timestamp=1.0)
+        span.mark("started", timestamp=5.0)
+        span.absorb(executor_span().to_wire())
+        span.mark("committed", timestamp=6.0)
+        phases = phases_of(span)
+        assert [name for name, _, _ in phases] == [
+            "fetch", "map", "serialize", "transfer",
+        ]
+        assert phases[0][1:] == (pytest.approx(5.2), pytest.approx(0.2))
+
+    def test_span_without_phase_marks_yields_only_committed(self):
+        span = TaskSpan("ds1", 0)
+        span.mark("queued", timestamp=0.0)
+        span.mark("committed", timestamp=2.0)
+        assert [e["name"] for e in emitted(span)] == ["task.committed"]
+
+
+class TestSpanToEvents:
+    """The slave->master path end to end: the executor's marks travel
+    as offsets, the coordinator's span re-anchors them at its own
+    dispatch timestamp, and the events are derived from that span."""
+
+    def test_wire_record_is_offsets_from_task_start(self):
+        wire = executor_span().to_wire()
+        assert set(wire) == {"marks"}
+        assert [name for name, _ in wire["marks"]] == [
+            "fetch", "map", "serialize", "transfer",
+        ]
+        assert [offset for _, offset in wire["marks"]] == pytest.approx(
+            [0.2, 0.7, 0.8, 0.9]
+        )
+
+    def test_phase_events_reanchored_on_local_clock(self):
+        span = coordinator_span(executor_span().to_wire())
+        events = emitted(span, slave=1)
+        phases = [e for e in events if e["name"] == "task.phase"]
+        assert [e["t"] for e in phases] == pytest.approx(
+            [500.2, 500.7, 500.8, 500.9]
+        )
+        assert [e["fields"]["phase"] for e in phases] == [
+            "fetch", "map", "serialize", "transfer",
+        ]
+        assert [e["fields"]["seconds"] for e in phases] == pytest.approx(
+            [0.2, 0.5, 0.1, 0.1]
+        )
+        assert [e["seq"] for e in events] == [1, 2, 3, 4, 5]
+
+    def test_committed_closes_the_task_with_its_seconds(self):
+        span = coordinator_span(executor_span().to_wire())
+        last = emitted(span, slave=1)[-1]
+        assert last["name"] == "task.committed"
+        assert last["t"] == 501.0
+        assert last["fields"]["seconds"] == 0.9
+
+    def test_task_and_executor_fields_attached(self):
+        """Derived events carry the coordinator's pid and the executor
+        id, so they share a trace lane with its task.started marker."""
+        log = EventLog("master", pid=777)
+        span = coordinator_span(executor_span().to_wire())
+        for event in emitted(span, log, slave=1):
+            assert event["pid"] == 777
+            assert event["fields"]["dataset_id"] == "ds1"
+            assert event["fields"]["task_index"] == 0
+            assert event["fields"]["slave"] == 1
+
+    def test_garbage_marks_skipped_not_raised(self):
+        wire = {
+            "marks": [
+                ["map"],  # no offset
+                ["map", "not-a-number"],
+                7,
+                ["map", 0.2],
+            ],
+            "fetches": [{"offset": "bad", "seconds": 1}, 7, {"seconds": 1}],
+            "profile": 3,
+        }
+        span = coordinator_span(wire)
+        assert [name for name, _ in span.events] == [
+            "queued", "started", "map", "committed",
+        ]
+        assert span.fetch_spans == [] and span.profile_path is None
+        events = emitted(span)
+        assert [e["name"] for e in events] == ["task.phase", "task.committed"]
+
+    @pytest.mark.parametrize("wire", [None, 7, "x", [], {"marks": 5}])
+    def test_garbage_record_is_ignored(self, wire):
+        span = coordinator_span(wire)
+        assert [e["name"] for e in emitted(span)] == ["task.committed"]
+
+    def test_fetch_spans_and_profile_become_events(self):
+        remote = executor_span()
+        remote.add_fetch_span(10.3, 10.6, thread=1, source=4, url="http://x")
+        remote.profile_path = "/tmp/p.pstats"
+        span = coordinator_span(remote.to_wire())
+        events = emitted(span, worker=2)
+        assert [e["name"] for e in events] == [
+            "task.phase", "task.phase", "task.phase", "task.phase",
+            "fetch.span", "task.profiled", "task.committed",
+        ]
+        fetch = events[4]
+        assert fetch["t"] == pytest.approx(500.6)
+        assert fetch["fields"]["seconds"] == pytest.approx(0.3)
+        assert fetch["fields"]["thread"] == 1
+        assert fetch["fields"]["source"] == 4
+        profiled = events[5]
+        assert profiled["t"] == pytest.approx(500.9)
+        assert profiled["fields"]["path"] == "/tmp/p.pstats"
+        assert profiled["fields"]["seconds"] == 0.9
+
+    def test_derived_events_reach_the_jsonl_sink(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        log = EventLog("master", path=path)
+        emitted(coordinator_span(executor_span().to_wire()), log)
+        log.close()
+        assert [e["t"] for e in read_jsonl(path)] == pytest.approx(
+            [500.2, 500.7, 500.8, 500.9, 501.0]
+        )
+
+
+class TestEventLogOffCostsNothing:
+    """With no event log the span->events function is never reached."""
+
+    @pytest.mark.parametrize("event_log", [False, True])
+    def test_serial_completion(self, event_log, tmp_path, monkeypatch):
+        from repro.core.main import run_program
+        from repro.runtime import serial
+        from tests.observability.test_integration import WordCount
+
+        calls = []
+        real = serial.emit_task_events
+        monkeypatch.setattr(
+            serial,
+            "emit_task_events",
+            lambda *a, **kw: (calls.append(a), real(*a, **kw)),
+        )
+        extra = {"event_log": str(tmp_path / "e.jsonl")} if event_log else {}
+        run_program(WordCount, [], impl="serial", **extra)
+        assert len(calls) == (WordCount.N_TASKS if event_log else 0)

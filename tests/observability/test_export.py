@@ -18,7 +18,6 @@ def sample_report():
     span.mark("started", timestamp=0.1)
     span.mark("map", timestamp=0.6)
     span.mark("committed", timestamp=0.7)
-    obs.phases.add("map", 0.5)
     obs.mark_startup_complete()
     return obs.report()
 

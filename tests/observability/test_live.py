@@ -420,20 +420,19 @@ class TestTaskProfiler:
                 assert os.path.exists(span.profile_path)
 
     def test_profiled_task_emits_event(self, tmp_path):
-        from repro.observability.events import EventLog
-        from repro.observability.profiling import TaskProfiler
-
-        profiler = TaskProfiler(keep=1, directory=str(tmp_path))
-        log = EventLog("serial")
-        profiler.run(
-            sum, [1, 2, 3],
-            profile_dataset_id="ds1",
-            profile_task_index=0,
-            profile_events=log,
+        """The event is derived from the span the profiler marked."""
+        log_path = str(tmp_path / "events.jsonl")
+        run_program(
+            WordCount, [], impl="serial",
+            profile_tasks=1, tmpdir=str(tmp_path), event_log=log_path,
         )
-        (event,) = log.snapshot()
-        assert event["name"] == "task.profiled"
-        assert event["fields"]["path"].endswith(".pstats")
+        profiled = [
+            e for e in read_jsonl(log_path) if e["name"] == "task.profiled"
+        ]
+        assert profiled
+        for event in profiled:
+            assert event["fields"]["path"].endswith(".pstats")
+            assert event["fields"]["seconds"] > 0
 
     def test_profile_kwargs_never_collide_with_fn_kwargs(self, tmp_path):
         """The consumed keywords are namespaced profile_*; fn's own

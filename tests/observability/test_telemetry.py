@@ -29,7 +29,6 @@ from repro.observability.telemetry import (
     TimeSeriesStore,
     render_dashboard,
     render_prometheus,
-    running_median,
     sample_health,
     telemetry_from_opts,
 )
@@ -131,20 +130,48 @@ class TestTimeSeriesStore:
         assert len(store) == 0
 
 
+class SpanDriver:
+    """Plays the coordinator's part for the scorer: a tracer, a
+    worker -> task map and an injected clock for the span marks."""
+
+    def __init__(self, factor=DEFAULT_STRAGGLER_FACTOR):
+        from repro.observability.tracing import Tracer
+
+        self.clock = FakeClock()
+        self.tracer = Tracer()
+        self.running = {}
+        self.scorer = StragglerScorer(factor=factor)
+
+    def start(self, index, worker=1):
+        self.running[worker] = ("ds", index)
+        self.tracer.span("ds", index).mark("started", self.clock.now)
+
+    def finish(self, index, worker=1):
+        del self.running[worker]
+        self.tracer.span("ds", index).mark("committed", self.clock.now)
+
+    def run(self, index, seconds, worker=1):
+        self.start(index, worker)
+        self.clock.advance(seconds)
+        self.finish(index, worker)
+
+    def candidates(self):
+        return self.scorer.candidates(
+            self.running, self.tracer, now=self.clock.now
+        )
+
+
 class TestStragglerScorer:
     def test_slow_task_flagged_against_running_median(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(factor=1.5, clock=clock)
+        d = SpanDriver(factor=1.5)
         # Three siblings finish in 1s each; one task keeps running.
         for index in range(3):
-            scorer.task_started("ds", index, slave_id=1)
-            clock.advance(1.0)
-            scorer.task_finished("ds", index)
-        scorer.task_started("ds", 3, slave_id=2)
-        clock.advance(1.4)
-        assert scorer.candidates() == []  # 1.4 <= 1.5 * median(1.0)
-        clock.advance(0.2)
-        (cand,) = scorer.candidates()
+            d.run(index, 1.0)
+        d.start(3, worker=2)
+        d.clock.advance(1.4)
+        assert d.candidates() == []  # 1.4 <= 1.5 * median(1.0)
+        d.clock.advance(0.2)
+        (cand,) = d.candidates()
         assert cand["dataset_id"] == "ds"
         assert cand["task_index"] == 3
         assert cand["slave"] == 2
@@ -152,121 +179,150 @@ class TestStragglerScorer:
         assert cand["ratio"] == pytest.approx(1.6)
         assert cand["first_flag"] is True
         # Re-polling reports the candidate again but not as a first flag.
-        (again,) = scorer.candidates()
+        (again,) = d.candidates()
         assert again["first_flag"] is False
-        assert scorer.flagged_total == 1
+        assert d.scorer.flagged_total == 1
 
     def test_all_equal_distribution_flags_nothing_on_time(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(factor=1.5, clock=clock)
+        d = SpanDriver(factor=1.5)
         for index in range(4):
-            scorer.task_started("ds", index)
-            clock.advance(2.0)
-            scorer.task_finished("ds", index)
-        scorer.task_started("ds", 9)
-        clock.advance(2.0)  # exactly the median: not a straggler
-        assert scorer.candidates() == []
+            d.run(index, 2.0)
+        d.start(9)
+        d.clock.advance(2.0)  # exactly the median: not a straggler
+        assert d.candidates() == []
 
     def test_single_completed_sample_is_the_median(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(factor=2.0, clock=clock)
-        scorer.task_started("ds", 0)
-        clock.advance(1.0)
-        scorer.task_finished("ds", 0)
-        scorer.task_started("ds", 1)
-        clock.advance(2.5)
-        (cand,) = scorer.candidates()
+        d = SpanDriver(factor=2.0)
+        d.run(0, 1.0)
+        d.start(1)
+        d.clock.advance(2.5)
+        (cand,) = d.candidates()
         assert cand["median_seconds"] == pytest.approx(1.0)
 
     def test_no_completions_means_no_candidates(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(clock=clock)
-        scorer.task_started("ds", 0)
-        clock.advance(1000.0)
-        assert scorer.candidates() == []
+        d = SpanDriver()
+        d.start(0)
+        d.clock.advance(1000.0)
+        assert d.candidates() == []
 
-    def test_abandoned_task_never_poisons_the_distribution(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(factor=1.5, clock=clock)
-        scorer.task_started("ds", 0)
-        clock.advance(50.0)
-        scorer.task_abandoned("ds", 0)
-        scorer.task_finished("ds", 0)  # late finish of an abandoned task
-        scorer.task_started("ds", 1)
-        clock.advance(1.0)
-        scorer.task_finished("ds", 1)
-        scorer.task_started("ds", 2)
-        clock.advance(1.4)
-        assert scorer.candidates() == []  # median is 1.0, not 50-tainted
+    def test_abandoned_dispatch_never_poisons_the_distribution(self):
+        d = SpanDriver(factor=1.5)
+        d.start(0)
+        d.clock.advance(50.0)
+        del d.running[1]  # failed / worker lost: requeued, never committed
+        d.run(1, 1.0)
+        d.start(2)
+        d.clock.advance(1.4)
+        assert d.candidates() == []  # median is 1.0, not 50-tainted
 
-    def test_forget_dataset_clears_state(self):
-        clock = FakeClock()
-        scorer = StragglerScorer(clock=clock)
-        scorer.task_started("ds", 0)
-        clock.advance(1.0)
-        scorer.task_finished("ds", 0)
-        scorer.task_started("ds", 1)
-        clock.advance(100.0)
-        assert scorer.candidates()
-        scorer.forget_dataset("ds")
-        assert scorer.candidates() == []
+    def test_requeue_then_redispatch_counts_from_the_last_start(self):
+        d = SpanDriver(factor=1.5)
+        d.run(0, 1.0)
+        d.start(1, worker=2)
+        d.clock.advance(5.0)
+        (cand,) = d.candidates()
+        assert cand["first_flag"] is True
+        del d.running[2]  # the slow dispatch fails and is requeued ...
+        d.clock.advance(10.0)
+        d.start(1, worker=3)  # ... and redispatched much later
+        d.clock.advance(1.2)
+        assert d.candidates() == []  # 1.2s into *this* dispatch, not 16.2
+        d.clock.advance(1.0)
+        (again,) = d.candidates()
+        assert again["slave"] == 3
+        assert again["elapsed_seconds"] == pytest.approx(2.2)
+        # A new dispatch over the threshold is a new flag.
+        assert again["first_flag"] is True
+        assert d.scorer.flagged_total == 2
+        d.finish(1, worker=3)
+        assert d.candidates() == []
 
-    def test_running_median(self):
-        assert running_median([3.0]) == 3.0
-        assert running_median([1.0, 3.0]) == 2.0
-        assert running_median([5.0, 1.0, 3.0]) == 3.0
+    def test_forget_dataset_clears_flags(self):
+        d = SpanDriver()
+        d.run(0, 1.0)
+        d.start(1)
+        d.clock.advance(100.0)
+        assert d.candidates()[0]["first_flag"] is True
+        d.scorer.forget_dataset("ds")
+        assert d.scorer._flagged == {}
+        # The coordinator folds the dataset's spans at the same time.
+        d.tracer.fold("ds")
+        assert d.candidates() == []
+
+    def test_even_count_median_is_the_mean_of_the_middle_two(self):
+        d = SpanDriver(factor=1.0)
+        d.run(0, 1.0)
+        d.run(1, 3.0)
+        d.start(2)
+        d.clock.advance(2.5)
+        (cand,) = d.candidates()
+        assert cand["median_seconds"] == pytest.approx(2.0)
 
 
-class TestSchedulerStragglerIntegration:
-    """The scheduler feeds the scorer through its normal transitions:
-    a seeded skew (one task much slower than its siblings) must surface
-    through scheduler.straggler_candidates()."""
+class TestCoordinatorStragglers:
+    """The coordinator's own dispatch / completion / failure paths are
+    all the scorer needs: a seeded skew (one task much slower than its
+    siblings) surfaces through ``straggler_candidates()`` with no hook
+    in the scheduler."""
 
-    def make_scheduler(self, clock, ntasks=4):
-        from repro.runtime.scheduler import ScheduledDataset, Scheduler
+    @pytest.fixture
+    def coord(self, tmp_path):
+        from repro.core.job import Job
+        from repro.core.options import default_options
+        from tests.runtime.programs_mp import Tally
+        from tests.runtime.test_coordinator import FakeTransport
 
-        scheduler = Scheduler()
-        scheduler.straggler_scorer = StragglerScorer(
-            factor=1.5, clock=clock
+        opts = default_options(tmpdir=str(tmp_path / "run"))
+        program = Tally(opts, [])
+        transport = FakeTransport(program, opts)
+        job = Job(transport, program)
+        source = job.local_data([(i, i) for i in range(4)], splits=4)
+        mapped = job.map_data(source, program.map, splits=1)
+        yield transport, mapped
+        transport.close()
+
+    def test_slow_task_surfaces_with_its_worker(self, coord):
+        import time
+
+        transport, mapped = coord
+        slow_worker, slow = transport.sent.pop(0)  # never finishes
+        while transport.sent:  # its siblings finish at once
+            transport.finish(*transport.sent.pop(0))
+        deadline = time.monotonic() + 5.0
+        while not transport.straggler_candidates():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        (cand,) = transport.straggler_candidates()
+        assert (cand["dataset_id"], cand["task_index"]) == (
+            mapped.id, slow["task_index"],
         )
-        scheduler.add_slave(1)
-        scheduler.add_slave(2)
-        scheduler.add_dataset(
-            ScheduledDataset("ds", ntasks, "g", "input")
-        )
-        scheduler.mark_input_complete("input")
-        return scheduler
-
-    def test_slow_task_surfaces_via_scheduler(self):
-        clock = FakeClock()
-        scheduler = self.make_scheduler(clock)
-        slow = scheduler.next_task(2)  # assigned first, finishes never
-        for _ in range(3):
-            task = scheduler.next_task(1)
-            clock.advance(1.0)
-            scheduler.task_done(1, task)
-        clock.advance(3.0)
-        (cand,) = scheduler.straggler_candidates()
-        assert (cand["dataset_id"], cand["task_index"]) == slow
+        assert cand["slave"] == slow_worker
         assert cand["ratio"] > 1.5
+        assert transport.telemetry()["stragglers"]["flagged_total"] == 1
 
-    def test_failed_task_is_abandoned_not_scored(self):
-        clock = FakeClock()
-        scheduler = self.make_scheduler(clock, ntasks=2)
-        task = scheduler.next_task(1)
-        clock.advance(50.0)
-        scheduler.task_failed(1, task)
-        other = scheduler.next_task(2)
-        clock.advance(1.0)
-        scheduler.task_done(2, other)
-        # The failed 50s attempt left no duration sample behind.
-        durations = scheduler.straggler_scorer._durations["ds"]
-        assert durations == [1.0]
+    def test_failed_task_is_not_a_candidate_until_redispatched(self, coord):
+        transport, mapped = coord
+        worker, descriptor = transport.sent.pop(0)
+        transport.finish(*transport.sent.pop(0))
+        transport.task_failed(
+            worker, mapped.id, descriptor["task_index"], "Boom()"
+        )
+        running = set(transport._busy.values())
+        for cand in transport.straggler_candidates():
+            assert (cand["dataset_id"], cand["task_index"]) in running
 
-    def test_no_scorer_means_empty_candidates(self):
-        from repro.runtime.scheduler import Scheduler
+    def test_telemetry_off_means_empty_candidates(self, tmp_path):
+        from repro.core.options import default_options
+        from tests.runtime.programs_mp import Tally
+        from tests.runtime.test_coordinator import FakeTransport
 
-        assert Scheduler().straggler_candidates() == []
+        opts = default_options(tmpdir=str(tmp_path / "run"), telemetry="off")
+        transport = FakeTransport(Tally(opts, []), opts)
+        try:
+            assert transport.straggler_candidates() == []
+            assert transport.telemetry() == {}
+        finally:
+            transport.close()
 
 
 class TestSkew:

@@ -8,7 +8,6 @@ from repro.observability.events import EventLog
 from repro.observability.timeline import (
     trace_from_events,
     trace_from_jsonl,
-    trace_from_report,
     write_trace,
 )
 
@@ -172,32 +171,6 @@ class TestTraceFromJsonl:
         in_memory = trace_from_events(log.snapshot())
         log.close()
         assert trace_from_jsonl(path) == in_memory
-
-
-class TestTraceFromReport:
-    def make_report(self):
-        from tests.observability.test_export import sample_report
-
-        return sample_report()
-
-    def test_structure_and_phase_nesting(self):
-        trace = trace_from_report(self.make_report())
-        assert_perfetto_structure(trace)
-        begins = [e["name"] for e in trace["traceEvents"] if e["ph"] == "B"]
-        assert begins[0] == "ds1[0]"
-        assert "map" in begins
-        # Fetch (queued->started) renders under its display label.
-        assert "fetch" in begins
-
-    def test_each_task_rebased_at_zero(self):
-        trace = trace_from_report(self.make_report())
-        task_begins = [e for e in trace["traceEvents"]
-                       if e["ph"] == "B" and e.get("cat") == "task"]
-        assert all(e["ts"] == 0.0 for e in task_begins)
-
-    def test_empty_report(self):
-        trace = trace_from_report({"role": "serial"})
-        assert [e["ph"] for e in trace["traceEvents"]] == ["M"]
 
 
 class TestWriteTrace:

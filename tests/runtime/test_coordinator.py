@@ -104,6 +104,54 @@ def test_submit_dispatch_done_completes_dataset(coord):
     assert "dataset.complete" in names
 
 
+@pytest.mark.parametrize("event_log", (False, True))
+def test_task_events_are_derived_only_with_an_event_log(
+    tmp_path, monkeypatch, event_log
+):
+    """The worker's span is absorbed either way; turning it into
+    task.phase / task.committed events is work done only when there is
+    an event log to put them in."""
+    from repro.runtime import coordinator
+
+    calls = []
+    real = coordinator.emit_task_events
+    monkeypatch.setattr(
+        coordinator,
+        "emit_task_events",
+        lambda *args, **who: (calls.append(who), real(*args, **who)),
+    )
+    opts = default_options(tmpdir=str(tmp_path / "run"))
+    program = Tally(opts, [])
+    transport = FakeTransport(program, opts)
+    try:
+        if event_log:
+            transport.observability.enable_events(unbounded=True)
+        job = Job(transport, program)
+        source = job.local_data([(i, i) for i in range(4)], splits=2)
+        mapped = job.map_data(source, program.map, splits=1)
+        worker_id, descriptor = transport.sent.pop(0)
+        transport.task_done(
+            worker_id, mapped.id, descriptor["task_index"],
+            [(0, "file:/nowhere", True)], seconds=0.25,
+            metrics={"span": {"marks": [["fetch", 0.05], ["map", 0.2]]}},
+        )
+        (span,) = [
+            s for s in transport.observability.tracer.spans_for(mapped.id)
+            if s.seconds is not None
+        ]
+        assert span.durations["map"] == pytest.approx(0.15)
+        assert calls == ([{"worker": worker_id}] if event_log else [])
+        if event_log:
+            phases = [
+                e["fields"]["phase"]
+                for e in transport.observability.events.snapshot()
+                if e["name"] == "task.phase"
+            ]
+            assert phases == ["fetch", "map"]
+    finally:
+        transport.close()
+
+
 def test_stale_duplicate_done_rejected(coord):
     transport, job, program = coord
     source = job.local_data([(0, 1)], splits=1)

@@ -9,10 +9,12 @@ standing in for slave RPC traffic and for the pool's result queue.
 import gc
 import multiprocessing
 import os
+import time
 import weakref
 
 import pytest
 
+from repro.comm import protocol
 from repro.core.job import Job
 from repro.core.options import default_options
 from repro.runtime.failures import MAX_TASK_FAILURES
@@ -203,11 +205,107 @@ class TestStrikeOut:
         assert names.count("task.requeued") == MAX_TASK_FAILURES - 1
 
 
+class TestReleasedJobsLeaveNoSpans:
+    """A long-lived coordinator must not keep every span it ever made:
+    releasing a job folds its datasets' spans into one fixed-size row
+    each, and the per-job views keep working from the rows."""
+
+    TASKS = 3
+
+    @pytest.fixture
+    def master(self, tmp_path, monkeypatch):
+        backend, program = make_backend("master", str(tmp_path / "run"))
+        monkeypatch.setattr(backend, "_dispatch", lambda: None)
+        backend.scheduler.add_slave(1)
+        yield backend, program
+        backend.close()
+
+    def run_job(self, backend, program, namespace, release=True):
+        """One small job, start to finish: every task dispatched to
+        worker 1 and reported done with a worker span attached."""
+        backend.register_job(namespace)
+        job = Job(backend, program, namespace=namespace)
+        source = job.local_data(
+            [(i, i) for i in range(self.TASKS)], splits=self.TASKS
+        )
+        mapped = job.map_data(source, program.map, splits=1)
+        metrics = protocol.make_task_metrics(
+            span={"marks": [["fetch", 1e-4], ["map", 3e-4],
+                            ["serialize", 4e-4], ["transfer", 5e-4]]}
+        )
+        for _ in range(self.TASKS):
+            with backend._lock:
+                task = backend.scheduler.next_task(1)
+                backend._busy[1] = task
+                backend.observability.tracer.span(*task).mark("started")
+            backend.task_done(
+                1, task[0], task[1], [(0, "file:/nowhere", True)],
+                seconds=5e-4, metrics=metrics,
+            )
+        assert mapped.complete
+        if release:
+            backend.release_namespace(namespace)
+        return mapped
+
+    @pytest.mark.parametrize("n_jobs", (2, 9))
+    def test_tracer_size_is_independent_of_jobs_run(self, master, n_jobs):
+        backend, program = master
+        tracer = backend.observability.tracer
+        datasets = [
+            self.run_job(backend, program, f"job-{n}") for n in range(n_jobs)
+        ]
+        assert len(tracer) == 0
+        assert all(tracer.spans_for(d.id) == [] for d in datasets)
+        # One more, still live: its spans are all the tracer holds.
+        live = self.run_job(backend, program, "job-live", release=False)
+        assert len(tracer) == self.TASKS
+
+        # The views still answer for released jobs, from the rows.
+        status = backend.job_status("job-0")
+        assert status["tasks"] == {
+            "total": self.TASKS, "done": self.TASKS, "running": 0,
+        }
+        assert status["phases"]["map"] == pytest.approx(self.TASKS * 2e-4)
+        assert set(status["phases"]) == {
+            "fetch", "map", "serialize", "transfer",
+        }
+        report = backend.metrics()
+        # One row per dataset ever run, released or not.
+        assert sorted(op["dataset_id"] for op in report["operations"]) == (
+            sorted(d.id for d in datasets + [live])
+        )
+        assert all(op["tasks"] == self.TASKS for op in report["operations"])
+        assert report["summary"]["task_count"] == (n_jobs + 1) * self.TASKS
+        assert len(report["spans"]) == self.TASKS
+        assert backend.task_stats(datasets[0].id)["count"] == 0
+
+    def test_job_status_cost_does_not_grow_with_jobs_released(self, master):
+        backend, program = master
+
+        def cost(namespace):
+            best = float("inf")
+            for _ in range(20):
+                began = time.perf_counter()
+                backend.job_status(namespace)
+                best = min(best, time.perf_counter() - began)
+            return best
+
+        for n in range(50):
+            self.run_job(backend, program, f"job-{n}")
+        after_50 = cost("job-7")
+        for n in range(50, 2050):
+            self.run_job(backend, program, f"job-{n}")
+        after_2050 = cost("job-7")
+        assert backend.job_status("job-7")["tasks"]["done"] == self.TASKS
+        assert after_2050 <= 2 * after_50, (after_50, after_2050)
+
+
 @pytest.mark.parametrize("plane", PLANES)
 def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
     """No reference cycle may pin a finished job: once the backend is
     closed and the caller lets go, the datasets (and the buffers in
-    their buckets) must die by reference counting alone."""
+    their buckets, and the task spans) must die by reference counting
+    alone."""
     gc.collect()
     gc.disable()
     try:
@@ -219,12 +317,13 @@ def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
             job.wait(mapped, timeout=60)
             assert mapped.data()
         threads = [backend._watchdog if plane == "master" else backend._collector]
-        refs = [weakref.ref(obj) for obj in (source, mapped, backend)]
+        span = backend.observability.tracer.spans_for(mapped.id)[0]
+        refs = [weakref.ref(obj) for obj in (source, mapped, backend, span)]
         backend.close()
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        del backend, program, job, source, mapped, thread, threads
-        assert [ref() for ref in refs] == [None, None, None]
+        del backend, program, job, source, mapped, span, thread, threads
+        assert [ref() for ref in refs] == [None, None, None, None]
     finally:
         gc.enable()

@@ -2,10 +2,11 @@
 behind both the cluster slave and the pool worker."""
 
 import os
+import xmlrpc.client
 
 from repro.comm import protocol
 from repro.core.dataset import LocalData
-from repro.core.operations import MapOperation
+from repro.core.operations import MapOperation, ReduceOperation
 from repro.core.options import default_options
 from repro.io import urls as url_io
 from repro.runtime import dataplane
@@ -47,7 +48,9 @@ def test_slave_and_pool_paths_agree(tmp_path):
     assert all(url.startswith("file:" + str(tmp_path / "shared")) for _, url, _ in urls)
     assert seconds > 0
     assert as_slave[2].keys() == metrics.keys()
-    assert metrics["durations"].keys() == as_slave[2]["durations"].keys()
+    assert [name for name, _ in metrics["span"]["marks"]] == [
+        name for name, _ in as_slave[2]["span"]["marks"]
+    ]
 
     def names(payload, label):
         registry = payload["registry"]
@@ -80,3 +83,47 @@ def test_local_output_is_published_through_url_for(tmp_path):
         path = url[len("http://host:1/"):]
         assert os.path.dirname(path) == os.path.join(localdir, "map_x")
         assert os.path.exists(path)
+
+
+def test_done_metrics_carry_the_span_once(tmp_path):
+    """One wire record: the payload is the executor's span (four marks
+    as offsets from task start) and its per-task registry — no second
+    copy of the phase boundaries as durations or as an event batch."""
+    program = Tally(default_options(), [])
+    mapped = execute_descriptor(
+        program, make_descriptor(tmp_path, str(tmp_path / "shared")), "slave"
+    )
+    descriptor = protocol.make_task_descriptor(
+        dataset_id="reduce_x",
+        task_index=0,
+        op_dict=ReduceOperation(reduce_name="reduce", splits=1).to_dict(),
+        input_urls=[url for split, url, _ in mapped[0] if split == 0],
+        outdir=str(tmp_path / "shared"),
+        format_ext="mrsb",
+        input_sorted=[flag for split, _, flag in mapped[0] if split == 0],
+    )
+    _, seconds, metrics = execute_descriptor(program, descriptor, "slave")
+    assert set(metrics) == {"span", "registry"}
+    assert set(metrics["span"]) == {"marks"}
+    marks = metrics["span"]["marks"]
+    assert [name for name, _ in marks] == [
+        "fetch", "reduce", "serialize", "transfer",
+    ]
+    offsets = [offset for _, offset in marks]
+    assert offsets == sorted(offsets) and 0.0 <= offsets[0]
+    assert offsets[-1] <= seconds
+    marshalled = xmlrpc.client.dumps((metrics,), allow_none=True)
+    assert len(marshalled) < 2000  # 3559 with durations + event batch
+
+
+def test_optional_metrics_fields_only_with_telemetry(tmp_path):
+    from repro.observability.telemetry import HealthSampler
+
+    program = Tally(default_options(), [])
+    _, _, metrics = execute_descriptor(
+        program,
+        make_descriptor(tmp_path, str(tmp_path / "shared")),
+        "worker",
+        sampler=HealthSampler(),
+    )
+    assert set(metrics) == {"span", "registry", "health", "buckets"}

@@ -1,190 +1,19 @@
-"""Stopwatch and PhaseTimer behaviour."""
-
-import time
+"""summarize_seconds: the count/total/mean/max behind task_stats()."""
 
 import pytest
 
-from repro.util.timing import PhaseTimer, Stopwatch
+from repro.util.timing import summarize_seconds
 
 
-class TestStopwatch:
-    def test_initially_zero(self):
-        assert Stopwatch().elapsed == 0.0
-
-    def test_accumulates(self):
-        sw = Stopwatch()
-        sw.start()
-        time.sleep(0.01)
-        first = sw.stop()
-        assert first >= 0.01
-        sw.start()
-        time.sleep(0.01)
-        assert sw.stop() >= first + 0.01
-
-    def test_stop_without_start_is_noop(self):
-        sw = Stopwatch()
-        assert sw.stop() == 0.0
-
-    def test_double_start_is_idempotent(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.start()
-        time.sleep(0.005)
-        assert sw.stop() < 0.1  # not double-counted
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.005)
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_running_property(self):
-        sw = Stopwatch()
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-        assert not sw.running
-
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            time.sleep(0.005)
-        assert sw.elapsed >= 0.005
-
-    def test_elapsed_while_running(self):
-        sw = Stopwatch().start()
-        time.sleep(0.005)
-        assert sw.elapsed >= 0.005
-        assert sw.running
+def test_empty_is_all_zero():
+    assert summarize_seconds([]) == {
+        "count": 0, "total": 0.0, "mean": 0.0, "max": 0.0,
+    }
 
 
-class TestPhaseTimer:
-    def test_begin_end_attribution(self):
-        timer = PhaseTimer()
-        timer.begin("map")
-        time.sleep(0.01)
-        timer.end()
-        assert timer.get("map") >= 0.01
-        assert timer.get("reduce") == 0.0
-
-    def test_begin_closes_previous_phase(self):
-        timer = PhaseTimer()
-        timer.begin("a")
-        time.sleep(0.005)
-        timer.begin("b")
-        time.sleep(0.005)
-        timer.end()
-        assert timer.get("a") >= 0.005
-        assert timer.get("b") >= 0.005
-
-    def test_add_modeled_time(self):
-        timer = PhaseTimer()
-        timer.add("modeled", 12.5)
-        timer.add("modeled", 2.5)
-        assert timer.get("modeled") == 15.0
-
-    def test_total(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.0)
-        timer.add("y", 2.0)
-        assert timer.total == 3.0
-
-    def test_breakdown_preserves_first_seen_order(self):
-        timer = PhaseTimer()
-        timer.add("z", 1.0)
-        timer.add("a", 1.0)
-        timer.add("z", 1.0)
-        assert [name for name, _ in timer.breakdown()] == ["z", "a"]
-
-    def test_end_without_begin_is_noop(self):
-        timer = PhaseTimer()
-        timer.end()
-        assert timer.total == 0.0
-
-    def test_repr_mentions_phases(self):
-        timer = PhaseTimer()
-        timer.add("shuffle", 1.0)
-        assert "shuffle" in repr(timer)
-
-
-class TestPhaseTimerSafety:
-    """The runtime instrumentation exercises unbalanced and re-entrant
-    begin/end sequences; none of them may lose or corrupt time."""
-
-    def test_double_end_is_noop(self):
-        timer = PhaseTimer()
-        timer.begin("map")
-        timer.end()
-        recorded = timer.get("map")
-        timer.end()
-        timer.end()
-        assert timer.get("map") == recorded
-        assert timer.total == recorded
-
-    def test_end_before_any_begin_is_noop(self):
-        timer = PhaseTimer()
-        timer.end()
-        timer.begin("map")
-        time.sleep(0.005)
-        timer.end()
-        assert timer.get("map") >= 0.005
-
-    def test_reentrant_begin_same_phase_accumulates(self):
-        timer = PhaseTimer()
-        timer.begin("map")
-        time.sleep(0.005)
-        timer.begin("map")  # re-entrant: closes and reopens "map"
-        time.sleep(0.005)
-        timer.end()
-        assert timer.get("map") >= 0.01
-        assert timer.current is None
-        assert [name for name, _ in timer.breakdown()] == ["map"]
-
-    def test_current_property(self):
-        timer = PhaseTimer()
-        assert timer.current is None
-        timer.begin("reduce")
-        assert timer.current == "reduce"
-        timer.end()
-        assert timer.current is None
-
-    def test_measure_attributes_block_time(self):
-        timer = PhaseTimer()
-        with timer.measure("map"):
-            time.sleep(0.005)
-        assert timer.get("map") >= 0.005
-        assert timer.current is None
-
-    def test_measure_restores_enclosing_phase(self):
-        timer = PhaseTimer()
-        timer.begin("outer")
-        time.sleep(0.003)
-        with timer.measure("inner"):
-            time.sleep(0.003)
-        # The outer phase is open again and keeps accumulating.
-        assert timer.current == "outer"
-        time.sleep(0.003)
-        timer.end()
-        assert timer.get("outer") >= 0.006
-        assert timer.get("inner") >= 0.003
-
-    def test_measure_reentrant_same_phase(self):
-        timer = PhaseTimer()
-        with timer.measure("map"):
-            time.sleep(0.003)
-            with timer.measure("map"):
-                time.sleep(0.003)
-            time.sleep(0.003)
-        assert timer.get("map") >= 0.009
-        assert timer.current is None
-
-    def test_measure_restores_phase_on_exception(self):
-        timer = PhaseTimer()
-        timer.begin("outer")
-        with pytest.raises(RuntimeError):
-            with timer.measure("inner"):
-                raise RuntimeError("boom")
-        assert timer.current == "outer"
-        timer.end()
-        assert timer.get("inner") >= 0.0
+def test_count_total_mean_max():
+    stats = summarize_seconds([0.5, 0.25, 0.75])
+    assert stats["count"] == 3
+    assert stats["total"] == pytest.approx(1.5)
+    assert stats["mean"] == pytest.approx(0.5)
+    assert stats["max"] == 0.75
