@@ -13,9 +13,6 @@ report ``--mrs-metrics-json`` would emit, derives
   the same job with the structured event log + JSONL sink enabled
   (best-of-N interleaved with the uninstrumented run, so machine
   drift hits both sides equally),
-* ``telemetry_overhead_fraction`` — relative wall-clock cost of the
-  cluster telemetry plane (``--mrs-telemetry on`` vs ``off``, same
-  interleaved best-of-N discipline),
 
 writes ``BENCH_overhead.json``, and exits 1 when any measurement
 exceeds the checked-in budget (``benchmarks/overhead_budget.json``).
@@ -72,10 +69,9 @@ def run_job(
     outdir: str,
     impl: str,
     event_log: Optional[str] = None,
-    telemetry: str = "off",
 ) -> Dict[str, Any]:
     """Run WordCount once; returns {"seconds": wall, "report": report}."""
-    overrides: Dict[str, Any] = {"telemetry": telemetry}
+    overrides: Dict[str, Any] = {}
     if event_log:
         overrides["event_log"] = event_log
     started = time.perf_counter()
@@ -91,18 +87,15 @@ def measure(
 ) -> Dict[str, float]:
     """Derive the gated overhead numbers from real runs.
 
-    Plain, event-logged, and telemetry-on runs are interleaved round by
-    round and each side keeps its best time, so
-    slow drift in machine load cannot masquerade as instrumentation
-    overhead.  The plain and event legs pin ``--mrs-telemetry off`` so
-    each fraction isolates exactly one plane.
+    Plain and event-logged runs are interleaved round by round and
+    each side keeps its best time, so slow drift in machine load cannot
+    masquerade as instrumentation overhead.
     """
     workdir = tempfile.mkdtemp(prefix="bench_overhead_")
     try:
         inputs = make_corpus(workdir, n_files, lines_per_file)
         best_plain = float("inf")
         best_events = float("inf")
-        best_telemetry = float("inf")
         report: Dict[str, Any] = {}
         for round_index in range(repeat):
             outdir = os.path.join(workdir, f"out_plain_{round_index}")
@@ -113,9 +106,6 @@ def measure(
             log = os.path.join(workdir, f"events_{round_index}.jsonl")
             events = run_job(inputs, outdir, impl, event_log=log)
             best_events = min(best_events, events["seconds"])
-            outdir = os.path.join(workdir, f"out_telemetry_{round_index}")
-            telemetry = run_job(inputs, outdir, impl, telemetry="on")
-            best_telemetry = min(best_telemetry, telemetry["seconds"])
         operations = report.get("operations") or []
         per_operation = max(
             (float(op.get("overhead_seconds") or 0.0) for op in operations),
@@ -126,9 +116,6 @@ def measure(
             "overhead_seconds_per_operation": per_operation,
             "event_overhead_fraction": max(
                 0.0, (best_events - best_plain) / best_plain
-            ),
-            "telemetry_overhead_fraction": max(
-                0.0, (best_telemetry - best_plain) / best_plain
             ),
             "job_seconds": best_plain,
             "operations": float(len(operations)),
@@ -145,7 +132,6 @@ GATED = (
     "startup_seconds",
     "overhead_seconds_per_operation",
     "event_overhead_fraction",
-    "telemetry_overhead_fraction",
 )
 
 
@@ -221,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     notes = [
         f"workload: WordCount on {args.files} files x {args.lines} lines, "
         f"impl={args.impl}, best of {args.repeat} (plain vs event-logged "
-        f"vs telemetry-on interleaved)",
+        f"interleaved)",
         f"job wall time {fmt_seconds(measured['job_seconds'])}, "
         f"{int(measured['operations'])} operations, "
         f"{int(measured['task_count'])} tasks",

@@ -10,14 +10,15 @@ A :class:`DataServer` serves one directory read-only.  Bucket URLs are
 
 :class:`StatusServer` reuses the same threading-server machinery to
 expose a *read-only JSON view of a running job* (``--mrs-status-http
-PORT``): ``GET /status`` returns ``Job.status()``, ``GET /metrics`` the
-aggregate metrics report, and ``GET /events?since=N`` the event ring
-tail — enough for ``curl``/dashboards to watch a long fan-out job in
-flight without touching the XML-RPC control plane.
+PORT``): ``GET /status`` returns ``Job.status()``, ``GET /metrics`` its
+Prometheus rendering, and ``GET /events?since=N`` the event ring tail —
+enough for ``curl`` or a Prometheus scraper to watch a long fan-out
+job in flight without touching the XML-RPC control plane.
 """
 
 from __future__ import annotations
 
+import hmac
 import http.server
 import json
 import os
@@ -33,7 +34,7 @@ _STREAM_CHUNK = 256 * 1024
 
 class RawResponse:
     """A status view's escape hatch from JSON: a pre-rendered body with
-    its own content type (Prometheus text exposition, dashboard HTML)."""
+    its own content type (the Prometheus text exposition)."""
 
     def __init__(self, body: str, content_type: str, code: int = 200):
         self.body = body
@@ -262,10 +263,17 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         token = getattr(self.server, "auth_token", None)
         if not token:
             return True
+        expected = token.encode("utf-8")
         header = self.headers.get("Authorization", "")
-        if header.startswith("Bearer ") and header[7:].strip() == token:
+        # Bytes, not str: compare_digest raises TypeError on non-ASCII
+        # str, which would turn a wrong token into a 500.
+        if header.startswith("Bearer ") and hmac.compare_digest(
+            header[7:].strip().encode("utf-8"), expected
+        ):
             return True
-        return self.headers.get("X-Mrs-Token", "") == token
+        return hmac.compare_digest(
+            self.headers.get("X-Mrs-Token", "").encode("utf-8"), expected
+        )
 
     def _read_body(self) -> bytes:
         try:
@@ -278,14 +286,20 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         parsed = urllib.parse.urlparse(self.path)
         route = parsed.path.rstrip("/") or "/status"
         query = urllib.parse.parse_qs(parsed.query)
-        body = self._read_body()
         control = getattr(self.server, "control", None)
-        if control is not None and (
+        is_control = control is not None and (
             route == "/jobs" or route.startswith("/jobs/")
-        ):
-            if method in self._MUTATING and not self._authorized():
-                self._send_json(401, {"error": "missing or bad auth token"})
-                return
+        )
+        if is_control and method in self._MUTATING and not self._authorized():
+            # Refused before the body is read: an unauthenticated
+            # client must not make the server wait for (or buffer) a
+            # body it declared.  The unread body makes the connection
+            # unusable, so it is closed after the answer.
+            self.close_connection = True
+            self._send_json(401, {"error": "missing or bad auth token"})
+            return
+        body = self._read_body()
+        if is_control:
             try:
                 code, payload = control.handle(method, route, body, query)
             except Exception as exc:
@@ -338,6 +352,8 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -352,8 +368,6 @@ class StatusServer:
     * ``/metrics``   — Prometheus text exposition of the live job
       (``?format=json`` returns the aggregate ``Job.metrics()`` report)
     * ``/events``    — event ring tail; ``?since=N`` skips seq <= N
-    * ``/dashboard`` — self-refreshing HTML overview (slaves, datasets,
-      shuffle skew, stragglers; no external assets)
 
     Control routes (``control`` given — a
     :class:`repro.service.server.JobServer`):
@@ -377,12 +391,10 @@ class StatusServer:
         auth_token: Optional[str] = None,
     ):
         self.backend = backend
-        self.control = control
         views: Dict[str, Callable[[Dict[str, Any]], Any]] = {
             "/status": lambda query: backend.status(),
             "/metrics": self._metrics_view,
             "/events": self._events_view,
-            "/dashboard": self._dashboard_view,
         }
         self._server = _ThreadingHTTPServer((host, port), _StatusRequestHandler)
         self._server.views = views  # type: ignore[attr-defined]
@@ -408,21 +420,6 @@ class StatusServer:
         return RawResponse(
             telemetry_mod.render_prometheus(self.backend),
             telemetry_mod.PROMETHEUS_CONTENT_TYPE,
-        )
-
-    def _dashboard_view(self, query: Dict[str, Any]) -> RawResponse:
-        from repro.observability import telemetry as telemetry_mod
-
-        try:
-            refresh = int((query.get("refresh") or ["2"])[0])
-        except (TypeError, ValueError):
-            refresh = 2
-        return RawResponse(
-            telemetry_mod.render_dashboard(
-                self.backend, control=self.control,
-                refresh_seconds=max(1, refresh),
-            ),
-            "text/html; charset=utf-8",
         )
 
     def _events_view(self, query: Dict[str, Any]) -> Dict[str, Any]:

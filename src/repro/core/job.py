@@ -74,8 +74,8 @@ class Backend:
 
     def status(self) -> Dict[str, Any]:
         """A cheap live snapshot of the running job: tasks done/total,
-        ETA, overhead fraction.  Backends with richer state (slaves,
-        workers, a scheduler) extend this view."""
+        ETA, overhead fraction.  The coordinator extends this view
+        with its scheduler and worker state."""
         if self.observability is None:
             return {}
         return self.observability.status_view()
@@ -83,10 +83,9 @@ class Backend:
     def telemetry(self) -> Dict[str, Any]:
         """The cluster telemetry snapshot: per-source health
         time-series, shuffle-skew summaries, straggler candidates.
-        Empty when ``--mrs-telemetry off`` (or the backend records
-        nothing).  Backends with a scheduler extend this with live
-        straggler candidates."""
-        if self.observability is None or self.observability.telemetry is None:
+        Empty when the backend records nothing.  Backends with a
+        scheduler extend this with live straggler candidates."""
+        if self.observability is None:
             return {}
         return self.observability.telemetry.snapshot()
 
@@ -318,15 +317,15 @@ class Job:
     def status(self) -> Dict[str, Any]:
         """A live snapshot of the job: tasks done/total/running, an ETA
         from the task-duration histogram, the overhead fraction so far,
-        and backend-specific state (slaves/workers, datasets).  This is
-        the same view ``--mrs-progress`` renders and
-        ``--mrs-status-http`` serves."""
+        and on the parallel backends outstanding tasks, dataset rows
+        and worker counts.  This is the same view ``--mrs-progress``
+        renders and ``--mrs-status-http`` serves."""
         return self.backend.status()
 
     def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry view (``--mrs-telemetry``): per-slave
-        health time-series, shuffle-skew summaries per dataset, and
-        straggler candidates.  Empty when telemetry is off."""
+        """The cluster telemetry view: per-slave health time-series,
+        shuffle-skew summaries per dataset, and straggler
+        candidates."""
         return self.backend.telemetry()
 
     def remove_data(self, dataset: ds.BaseDataset) -> None:

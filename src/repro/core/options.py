@@ -217,16 +217,7 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         metavar="PORT",
         help="serve a read-only status endpoint on PORT (GET /status, "
         "/metrics [Prometheus text; ?format=json for the report], "
-        "/events, /dashboard) while the job runs",
-    )
-    group.add_argument(
-        "--mrs-telemetry",
-        dest="telemetry",
-        choices=("on", "off"),
-        default="on",
-        help="cluster telemetry plane: per-slave health time-series, "
-        "shuffle-skew accounting, and straggler scoring ('off' skips "
-        "all sampling; outputs are byte-identical either way)",
+        "/events) while the job runs",
     )
     group.add_argument(
         "--mrs-profile-tasks",

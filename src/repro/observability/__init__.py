@@ -8,8 +8,9 @@ bundling what the runtime records about itself:
   place a task's time is kept, freed with its dataset,
 * a :class:`~repro.observability.metrics.MetricsRegistry` of counters,
   gauges, and histograms (bounded aggregates),
-* optionally an :class:`~repro.observability.events.EventLog` and the
-  cluster telemetry plane.
+* the cluster telemetry plane
+  (:class:`~repro.observability.telemetry.Telemetry`), and optionally
+  an :class:`~repro.observability.events.EventLog`.
 
 ``Observability.report()`` assembles the whole-job view that
 ``Job.metrics()`` returns and ``--mrs-metrics-json`` dumps; slaves ship
@@ -30,6 +31,7 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracing import PHASES, TaskSpan, Tracer, merge_rows
 from repro.observability.events import EventLog
+from repro.observability.telemetry import Telemetry
 from repro.observability import export
 from repro.util.timing import summarize_seconds
 
@@ -64,10 +66,15 @@ class Observability:
         #: (so the hot emit path ``events = obs.events; if events is
         #: not None: ...`` costs one attribute check when disabled).
         self.events: Optional[EventLog] = None
-        #: Cluster telemetry plane (health series, skew, stragglers);
-        #: None when --mrs-telemetry off — same one-attribute-check
-        #: discipline as the event log.
-        self.telemetry: Optional[Any] = None
+        #: Cluster telemetry plane (health series, skew, stragglers).
+        #: The sampler's task-throughput rate is derived from this
+        #: bundle's ``tasks.completed`` counter, which every executor
+        #: role already maintains; owners with a run directory bind it
+        #: with ``telemetry.set_rundir``.
+        completed = self.registry.counter("tasks.completed")
+        self.telemetry = Telemetry(
+            role=role, task_counter=lambda: completed.value
+        )
         self._created_at = time.perf_counter()
         #: Seconds from backend construction to ready-to-run, set once
         #: by :meth:`mark_startup_complete` (the paper's "~2 s" number).
@@ -110,28 +117,6 @@ class Observability:
             )
         return self.events
 
-    def enable_telemetry(
-        self, opts: Any = None, rundir: Optional[str] = None
-    ) -> Optional[Any]:
-        """Attach the cluster telemetry plane per ``--mrs-telemetry``
-        (idempotent; returns None and stays disabled when off).
-
-        The sampler's task-throughput rate is derived from this
-        bundle's ``tasks.completed`` counter, which every executor role
-        already maintains.
-        """
-        if self.telemetry is None:
-            from repro.observability import telemetry as telemetry_mod
-
-            counter = self.registry.counter("tasks.completed")
-            self.telemetry = telemetry_mod.telemetry_from_opts(
-                opts,
-                role=self.role,
-                rundir=rundir,
-                task_counter=lambda: counter.value,
-            )
-        return self.telemetry
-
     def configure_from_opts(self, opts: Any) -> None:
         """Wire the observability CLI flags into this bundle.
 
@@ -152,7 +137,6 @@ class Observability:
         from repro.comm import transfer
 
         transfer.install_registry(self.registry)
-        self.enable_telemetry(opts, rundir=getattr(opts, "tmpdir", None))
 
     def mark_startup_complete(self) -> float:
         """Record startup as complete (idempotent); returns the time."""

@@ -16,25 +16,6 @@ import threading
 from typing import Any, List, Optional, Tuple
 
 
-def _dataset_states(status: dict) -> List[Tuple[str, bool]]:
-    """Normalize the two dataset-status shapes — the master's list of
-    row dicts and the multiprocess backend's ``{id: state}`` dict — to
-    ``(dataset_id, complete)`` pairs."""
-    datasets = status.get("datasets")
-    if isinstance(datasets, dict):
-        return [
-            (str(ds_id), state == "complete")
-            for ds_id, state in datasets.items()
-        ]
-    if isinstance(datasets, list):
-        return [
-            (str(row["id"]), bool(row.get("complete")))
-            for row in datasets
-            if isinstance(row, dict) and "id" in row
-        ]
-    return []
-
-
 def _job_key(job_id: str) -> Tuple[int, str]:
     try:
         return int(job_id.split("-", 1)[1]), job_id
@@ -46,12 +27,12 @@ def job_segments(status: dict) -> List[str]:
     """Per-job dataset progress segments for service mode, grouped by
     the ``job-N.`` dataset-id namespace prefix (empty for plain jobs)."""
     groups: dict = {}
-    for ds_id, complete in _dataset_states(status):
-        prefix, dot, _ = ds_id.partition(".")
+    for row in status.get("datasets") or ():
+        prefix, dot, _ = row["id"].partition(".")
         if not dot or not prefix.startswith("job-"):
             continue
         done, total = groups.get(prefix, (0, 0))
-        groups[prefix] = (done + (1 if complete else 0), total + 1)
+        groups[prefix] = (done + (1 if row["complete"] else 0), total + 1)
     return [
         f"{job} {done}/{total} ds"
         for job, (done, total) in sorted(

@@ -19,19 +19,16 @@ Four pieces:
   candidate.  It reads the coordinator's task spans and keeps no
   timings of its own
   (:meth:`~repro.runtime.coordinator.Coordinator.straggler_candidates`).
-* :func:`render_prometheus` / :func:`render_dashboard` — the live
-  ``GET /metrics`` (Prometheus text exposition) and ``GET /dashboard``
-  (self-refreshing HTML, no external assets) views grown onto the
-  ``--mrs-status-http`` surface.
+* :func:`render_prometheus` — the live ``GET /metrics`` view (Prometheus
+  text exposition) on the ``--mrs-status-http`` surface; ``GET
+  /status`` serves the same state as JSON.
 
-Everything hangs off ``Observability.telemetry`` behind
-``--mrs-telemetry on|off``; when off the attribute is ``None`` and
-every call site costs one attribute check (the events discipline).
+Everything hangs off ``Observability.telemetry``, which every backend
+always has.
 """
 
 from __future__ import annotations
 
-import html
 import os
 import re
 import shutil
@@ -361,8 +358,7 @@ def _median_run_seconds(spans: List[Any]) -> float:
 class Telemetry:
     """One backend's telemetry plane: a sampler for its own process, a
     store for the cluster's series, a skew tracker, and the straggler
-    knobs.  Attached as ``Observability.telemetry`` when
-    ``--mrs-telemetry`` is on.
+    knobs.  Every ``Observability`` builds one as its ``telemetry``.
     """
 
     def __init__(
@@ -370,7 +366,6 @@ class Telemetry:
         role: str,
         interval: float = DEFAULT_INTERVAL,
         straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-        rundir: Optional[str] = None,
         task_counter: Optional[Callable[[], float]] = None,
     ):
         from repro.observability.skew import SkewTracker
@@ -378,15 +373,13 @@ class Telemetry:
         self.role = role
         self.interval = float(interval)
         self.straggler_factor = float(straggler_factor)
-        self.sampler = HealthSampler(
-            rundir=rundir, interval=interval, task_counter=task_counter
-        )
+        self.sampler = HealthSampler(interval=interval, task_counter=task_counter)
         self.store = TimeSeriesStore(interval=interval)
         self.skew = SkewTracker()
 
-    def set_rundir(self, rundir: str) -> None:
-        """Late-bind the directory whose disk-free the sampler reports
-        (backends create their tmpdir after constructing telemetry)."""
+    def set_rundir(self, rundir: Optional[str]) -> None:
+        """Bind the directory whose disk-free the sampler reports
+        (backends create their tmpdir after their ``Observability``)."""
         self.sampler.rundir = rundir
 
     def record_remote(
@@ -424,18 +417,6 @@ class Telemetry:
                 "flagged_total": int(flagged_total),
             },
         }
-
-
-def telemetry_from_opts(
-    opts: Any, role: str, rundir: Optional[str] = None,
-    task_counter: Optional[Callable[[], float]] = None,
-) -> Optional[Telemetry]:
-    """Build a :class:`Telemetry` per ``--mrs-telemetry``; ``None`` when
-    off (one attribute check at every call site, the events discipline).
-    """
-    if opts is not None and getattr(opts, "telemetry", "on") == "off":
-        return None
-    return Telemetry(role=role, rundir=rundir, task_counter=task_counter)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +490,6 @@ class _PromWriter:
         return "\n".join(self.lines) + "\n"
 
 
-def _dataset_rows(status: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Normalize the two backend status shapes for ``datasets``:
-    the master's list of row dicts and the multiprocess backend's
-    ``{id: state}`` map."""
-    raw = status.get("datasets")
-    if isinstance(raw, list):
-        return [row for row in raw if isinstance(row, dict) and "id" in row]
-    if isinstance(raw, dict):
-        return [
-            {
-                "id": dataset_id,
-                "complete": state == "complete",
-                "error": state if state == "error" else None,
-                "progress": 1.0 if state == "complete" else 0.0,
-            }
-            for dataset_id, state in raw.items()
-        ]
-    return []
-
-
 def render_prometheus(backend: Any) -> str:
     """The ``GET /metrics`` body: Prometheus text exposition of the
     backend's live status, registry, and telemetry plane."""
@@ -565,12 +526,10 @@ def render_prometheus(backend: Any) -> str:
             if key in sample:
                 writer.add(metric, sample[key], labels, mtype)
 
-    for row in _dataset_rows(status):
+    for row in status.get("datasets") or ():
         labels = {"dataset": row["id"]}
-        writer.add("mrs_dataset_progress", row.get("progress") or 0.0, labels)
-        writer.add(
-            "mrs_dataset_complete", 1 if row.get("complete") else 0, labels
-        )
+        writer.add("mrs_dataset_progress", row["progress"], labels)
+        writer.add("mrs_dataset_complete", 1 if row["complete"] else 0, labels)
 
     for dataset_id, summary in (telemetry.get("skew") or {}).items():
         if not isinstance(summary, dict):
@@ -616,221 +575,3 @@ def render_prometheus(backend: Any) -> str:
             writer.add(f"{base}_count", hist.get("count", 0), mtype="counter")
             writer.add(f"{base}_sum", hist.get("total", 0.0), mtype="counter")
     return writer.text()
-
-
-# ---------------------------------------------------------------------------
-# HTML dashboard (self-refreshing, zero external assets)
-# ---------------------------------------------------------------------------
-
-_DASHBOARD_CSS = """
-body{font-family:system-ui,sans-serif;margin:1.5rem;background:#111;
-     color:#ddd}
-h1{font-size:1.3rem}h2{font-size:1.05rem;margin-top:1.4rem;color:#9cf}
-table{border-collapse:collapse;margin:.4rem 0}
-th,td{border:1px solid #333;padding:.25rem .6rem;font-size:.85rem;
-      text-align:left}
-th{background:#1c2733}
-.bar{background:#223;width:16rem;height:1rem;display:inline-block;
-     vertical-align:middle;border:1px solid #345}
-.bar i{background:#2b8a3e;height:100%;display:block}
-.bad{color:#f66}.ok{color:#6d6}.dim{color:#777}
-""".strip()
-
-
-def _fmt_bytes(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    number = float(value)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(number) < 1024 or unit == "TiB":
-            return f"{number:.1f} {unit}"
-        number /= 1024
-    return f"{number:.1f} TiB"
-
-
-def _h(value: Any) -> str:
-    return html.escape(str(value))
-
-
-def _progress_bar(fraction: float) -> str:
-    percent = max(0.0, min(1.0, float(fraction or 0.0))) * 100.0
-    return (
-        f'<span class="bar"><i style="width:{percent:.0f}%"></i></span> '
-        f"{percent:.0f}%"
-    )
-
-
-def render_dashboard(
-    backend: Any,
-    control: Any = None,
-    refresh_seconds: int = 2,
-) -> str:
-    """The ``GET /dashboard`` body: one self-refreshing HTML page with
-    the slave table, per-dataset progress bars, skew and straggler
-    panels, and (on a job server) the jobs table — inline CSS only."""
-    try:
-        status = backend.status() or {}
-    except Exception:
-        status = {}
-    telemetry: Dict[str, Any] = {}
-    if hasattr(backend, "telemetry"):
-        try:
-            telemetry = backend.telemetry() or {}
-        except Exception:
-            telemetry = {}
-    latest = telemetry.get("latest") or {}
-
-    parts: List[str] = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<meta http-equiv='refresh' content='{int(refresh_seconds)}'>",
-        "<title>mrs dashboard</title>",
-        f"<style>{_DASHBOARD_CSS}</style></head><body>",
-        "<h1>mrs cluster dashboard</h1>",
-        f"<p class='dim'>role={_h(status.get('role', '?'))} "
-        f"refresh={int(refresh_seconds)}s</p>",
-    ]
-
-    # -- slave table ----------------------------------------------------
-    parts.append("<h2>Slaves</h2>")
-    slave_rows = status.get("slaves") or []
-    workers = status.get("workers")
-    if slave_rows:
-        parts.append(
-            "<table><tr><th>slave</th><th>address</th><th>state</th>"
-            "<th>cpu s</th><th>rss</th><th>fds</th><th>disk free</th>"
-            "<th>ping rtt</th><th>tasks/s</th></tr>"
-        )
-        for row in slave_rows:
-            source = f"slave-{row.get('id')}"
-            sample = latest.get(source) or {}
-            state = (
-                "<span class='ok'>alive</span>"
-                if row.get("alive")
-                else "<span class='bad'>lost</span>"
-            )
-            if row.get("busy"):
-                state += " (busy)"
-            rtt = sample.get("rtt_seconds")
-            parts.append(
-                f"<tr><td>{_h(source)}</td>"
-                f"<td>{_h(row.get('address', '-'))}</td>"
-                f"<td>{state}</td>"
-                f"<td>{sample.get('cpu_seconds', 0.0):.1f}</td>"
-                f"<td>{_fmt_bytes(sample.get('rss_bytes'))}</td>"
-                f"<td>{int(sample.get('open_fds', 0))}</td>"
-                f"<td>{_fmt_bytes(sample.get('disk_free_bytes'))}</td>"
-                f"<td>{'-' if rtt is None else f'{rtt * 1000:.1f} ms'}</td>"
-                f"<td>{sample.get('task_throughput', 0.0):.2f}</td></tr>"
-            )
-        parts.append("</table>")
-    elif isinstance(workers, dict):
-        parts.append(
-            "<table><tr><th>alive</th><th>ready</th><th>busy</th>"
-            "<th>respawns</th></tr>"
-            f"<tr><td>{_h(workers.get('alive', 0))}</td>"
-            f"<td>{_h(workers.get('ready', 0))}</td>"
-            f"<td>{_h(workers.get('busy', 0))}</td>"
-            f"<td>{_h(workers.get('respawns', 0))}</td></tr></table>"
-        )
-    else:
-        parts.append("<p class='dim'>no slaves signed in</p>")
-
-    # -- jobs (service mode) --------------------------------------------
-    if control is not None and hasattr(control, "jobs_view"):
-        try:
-            jobs = control.jobs_view() or {}
-        except Exception:
-            jobs = {}
-        parts.append("<h2>Jobs</h2>")
-        rows = jobs.get("jobs") or []
-        if rows:
-            parts.append(
-                "<table><tr><th>job</th><th>program</th><th>state</th>"
-                "</tr>"
-            )
-            for job in rows:
-                state = _h(job.get("state", "?"))
-                css = "ok" if job.get("state") == "done" else (
-                    "bad" if job.get("state") in ("failed", "canceled")
-                    else ""
-                )
-                parts.append(
-                    f"<tr><td>{_h(job.get('id'))}</td>"
-                    f"<td>{_h(job.get('program'))}</td>"
-                    f"<td class='{css}'>{state}</td></tr>"
-                )
-            parts.append("</table>")
-        else:
-            parts.append("<p class='dim'>no jobs submitted</p>")
-
-    # -- dataset progress -----------------------------------------------
-    parts.append("<h2>Datasets</h2>")
-    dataset_rows = _dataset_rows(status)
-    if dataset_rows:
-        parts.append("<table><tr><th>dataset</th><th>progress</th></tr>")
-        for row in dataset_rows:
-            cell = (
-                "<span class='bad'>error</span>"
-                if row.get("error")
-                else _progress_bar(row.get("progress") or 0.0)
-            )
-            parts.append(
-                f"<tr><td>{_h(row['id'])}</td><td>{cell}</td></tr>"
-            )
-        parts.append("</table>")
-    else:
-        parts.append("<p class='dim'>no datasets yet</p>")
-
-    # -- skew panel -----------------------------------------------------
-    parts.append("<h2>Shuffle skew</h2>")
-    skew = telemetry.get("skew") or {}
-    if skew:
-        parts.append(
-            "<table><tr><th>dataset</th><th>buckets</th><th>bytes</th>"
-            "<th>max/median</th><th>gini</th></tr>"
-        )
-        for dataset_id, summary in sorted(skew.items()):
-            ratio = summary.get("max_over_median_bytes")
-            gini = summary.get("gini_bytes")
-            ratio_cell = "-" if ratio is None else f"{ratio:.2f}"
-            if ratio is not None and ratio > 2.0:
-                ratio_cell = f"<span class='bad'>{ratio_cell}</span>"
-            parts.append(
-                f"<tr><td>{_h(dataset_id)}</td>"
-                f"<td>{summary.get('buckets', 0)}</td>"
-                f"<td>{_fmt_bytes(summary.get('bytes_total'))}</td>"
-                f"<td>{ratio_cell}</td>"
-                f"<td>{'-' if gini is None else f'{gini:.3f}'}</td></tr>"
-            )
-        parts.append("</table>")
-    else:
-        parts.append("<p class='dim'>no shuffle data yet</p>")
-
-    # -- straggler panel ------------------------------------------------
-    parts.append("<h2>Stragglers</h2>")
-    stragglers = telemetry.get("stragglers") or {}
-    candidates = stragglers.get("candidates") or []
-    parts.append(
-        f"<p class='dim'>factor={stragglers.get('factor', '-')} "
-        f"flagged so far={stragglers.get('flagged_total', 0)}</p>"
-    )
-    if candidates:
-        parts.append(
-            "<table><tr><th>task</th><th>slave</th><th>elapsed</th>"
-            "<th>median</th><th>ratio</th></tr>"
-        )
-        for cand in candidates:
-            parts.append(
-                f"<tr><td>{_h(cand.get('dataset_id'))}"
-                f"[{_h(cand.get('task_index'))}]</td>"
-                f"<td>{_h(cand.get('slave'))}</td>"
-                f"<td>{cand.get('elapsed_seconds', 0.0):.2f}s</td>"
-                f"<td>{cand.get('median_seconds', 0.0):.2f}s</td>"
-                f"<td class='bad'>{cand.get('ratio', 0.0):.2f}x</td></tr>"
-            )
-        parts.append("</table>")
-    else:
-        parts.append("<p class='dim'>no straggler candidates</p>")
-
-    parts.append("</body></html>")
-    return "".join(parts)

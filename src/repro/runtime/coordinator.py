@@ -28,6 +28,7 @@ hook                                    meaning
 ``_job_program`` / ``_job_registry``    service-mode job scoping
 ``_task_accepted(worker_id, task)``     lineage bookkeeping
 ``_release_worker_copies(dataset_id)``  worker-local data release
+``_transport_status(status)``           transport-only ``status()`` facts
 ``_shutdown_transport()``               stop workers and servers
 ======================================  ================================
 
@@ -87,15 +88,11 @@ class Coordinator(Backend):
             affinity=not getattr(opts, "no_affinity", False),
             pipeline=getattr(opts, "pipeline", "buckets") != "off",
         )
-        #: Straggler scorer (telemetry on): reads ``_busy`` and the
-        #: task spans; see :meth:`straggler_candidates`.
-        self._stragglers: Optional[StragglerScorer] = None
         telemetry = self.observability.telemetry
-        if telemetry is not None:
-            telemetry.set_rundir(self.tmpdir)
-            self._stragglers = StragglerScorer(
-                factor=telemetry.straggler_factor
-            )
+        telemetry.set_rundir(self.tmpdir)
+        #: Straggler scorer: reads ``_busy`` and the task spans; see
+        #: :meth:`straggler_candidates`.
+        self._stragglers = StragglerScorer(factor=telemetry.straggler_factor)
         #: Mirror of the scheduler's pipelined-dispatch count already
         #: folded into the metrics registry.
         self._pipelined_seen = 0
@@ -156,6 +153,10 @@ class Coordinator(Backend):
     def _release_worker_copies(self, dataset_id: str) -> None:
         """Drop worker-local copies of a released dataset (called
         outside the lock; best effort)."""
+
+    def _transport_status(self, status: Dict[str, Any]) -> None:
+        """Add transport-only facts to a :meth:`status` snapshot
+        (caller holds the lock)."""
 
     # ------------------------------------------------------------------
     # Backend interface (called from the program's main thread)
@@ -245,23 +246,54 @@ class Coordinator(Backend):
         with self._lock:
             return self.scheduler.progress(dataset.id)
 
+    def status(self) -> Dict[str, Any]:
+        """The live view of the job, one shape on every transport:
+        the observability snapshot plus ``outstanding`` tasks, one
+        ``datasets`` row per dataset and ``workers`` counts, and
+        whatever :meth:`_transport_status` adds.  Served as JSON at
+        ``GET /status`` and read by ``/metrics`` and the progress
+        ticker."""
+        # Computed from spans outside the lock: a status reader must
+        # not hold up dispatch.
+        status = self.observability.status_view()
+        with self._lock:
+            live = list(self._live_workers())
+            status["outstanding"] = self.scheduler.outstanding()
+            status["datasets"] = self._dataset_rows()
+            status["workers"] = {
+                "alive": len(live),
+                "ready": len(live),
+                "busy": sum(1 for worker_id in live if worker_id in self._busy),
+            }
+            self._transport_status(status)
+        return status
+
+    def _dataset_rows(self, prefix: str = "") -> List[Dict[str, Any]]:
+        """Status rows of the datasets under ``prefix`` (caller holds
+        the lock)."""
+        return [
+            {
+                "id": dataset.id,
+                "complete": bool(dataset.complete),
+                "error": dataset.error,
+                "progress": self.scheduler.progress(dataset.id),
+            }
+            for ds_id, dataset in self._datasets.items()
+            if ds_id.startswith(prefix)
+        ]
+
     def telemetry(self) -> Dict[str, Any]:
         """The cluster telemetry snapshot, including the scheduler's
-        live straggler candidates (empty when --mrs-telemetry off)."""
-        telemetry = self.observability.telemetry
-        if telemetry is None:
-            return {}
-        return telemetry.snapshot(
+        live straggler candidates."""
+        return self.observability.telemetry.snapshot(
             stragglers=self.straggler_candidates(),
             flagged_total=self._stragglers.flagged_total,
         )
 
     def straggler_candidates(self) -> List[Dict[str, Any]]:
         """Running tasks over the straggler threshold, most severe
-        first; empty with telemetry off.  This is the API speculative
-        execution consumes to pick re-launch victims."""
-        if self._stragglers is None:
-            return []
+        first.  This is the API speculative execution consumes to pick
+        re-launch victims."""
         with self._lock:
             return self._stragglers.candidates(
                 self._busy, self.observability.tracer
@@ -289,10 +321,8 @@ class Coordinator(Backend):
         # The spans shrink to the one row the report and status views
         # still need.
         self.observability.tracer.fold(dataset_id)
-        telemetry = self.observability.telemetry
-        if telemetry is not None:
-            telemetry.skew.forget_dataset(dataset_id)
-            self._stragglers.forget_dataset(dataset_id)
+        self.observability.telemetry.skew.forget_dataset(dataset_id)
+        self._stragglers.forget_dataset(dataset_id)
 
     def close(self) -> None:
         with self._lock:
@@ -407,19 +437,16 @@ class Coordinator(Backend):
         span.mark("committed")
         obs.merge_remote(payload["registry"], source=source)
         telemetry = obs.telemetry
-        if telemetry is not None:
-            telemetry.record_remote(source, payload.get("health"))
-            if payload["buckets"]:
-                telemetry.skew.record_emitted(dataset_id, payload["buckets"])
-            counters = payload["registry"].get("counters")
-            if isinstance(counters, dict):
-                fetched = counters.get("fetch.bytes")
-                if fetched:
-                    # The reduce side of skew: what this task actually
-                    # pulled over the data plane for its input split.
-                    telemetry.skew.record_fetched(
-                        dataset_id, task_index, fetched
-                    )
+        telemetry.record_remote(source, payload.get("health"))
+        if payload["buckets"]:
+            telemetry.skew.record_emitted(dataset_id, payload["buckets"])
+        counters = payload["registry"].get("counters")
+        if isinstance(counters, dict):
+            fetched = counters.get("fetch.bytes")
+            if fetched:
+                # The reduce side of skew: what this task actually
+                # pulled over the data plane for its input split.
+                telemetry.skew.record_fetched(dataset_id, task_index, fetched)
         events = obs.events
         if events is not None:
             emit_task_events(events, span, **{label: worker_id})

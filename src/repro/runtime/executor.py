@@ -42,9 +42,9 @@ def execute_descriptor(
     ``label`` (``"slave"`` / ``"worker"``) prefixes the per-task
     registry's names.  A descriptor without an ``outdir`` keeps its
     output under ``localdir`` and publishes it through ``url_for`` (the
-    http data plane).  ``sampler`` is the telemetry health sampler, or
-    None with telemetry off; ``boot_seconds`` is shipped once, with the
-    process's first task.
+    http data plane).  ``sampler`` is the process's telemetry health
+    sampler (``None`` only in tests); ``boot_seconds`` is shipped once,
+    with the process's first task.
     """
     dataset_id = descriptor["dataset_id"]
     task_index = int(descriptor["task_index"])
@@ -109,7 +109,7 @@ def execute_descriptor(
         urls.append((bucket.split, url, bucket.url_sorted))
         if sampler is not None:
             # Per-bucket emitted records/bytes for shuffle-skew
-            # accounting on the coordinator (telemetry on).
+            # accounting on the coordinator.
             try:
                 bucket_stats.append(
                     (

@@ -186,6 +186,22 @@ class MasterBackend(Coordinator):
     def _task_accepted(self, worker_id: int, task: TaskId) -> None:
         self._producers[task] = worker_id
 
+    def _transport_status(self, status: Dict[str, Any]) -> None:
+        status["address"] = self.rpc.address
+        status["data_plane"] = self.data_plane
+        slaves = []
+        for record in self._slaves.values():
+            busy = self._busy.get(record.id)
+            slaves.append(
+                {
+                    "id": record.id,
+                    "address": record.address,
+                    "alive": record.alive,
+                    "busy": list(busy) if busy else None,
+                }
+            )
+        status["slaves"] = slaves
+
     def _release_worker_copies(self, dataset_id: str) -> None:
         for record in self.alive_slaves():
             try:
@@ -381,8 +397,8 @@ class MasterBackend(Coordinator):
         return len(ds_ids)
 
     def job_status(self, namespace: str) -> Dict[str, Any]:
-        """A per-job slice of :meth:`status`: only this job's datasets,
-        spans, and (isolated) metrics registry."""
+        """A per-job slice of :meth:`~Coordinator.status`: only this
+        job's datasets, spans, and (isolated) metrics registry."""
         prefix = namespace + "."
         with self._lock:
             datasets = self._dataset_rows(prefix)
@@ -399,49 +415,6 @@ class MasterBackend(Coordinator):
             }
         )
         return view
-
-    def _dataset_rows(self, prefix: str = "") -> List[Dict[str, Any]]:
-        """Status rows of the datasets under ``prefix`` (caller holds
-        the lock)."""
-        return [
-            {
-                "id": dataset.id,
-                "complete": bool(dataset.complete),
-                "error": dataset.error,
-                "progress": self.scheduler.progress(dataset.id),
-            }
-            for ds_id, dataset in self._datasets.items()
-            if ds_id.startswith(prefix)
-        ]
-
-    def status(self) -> Dict[str, Any]:
-        """A snapshot of the job for monitoring: slaves, datasets,
-        progress, outstanding work.  Exposed over RPC as ``status`` so
-        external tools (or a curious user with ``xmlrpc.client``) can
-        watch a running master."""
-        with self._lock:
-            slaves = []
-            for record in self._slaves.values():
-                busy = self._busy.get(record.id)
-                slaves.append(
-                    {
-                        "id": record.id,
-                        "address": record.address,
-                        "alive": record.alive,
-                        "busy": list(busy) if busy else None,
-                    }
-                )
-            status = self.observability.status_view()
-            status.update(
-                {
-                    "address": self.rpc.address,
-                    "data_plane": self.data_plane,
-                    "outstanding_tasks": self.scheduler.outstanding(),
-                    "slaves": slaves,
-                    "datasets": self._dataset_rows(),
-                }
-            )
-            return status
 
     # ------------------------------------------------------------------
     # Liveness and lineage recovery
@@ -556,18 +529,17 @@ class MasterBackend(Coordinator):
                 rtt = time.perf_counter() - started
                 record.ping_failures = 0
                 record.last_rtt = rtt
-                if telemetry is not None:
-                    # Slaves with telemetry on answer pings with a
-                    # throttled health sample instead of bare True.
-                    health = result if isinstance(result, dict) else None
-                    telemetry.record_remote(
-                        f"slave-{record.id}", health, rtt_seconds=rtt
-                    )
+                # Slaves answer a ping with a throttled health sample,
+                # or bare True between samples.
+                health = result if isinstance(result, dict) else None
+                telemetry.record_remote(
+                    f"slave-{record.id}", health, rtt_seconds=rtt
+                )
             self._poll_stragglers()
 
     def _poll_stragglers(self) -> None:
         """Emit ``task.straggler`` events for tasks newly over the
-        threshold (telemetry on; piggybacks on the watchdog cadence)."""
+        threshold (piggybacks on the watchdog cadence)."""
         candidates = self.straggler_candidates()
         events = self.observability.events
         if events is None:

@@ -115,6 +115,11 @@ class MultiprocessBackend(Coordinator):
         if handle is not None:
             handle.process.terminate()
 
+    def _transport_status(self, status: Dict[str, Any]) -> None:
+        # A live worker is ready once it has built its program copy.
+        status["workers"]["ready"] = len(self._ready)
+        status["workers"]["respawns"] = self._respawns
+
     def _shutdown_transport(self) -> None:
         self.pool.shutdown()
         self._collector.join(timeout=2.0)
@@ -129,28 +134,6 @@ class MultiprocessBackend(Coordinator):
     def default_splits(self) -> int:
         requested = getattr(self.opts, "reduce_tasks", 0)
         return requested or self.n_procs
-
-    def status(self) -> Dict[str, Any]:
-        """Live snapshot: the observability view plus pool state."""
-        status = self.observability.status_view()
-        with self._lock:
-            alive = self.pool.alive_handles()
-            status["workers"] = {
-                "alive": len(alive),
-                "ready": len(self._ready),
-                "busy": sum(1 for h in alive if h.worker_id in self._busy),
-                "respawns": self._respawns,
-            }
-            status["outstanding"] = self.scheduler.outstanding()
-            status["datasets"] = {
-                dataset_id: (
-                    "error"
-                    if d.error
-                    else "complete" if d.complete else "running"
-                )
-                for dataset_id, d in self._datasets.items()
-            }
-        return status
 
     # ------------------------------------------------------------------
     # Collector (runs on its own thread; the pool's "RPC handler")

@@ -31,6 +31,7 @@ import time
 from typing import Any, List
 
 from repro.observability.profiling import profiler_from_opts
+from repro.observability.telemetry import HealthSampler
 from repro.runtime.executor import execute_descriptor
 
 logger = logging.getLogger("repro.worker")
@@ -63,17 +64,13 @@ def worker_main(
         )
         return
     profiler = profiler_from_opts(opts)
-    # Health sampling (--mrs-telemetry): throttled snapshots ride back
-    # on done messages; task throughput from a local completion count.
-    sampler: Any = None
+    # Health sampling: throttled snapshots ride back on done messages;
+    # task throughput from a local completion count.
     completed = [0.0]
-    if getattr(opts, "telemetry", "on") != "off":
-        from repro.observability.telemetry import HealthSampler
-
-        sampler = HealthSampler(
-            rundir=getattr(opts, "tmpdir", None),
-            task_counter=lambda: completed[0],
-        )
+    sampler = HealthSampler(
+        rundir=getattr(opts, "tmpdir", None),
+        task_counter=lambda: completed[0],
+    )
     result_queue.put({"type": "ready", "worker_id": worker_id})
     boot_seconds: Any = None
     first_task = True

@@ -32,6 +32,7 @@ class SerialBackend(Backend):
         self.profile_dir = getattr(opts, "profile_dir", None)
         self.observability = Observability(role=self.role)
         self.observability.configure_from_opts(opts)
+        self.observability.telemetry.set_rundir(getattr(opts, "tmpdir", None))
         #: --mrs-profile-tasks N: keep the N slowest tasks' profiles.
         self.profiler = profiler_from_opts(opts)
         self._queue: List[ComputedData] = []

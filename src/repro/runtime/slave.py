@@ -70,16 +70,11 @@ class SlaveInterface:
         return True
 
     def rpc_ping(self) -> Any:
-        # With telemetry on, a throttled health sample answers the ping
-        # — per-slave CPU/RSS/fd/disk series for free on the heartbeats
-        # the master already sends.  Old masters (and telemetry off)
-        # just see a truthy value.
-        telemetry = self.slave.observability.telemetry
-        if telemetry is not None:
-            sample = telemetry.sampler.maybe_sample()
-            if sample is not None:
-                return sample
-        return True
+        # A throttled health sample answers the ping — per-slave
+        # CPU/RSS/fd/disk series for free on the heartbeats the master
+        # already sends; between samples, a bare truthy value.
+        sample = self.slave.observability.telemetry.sampler.maybe_sample()
+        return True if sample is None else sample
 
 
 class Slave:
@@ -110,9 +105,9 @@ class Slave:
         #: when several slaves share a tmpdir).
         self.localdir = os.path.join(base_tmp, f"slave_{os.getpid()}")
         os.makedirs(self.localdir, exist_ok=True)
-        # Health sampling (--mrs-telemetry): piggybacks on pings and
-        # done RPCs; reports disk free for the slave's own run dir.
-        self.observability.enable_telemetry(opts, rundir=self.localdir)
+        # Health sampling piggybacks on pings and done RPCs; it reports
+        # disk free for the slave's own run dir.
+        self.observability.telemetry.set_rundir(self.localdir)
 
         self.rpc = RpcServer(
             SlaveInterface(self),
@@ -185,7 +180,6 @@ class Slave:
         # Slave startup is role-appropriately "boot to first task":
         # seconds from process construction to the first task arriving.
         boot_seconds = self.observability.mark_startup_complete()
-        telemetry = self.observability.telemetry
         try:
             urls, seconds, metrics = execute_descriptor(
                 self._program_for(descriptor),
@@ -194,7 +188,7 @@ class Slave:
                 localdir=self.localdir,
                 url_for=self.dataserver.url_for if self.dataserver else None,
                 profiler=self.profiler,
-                sampler=telemetry.sampler if telemetry is not None else None,
+                sampler=self.observability.telemetry.sampler,
                 # Shipped once, so the master's report can break down
                 # cluster spin-up per slave under ``sources``.
                 boot_seconds=None if self._reported_startup else boot_seconds,

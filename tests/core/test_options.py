@@ -118,7 +118,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-slave-wait-timeout",
     "--mrs-start-method",
     "--mrs-status-http",
-    "--mrs-telemetry",
     "--mrs-timeout",
     "--mrs-tmpdir",
     "--mrs-trace",
@@ -133,6 +132,7 @@ REMOVED_FLAGS = [
     "--mrs-fetch-timeout",
     "--mrs-fetch-retries",
     "--mrs-fetch-compression",
+    "--mrs-telemetry",
     "--mrs-telemetry-interval",
     "--mrs-straggler-factor",
     "--mrs-heartbeat-interval",
@@ -176,7 +176,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 30
+        assert len(flags) == 29
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))
@@ -202,8 +202,9 @@ class TestOptionCensus:
 
     def test_observability_records_in_exactly_these_places(self):
         """A task's time lives in its span; the registry holds bounded
-        aggregates; the event log and the telemetry plane are optional.
-        An eighth timing store would show up here as a new member."""
+        aggregates; the event log is optional, the telemetry plane is
+        always on.  An eighth timing store would show up here as a new
+        member."""
         from repro.observability import Observability
 
         descriptive = {"role", "startup_seconds", "startup_kind"}

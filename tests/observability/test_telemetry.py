@@ -1,6 +1,6 @@
 """The cluster telemetry plane: health sampling, the master-side
 time-series store, shuffle-skew accounting, straggler scoring, the
-Prometheus/dashboard renderers, and the offline analyzer.
+Prometheus renderer, and the offline analyzer.
 
 Everything here runs on synthetic data with injected clocks — the
 end-to-end piggyback paths are covered by the integration suites; these
@@ -27,10 +27,8 @@ from repro.observability.telemetry import (
     StragglerScorer,
     Telemetry,
     TimeSeriesStore,
-    render_dashboard,
     render_prometheus,
     sample_health,
-    telemetry_from_opts,
 )
 
 
@@ -311,19 +309,6 @@ class TestCoordinatorStragglers:
         for cand in transport.straggler_candidates():
             assert (cand["dataset_id"], cand["task_index"]) in running
 
-    def test_telemetry_off_means_empty_candidates(self, tmp_path):
-        from repro.core.options import default_options
-        from tests.runtime.programs_mp import Tally
-        from tests.runtime.test_coordinator import FakeTransport
-
-        opts = default_options(tmpdir=str(tmp_path / "run"), telemetry="off")
-        transport = FakeTransport(Tally(opts, []), opts)
-        try:
-            assert transport.straggler_candidates() == []
-            assert transport.telemetry() == {}
-        finally:
-            transport.close()
-
 
 class TestSkew:
     def test_gini_uniform_is_zero(self):
@@ -381,19 +366,8 @@ class TestSkew:
 
 
 class TestTelemetryFromOpts:
-    class Opts:
-        telemetry = "on"
-
-    def test_off_returns_none(self):
-        opts = self.Opts()
-        opts.telemetry = "off"
-        assert telemetry_from_opts(opts, role="serial") is None
-
-    def test_on_builds_bundle(self):
-        bundle = telemetry_from_opts(self.Opts(), role="serial")
-        assert bundle.role == "serial"
-        assert bundle.interval == DEFAULT_INTERVAL
-        assert bundle.straggler_factor == DEFAULT_STRAGGLER_FACTOR
+    """The bundle every ``Observability`` builds: telemetry is always
+    on."""
 
     def test_constructor_sets_cadence_and_factor(self):
         bundle = Telemetry(role="serial", interval=2.0, straggler_factor=3.0)
@@ -401,26 +375,21 @@ class TestTelemetryFromOpts:
         assert bundle.sampler.interval == 2.0
         assert bundle.straggler_factor == 3.0
 
-    def test_observability_wiring(self, tmp_path):
-        class Opts:
-            telemetry = "on"
-            tmpdir = str(tmp_path)
+    def test_on_builds_bundle(self):
+        bundle = Observability(role="serial").telemetry
+        assert isinstance(bundle, Telemetry)
+        assert bundle.role == "serial"
+        assert bundle.interval == DEFAULT_INTERVAL
+        assert bundle.straggler_factor == DEFAULT_STRAGGLER_FACTOR
 
+    def test_observability_wiring(self, tmp_path):
         obs = Observability(role="serial")
-        obs.enable_telemetry(Opts(), rundir=str(tmp_path))
-        assert obs.telemetry is not None
+        obs.telemetry.set_rundir(str(tmp_path))
+        assert obs.telemetry.sampler.rundir == str(tmp_path)
         # The task counter is live: registry increments feed throughput.
         obs.registry.counter("tasks.completed").inc(3)
         sample = obs.telemetry.sampler.sample()
         assert sample["tasks_completed"] == 3.0
-
-    def test_observability_off_keeps_attribute_none(self):
-        class Opts:
-            telemetry = "off"
-
-        obs = Observability(role="serial")
-        obs.enable_telemetry(Opts())
-        assert obs.telemetry is None
 
 
 _PROM_LINE = re.compile(
@@ -500,41 +469,6 @@ class TestRenderers:
         assert "mrs_straggler_candidates 1" in body
         assert "mrs_stragglers_flagged_total 1" in body
         assert "mrs_tasks_completed_total 7" in body
-
-    def test_prometheus_handles_mp_status_shape(self):
-        class MpBackend:
-            observability = None
-
-            def status(self):
-                return {
-                    "role": "multiprocess",
-                    "tasks": {"total": 2, "done": 2, "running": 0},
-                    "datasets": {"ds": "complete", "bad": "error"},
-                }
-
-        body = render_prometheus(MpBackend())
-        assert_prometheus_text(body)
-        assert 'mrs_dataset_complete{dataset="ds"} 1' in body
-        assert 'mrs_dataset_complete{dataset="bad"} 0' in body
-
-    def test_dashboard_renders_all_panels(self):
-        body = render_dashboard(self.FakeBackend())
-        assert body.startswith("<!DOCTYPE html>")
-        assert "slave-1" in body and "slave-2" in body
-        assert "Shuffle skew" in body and "Stragglers" in body
-        assert "ds[3]" in body  # the straggler row
-        assert "http-equiv='refresh'" in body
-
-    def test_dashboard_survives_empty_backend(self):
-        class Empty:
-            observability = None
-
-            def status(self):
-                return {}
-
-        body = render_dashboard(Empty())
-        assert "no slaves signed in" in body
-        assert "no datasets yet" in body
 
 
 class TestAnalyze:

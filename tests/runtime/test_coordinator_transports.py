@@ -300,6 +300,69 @@ class TestReleasedJobsLeaveNoSpans:
         assert after_2050 <= 2 * after_50, (after_50, after_2050)
 
 
+def assert_status_shape(status):
+    """The one ``status()`` shape, whichever transport answers."""
+    assert isinstance(status["outstanding"], int)
+    assert status["datasets"], "no dataset rows"
+    for row in status["datasets"]:
+        assert set(row) == {"id", "complete", "error", "progress"}
+        assert 0.0 <= row["progress"] <= 1.0
+    workers = status["workers"]
+    assert 0 <= workers["busy"] <= workers["alive"]
+    assert 0 <= workers["ready"] <= workers["alive"]
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_status_has_one_shape_on_every_transport(plane, tmp_path):
+    """A real cluster (master + two slave processes) and a real pool
+    answer ``status()`` in the same shape mid-run and after the run,
+    and ``/metrics`` renders one progress sample per dataset row."""
+    from repro.observability.telemetry import render_prometheus
+    from repro.runtime.cluster import LocalCluster
+    from tests.observability.test_telemetry import assert_prometheus_text
+
+    kind, _, start_method = plane.partition("-")
+    tmpdir = str(tmp_path / "run")
+    if kind == "master":
+        cluster = LocalCluster(Tally, [], n_slaves=2, tmpdir=tmpdir).start()
+        backend, program, stop = cluster.backend, cluster.program, cluster.stop
+    else:
+        opts = default_options(tmpdir=tmpdir, procs=2, start_method=start_method)
+        program = Tally(opts, [])
+        backend = MultiprocessBackend(program, opts, [])
+        stop = backend.close
+        deadline = time.monotonic() + 60
+        while backend.status()["workers"]["ready"] < 2:
+            assert time.monotonic() < deadline, "pool never became ready"
+            time.sleep(0.01)
+    try:
+        job = Job(backend, program)
+        source = job.local_data([(i, i) for i in range(8)], splits=4)
+        mapped = job.map_data(source, program.map, splits=2)
+        reduced = job.reduce_data(mapped, program.reduce, splits=2)
+        assert_status_shape(backend.status())
+        assert job.wait(reduced, timeout=60) == [reduced]
+
+        status = backend.status()
+        assert_status_shape(status)
+        assert status["outstanding"] == 0
+        assert status["workers"]["alive"] == status["workers"]["ready"] == 2
+        rows = {row["id"]: row for row in status["datasets"]}
+        assert {source.id, mapped.id, reduced.id} <= set(rows)
+        assert all(row["progress"] == 1.0 for row in rows.values())
+
+        body = render_prometheus(backend)
+        assert_prometheus_text(body)
+        progress = [
+            line for line in body.splitlines()
+            if line.startswith("mrs_dataset_progress{")
+        ]
+        assert len(progress) == len(rows)
+        assert f'mrs_dataset_progress{{dataset="{reduced.id}"}} 1' in progress
+    finally:
+        stop()
+
+
 @pytest.mark.parametrize("plane", PLANES)
 def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
     """No reference cycle may pin a finished job: once the backend is

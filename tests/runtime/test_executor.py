@@ -116,7 +116,7 @@ def test_done_metrics_carry_the_span_once(tmp_path):
     assert len(marshalled) < 2000  # 3559 with durations + event batch
 
 
-def test_optional_metrics_fields_only_with_telemetry(tmp_path):
+def test_sampler_adds_health_and_buckets(tmp_path):
     from repro.observability.telemetry import HealthSampler
 
     program = Tally(default_options(), [])

@@ -163,7 +163,7 @@ class TestStatus:
         mapped = job.map_data(source, b.program.map, splits=1)
         b.slave_signin(1, "127.0.0.1:9")
         status = b.status()
-        assert status["outstanding_tasks"] == 1
+        assert status["outstanding"] == 1
         assert len(status["slaves"]) == 1
         ids = {d["id"] for d in status["datasets"]}
         assert mapped.id in ids
