@@ -9,18 +9,13 @@ Event wakeups use pipes (:mod:`repro.comm.wakeup`), mirroring the
 paper's "writing a single byte to a pipe wakes up poll".
 
 Bucket *fetches* ride the transfer plane (:mod:`repro.comm.transfer`):
-pooled keep-alive connections, parallel prefetch, and streaming,
-optionally compressed responses.
+pooled keep-alive connections, inputs opened in parallel, and
+streaming, optionally compressed responses.
 """
 
 from repro.comm.rpc import RpcServer, rpc_client, parse_address, format_address
 from repro.comm.dataserver import DataServer
-from repro.comm.transfer import (
-    ConnectionPool,
-    FetchError,
-    FetchPolicy,
-    Prefetcher,
-)
+from repro.comm.transfer import ConnectionPool, FetchError, FetchPolicy
 from repro.comm.wakeup import Wakeup
 
 __all__ = [
@@ -32,6 +27,5 @@ __all__ = [
     "ConnectionPool",
     "FetchError",
     "FetchPolicy",
-    "Prefetcher",
     "Wakeup",
 ]

@@ -23,7 +23,6 @@ import http.server
 import json
 import os
 import threading
-import time
 import urllib.parse
 import zlib
 from typing import Any, Callable, Dict, Optional
@@ -81,9 +80,6 @@ class _BucketRequestHandler(http.server.BaseHTTPRequestHandler):
         full = self._resolve()
         if full is None:
             return
-        latency = getattr(self.server, "latency_seconds", 0.0)
-        if latency:
-            time.sleep(latency)
         try:
             size = os.stat(full).st_size
             f = open(full, "rb")
@@ -201,9 +197,6 @@ class DataServer:
     Responses stream in bounded chunks (identity with ``Content-Length``
     from ``stat``, or chunked gzip when the client negotiates it via
     ``Accept-Encoding`` and ``compression`` is enabled).
-    ``latency_seconds`` injects a per-request delay before the body —
-    an emulation knob for benchmarks/tests exercising cross-node RTT
-    on a loopback server; production servers leave it at 0.
     """
 
     def __init__(
@@ -212,13 +205,11 @@ class DataServer:
         host: str = "127.0.0.1",
         port: int = 0,
         compression: bool = True,
-        latency_seconds: float = 0.0,
     ):
         self.root_dir = os.path.realpath(root_dir)
         self._server = _ThreadingHTTPServer((host, port), _BucketRequestHandler)
         self._server.root_dir = self.root_dir  # type: ignore[attr-defined]
         self._server.compression = compression  # type: ignore[attr-defined]
-        self._server.latency_seconds = latency_seconds  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
             target=self._server.serve_forever,

@@ -261,9 +261,6 @@ class FileData(BaseDataset):
             self.add_bucket(bucket)
         self.complete = True
 
-    def fetchall(self) -> None:  # pragma: no cover - same as base but kept
-        super().fetchall()
-
 
 class ComputedData(BaseDataset):
     """A dataset produced by running an operation over an input dataset."""

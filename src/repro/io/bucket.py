@@ -620,12 +620,11 @@ def sorted_records_from_url(
 ) -> Iterator[Record]:
     """Key-sorted decorated records behind a bucket URL.
 
-    The streaming core of :func:`bucket_sorted_records`, also used by
-    the transfer plane's prefetch threads
-    (:class:`repro.comm.transfer.Prefetcher`): a persisted copy known
-    to be key-sorted streams straight off the file/socket with O(1)
-    memory; otherwise the records are materialized and sorted once,
-    with each key encoded exactly once by the format layer.
+    The streaming core of :func:`bucket_sorted_records`, for local and
+    remote buckets alike: a persisted copy known to be key-sorted
+    streams straight off the file/socket with O(1) memory; otherwise
+    the records are materialized and sorted once, here and nowhere
+    else, with each key encoded exactly once by the format layer.
     """
     from repro.io import urls as url_io
 

@@ -4,8 +4,8 @@
 ``chrome://tracing`` and https://ui.perfetto.dev open directly: one
 track per executing worker/slave (serial backends get a single track),
 a ``B``/``E`` span per task with nested spans for its phases
-(fetch/map/reduce/serialize/transfer), per-prefetch-thread sub-lanes
-showing transfer-plane bucket fetches overlapping the reduce merge, and
+(fetch/map/reduce/serialize/transfer), per-fetch-thread sub-lanes
+showing when each remote input bucket was opened, and
 instant events for failures, requeues, and worker/slave deaths — so a
 1000-task job is inspectable as a flame-style timeline instead of a
 1000-row table.
@@ -197,10 +197,10 @@ def trace_from_events(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         trace.append(
             {"ph": "E", "pid": lane.pid, "tid": lane.tid, "ts": end_ts}
         )
-        # Transfer-plane fetches: each prefetch thread gets its own
+        # Transfer-plane fetches: each fetch thread gets its own
         # sub-lane under the worker's track (tid offset keeps the main
-        # lane's B/E nesting intact), so fetch spans visibly overlap
-        # the task's merge/reduce phases.
+        # lane's B/E nesting intact), so the parallel opens of a task's
+        # remote inputs are visible side by side.
         for fetch_event in sorted(
             fetches.get(key, ()), key=lambda e: float(e["t"])
         ):

@@ -57,8 +57,8 @@ class TaskSpan:
         #: this task, when it ranked among the slowest.
         self.profile_path: Optional[str] = None
         #: Transfer-plane fetch sub-spans: ``(start, end, fields)`` on
-        #: this process's monotonic clock, recorded by the reduce-side
-        #: prefetcher (one per fetched remote bucket).
+        #: this process's monotonic clock, recorded when a reduce task's
+        #: remote inputs are opened (one per remote bucket).
         self.fetch_spans: List[Tuple[float, float, Dict[str, Any]]] = []
         self._lock = threading.Lock()
 
@@ -86,11 +86,11 @@ class TaskSpan:
             )
 
     def add_fetch_span(self, start: float, end: float, **fields: Any) -> None:
-        """Record one remote-bucket fetch (local monotonic stamps).
+        """Record one remote-bucket open (local monotonic stamps).
 
-        Called from prefetcher threads while the task runs; rendered as
-        sub-lanes under the task's trace track so fetch/merge overlap
-        is visible (see :mod:`repro.observability.timeline`).
+        Called from fetch threads while the task runs; rendered as
+        sub-lanes under the task's trace track (see
+        :mod:`repro.observability.timeline`).
         """
         with self._lock:
             self.fetch_spans.append(

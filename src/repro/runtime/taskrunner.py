@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.comm.transfer import bucket_record_streams, open_streams
 from repro.core.dataset import ComputedData
 from repro.core.operations import (
     MapOperation,
@@ -326,21 +327,15 @@ def _merged_records(input_buckets: Sequence[Bucket], span: Any = None):
     """The reduce-side merge: one key-sorted decorated record stream
     over every source bucket.
 
-    Local files stream where their sort order is known (see
-    :func:`bucket_sorted_records`); buckets behind HTTP URLs are routed
-    through the transfer plane's prefetch pipeline
-    (:func:`repro.comm.transfer.bucket_record_streams`), so network
-    transfer overlaps the merge instead of serializing ahead of it.
-    Stream order matches bucket order, keeping the merged stream — and
-    therefore the reduce output — identical to a sequential fetch.
+    Every input is :func:`bucket_sorted_records`, local or remote;
+    buckets behind HTTP URLs are opened in parallel by
+    :func:`repro.comm.transfer.bucket_record_streams` and then read
+    straight off their sockets by this merge, exactly as local files
+    are read.  Stream order matches bucket order, keeping the merged
+    stream — and therefore the reduce output — identical to a
+    sequential fetch.
     """
-    from repro.comm.transfer import bucket_record_streams
-
-    streams, prefetcher = bucket_record_streams(input_buckets, span=span)
-    merged = merge_sorted_records(streams)
-    if prefetcher is None:
-        return merged
-    return _closing_stream(merged, prefetcher)
+    return merge_sorted_records(bucket_record_streams(input_buckets, span=span))
 
 
 def _merged_groups(input_buckets: Sequence[Bucket], span: Any = None):
@@ -360,15 +355,6 @@ def _merged_groups(input_buckets: Sequence[Bucket], span: Any = None):
             plan, first.key_serializer, first.value_serializer
         )
     return group_sorted_records(_merged_records(input_buckets, span=span))
-
-
-def _closing_stream(merged, prefetcher):
-    """Drive a prefetched merge, releasing the fetch pipeline however
-    the consumer finishes (exhaustion, reducer error, abandonment)."""
-    try:
-        yield from merged
-    finally:
-        prefetcher.close()
 
 
 def run_map_task(
@@ -573,32 +559,20 @@ def _fetch_all(
 ) -> List[Iterable[KeyValue]]:
     """Materialize the pairs behind each URL, in order.
 
-    Multiple HTTP URLs fetch concurrently over the transfer plane's
-    pooled connections (:func:`repro.comm.transfer.fetch_pairs_parallel`
-    — the map-input analogue of the reduce side's prefetched merge);
-    file URLs and single fetches take the plain sequential path.
+    HTTP URLs are fetched in parallel over the transfer plane's pooled
+    connections by :func:`repro.comm.transfer.open_streams` — the same
+    helper that opens a reduce merge's remote inputs; file URLs are
+    read inline.
     """
-    remote = [
-        i for i, url in enumerate(urls)
-        if url.startswith(("http://", "https://"))
-    ]
-    results: List[Any] = [None] * len(urls)
-    if len(remote) > 1:
-        from repro.comm.transfer import fetch_pairs_parallel
 
-        fetched = fetch_pairs_parallel(
-            [(urls[i], key_serializer, value_serializer) for i in remote]
-        )
-        for i, pairs in zip(remote, fetched):
-            results[i] = pairs
-    for i, url in enumerate(urls):
-        if results[i] is None:
-            results[i] = url_io.fetch_pairs(
-                url,
-                key_serializer=key_serializer,
-                value_serializer=value_serializer,
-            )
-    return results
+    def fetch(url: str) -> List[KeyValue]:
+        return url_io.fetch_pairs(url, key_serializer, value_serializer)
+
+    def remote(url: str) -> bool:
+        return url.startswith(("http://", "https://"))
+
+    fetched = iter(open_streams([url for url in urls if remote(url)], fetch))
+    return [next(fetched) if remote(url) else fetch(url) for url in urls]
 
 
 def run_operation(

@@ -1,4 +1,4 @@
-"""The shuffle transfer plane: pooling, prefetch, compression, resume."""
+"""The shuffle transfer plane: pooling, parallel open, compression, resume."""
 
 import http.server
 import threading
@@ -13,7 +13,6 @@ from repro.comm.transfer import (
     ConnectionPool,
     FetchError,
     FetchPolicy,
-    Prefetcher,
     bucket_record_streams,
     fetch_pair_stream,
 )
@@ -141,23 +140,38 @@ class TestCompression:
             assert list(fetch_pair_stream(url, compression="gzip")) == pairs
 
 
+def merged_within(buckets, timeout=60.0):
+    """Merge ``bucket_record_streams(buckets)`` on a daemon thread,
+    failing instead of hanging the suite if it does not finish."""
+    merged, errors = [], []
+
+    def consume():
+        try:
+            merged.extend(merge_sorted_records(bucket_record_streams(buckets)))
+        except Exception as exc:
+            errors.append(exc)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=timeout)
+    assert not consumer.is_alive(), "merge over remote buckets hung"
+    if errors:
+        raise errors[0]
+    return merged
+
+
 class TestPrefetchMerge:
-    def make_remote_buckets(self, tmp_path, server, n=4, rows=50):
+    def make_remote_buckets(
+        self, tmp_path, server, n=4, rows=50, url_sorted=False
+    ):
         buckets = []
         for b in range(n):
-            pairs = [(f"k{i:03d}b{b}", i * b) for i in range(rows)]
+            pairs = [(f"k{i:06d}b{b}", i * b) for i in range(rows)]
             path = write_bucket(tmp_path, f"bucket{b}.mrsb", pairs)
             bucket = Bucket(source=b, split=0, url=server.url_for(path))
+            bucket.url_sorted = url_sorted
             buckets.append(bucket)
         return buckets
-
-    def prefetched(self, buckets):
-        streams, prefetcher = bucket_record_streams(buckets)
-        assert prefetcher is not None
-        try:
-            return list(merge_sorted_records(streams))
-        finally:
-            prefetcher.close()
 
     def sequential(self, buckets):
         return list(
@@ -171,17 +185,17 @@ class TestPrefetchMerge:
         self, tmp_path, monkeypatch, compression, threads
     ):
         # The merge a reduce sees is the same records in the same order
-        # whether its inputs arrive one by one or prefetched, on any
-        # number of threads, gzip negotiated or not.
+        # whether its inputs are opened one by one or in parallel, on
+        # any number of threads, gzip negotiated or not.
         monkeypatch.setattr(transfer, "COMPRESSION", compression)
         monkeypatch.setattr(transfer, "FETCH_THREADS", threads)
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server)
             sequential = self.sequential(buckets)
             before = transfer.STATS.totals()
-            prefetched = self.prefetched(buckets)
+            parallel = merged_within(buckets)
             delta = transfer.STATS.delta(before)
-        assert prefetched == sequential
+        assert parallel == sequential
         assert sequential == sorted(sequential, key=record_key)
         assert len(sequential) == 4 * 50
         gzipped = delta["fetch.wire_bytes"] < delta["fetch.bytes"]
@@ -194,45 +208,29 @@ class TestPrefetchMerge:
             buckets = self.make_remote_buckets(tmp_path, server)
             span = TaskSpan("ds", 0)
             span.mark("started")
-            streams, prefetcher = bucket_record_streams(buckets, span=span)
-            try:
-                list(merge_sorted_records(streams))
-            finally:
-                prefetcher.close()
+            list(merge_sorted_records(bucket_record_streams(buckets, span)))
         fetches = span.to_dict()["fetches"]
         assert len(fetches) == len(buckets)
         assert {f["source"] for f in fetches} == {0, 1, 2, 3}
+        assert {f["url"] for f in fetches} == {b.url for b in buckets}
         assert all(f["seconds"] >= 0 for f in fetches)
 
     def test_single_remote_bucket_skips_prefetcher(self, tmp_path):
+        # One remote input is opened inline in the task's thread: no
+        # fetch thread, so no fetch span.
+        from repro.observability.tracing import TaskSpan
+
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server, n=1)
-            streams, prefetcher = bucket_record_streams(buckets)
-            assert prefetcher is None
+            span = TaskSpan("ds", 0)
+            streams = bucket_record_streams(buckets, span)
             assert len(list(streams[0])) == 50
+        assert span.fetch_spans == []
 
-    def test_tiny_byte_budget_still_completes(self, tmp_path):
-        # A budget smaller than one block must not deadlock: a block is
-        # admitted whenever nothing else is in flight.
-        with DataServer(str(tmp_path)) as server:
-            buckets = self.make_remote_buckets(tmp_path, server, n=3)
-            prefetcher = Prefetcher(threads=2, buffer_bytes=128)
-            streams = [iter(prefetcher.add(b)) for b in buckets]
-            prefetcher.start()
-            try:
-                merged = list(merge_sorted_records(streams))
-            finally:
-                prefetcher.close()
-        assert len(merged) == 3 * 50
-
-    def test_disjoint_key_ranges_small_budget_no_deadlock(
-        self, tmp_path, monkeypatch
-    ):
-        # Regression: with range-disjoint buckets the merge drains one
-        # stream completely while the others' queued blocks hold the
-        # whole budget; the drained stream's producer must still be
-        # admitted (empty-queue bypass) or the pipeline deadlocks.
-        monkeypatch.setattr(transfer, "_BLOCK_RECORDS", 8)
+    def test_disjoint_key_ranges_small_budget_no_deadlock(self, tmp_path):
+        # Range-disjoint sorted buckets: the merge drains one stream
+        # completely while the other's socket sits idle after its
+        # first record, and must still finish.
         with DataServer(str(tmp_path)) as server:
             buckets = []
             expected = []
@@ -241,40 +239,60 @@ class TestPrefetchMerge:
                 expected.extend(pairs)
                 path = write_bucket(tmp_path, f"range{b}.mrsb", pairs)
                 bucket = Bucket(source=b, split=0, url=server.url_for(path))
-                bucket.url_sorted = True  # stream block by block
+                bucket.url_sorted = True
                 buckets.append(bucket)
-            prefetcher = Prefetcher(threads=2, buffer_bytes=64)
-            streams = [iter(prefetcher.add(b)) for b in buckets]
-            prefetcher.start()
-            merged = []
-            consumer = threading.Thread(
-                target=lambda: merged.extend(merge_sorted_records(streams)),
-                daemon=True,
-            )
-            consumer.start()
-            consumer.join(timeout=30)
-            hung = consumer.is_alive()
-            prefetcher.close()
-            assert not hung, "merge deadlocked under a skewed byte budget"
+            merged = merged_within(buckets)
         assert [pair for _, pair in merged] == expected
 
-    def test_unsorted_buckets_release_budget_when_consumed(self, tmp_path):
-        # Unsorted buckets are materialized in the fetch threads; their
-        # bytes are charged to the budget while resident and released
-        # block by block as the merge consumes them — fully drained, the
-        # accounting must return to zero.
+    def test_more_sorted_inputs_than_fetch_threads_complete(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: heapq.merge needs the first record of every stream
+        # before it yields one, so opening an input must never wait for
+        # another input to be drained.  A byte budget on read-ahead
+        # blocks broke that once six overlapping key-sorted buckets,
+        # each several blocks long, filled it from the first four (one
+        # per fetch thread): the fifth was never opened and the merge
+        # hung.  The tight budget is set only where such a setting
+        # exists.
+        monkeypatch.setattr(
+            transfer, "FETCH_BUFFER_BYTES", 1 << 16, raising=False
+        )
         with DataServer(str(tmp_path)) as server:
-            buckets = self.make_remote_buckets(tmp_path, server, n=3)
-            assert not any(b.url_sorted for b in buckets)
-            prefetcher = Prefetcher(threads=3, buffer_bytes=256)
-            streams = [iter(prefetcher.add(b)) for b in buckets]
-            prefetcher.start()
-            try:
-                merged = list(merge_sorted_records(streams))
-            finally:
-                prefetcher.close()
-        assert len(merged) == 3 * 50
-        assert prefetcher._budget._used == 0
+            buckets = self.make_remote_buckets(
+                tmp_path, server, n=6, rows=8000, url_sorted=True
+            )
+            sequential = self.sequential(buckets)
+            merged = merged_within(buckets)
+        assert len(merged) == 6 * 8000
+        assert merged == sequential
+        assert merged == sorted(merged, key=record_key)
+
+    def test_ten_sorted_buckets_from_one_server_complete(self, tmp_path):
+        # Every sorted remote input holds its connection for as long as
+        # the merge runs, so the pool must not cap connections per host
+        # below a task's fan-in.
+        with DataServer(str(tmp_path)) as server:
+            buckets = self.make_remote_buckets(
+                tmp_path, server, n=10, url_sorted=True
+            )
+            merged = merged_within(buckets)
+            assert merged == self.sequential(buckets)
+        assert len(merged) == 10 * 50
+
+    def test_failed_open_raises_and_stops_fetch_threads(self, tmp_path):
+        with DataServer(str(tmp_path)) as server:
+            buckets = self.make_remote_buckets(
+                tmp_path, server, n=3, url_sorted=True
+            )
+            missing = Bucket(source=3, split=0, url=server.url_for("no.mrsb"))
+            missing.url_sorted = True
+            with pytest.raises(FetchError):
+                bucket_record_streams(buckets + [missing])
+        assert not any(
+            thread.name.startswith("mrs-fetch-")
+            for thread in threading.enumerate()
+        )
 
 
 class _TruncatingHandler(http.server.BaseHTTPRequestHandler):
