@@ -5,8 +5,8 @@ paper "because it is included in the Python standard library even
 though other protocols are more efficient".  Data plane: either a
 shared filesystem (``file:`` URLs) or direct slave-to-slave transfer
 served by a built-in HTTP server (:mod:`repro.comm.dataserver`).
-Event wakeups use pipes (:mod:`repro.comm.wakeup`), mirroring the
-paper's "writing a single byte to a pipe wakes up poll".
+Every server — RPC, data and status — is a request handler on the one
+:class:`~repro.comm.listener.Listener`.
 
 Bucket *fetches* ride the transfer plane (:mod:`repro.comm.transfer`):
 pooled keep-alive connections, inputs opened in parallel, and
@@ -16,7 +16,6 @@ streaming, optionally compressed responses.
 from repro.comm.rpc import RpcServer, rpc_client, parse_address, format_address
 from repro.comm.dataserver import DataServer
 from repro.comm.transfer import ConnectionPool, FetchError, FetchPolicy
-from repro.comm.wakeup import Wakeup
 
 __all__ = [
     "RpcServer",
@@ -27,5 +26,4 @@ __all__ = [
     "ConnectionPool",
     "FetchError",
     "FetchPolicy",
-    "Wakeup",
 ]

@@ -8,12 +8,13 @@ never leave the kernel's page cache.
 A :class:`DataServer` serves one directory read-only.  Bucket URLs are
 ``http://host:port/<path relative to root>``.
 
-:class:`StatusServer` reuses the same threading-server machinery to
-expose a *read-only JSON view of a running job* (``--mrs-status-http
-PORT``): ``GET /status`` returns ``Job.status()``, ``GET /metrics`` its
-Prometheus rendering, and ``GET /events?since=N`` the event ring tail —
-enough for ``curl`` or a Prometheus scraper to watch a long fan-out
-job in flight without touching the XML-RPC control plane.
+:class:`StatusServer` exposes a *read-only JSON view of a running job*
+(``--mrs-status-http PORT``): ``GET /status`` returns ``Job.status()``,
+``GET /metrics`` its Prometheus rendering, and ``GET /events?since=N``
+the event ring tail — enough for ``curl`` or a Prometheus scraper to
+watch a long fan-out job in flight without touching the XML-RPC control
+plane.  Both are a request handler on the one
+:class:`~repro.comm.listener.Listener`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import hmac
 import http.server
 import json
 import os
-import threading
 import urllib.parse
 import zlib
 from typing import Any, Callable, Dict, Optional
+
+from repro.comm.listener import Listener
 
 #: Streaming read/compress granularity for bucket responses.
 _STREAM_CHUNK = 256 * 1024
@@ -46,6 +48,7 @@ GZIP_MIN_BYTES = 1024
 
 
 class _BucketRequestHandler(http.server.BaseHTTPRequestHandler):
+    server: "DataServer"
     protocol_version = "HTTP/1.1"
     server_version = "MrsData/1.0"
 
@@ -57,7 +60,7 @@ class _BucketRequestHandler(http.server.BaseHTTPRequestHandler):
         response (403 escape / 404 missing) and returns None on
         failure.  Quoting is undone *before* the realpath containment
         check, so encoded traversals (``%2e%2e``) cannot escape."""
-        root = self.server.root_dir  # type: ignore[attr-defined]
+        root = self.server.root_dir
         path = urllib.parse.unquote(urllib.parse.urlparse(self.path).path)
         full = os.path.realpath(os.path.join(root, path.lstrip("/")))
         # Never serve anything outside the export root.
@@ -88,7 +91,7 @@ class _BucketRequestHandler(http.server.BaseHTTPRequestHandler):
             return
         with f:
             compress = (
-                getattr(self.server, "compression", True)
+                self.server.compression
                 and size >= GZIP_MIN_BYTES
                 and self._client_accepts_gzip()
             )
@@ -182,22 +185,15 @@ class _BucketRequestHandler(http.server.BaseHTTPRequestHandler):
         self.end_headers()
 
 
-class _ThreadingHTTPServer(http.server.ThreadingHTTPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # The stdlib default backlog (5) drops connections under submitter
-    # bursts — the control surface must absorb dozens of simultaneous
-    # connects without resets.
-    request_queue_size = 128
-
-
-class DataServer:
+class DataServer(Listener):
     """Serve bucket files under ``root_dir`` over HTTP.
 
     Responses stream in bounded chunks (identity with ``Content-Length``
     from ``stat``, or chunked gzip when the client negotiates it via
     ``Accept-Encoding`` and ``compression`` is enabled).
     """
+
+    thread_name = "data-server"
 
     def __init__(
         self,
@@ -207,16 +203,8 @@ class DataServer:
         compression: bool = True,
     ):
         self.root_dir = os.path.realpath(root_dir)
-        self._server = _ThreadingHTTPServer((host, port), _BucketRequestHandler)
-        self._server.root_dir = self.root_dir  # type: ignore[attr-defined]
-        self._server.compression = compression  # type: ignore[attr-defined]
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"data-server-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self.compression = compression
+        super().__init__(_BucketRequestHandler, host, port)
 
     def url_for(self, path: str) -> str:
         """Return the URL that serves ``path`` (absolute or root-relative)."""
@@ -229,18 +217,9 @@ class DataServer:
         quoted = urllib.parse.quote(rel.replace(os.sep, "/"))
         return f"http://{self.host}:{self.port}/{quoted}"
 
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "DataServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
 
 class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
+    server: "StatusServer"
     protocol_version = "HTTP/1.1"
     server_version = "MrsStatus/1.0"
 
@@ -251,7 +230,7 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         pass
 
     def _authorized(self) -> bool:
-        token = getattr(self.server, "auth_token", None)
+        token = self.server.auth_token
         if not token:
             return True
         expected = token.encode("utf-8")
@@ -277,7 +256,7 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         parsed = urllib.parse.urlparse(self.path)
         route = parsed.path.rstrip("/") or "/status"
         query = urllib.parse.parse_qs(parsed.query)
-        control = getattr(self.server, "control", None)
+        control = self.server.control
         is_control = control is not None and (
             route == "/jobs" or route.startswith("/jobs/")
         )
@@ -303,7 +282,7 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
                 405, {"error": f"{method} not allowed on {route!r}"}
             )
             return
-        views = self.server.views  # type: ignore[attr-defined]
+        views = self.server.views
         view = views.get(route)
         if view is None:
             self._send_json(
@@ -349,7 +328,7 @@ class _StatusRequestHandler(http.server.BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-class StatusServer:
+class StatusServer(Listener):
     """JSON status endpoint over a running backend — and, with a
     ``control`` object attached, the job-server control surface.
 
@@ -373,6 +352,8 @@ class StatusServer:
     ``Authorization: Bearer <token>`` or ``X-Mrs-Token``.
     """
 
+    thread_name = "status-server"
+
     def __init__(
         self,
         backend: Any,
@@ -382,22 +363,14 @@ class StatusServer:
         auth_token: Optional[str] = None,
     ):
         self.backend = backend
-        views: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+        self.views: Dict[str, Callable[[Dict[str, Any]], Any]] = {
             "/status": lambda query: backend.status(),
             "/metrics": self._metrics_view,
             "/events": self._events_view,
         }
-        self._server = _ThreadingHTTPServer((host, port), _StatusRequestHandler)
-        self._server.views = views  # type: ignore[attr-defined]
-        self._server.control = control  # type: ignore[attr-defined]
-        self._server.auth_token = auth_token  # type: ignore[attr-defined]
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"status-server-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self.control = control
+        self.auth_token = auth_token
+        super().__init__(_StatusRequestHandler, host, port)
 
     def _metrics_view(self, query: Dict[str, Any]) -> Any:
         # Default is the Prometheus text exposition; ``?format=json``
@@ -431,13 +404,3 @@ class StatusServer:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "StatusServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -3,8 +3,9 @@
 "Communication between the master and a slave occurs over a simple
 HTTP-based remote procedure call API using XML-RPC" (section IV-B).
 We use the standard library's :mod:`xmlrpc` exactly as the paper did,
-wrapped with two conveniences: a threaded server that exposes an
-object's ``rpc_``-prefixed methods, and address parsing/formatting for
+wrapped with two conveniences: a server on the shared
+:class:`~repro.comm.listener.Listener` that exposes an object's
+``rpc_``-prefixed methods, and address parsing/formatting for
 the ``HOST:PORT`` strings that are the framework's entire configuration
 surface.
 """
@@ -12,11 +13,12 @@ surface.
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from typing import Any, Optional, Tuple
 from xmlrpc.client import ServerProxy
-from xmlrpc.server import SimpleXMLRPCRequestHandler, SimpleXMLRPCServer
+from xmlrpc.server import SimpleXMLRPCDispatcher, SimpleXMLRPCRequestHandler
+
+from repro.comm.listener import Listener
 
 RPC_PREFIX = "rpc_"
 
@@ -28,39 +30,14 @@ class _QuietHandler(SimpleXMLRPCRequestHandler):
         pass
 
 
-class _ThreadedXMLRPCServer(SimpleXMLRPCServer):
-    """Handle each RPC in its own thread and reuse the listen address."""
+class RpcServer(Listener, SimpleXMLRPCDispatcher):
+    """Serve an object's ``rpc_*`` methods over XML-RPC, one call per
+    HTTP/1.0 connection, each in its own daemon thread."""
 
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def process_request(self, request, client_address):
-        thread = threading.Thread(
-            target=self._handle_in_thread, args=(request, client_address)
-        )
-        thread.daemon = True
-        thread.start()
-
-    def _handle_in_thread(self, request, client_address):
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-
-    def handle_error(self, request, client_address):  # pragma: no cover
-        # Connection resets from dying slaves are routine; stay quiet.
-        pass
-
-
-class RpcServer:
-    """Serve an object's ``rpc_*`` methods over XML-RPC.
-
-    The server thread is a daemon ("all child threads are configured as
-    daemon threads ... a straggling thread does not prevent the program
-    from terminating", section IV-B).
-    """
+    thread_name = "rpc-server"
+    # Read off the server by SimpleXMLRPCRequestHandler.
+    logRequests = False
+    _send_traceback_header = False
 
     def __init__(
         self,
@@ -71,40 +48,15 @@ class RpcServer:
     ):
         self.handler = handler
         self.registry = registry
-        self._server = _ThreadedXMLRPCServer(
-            (host, port),
-            requestHandler=_QuietHandler,
-            allow_none=True,
-            logRequests=False,
-        )
-        self.host, self.port = self._server.server_address[:2]
+        SimpleXMLRPCDispatcher.__init__(self, allow_none=True, encoding=None)
         for name in dir(handler):
             if name.startswith(RPC_PREFIX):
                 public = name[len(RPC_PREFIX):]
                 method = getattr(handler, name)
                 if registry is not None:
                     method = _metered_handler(method, public, registry)
-                self._server.register_function(method, public)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"rpc-server-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> str:
-        return format_address(self.host, self.port)
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "RpcServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+                self.register_function(method, public)
+        super().__init__(_QuietHandler, host, port)
 
 
 def rpc_client(

@@ -113,18 +113,6 @@ def main(program_class: Any, argv: Optional[Sequence[str]] = None) -> int:
         if status_server is not None:
             status_server.shutdown()
         backend.close()
-        _close_transfer_pool()
-
-
-def _close_transfer_pool() -> None:
-    """Close the process-global pooled transfer connections (graceful
-    shutdown: no half-open keep-alive sockets left behind)."""
-    from repro.comm import transfer
-
-    try:
-        transfer.get_pool().close()
-    except Exception:  # pragma: no cover - best-effort cleanup
-        pass
 
 
 def _maybe_dump_metrics(backend: Any, opts: Any) -> Optional[str]:

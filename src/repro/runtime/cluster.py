@@ -13,7 +13,8 @@ master and spawns ``n_slaves`` slave subprocesses.
 
 from __future__ import annotations
 
-import os
+import atexit
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,10 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core import options as options_mod
 from repro.core.job import Job
 from repro.core.main import _finalize_run, configure_process
-from repro.runtime.master import MasterBackend
+from repro.runtime.master import MasterBackend, resolve_slave_wait_timeout
 
-#: Seconds a cluster launch waits for slaves to sign in.
-SIGNIN_TIMEOUT = 30.0
+#: Seconds slaves get to exit by themselves once the master has closed,
+#: and again after SIGTERM before SIGKILL.
+STOP_GRACE = 5.0
 
 
 class ClusterError(Exception):
@@ -76,11 +78,79 @@ def spawn_slave(
     )
 
 
+class SlaveGroup:
+    """A master plus the slave subprocesses launched against it.
+
+    The one way a launch starts and stops slaves (:class:`LocalCluster`
+    and the job server's pool both use it): :meth:`spawn` starts them
+    with :func:`spawn_slave` and waits with
+    :meth:`MasterBackend.wait_for_slaves`; :meth:`close` closes the
+    master — its ``quit`` RPCs let signed-in slaves exit by themselves —
+    then reaps every slave against one deadline, then terminates and at
+    last kills the stragglers.
+    """
+
+    def __init__(self, backend: MasterBackend):
+        self.backend = backend
+        self.processes: List[subprocess.Popen] = []
+
+    def spawn(
+        self,
+        count: int,
+        spec: str,
+        args: Sequence[str] = (),
+        extra_flags: Sequence[str] = (),
+    ) -> int:
+        """Start ``count`` slaves; returns how many slaves are signed in
+        once ``count`` more have, or the sign-in wait ran out."""
+        target = len(self.backend.alive_slaves()) + count
+        for _ in range(count):
+            self.processes.append(
+                spawn_slave(
+                    spec,
+                    self.backend.rpc.address,
+                    args,
+                    self.backend.tmpdir,
+                    data_plane=self.backend.data_plane,
+                    extra_flags=extra_flags,
+                )
+            )
+        return self.backend.wait_for_slaves(target)
+
+    def close(self) -> None:
+        self.backend.close()
+        stragglers = _reap(self.processes, STOP_GRACE)
+        for process in stragglers:
+            process.terminate()
+        for process in _reap(stragglers, STOP_GRACE):
+            process.kill()
+            process.wait()
+        self.processes = []
+
+
+def _reap(
+    processes: Sequence[subprocess.Popen], timeout: float
+) -> List[subprocess.Popen]:
+    """Wait for ``processes`` against one deadline; returns those still
+    running when it passes."""
+    deadline = time.monotonic() + timeout
+    running = []
+    for process in processes:
+        try:
+            process.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            running.append(process)
+    return running
+
+
 class LocalCluster:
     """An in-process master plus ``n_slaves`` slave subprocesses.
 
     Use as a context manager; the master backend is available as
-    ``cluster.backend`` once :meth:`start` has run.
+    ``cluster.backend`` once :meth:`start` has run.  A run directory the
+    cluster creates itself is removed at interpreter exit, not at
+    :meth:`stop`: callers read outputs written under it after the
+    cluster has stopped.
     """
 
     def __init__(
@@ -96,13 +166,30 @@ class LocalCluster:
         self.args = list(args or [])
         self.n_slaves = n_slaves
         self.data_plane = data_plane
+        self._owns_tmpdir = tmpdir is None
         self.tmpdir = tmpdir or tempfile.mkdtemp(prefix="mrs_cluster_")
+        if self._owns_tmpdir:
+            atexit.register(shutil.rmtree, self.tmpdir, ignore_errors=True)
         self.opt_overrides = dict(opt_overrides or {})
         self.backend: Optional[MasterBackend] = None
         self.program: Any = None
-        self.slaves: List[subprocess.Popen] = []
+        self._group: Optional[SlaveGroup] = None
 
     def start(self) -> "LocalCluster":
+        """Start the master, then the slaves; a start that fails stops
+        whatever it opened (and removes a run directory it created)
+        before the exception propagates."""
+        try:
+            self._start()
+        except BaseException:
+            self.stop()
+            if self._owns_tmpdir:
+                shutil.rmtree(self.tmpdir, ignore_errors=True)
+            raise
+        return self
+
+    def _start(self) -> None:
+        spec = program_spec(self.program_class)
         flags = [
             "--mrs",
             "master",
@@ -119,7 +206,7 @@ class LocalCluster:
         configure_process(opts)
         self.program = self.program_class(opts, positional)
         self.backend = MasterBackend(self.program, opts)
-        spec = program_spec(self.program_class)
+        self._group = SlaveGroup(self.backend)
         # Slaves re-parse the *same* argument list (program flags and
         # positional args both), exactly as if the same script had been
         # launched with --mrs slave on another node.  Anything that
@@ -128,27 +215,14 @@ class LocalCluster:
         extra = []
         if self.opt_overrides.get("seed"):
             extra += ["--mrs-seed", str(self.opt_overrides["seed"])]
-        for _ in range(self.n_slaves):
-            self.slaves.append(
-                spawn_slave(
-                    spec,
-                    self.backend.rpc.address,
-                    self.args,
-                    self.tmpdir,
-                    data_plane=self.data_plane,
-                    extra_flags=extra,
-                )
-            )
-        signed_in = self.backend.wait_for_slaves(
-            self.n_slaves, timeout=SIGNIN_TIMEOUT
+        signed_in = self._group.spawn(
+            self.n_slaves, spec, self.args, extra_flags=extra
         )
         if signed_in < self.n_slaves:
-            self.stop()
             raise ClusterError(
                 f"only {signed_in}/{self.n_slaves} slaves signed in within "
-                f"{SIGNIN_TIMEOUT}s"
+                f"{resolve_slave_wait_timeout(opts)}s"
             )
-        return self
 
     def run(self) -> Any:
         """Run the program's ``run`` against the cluster; returns the
@@ -168,26 +242,17 @@ class LocalCluster:
 
     def kill_slave(self, index: int) -> None:
         """Kill one slave process (failure-injection hook for tests)."""
-        process = self.slaves[index]
+        assert self._group is not None, "call start() first"
+        process = self._group.processes[index]
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
 
     def stop(self) -> None:
-        if self.backend is not None:
-            self.backend.close()
-            self.backend = None
-        for process in self.slaves:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + 5
-        for process in self.slaves:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                process.kill()
-        self.slaves = []
+        if self._group is not None:
+            self._group.close()
+        self._group = None
+        self.backend = None
 
     def __enter__(self) -> "LocalCluster":
         return self.start()

@@ -47,7 +47,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.comm import protocol
+from repro.comm import protocol, transfer
 from repro.core.dataset import BaseDataset, ComputedData
 from repro.core.job import Backend, Job
 from repro.io.bucket import Bucket
@@ -331,6 +331,10 @@ class Coordinator(Backend):
             self._closed = True
             self._cond.notify_all()
         self._shutdown_transport()
+        # The one place a coordinator process closes its idle pooled
+        # transfer connections: no half-open keep-alive socket outlives
+        # the backend that fetched over it.
+        transfer.get_pool().close()
         if self._owns_tmpdir:
             shutil.rmtree(self.tmpdir, ignore_errors=True)
             return

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import options as options_mod
 from repro.core.job import JobError
+from repro.runtime.cluster import SlaveGroup
 from repro.runtime.master import MasterBackend
 from repro.service.jobqueue import JobQueue
 from repro.service.jobs import (
@@ -68,6 +69,7 @@ class JobServer:
         # every dataset is namespaced, so descriptors always carry an
         # explicit program_spec for slaves to resolve.
         self.backend = MasterBackend(None, opts)
+        self._group = SlaveGroup(self.backend)
         self.queue = JobQueue(
             max_concurrent=getattr(opts, "max_concurrent_jobs", None) or 8
         )
@@ -75,7 +77,6 @@ class JobServer:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._accepting = True
-        self._spawned: List[Any] = []
 
         registry_metrics = self.backend.observability.registry
         self._submitted = registry_metrics.counter("jobs.submitted")
@@ -90,13 +91,19 @@ class JobServer:
         token = getattr(opts, "auth_token", None) or os.environ.get(
             "MRS_AUTH_TOKEN"
         )
-        self.status_server = StatusServer(
-            self.backend,
-            host=host or getattr(opts, "host", None) or "127.0.0.1",
-            port=getattr(opts, "status_http", None) or 0,
-            control=self,
-            auth_token=token,
-        )
+        try:
+            self.status_server = StatusServer(
+                self.backend,
+                host=host or getattr(opts, "host", None) or "127.0.0.1",
+                port=getattr(opts, "status_http", None) or 0,
+                control=self,
+                auth_token=token,
+            )
+        except BaseException:
+            # A start that fails closes what it opened: the master's
+            # RPC server, watchdog and run directory.
+            self.backend.close()
+            raise
         logger.info("job server control surface at %s", self.control_url)
         self._announce_in_runfile()
 
@@ -121,28 +128,12 @@ class JobServer:
 
     # -- slave pool helpers --------------------------------------------
 
-    def spawn_slaves(self, count: int, wait: bool = True) -> int:
+    def spawn_slaves(self, count: int) -> int:
         """Spawn ``count`` program-agnostic pool slaves as subprocesses
         (test/benchmark convenience; production pools are launched by
         the operator's scripts against the runfile address).  Returns
-        how many slaves are alive after the optional wait."""
-        from repro.runtime.cluster import spawn_slave
-
-        target = len(self.backend.alive_slaves()) + count
-        for _ in range(count):
-            self._spawned.append(
-                spawn_slave(
-                    WORKER_SPEC,
-                    self.backend.rpc.address,
-                    [],
-                    self.backend.tmpdir,
-                    data_plane=getattr(self.opts, "data_plane", None)
-                    or "file",
-                )
-            )
-        if not wait:
-            return len(self.backend.alive_slaves())
-        return self.backend.wait_for_slaves(target)
+        how many slaves are signed in after the wait."""
+        return self._group.spawn(count, WORKER_SPEC)
 
     # -- submission / lifecycle ----------------------------------------
 
@@ -409,19 +400,7 @@ class JobServer:
         for thread in threads:
             thread.join(5.0)
         self.status_server.shutdown()
-        for process in self._spawned:
-            if process.poll() is None:
-                process.terminate()
-        for process in self._spawned:
-            try:
-                process.wait(timeout=5)
-            except Exception:  # pragma: no cover - stubborn slave
-                process.kill()
-        self._spawned = []
-        self.backend.close()
-        from repro.core.main import _close_transfer_pool
-
-        _close_transfer_pool()
+        self._group.close()
 
     def __enter__(self) -> "JobServer":
         return self

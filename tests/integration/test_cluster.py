@@ -8,6 +8,8 @@ injection (slave death mid-job).
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -181,23 +183,68 @@ class TestStartupProtocol:
             program_spec(Local)
 
     def test_too_few_slaves_times_out(self, small_corpus, tmp_path, monkeypatch):
-        """If slaves cannot sign in, start() fails loudly."""
+        """If slaves cannot sign in within --mrs-slave-wait-timeout,
+        start() fails loudly."""
         import repro.runtime.cluster as cluster_mod
 
-        monkeypatch.setattr(cluster_mod, "SIGNIN_TIMEOUT", 2.0)
         root, _ = small_corpus
 
         broken = LocalCluster(
-            WordCountCombined, [root, str(tmp_path / "o")], n_slaves=1
+            WordCountCombined,
+            [root, str(tmp_path / "o")],
+            n_slaves=1,
+            opt_overrides={"slave_wait_timeout": 2.0},
         )
         # Point the slaves at a black-hole master address by breaking
         # the spawn: use a bogus spec module.
         monkeypatch.setattr(
             cluster_mod, "program_spec", lambda cls: "no.such.module:Nope"
         )
-        with pytest.raises(ClusterError, match="signed in"):
+        with pytest.raises(ClusterError, match="signed in within 2.0s"):
             broken.start()
         broken.stop()
+
+    def test_failed_start_leaves_nothing_behind(
+        self, small_corpus, tmp_path, launch_leftovers
+    ):
+        """A start that fails closes what it opened: no server or
+        watchdog thread and no run directory outlive it."""
+
+        class Local(WordCountCombined):
+            pass
+
+        Local.__module__ = "__main__"
+        root, _ = small_corpus
+        cluster = LocalCluster(Local, [root, str(tmp_path / "o")], n_slaves=1)
+        with pytest.raises(ClusterError, match="importable"):
+            cluster.start()
+        assert launch_leftovers() == []
+
+    def test_own_run_directory_reclaimed_at_exit(self, tmp_path):
+        """run_on_cluster's own run directory outlives stop() (outputs
+        are read after it) but not the interpreter."""
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        script = (
+            "import glob, os, tempfile\n"
+            "from repro.apps.pi.estimator import PiEstimator\n"
+            "from repro.runtime.cluster import run_on_cluster\n"
+            "run_on_cluster(PiEstimator, ['--pi-samples', '2000'], n_slaves=1)\n"
+            "pattern = os.path.join(tempfile.gettempdir(), 'mrs_cluster_*')\n"
+            "print(len(glob.glob(pattern)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, TMPDIR=str(tmp), PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"  # present until exit...
+        assert list(tmp.glob("mrs_*")) == []  # ...and gone after it
 
 
 class TestTypedSerializersDistributed:

@@ -11,6 +11,13 @@ pytestmark = pytest.mark.integration
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
+@pytest.fixture(autouse=True)
+def example_tmpdir(tmp_path, monkeypatch):
+    """Examples keep their work directories for the user to inspect;
+    under test they land in the test's own tmp_path, not in /tmp."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+
+
 def run_example(name, *args, timeout=300):
     return subprocess.run(
         [sys.executable, os.path.join(EXAMPLES, name), *args],

@@ -7,6 +7,7 @@ serial runs of the same programs.
 """
 
 import os
+import socket
 import threading
 import time
 
@@ -310,6 +311,23 @@ class TestAuth:
             assert canceled["state"] in ("running", "canceled")
         finally:
             srv.shutdown(drain=False, timeout=5)
+
+
+class TestFailedStart:
+    def test_taken_status_port_leaves_nothing_behind(self, launch_leftovers):
+        """A JobServer whose control port is taken closes the master it
+        had already started: no RPC server or watchdog thread and no
+        run directory outlive the failed start."""
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            opts, _ = options_mod.parse_options(
+                None, ["--mrs", "serve", "--mrs-status-http", str(port)]
+            )
+            with pytest.raises(OSError):
+                JobServer(ProgramRegistry(), opts)
+        assert launch_leftovers() == []
 
 
 class TestSubmitClient:
