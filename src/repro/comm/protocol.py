@@ -10,16 +10,20 @@ The protocol is deliberately tiny:
 master method             meaning
 ========================  =======================================
 ``signin``                slave announces itself, gets a slave id
-``done``                  slave finished a task, reports bucket URLs
-                          (plus piggybacked per-task metrics)
+``done``                  slave finished a task, reports its output
+                          buckets as ``[split, url, sorted, records,
+                          bytes]`` (plus piggybacked per-task metrics)
 ``failed``                slave reports a task error
 ``ping``                  liveness check (both directions)
 ========================  =======================================
 
-A ``done`` message optionally carries a *task metrics* payload — the
-slave's span for the task (its marks as offsets from the task's start)
-and a snapshot of its metrics registry — so the master can aggregate a
-whole-job view without any extra round trips.
+Each reported bucket carries its size once, next to its URL: the
+records and bytes of the file the task wrote (floats on the wire —
+XML-RPC ints stop at 2**31 - 1).  A ``done`` message optionally carries
+a *task metrics* payload — the slave's span for the task (its marks as
+offsets from the task's start), a snapshot of its metrics registry and
+a throttled health sample — so the master can aggregate a whole-job
+view without any extra round trips.
 
 ========================  =======================================
 slave method              meaning
@@ -107,7 +111,6 @@ def make_task_metrics(
     span: Optional[Dict[str, Any]] = None,
     registry: Optional[Dict[str, Any]] = None,
     health: Optional[Dict[str, float]] = None,
-    buckets: Optional[Sequence[Sequence[Any]]] = None,
 ) -> Dict[str, Any]:
     """The per-task metrics payload piggybacked on ``done``.
 
@@ -117,9 +120,7 @@ def make_task_metrics(
     ``registry`` a
     :meth:`~repro.observability.metrics.MetricsRegistry.snapshot`;
     ``health`` an optional throttled
-    :func:`~repro.observability.telemetry.sample_health` snapshot;
-    ``buckets`` an optional list of ``[split, records, bytes]`` triples
-    for shuffle-skew accounting.
+    :func:`~repro.observability.telemetry.sample_health` snapshot.
     """
     payload: Dict[str, Any] = {
         "span": dict(span or {}),
@@ -129,11 +130,6 @@ def make_task_metrics(
         payload["health"] = {
             str(name): float(value) for name, value in health.items()
         }
-    if buckets:
-        payload["buckets"] = [
-            [int(entry[0]), float(entry[1]), float(entry[2])]
-            for entry in buckets
-        ]
     return payload
 
 
@@ -156,30 +152,27 @@ def parse_task_metrics(raw: Any) -> Dict[str, Any]:
                 continue
         if not health:
             health = None
-    buckets: List[List[float]] = []
-    raw_buckets = raw.get("buckets")
-    if isinstance(raw_buckets, (list, tuple)):
-        for entry in raw_buckets:
-            try:
-                buckets.append(
-                    [int(entry[0]), float(entry[1]), float(entry[2])]
-                )
-            except (TypeError, ValueError, IndexError):
-                continue
     return {
         "span": span if isinstance(span, dict) else {},
         "registry": registry if isinstance(registry, dict) else {},
         "health": health,
-        "buckets": buckets,
     }
 
 
-def parse_bucket_urls(raw: Any) -> List[Tuple[int, str, bool]]:
-    """Normalize a reported bucket-url list to (split, url, sorted).
+#: One reported output bucket: ``(split, url, sorted, size)``, where
+#: ``size`` is the written file's ``(records, bytes)`` or None when the
+#: report did not carry it.
+BucketReport = Tuple[int, str, bool, Optional[Tuple[int, int]]]
 
-    Accepts both the current ``[split, url, sorted]`` triples and the
-    historical ``[split, url]`` pairs (sortedness then defaults to
-    False — a safe "unknown", the consumer just re-sorts).
+
+def parse_bucket_urls(raw: Any) -> List[BucketReport]:
+    """Normalize a reported bucket list to ``(split, url, sorted,
+    size)``.
+
+    The current form is ``[split, url, sorted, records, bytes]``; the
+    older ``[split, url, sorted]`` triples and ``[split, url]`` pairs are
+    still accepted, with the size unknown and (for pairs) sortedness
+    False — a safe "unknown", the consumer just re-sorts.
     """
     try:
         return [
@@ -187,6 +180,7 @@ def parse_bucket_urls(raw: Any) -> List[Tuple[int, str, bool]]:
                 int(entry[0]),
                 str(entry[1]),
                 bool(entry[2]) if len(entry) > 2 else False,
+                (int(entry[3]), int(entry[4])) if len(entry) > 4 else None,
             )
             for entry in raw
         ]

@@ -56,6 +56,14 @@ def _next_dataset_id(prefix: str, namespace: Optional[str] = None) -> str:
     return f"{prefix}_{serial}"
 
 
+def namespace_of(dataset_id: str) -> Optional[str]:
+    """The job namespace of a dataset id (``job-1`` of ``job-1.map_3``),
+    or None for an id made without one — the inverse of
+    :func:`_next_dataset_id`."""
+    namespace, sep, _ = dataset_id.partition(".")
+    return namespace if sep and namespace else None
+
+
 class BaseDataset:
     """Common bucket-grid behaviour for all dataset kinds."""
 

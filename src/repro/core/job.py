@@ -81,13 +81,15 @@ class Backend:
         return self.observability.status_view()
 
     def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry snapshot: per-source health
-        time-series, shuffle-skew summaries, straggler candidates.
-        Empty when the backend records nothing.  Backends with a
-        scheduler extend this with live straggler candidates."""
+        """The cluster telemetry snapshot: the latest health sample per
+        source, shuffle-skew summaries, straggler candidates.  Empty
+        when the backend records nothing; a single-process backend has
+        only its own health.  The coordinator fills in the rest."""
         if self.observability is None:
             return {}
-        return self.observability.telemetry.snapshot()
+        from repro.observability.telemetry import snapshot
+
+        return snapshot(self.observability.role)
 
     def close(self) -> None:
         """Shut down any runtime resources."""
@@ -323,8 +325,8 @@ class Job:
         return self.backend.status()
 
     def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry view: per-slave health time-series,
-        shuffle-skew summaries per dataset, and straggler
+        """The cluster telemetry view: the latest health sample per
+        slave/worker, shuffle-skew summaries per dataset, and straggler
         candidates."""
         return self.backend.telemetry()
 

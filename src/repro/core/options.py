@@ -27,6 +27,9 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description=getattr(program_class, "__doc__", None) or "Mrs program",
         conflict_handler="resolve",
+        # A removed flag must be a usage error, not a silent prefix of
+        # a surviving one (--mrs-profile of --mrs-profile-tasks).
+        allow_abbrev=False,
     )
     group = parser.add_argument_group("Mrs options")
     group.add_argument(
@@ -166,15 +169,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         help="interface for the master's servers (default 127.0.0.1)",
     )
     group.add_argument(
-        "--mrs-profile",
-        dest="profile_dir",
-        default=None,
-        metavar="DIR",
-        help="serial implementation: cProfile every task into DIR "
-        "(one .prof per task; inspect with pstats).  'Profiling has "
-        "helped to identify real bottlenecks' — section IV-B",
-    )
-    group.add_argument(
         "--mrs-metrics-json",
         dest="metrics_json",
         default=None,
@@ -227,7 +221,9 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         metavar="N",
         help="run tasks under cProfile and keep the .pstats dumps of "
         "the N slowest tasks per process (paths attached to their "
-        "spans and announced as task.profiled events)",
+        "spans and announced as task.profiled events; N >= the task "
+        "count keeps every task).  'Profiling has helped to identify "
+        "real bottlenecks' — section IV-B",
     )
     group.add_argument(
         "--mrs-timeout",

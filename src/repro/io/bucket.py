@@ -126,6 +126,10 @@ class Bucket:
     #: :class:`FileBucket` and by streaming input resolution.
     key_serializer: Optional[str] = None
     value_serializer: Optional[str] = None
+    #: ``(records, bytes)`` of the persisted copy at ``url`` as the task
+    #: that wrote it reported them; None when unknown.  Set by the
+    #: coordinator on the buckets it registers.
+    url_size: Optional[Tuple[int, int]] = None
 
     def __init__(self, source: int = 0, split: int = 0, url: Optional[str] = None):
         self.source = source

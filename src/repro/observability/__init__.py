@@ -7,10 +7,11 @@ bundling what the runtime records about itself:
   :class:`~repro.observability.tracing.TaskSpan` per task — the only
   place a task's time is kept, freed with its dataset,
 * a :class:`~repro.observability.metrics.MetricsRegistry` of counters,
-  gauges, and histograms (bounded aggregates),
-* the cluster telemetry plane
-  (:class:`~repro.observability.telemetry.Telemetry`), and optionally
-  an :class:`~repro.observability.events.EventLog`.
+  gauges, and histograms (bounded aggregates), and optionally
+* an :class:`~repro.observability.events.EventLog`.
+
+Cluster telemetry (:mod:`repro.observability.telemetry`) keeps nothing
+here: its snapshot is a view over the coordinator's state.
 
 ``Observability.report()`` assembles the whole-job view that
 ``Job.metrics()`` returns and ``--mrs-metrics-json`` dumps; slaves ship
@@ -31,7 +32,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracing import PHASES, TaskSpan, Tracer, merge_rows
 from repro.observability.events import EventLog
-from repro.observability.telemetry import Telemetry
 from repro.observability import export
 from repro.util.timing import summarize_seconds
 
@@ -56,7 +56,7 @@ _EXECUTOR_ROLES = frozenset({"slave", "worker"})
 
 
 class Observability:
-    """Per-backend bundle of tracer + registry + events + telemetry."""
+    """Per-backend bundle of tracer + registry + events."""
 
     def __init__(self, role: str = "serial"):
         self.role = role
@@ -66,15 +66,6 @@ class Observability:
         #: (so the hot emit path ``events = obs.events; if events is
         #: not None: ...`` costs one attribute check when disabled).
         self.events: Optional[EventLog] = None
-        #: Cluster telemetry plane (health series, skew, stragglers).
-        #: The sampler's task-throughput rate is derived from this
-        #: bundle's ``tasks.completed`` counter, which every executor
-        #: role already maintains; owners with a run directory bind it
-        #: with ``telemetry.set_rundir``.
-        completed = self.registry.counter("tasks.completed")
-        self.telemetry = Telemetry(
-            role=role, task_counter=lambda: completed.value
-        )
         self._created_at = time.perf_counter()
         #: Seconds from backend construction to ready-to-run, set once
         #: by :meth:`mark_startup_complete` (the paper's "~2 s" number).

@@ -26,15 +26,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
+from repro.core.dataset import namespace_of
 from repro.observability import events as events_mod
-
-def _job_of(dataset_id: str) -> str:
-    """The ``job-N`` namespace of a dataset id, or ``default``."""
-    if dataset_id.startswith("job-"):
-        head, sep, _ = dataset_id.partition(".")
-        if sep:
-            return head
-    return "default"
 
 
 def _collect_tasks(
@@ -58,7 +51,7 @@ def _collect_tasks(
             seconds = float(fields.get("seconds", 0.0))
         except (KeyError, TypeError, ValueError):
             continue
-        jobs.setdefault(_job_of(dataset_id), []).append(
+        jobs.setdefault(namespace_of(dataset_id) or "default", []).append(
             {
                 "dataset_id": dataset_id,
                 "task_index": fields.get("task_index"),

@@ -1,15 +1,15 @@
-"""Targeted per-task profiling: ``--mrs-profile-tasks N``.
+"""Per-task profiling, on every runtime: ``--mrs-profile-tasks N``.
 
-``--mrs-profile DIR`` (serial only) profiles *every* task, which is the
-right tool for a 5-task debug run and the wrong one for a 1000-task
-job.  :class:`TaskProfiler` keeps only the ``.pstats`` files of the N
-slowest tasks seen so far: every task runs under ``cProfile`` while the
-flag is on, but a task's profile is persisted only if it ranks among
-the N slowest at the moment it finishes (evicting — and deleting — the
-fastest retained profile).  Retained paths are attached to the task's
-span (``profile_path``), from which the ``task.profiled`` event is
-derived when the task commits, so the report and the event log both
-point at the evidence for the job's worst tasks.
+:class:`TaskProfiler` keeps only the ``.pstats`` files of the N slowest
+tasks seen so far: every task runs under ``cProfile`` while the flag is
+on, but a task's profile is persisted only if it ranks among the N
+slowest at the moment it finishes (evicting — and deleting — the
+fastest retained profile).  N at least the task count keeps every
+task's profile, the right setting for a 5-task debug run.  Retained
+paths are attached to the task's span (``profile_path``), from which
+the ``task.profiled`` event is derived when the task commits, so the
+report and the event log both point at the evidence for the job's
+worst tasks.
 
 Each process profiles independently (one profiler per slave/worker),
 so "N slowest" is per-process; the directory is shared and file names

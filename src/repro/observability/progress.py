@@ -15,6 +15,8 @@ import sys
 import threading
 from typing import Any, List, Optional, Tuple
 
+from repro.core.dataset import namespace_of
+
 
 def _job_key(job_id: str) -> Tuple[int, str]:
     try:
@@ -28,11 +30,11 @@ def job_segments(status: dict) -> List[str]:
     the ``job-N.`` dataset-id namespace prefix (empty for plain jobs)."""
     groups: dict = {}
     for row in status.get("datasets") or ():
-        prefix, dot, _ = row["id"].partition(".")
-        if not dot or not prefix.startswith("job-"):
+        job = namespace_of(row["id"])
+        if job is None:
             continue
-        done, total = groups.get(prefix, (0, 0))
-        groups[prefix] = (done + (1 if row["complete"] else 0), total + 1)
+        done, total = groups.get(job, (0, 0))
+        groups[job] = (done + (1 if row["complete"] else 0), total + 1)
     return [
         f"{job} {done}/{total} ds"
         for job, (done, total) in sorted(

@@ -1,12 +1,14 @@
-"""Shuffle-skew accounting.
+"""Shuffle skew: a view over the buckets each dataset holds.
 
 The partition function decides how evenly a dataset's records spread
 across its reduce buckets; a fat bucket makes its reduce task a
 straggler by construction.  Skew-resistant partitioning (Goodrich et
-al., PAPERS.md) needs this measured before it can be eliminated, so the
-task runners report per-bucket emitted sizes — ``[split, records,
-bytes]`` triples piggybacked on the done RPC — and the coordinator
-rolls them into per-dataset summaries here.
+al., PAPERS.md) needs this measured before it can be eliminated.  Each
+task reports the records and bytes of every bucket it wrote next to the
+bucket's URL on the done RPC, the coordinator keeps them on that
+:class:`~repro.io.bucket.Bucket` (``url_size``), and :func:`summary`
+rolls the buckets a dataset holds *now* into one row — so a bucket
+dropped by lineage recovery and written again is counted once.
 
 Two standard dispersion statistics per dataset:
 
@@ -19,7 +21,6 @@ Two standard dispersion statistics per dataset:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 
@@ -51,117 +52,36 @@ def max_over_median(values: Sequence[float]) -> Optional[float]:
     return xs[-1] / median
 
 
-class SkewTracker:
-    """Per-dataset bucket accounting, fed from task completions.
+def summary(
+    buckets_by_dataset: Dict[str, Sequence[Any]]
+) -> Dict[str, Dict[str, Any]]:
+    """Per-dataset skew rows over ``{dataset id: its buckets}``.
 
-    ``record_emitted`` sums each map task's per-bucket output — many
-    tasks contribute to the same split, so values accumulate.
-    ``record_fetched`` accounts the reduce side: how many bytes task
-    ``split`` actually pulled over the data plane.  Thread-safe (the
-    coordinator folds results under its own lock, but the status
-    surface reads concurrently).
+    Many tasks write into the same split, so sizes are summed per split
+    first; ``buckets`` counts the splits.  Buckets of unknown size
+    (inputs, spills, reports without sizes) are left out, and a dataset
+    with none has no row.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: dataset_id -> split -> {"records": float, "bytes": float}
-        self._emitted: Dict[str, Dict[int, Dict[str, float]]] = {}
-        #: dataset_id -> split -> {"bytes": float, "records": float}
-        self._fetched: Dict[str, Dict[int, Dict[str, float]]] = {}
-
-    def record_emitted(
-        self, dataset_id: str, buckets: Sequence[Sequence[Any]]
-    ) -> None:
-        """Fold one task's ``[split, records, bytes]`` triples in."""
-        if not buckets:
-            return
-        with self._lock:
-            per_split = self._emitted.setdefault(dataset_id, {})
-            for triple in buckets:
-                try:
-                    split = int(triple[0])
-                    records = float(triple[1])
-                    nbytes = float(triple[2])
-                except (TypeError, ValueError, IndexError):
-                    continue
-                entry = per_split.setdefault(
-                    split, {"records": 0.0, "bytes": 0.0}
-                )
-                entry["records"] += records
-                entry["bytes"] += nbytes
-
-    def record_fetched(
-        self,
-        dataset_id: str,
-        split: int,
-        nbytes: float,
-        records: Optional[float] = None,
-    ) -> None:
-        with self._lock:
-            per_split = self._fetched.setdefault(dataset_id, {})
-            entry = per_split.setdefault(
-                int(split), {"records": 0.0, "bytes": 0.0}
-            )
-            entry["bytes"] += float(nbytes)
-            if records is not None:
-                entry["records"] += float(records)
-
-    def forget_dataset(self, dataset_id: str) -> None:
-        with self._lock:
-            self._emitted.pop(dataset_id, None)
-            self._fetched.pop(dataset_id, None)
-
-    def summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-dataset skew rollup over the emitted-side accounting
-        (the authoritative per-bucket view), with fetched-side totals
-        attached when present."""
-        with self._lock:
-            emitted = {
-                dataset_id: {
-                    split: dict(entry) for split, entry in per_split.items()
-                }
-                for dataset_id, per_split in self._emitted.items()
-            }
-            fetched_bytes = {
-                dataset_id: sum(e["bytes"] for e in per_split.values())
-                for dataset_id, per_split in self._fetched.items()
-            }
-        out: Dict[str, Dict[str, Any]] = {}
-        for dataset_id, per_split in emitted.items():
-            byte_sizes = [entry["bytes"] for entry in per_split.values()]
-            record_counts = [
-                entry["records"] for entry in per_split.values()
-            ]
-            row: Dict[str, Any] = {
-                "buckets": len(per_split),
-                "bytes_total": sum(byte_sizes),
-                "records_total": sum(record_counts),
-                "bytes_max": max(byte_sizes) if byte_sizes else 0.0,
-                "max_over_median_bytes": max_over_median(byte_sizes),
-                "max_over_median_records": max_over_median(record_counts),
-                "gini_bytes": gini(byte_sizes),
-                "gini_records": gini(record_counts),
-            }
-            if dataset_id in fetched_bytes:
-                row["fetched_bytes_total"] = fetched_bytes[dataset_id]
-            out[dataset_id] = row
-        # Fetch-only datasets (e.g. reduce inputs whose emit side was
-        # never reported) still show their transfer totals.
-        for dataset_id, total in fetched_bytes.items():
-            if dataset_id not in out:
-                out[dataset_id] = {
-                    "buckets": 0,
-                    "bytes_total": 0.0,
-                    "records_total": 0.0,
-                    "bytes_max": 0.0,
-                    "max_over_median_bytes": None,
-                    "max_over_median_records": None,
-                    "gini_bytes": None,
-                    "gini_records": None,
-                    "fetched_bytes_total": total,
-                }
-        return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(set(self._emitted) | set(self._fetched))
+    out: Dict[str, Dict[str, Any]] = {}
+    for dataset_id, buckets in buckets_by_dataset.items():
+        per_split: Dict[int, List[int]] = {}
+        for bucket in buckets:
+            if bucket.url_size is not None:
+                entry = per_split.setdefault(bucket.split, [0, 0])
+                entry[0] += bucket.url_size[0]
+                entry[1] += bucket.url_size[1]
+        if not per_split:
+            continue
+        record_counts = [records for records, _ in per_split.values()]
+        byte_sizes = [nbytes for _, nbytes in per_split.values()]
+        out[dataset_id] = {
+            "buckets": len(per_split),
+            "bytes_total": sum(byte_sizes),
+            "records_total": sum(record_counts),
+            "bytes_max": max(byte_sizes),
+            "max_over_median_bytes": max_over_median(byte_sizes),
+            "max_over_median_records": max_over_median(record_counts),
+            "gini_bytes": gini(byte_sizes),
+            "gini_records": gini(record_counts),
+        }
+    return out

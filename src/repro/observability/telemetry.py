@@ -1,30 +1,28 @@
-"""Cluster telemetry: health time-series, stragglers, and surfacing.
+"""Cluster telemetry: worker health, stragglers, and surfacing.
 
-The metrics/events planes (PRs 1 and 4) answer *per-job* questions.
-This module answers *cluster* questions — is a slave slow, is a bucket
-fat, is a task an outlier relative to its siblings — the inputs the
-ROADMAP's speculative-execution tentpole needs to pick victims.
-
-Four pieces:
+The metrics/events planes answer *per-job* questions.  This module
+answers *cluster* questions — is a slave slow, is a bucket fat, is a
+task an outlier relative to its siblings — the inputs the ROADMAP's
+speculative-execution item needs to pick victims.  It keeps no store of
+its own: every fact is a view over state the coordinator already holds.
 
 * :class:`HealthSampler` — cheap process-health snapshots (CPU time,
   RSS, open fds, disk free on the run dir, task throughput) built from
   ``/proc``/``os``/``shutil`` with graceful fallbacks, **no psutil**.
-  Samples piggyback on the heartbeat/completion RPCs already flowing.
-* :class:`TimeSeriesStore` — the master-side ring-buffered store:
-  per-source series with fixed-interval downsampling (samples landing
-  in the same interval slot merge; the ring bounds memory).
+  The slave and the pool worker each own one; its samples piggyback on
+  the done and ping messages already flowing, and the coordinator keeps
+  the latest per source.
 * :class:`StragglerScorer` — a running task exceeding ``factor`` × the
   median run time of its dataset's committed tasks is a straggler
   candidate.  It reads the coordinator's task spans and keeps no
   timings of its own
   (:meth:`~repro.runtime.coordinator.Coordinator.straggler_candidates`).
+* :func:`snapshot` — the ``job.telemetry()`` shape: latest health per
+  source, skew per dataset (:func:`repro.observability.skew.summary`),
+  straggler candidates.
 * :func:`render_prometheus` — the live ``GET /metrics`` view (Prometheus
   text exposition) on the ``--mrs-status-http`` surface; ``GET
   /status`` serves the same state as JSON.
-
-Everything hangs off ``Observability.telemetry``, which every backend
-always has.
 """
 
 from __future__ import annotations
@@ -34,15 +32,13 @@ import re
 import shutil
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-#: Seconds between health samples (and the downsampling slot width of
-#: the master-side store).
+#: Minimum seconds between one process's health samples.
 DEFAULT_INTERVAL = 5.0
 
-#: Default ring capacity per source: 240 slots x 5 s = 20 minutes.
-DEFAULT_CAPACITY = 240
+#: Version of the :func:`snapshot` shape.
+SNAPSHOT_VERSION = 2
 
 #: Straggler threshold: multiple of the running median task time.
 DEFAULT_STRAGGLER_FACTOR = 1.5
@@ -144,25 +140,19 @@ class HealthSampler:
         """An unconditional sample (also resets the throttle window)."""
         now = self._clock()
         sample = sample_health(self.rundir)
-        if self.task_counter is not None:
-            try:
-                tasks = float(self.task_counter())
-            except Exception:
-                tasks = None
+        try:
+            tasks = float(self.task_counter()) if self.task_counter else None
+        except Exception:
+            tasks = None
+        with self._lock:
             if tasks is not None:
                 sample["tasks_completed"] = tasks
-                with self._lock:
-                    if (
-                        self._last_at is not None
-                        and self._last_tasks is not None
-                        and now > self._last_at
-                    ):
-                        sample["task_throughput"] = max(
-                            0.0,
-                            (tasks - self._last_tasks) / (now - self._last_at),
-                        )
-                    self._last_tasks = tasks
-        with self._lock:
+                # A previous count implies a previous sample time.
+                if self._last_tasks is not None and now > self._last_at:
+                    sample["task_throughput"] = max(
+                        0.0, (tasks - self._last_tasks) / (now - self._last_at)
+                    )
+                self._last_tasks = tasks
             self._last_at = now
         return sample
 
@@ -173,80 +163,6 @@ class HealthSampler:
         if last is not None and self._clock() - last < self.interval:
             return None
         return self.sample()
-
-
-# ---------------------------------------------------------------------------
-# Master-side time-series store
-# ---------------------------------------------------------------------------
-
-
-class TimeSeriesStore:
-    """Ring-buffered per-source health series with fixed-interval
-    downsampling.
-
-    Samples are slotted by ``floor(t / interval)``; a sample landing in
-    the occupied newest slot *merges into it* (later fields win) rather
-    than appending, so a chatty source — pings every 2 s, completions
-    every 50 ms — still costs one entry per interval.  Each source's
-    series is a ``deque(maxlen=capacity)``: memory is bounded no matter
-    how long the job runs.
-    """
-
-    def __init__(
-        self,
-        interval: float = DEFAULT_INTERVAL,
-        capacity: int = DEFAULT_CAPACITY,
-    ):
-        self.interval = max(1e-6, float(interval))
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._series: Dict[str, deque] = {}
-
-    def record(
-        self,
-        source: str,
-        sample: Optional[Dict[str, float]] = None,
-        rtt_seconds: Optional[float] = None,
-    ) -> None:
-        """Fold one sample (and/or a measured ping RTT) into a series."""
-        entry: Dict[str, float] = dict(sample or {})
-        if rtt_seconds is not None:
-            entry["rtt_seconds"] = float(rtt_seconds)
-        if not entry:
-            return
-        entry.setdefault("t", time.time())
-        slot = int(entry["t"] // self.interval)
-        with self._lock:
-            series = self._series.get(source)
-            if series is None:
-                series = self._series[source] = deque(maxlen=self.capacity)
-            if series and int(series[-1]["t"] // self.interval) == slot:
-                series[-1].update(entry)
-            else:
-                series.append(entry)
-
-    def series(self) -> Dict[str, List[Dict[str, float]]]:
-        with self._lock:
-            return {
-                source: [dict(s) for s in samples]
-                for source, samples in sorted(self._series.items())
-            }
-
-    def latest(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            return {
-                source: dict(samples[-1])
-                for source, samples in sorted(self._series.items())
-                if samples
-            }
-
-    def sources(self) -> List[str]:
-        with self._lock:
-            return sorted(self._series)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(s) for s in self._series.values())
 
 
 # ---------------------------------------------------------------------------
@@ -351,72 +267,37 @@ def _median_run_seconds(spans: List[Any]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The per-backend bundle
+# The job.telemetry() snapshot
 # ---------------------------------------------------------------------------
 
 
-class Telemetry:
-    """One backend's telemetry plane: a sampler for its own process, a
-    store for the cluster's series, a skew tracker, and the straggler
-    knobs.  Every ``Observability`` builds one as its ``telemetry``.
+def snapshot(
+    role: str,
+    rundir: Optional[str] = None,
+    latest: Optional[Dict[str, Dict[str, float]]] = None,
+    skew: Optional[Dict[str, Dict[str, Any]]] = None,
+    stragglers: Sequence[Dict[str, Any]] = (),
+    flagged_total: int = 0,
+) -> Dict[str, Any]:
+    """The ``job.telemetry()`` payload.
+
+    ``latest`` maps each remote source to its latest health sample; this
+    process's own sample is taken now, under ``role`` (disk free of
+    ``rundir``), so even a single-process backend reports one source.
     """
-
-    def __init__(
-        self,
-        role: str,
-        interval: float = DEFAULT_INTERVAL,
-        straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-        task_counter: Optional[Callable[[], float]] = None,
-    ):
-        from repro.observability.skew import SkewTracker
-
-        self.role = role
-        self.interval = float(interval)
-        self.straggler_factor = float(straggler_factor)
-        self.sampler = HealthSampler(interval=interval, task_counter=task_counter)
-        self.store = TimeSeriesStore(interval=interval)
-        self.skew = SkewTracker()
-
-    def set_rundir(self, rundir: Optional[str]) -> None:
-        """Bind the directory whose disk-free the sampler reports
-        (backends create their tmpdir after their ``Observability``)."""
-        self.sampler.rundir = rundir
-
-    def record_remote(
-        self,
-        source: str,
-        sample: Optional[Dict[str, float]] = None,
-        rtt_seconds: Optional[float] = None,
-    ) -> None:
-        """Fold a piggybacked remote health sample (and/or ping RTT)
-        into the store."""
-        self.store.record(source, sample, rtt_seconds=rtt_seconds)
-
-    def snapshot(
-        self, stragglers: Optional[List[Dict[str, Any]]] = None,
-        flagged_total: int = 0,
-    ) -> Dict[str, Any]:
-        """The ``job.telemetry()`` payload.
-
-        Records a fresh self-sample first, so even a single-process
-        backend reports a non-empty series under its own role name.
-        """
-        own = self.sampler.maybe_sample()
-        if own is not None:
-            self.store.record(self.role, own)
-        return {
-            "version": 1,
-            "role": self.role,
-            "interval": self.interval,
-            "series": self.store.series(),
-            "latest": self.store.latest(),
-            "skew": self.skew.summary(),
-            "stragglers": {
-                "factor": self.straggler_factor,
-                "candidates": list(stragglers or []),
-                "flagged_total": int(flagged_total),
-            },
-        }
+    latest = dict(latest or {})
+    latest[role] = sample_health(rundir)
+    return {
+        "version": SNAPSHOT_VERSION,
+        "role": role,
+        "latest": dict(sorted(latest.items())),
+        "skew": dict(skew or {}),
+        "stragglers": {
+            "factor": DEFAULT_STRAGGLER_FACTOR,
+            "candidates": list(stragglers),
+            "flagged_total": int(flagged_total),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +315,12 @@ _HEALTH_METRICS = (
     ("task_throughput", "mrs_slave_task_throughput", "gauge"),
     ("tasks_completed", "mrs_slave_tasks_completed_total", "counter"),
     ("rtt_seconds", "mrs_slave_ping_rtt_seconds", "gauge"),
+)
+
+#: skew-row keys -> gauge name (``None`` rows are skipped).
+_SKEW_METRICS = (
+    ("max_over_median_bytes", "mrs_skew_max_over_median"),
+    ("gini_bytes", "mrs_skew_gini"),
 )
 
 
@@ -498,12 +385,10 @@ def render_prometheus(backend: Any) -> str:
         status = backend.status() or {}
     except Exception:
         status = {}
-    telemetry: Dict[str, Any] = {}
-    if hasattr(backend, "telemetry"):
-        try:
-            telemetry = backend.telemetry() or {}
-        except Exception:
-            telemetry = {}
+    try:
+        telemetry = backend.telemetry() or {}
+    except Exception:
+        telemetry = {}
 
     writer.add("mrs_up", 1)
     tasks = status.get("tasks") or {}
@@ -511,16 +396,12 @@ def render_prometheus(backend: Any) -> str:
     writer.add("mrs_tasks_done", tasks.get("done", 0))
     writer.add("mrs_tasks_running", tasks.get("running", 0))
 
-    for row in status.get("slaves") or []:
-        if not isinstance(row, dict):
-            continue
-        labels = {"slave": f"slave-{row.get('id')}"}
-        writer.add("mrs_slave_up", 1 if row.get("alive") else 0, labels)
-        writer.add("mrs_slave_busy", 1 if row.get("busy") else 0, labels)
+    for row in status.get("slaves") or ():
+        labels = {"slave": f"slave-{row['id']}"}
+        writer.add("mrs_slave_up", 1 if row["alive"] else 0, labels)
+        writer.add("mrs_slave_busy", 1 if row["busy"] else 0, labels)
 
     for source, sample in (telemetry.get("latest") or {}).items():
-        if not isinstance(sample, dict):
-            continue
         labels = {"slave": source}
         for key, metric, mtype in _HEALTH_METRICS:
             if key in sample:
@@ -532,21 +413,11 @@ def render_prometheus(backend: Any) -> str:
         writer.add("mrs_dataset_complete", 1 if row["complete"] else 0, labels)
 
     for dataset_id, summary in (telemetry.get("skew") or {}).items():
-        if not isinstance(summary, dict):
-            continue
         labels = {"dataset": dataset_id}
-        ratio = summary.get("max_over_median_bytes")
-        if ratio is not None:
-            writer.add("mrs_skew_max_over_median", ratio, labels)
-        gini = summary.get("gini_bytes")
-        if gini is not None:
-            writer.add("mrs_skew_gini", gini, labels)
-        writer.add(
-            "mrs_skew_bytes_total",
-            summary.get("bytes_total", 0),
-            labels,
-            "counter",
-        )
+        for key, metric in _SKEW_METRICS:
+            if summary[key] is not None:
+                writer.add(metric, summary[key], labels)
+        writer.add("mrs_skew_bytes_total", summary["bytes_total"], labels, "counter")
 
     stragglers = telemetry.get("stragglers") or {}
     writer.add(

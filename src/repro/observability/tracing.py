@@ -29,6 +29,8 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.dataset import namespace_of
+
 #: The durations that are a task's *phases*: what the report's
 #: ``phases`` sums and ``task.phase`` events name.  ``shuffle`` is the
 #: serial runtimes' name for gathering a reduce task's input.
@@ -248,10 +250,9 @@ class Tracer:
             spans = self._spans.get(dataset_id)
             if spans is None:
                 spans = self._spans[dataset_id] = {}
-                head, sep, _ = dataset_id.partition(".")
-                self._by_namespace.setdefault(head if sep else "", []).append(
-                    dataset_id
-                )
+                self._by_namespace.setdefault(
+                    namespace_of(dataset_id) or "", []
+                ).append(dataset_id)
             span = spans.get(task_index)
             if span is None:
                 span = spans[task_index] = TaskSpan(dataset_id, task_index)

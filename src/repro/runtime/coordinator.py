@@ -51,9 +51,12 @@ from repro.comm import protocol, transfer
 from repro.core.dataset import BaseDataset, ComputedData
 from repro.core.job import Backend, Job
 from repro.io.bucket import Bucket
-from repro.observability import MetricsRegistry, Observability
+from repro.observability import MetricsRegistry, Observability, skew
 from repro.observability.events import emit_task_events
-from repro.observability.telemetry import StragglerScorer
+from repro.observability.telemetry import (
+    StragglerScorer,
+    snapshot as telemetry_snapshot,
+)
 from repro.runtime import dataplane
 from repro.runtime.failures import FailureTracker, propagate_error
 from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskId
@@ -88,11 +91,13 @@ class Coordinator(Backend):
             affinity=not getattr(opts, "no_affinity", False),
             pipeline=getattr(opts, "pipeline", "buckets") != "off",
         )
-        telemetry = self.observability.telemetry
-        telemetry.set_rundir(self.tmpdir)
         #: Straggler scorer: reads ``_busy`` and the task spans; see
         #: :meth:`straggler_candidates`.
-        self._stragglers = StragglerScorer(factor=telemetry.straggler_factor)
+        self._stragglers = StragglerScorer()
+        #: Source (``slave-3``/``worker-1``) -> its latest health sample;
+        #: later fields win, so a ping's RTT and a done's sample share
+        #: one entry.
+        self._health: Dict[str, Dict[str, float]] = {}
         #: Mirror of the scheduler's pipelined-dispatch count already
         #: folded into the metrics registry.
         self._pipelined_seen = 0
@@ -283,12 +288,31 @@ class Coordinator(Backend):
         ]
 
     def telemetry(self) -> Dict[str, Any]:
-        """The cluster telemetry snapshot, including the scheduler's
-        live straggler candidates."""
-        return self.observability.telemetry.snapshot(
-            stragglers=self.straggler_candidates(),
-            flagged_total=self._stragglers.flagged_total,
+        """The cluster telemetry snapshot: the latest health sample per
+        source, shuffle skew over the buckets each dataset holds now,
+        and the live straggler candidates."""
+        candidates = self.straggler_candidates()
+        with self._lock:
+            latest = {
+                source: dict(sample) for source, sample in self._health.items()
+            }
+            buckets = {
+                ds_id: dataset.existing_buckets()
+                for ds_id, dataset in self._datasets.items()
+            }
+        return telemetry_snapshot(
+            self.role,
+            self.tmpdir,
+            latest,
+            skew.summary(buckets),
+            candidates,
+            self._stragglers.flagged_total,
         )
+
+    def _note_health(self, source: str, sample: Dict[str, float]) -> None:
+        """Fold a health sample into ``source``'s latest one (caller
+        holds the lock)."""
+        self._health.setdefault(source, {}).update(sample)
 
     def straggler_candidates(self) -> List[Dict[str, Any]]:
         """Running tasks over the straggler threshold, most severe
@@ -321,7 +345,6 @@ class Coordinator(Backend):
         # The spans shrink to the one row the report and status views
         # still need.
         self.observability.tracer.fold(dataset_id)
-        self.observability.telemetry.skew.forget_dataset(dataset_id)
         self._stragglers.forget_dataset(dataset_id)
 
     def close(self) -> None:
@@ -366,7 +389,6 @@ class Coordinator(Backend):
         metrics: Optional[Dict[str, Any]] = None,
     ) -> None:
         task: TaskId = (dataset_id, task_index)
-        # Accept both (split, url) pairs and (split, url, sorted) triples.
         reported = protocol.parse_bucket_urls(bucket_urls)
         seconds = float(seconds)
         cleanup_dir: Optional[str] = None
@@ -390,11 +412,12 @@ class Coordinator(Backend):
             else:
                 if accepted:
                     self._task_accepted(worker_id, task)
-                    for split, url, url_sorted in reported:
+                    for split, url, url_sorted, size in reported:
                         bucket = Bucket(
                             source=task_index, split=split, url=url
                         )
                         bucket.url_sorted = url_sorted
+                        bucket.url_size = size
                         dataset.add_bucket(bucket)
                     self._record_task_metrics(
                         worker_id, dataset_id, task_index, seconds, metrics
@@ -440,17 +463,8 @@ class Coordinator(Backend):
         span.seconds = seconds
         span.mark("committed")
         obs.merge_remote(payload["registry"], source=source)
-        telemetry = obs.telemetry
-        telemetry.record_remote(source, payload.get("health"))
-        if payload["buckets"]:
-            telemetry.skew.record_emitted(dataset_id, payload["buckets"])
-        counters = payload["registry"].get("counters")
-        if isinstance(counters, dict):
-            fetched = counters.get("fetch.bytes")
-            if fetched:
-                # The reduce side of skew: what this task actually
-                # pulled over the data plane for its input split.
-                telemetry.skew.record_fetched(dataset_id, task_index, fetched)
+        if payload["health"]:
+            self._note_health(source, payload["health"])
         events = obs.events
         if events is not None:
             emit_task_events(events, span, **{label: worker_id})

@@ -32,7 +32,7 @@ def execute_descriptor(
     profiler: Any = None,
     sampler: Any = None,
     boot_seconds: Optional[float] = None,
-) -> Tuple[List[Tuple[int, str, bool]], float, Dict[str, Any]]:
+) -> Tuple[List[Tuple[int, str, bool, float, float]], float, Dict[str, Any]]:
     """Execute one task descriptor in this process.
 
     Returns ``(bucket_urls, seconds, metrics)`` exactly as the
@@ -96,8 +96,7 @@ def execute_descriptor(
             profile_task_index=task_index,
             profile_span=span,
         )
-    urls: List[Tuple[int, str, bool]] = []
-    bucket_stats: List[Tuple[int, float, float]] = []
+    urls: List[Tuple[int, str, bool, float, float]] = []
     for bucket in out_buckets:
         assert isinstance(bucket, FileBucket)
         if shared_outdir is None and url_for is not None:
@@ -105,21 +104,17 @@ def execute_descriptor(
         else:
             url = "file:" + bucket.path
         # The sortedness flag lets the consuming reduce task stream
-        # this file through its merge without re-sorting.
-        urls.append((bucket.split, url, bucket.url_sorted))
-        if sampler is not None:
-            # Per-bucket emitted records/bytes for shuffle-skew
-            # accounting on the coordinator.
-            try:
-                bucket_stats.append(
-                    (
-                        bucket.split,
-                        float(len(bucket)),
-                        float(os.path.getsize(bucket.path)),
-                    )
-                )
-            except OSError:
-                pass
+        # this file through its merge without re-sorting; the file's
+        # records and bytes are what the coordinator's skew view sums.
+        urls.append(
+            (
+                bucket.split,
+                url,
+                bucket.url_sorted,
+                float(len(bucket)),
+                float(os.path.getsize(bucket.path)),
+            )
+        )
     span.mark("transfer")
     seconds = time.perf_counter() - started
     # Deliberately a *per-task* registry snapshot rather than the
@@ -141,6 +136,5 @@ def execute_descriptor(
         span=span.to_wire(),
         registry=registry.snapshot(),
         health=sampler.maybe_sample() if sampler is not None else None,
-        buckets=bucket_stats or None,
     )
     return urls, seconds, metrics

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
+import shutil
 import threading
 import time
 import weakref
@@ -30,7 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.comm import protocol
 from repro.comm.dataserver import DataServer
 from repro.comm.rpc import RpcServer, format_address, rpc_client
-from repro.core.dataset import ComputedData
+from repro.core.dataset import ComputedData, namespace_of
 from repro.core.job import Job
 from repro.observability import MetricsRegistry
 from repro.runtime.coordinator import Coordinator
@@ -82,8 +83,6 @@ class SlaveRecord:
         self.registry = registry
         #: Consecutive watchdog ping failures (reset on any success).
         self.ping_failures = 0
-        #: Last measured ping round-trip, seconds.
-        self.last_rtt: Optional[float] = None
 
     def client(self):
         """A fresh RPC proxy (ServerProxy is not thread-safe; callers
@@ -121,29 +120,37 @@ class MasterBackend(Coordinator):
         #: registry; fed alongside it on every accepted completion).
         self._job_registries: Dict[str, MetricsRegistry] = {}
 
-        # Control-plane server (instrumented: every handled RPC is
-        # timed into rpc.server.* in the master's registry).
-        host = getattr(opts, "host", None) or "127.0.0.1"
-        self.rpc = RpcServer(
-            MasterInterface(self),
-            host=host,
-            port=opts.port,
-            registry=self.observability.registry,
-        )
-        logger.info("master listening on %s", self.rpc.address)
-
         # Master-side data server (for LocalData buckets in http mode).
         self.dataserver: Optional[DataServer] = None
-        if self.data_plane == "http":
-            self.dataserver = DataServer(self.tmpdir, host=host)
-
-        runfile = getattr(opts, "runfile", None)
-        if runfile:
-            # Program 3, steps 2-3: the master "writes its port to a
-            # file"; slaves wait for the file to appear.
-            with open(runfile + ".tmp", "w") as f:
-                f.write(self.rpc.address + "\n")
-            os.replace(runfile + ".tmp", runfile)
+        try:
+            # Control-plane server (instrumented: every handled RPC is
+            # timed into rpc.server.* in the master's registry).
+            host = getattr(opts, "host", None) or "127.0.0.1"
+            self.rpc = RpcServer(
+                MasterInterface(self),
+                host=host,
+                port=opts.port,
+                registry=self.observability.registry,
+            )
+            logger.info("master listening on %s", self.rpc.address)
+            if self.data_plane == "http":
+                self.dataserver = DataServer(self.tmpdir, host=host)
+            runfile = getattr(opts, "runfile", None)
+            if runfile:
+                # Program 3, steps 2-3: the master "writes its port to
+                # a file"; slaves wait for the file to appear.
+                with open(runfile + ".tmp", "w") as f:
+                    f.write(self.rpc.address + "\n")
+                os.replace(runfile + ".tmp", runfile)
+        except BaseException:
+            # A failed start closes what it opened: the listeners and
+            # a run directory it created.
+            for server in (getattr(self, "rpc", None), self.dataserver):
+                if server is not None:
+                    server.shutdown()
+            if self._owns_tmpdir:
+                shutil.rmtree(self.tmpdir, ignore_errors=True)
+            raise
 
         #: Set by close(): wakes the watchdog out of its sleep so the
         #: thread (and its reference to this backend) ends promptly.
@@ -309,10 +316,8 @@ class MasterBackend(Coordinator):
     def _namespace_of(self, dataset_id: str) -> Optional[str]:
         """The registered job namespace of a dataset id, if any
         (caller holds the lock)."""
-        namespace, sep, _ = dataset_id.partition(".")
-        if sep and namespace in self._job_programs:
-            return namespace
-        return None
+        namespace = namespace_of(dataset_id)
+        return namespace if namespace in self._job_programs else None
 
     def register_job(
         self,
@@ -499,7 +504,6 @@ class MasterBackend(Coordinator):
             events = self.observability.events
             if events is not None:
                 events.emit("heartbeat", alive=len(records))
-            telemetry = self.observability.telemetry
             for record in records:
                 if self._closed:
                     return
@@ -528,13 +532,12 @@ class MasterBackend(Coordinator):
                     continue
                 rtt = time.perf_counter() - started
                 record.ping_failures = 0
-                record.last_rtt = rtt
                 # Slaves answer a ping with a throttled health sample,
-                # or bare True between samples.
-                health = result if isinstance(result, dict) else None
-                telemetry.record_remote(
-                    f"slave-{record.id}", health, rtt_seconds=rtt
-                )
+                # or bare True between samples; the RTT joins either.
+                sample = dict(result) if isinstance(result, dict) else {}
+                sample["rtt_seconds"] = rtt
+                with self._lock:
+                    self._note_health(f"slave-{record.id}", sample)
             self._poll_stragglers()
 
     def _poll_stragglers(self) -> None:

@@ -28,11 +28,8 @@ class SerialBackend(Backend):
         self.program = program
         if opts is None:
             opts = getattr(program, "opts", None)
-        #: --mrs-profile DIR: cProfile each task into DIR.
-        self.profile_dir = getattr(opts, "profile_dir", None)
         self.observability = Observability(role=self.role)
         self.observability.configure_from_opts(opts)
-        self.observability.telemetry.set_rundir(getattr(opts, "tmpdir", None))
         #: --mrs-profile-tasks N: keep the N slowest tasks' profiles.
         self.profiler = profiler_from_opts(opts)
         self._queue: List[ComputedData] = []
@@ -166,48 +163,24 @@ class SerialBackend(Backend):
                 )
 
     def _execute(self, dataset, task_index, input_buckets, factory, span=None):
-        """Run one task, optionally under cProfile (--mrs-profile or
-        --mrs-profile-tasks)."""
-        if self.profiler is not None and not self.profile_dir:
-            # Targeted profiling: keep only the N slowest tasks' dumps.
-            return self.profiler.run(
-                taskrunner.execute_task,
-                self.program,
-                dataset,
-                task_index,
-                input_buckets,
-                factory,
-                span=span,
-                profile_dataset_id=dataset.id,
-                profile_task_index=task_index,
-                profile_span=span,
-            )
-        if not self.profile_dir:
+        """Run one task, under cProfile with --mrs-profile-tasks."""
+        if self.profiler is None:
             return taskrunner.execute_task(
                 self.program, dataset, task_index, input_buckets, factory,
                 span=span,
             )
-        import cProfile
-        import os
-
-        os.makedirs(self.profile_dir, exist_ok=True)
-        profiler = cProfile.Profile()
-        try:
-            return profiler.runcall(
-                taskrunner.execute_task,
-                self.program,
-                dataset,
-                task_index,
-                input_buckets,
-                factory,
-                span=span,
-            )
-        finally:
-            profiler.dump_stats(
-                os.path.join(
-                    self.profile_dir, f"{dataset.id}_{task_index}.prof"
-                )
-            )
+        return self.profiler.run(
+            taskrunner.execute_task,
+            self.program,
+            dataset,
+            task_index,
+            input_buckets,
+            factory,
+            span=span,
+            profile_dataset_id=dataset.id,
+            profile_task_index=task_index,
+            profile_span=span,
+        )
 
     def remove_data(self, dataset_id: str, job: Job) -> None:
         # In-memory data is freed by Job.remove_data via dataset.clear().

@@ -32,6 +32,7 @@ from repro.comm.dataserver import DataServer
 from repro.comm.rpc import RpcServer, rpc_client
 from repro.observability import Observability
 from repro.observability.profiling import profiler_from_opts
+from repro.observability.telemetry import HealthSampler
 from repro.runtime.executor import execute_descriptor
 
 logger = logging.getLogger("repro.slave")
@@ -70,10 +71,10 @@ class SlaveInterface:
         return True
 
     def rpc_ping(self) -> Any:
-        # A throttled health sample answers the ping — per-slave
-        # CPU/RSS/fd/disk series for free on the heartbeats the master
-        # already sends; between samples, a bare truthy value.
-        sample = self.slave.observability.telemetry.sampler.maybe_sample()
+        # A throttled health sample answers the ping — the slave's
+        # latest CPU/RSS/fd/disk numbers for free on the heartbeats the
+        # master already sends; between samples, a bare truthy value.
+        sample = self.slave.sampler.maybe_sample()
         return True if sample is None else sample
 
 
@@ -105,9 +106,13 @@ class Slave:
         #: when several slaves share a tmpdir).
         self.localdir = os.path.join(base_tmp, f"slave_{os.getpid()}")
         os.makedirs(self.localdir, exist_ok=True)
-        # Health sampling piggybacks on pings and done RPCs; it reports
-        # disk free for the slave's own run dir.
-        self.observability.telemetry.set_rundir(self.localdir)
+        #: Health samples piggyback on pings and done RPCs: disk free
+        #: of the slave's own run dir, task throughput from its
+        #: registry's completion count.
+        completed = self.observability.registry.counter("tasks.completed")
+        self.sampler = HealthSampler(
+            rundir=self.localdir, task_counter=lambda: completed.value
+        )
 
         self.rpc = RpcServer(
             SlaveInterface(self),
@@ -188,7 +193,7 @@ class Slave:
                 localdir=self.localdir,
                 url_for=self.dataserver.url_for if self.dataserver else None,
                 profiler=self.profiler,
-                sampler=self.observability.telemetry.sampler,
+                sampler=self.sampler,
                 # Shipped once, so the master's report can break down
                 # cluster spin-up per slave under ``sources``.
                 boot_seconds=None if self._reported_startup else boot_seconds,

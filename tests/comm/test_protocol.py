@@ -45,31 +45,41 @@ class TestDoneMessage:
     arguments (slaves call ``done(...)`` directly)."""
 
     def test_roundtrip(self):
+        """Each bucket is reported once: split, url, sortedness and the
+        written file's (records, bytes), floats on the wire."""
         urls = protocol.parse_bucket_urls(
-            [[0, "file:/x", True], [1, "http://h:1/y", False]]
+            [
+                [0, "file:/x", True, 3.0, 120.0],
+                [1, "http://h:1/y", False, 0.0, 8.0],
+            ]
         )
-        assert urls == [(0, "file:/x", True), (1, "http://h:1/y", False)]
+        assert urls == [
+            (0, "file:/x", True, (3, 120)),
+            (1, "http://h:1/y", False, (0, 8)),
+        ]
 
     def test_legacy_pairs_accepted(self):
-        # Old slaves report (split, url) pairs; sortedness defaults to
-        # False (a safe "unknown" — the consumer just re-sorts).
+        # Older slaves report (split, url) pairs or (split, url, sorted)
+        # triples: the size is unknown, and sortedness defaults to False
+        # (a safe "unknown" — the consumer just re-sorts).
         urls = protocol.parse_bucket_urls(
-            [(0, "file:/x"), (1, "http://h:1/y")]
+            [(0, "file:/x"), (1, "http://h:1/y", True)]
         )
-        assert urls == [(0, "file:/x", False), (1, "http://h:1/y", False)]
+        assert urls == [
+            (0, "file:/x", False, None),
+            (1, "http://h:1/y", True, None),
+        ]
 
     def test_metrics_roundtrip(self):
         payload = protocol.make_task_metrics(
             span={"marks": [["fetch", 0.1], ["map", 0.5]]},
             registry={"counters": {"slave.tasks.completed": 1.0}},
             health={"rss_bytes": 5},
-            buckets=[(0, 3, 120)],
         )
         assert protocol.parse_task_metrics(payload) == {
             "span": {"marks": [["fetch", 0.1], ["map", 0.5]]},
             "registry": {"counters": {"slave.tasks.completed": 1.0}},
             "health": {"rss_bytes": 5.0},
-            "buckets": [[0, 3.0, 120.0]],
         }
 
     @pytest.mark.parametrize(
@@ -79,7 +89,7 @@ class TestDoneMessage:
     def test_metrics_garbage_tolerated(self, raw):
         """Metrics must never fail a completion."""
         assert protocol.parse_task_metrics(raw) == {
-            "span": {}, "registry": {}, "health": None, "buckets": [],
+            "span": {}, "registry": {}, "health": None,
         }
 
     def test_malformed_urls_rejected(self):
@@ -87,3 +97,5 @@ class TestDoneMessage:
             protocol.parse_bucket_urls([["notanint", object()]])
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_bucket_urls(42)
+        with pytest.raises(protocol.ProtocolError):
+            protocol.parse_bucket_urls([[0, "file:/x", True, "many", 1.0]])

@@ -108,7 +108,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-pipeline",
     "--mrs-port",
     "--mrs-procs",
-    "--mrs-profile",
     "--mrs-profile-tasks",
     "--mrs-progress",
     "--mrs-reduce-tasks",
@@ -136,6 +135,7 @@ REMOVED_FLAGS = [
     "--mrs-telemetry-interval",
     "--mrs-straggler-factor",
     "--mrs-heartbeat-interval",
+    "--mrs-profile",
 ]
 
 #: Every environment variable the framework reads or writes.
@@ -176,7 +176,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 29
+        assert len(flags) == 28
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))
@@ -202,9 +202,9 @@ class TestOptionCensus:
 
     def test_observability_records_in_exactly_these_places(self):
         """A task's time lives in its span; the registry holds bounded
-        aggregates; the event log is optional, the telemetry plane is
-        always on.  An eighth timing store would show up here as a new
-        member."""
+        aggregates; the event log is optional.  Telemetry keeps nothing
+        here: it is a view over the coordinator.  An eighth timing store
+        would show up here as a new member."""
         from repro.observability import Observability
 
         descriptive = {"role", "startup_seconds", "startup_kind"}
@@ -213,7 +213,7 @@ class TestOptionCensus:
             for name in vars(Observability())
             if not name.startswith("_") and name not in descriptive
         }
-        assert members == {"registry", "tracer", "events", "telemetry"}
+        assert members == {"registry", "tracer", "events"}
 
     @pytest.mark.parametrize("flag", REMOVED_FLAGS)
     def test_removed_flags_are_usage_errors(self, flag, capsys):

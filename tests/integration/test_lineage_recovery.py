@@ -64,6 +64,36 @@ class TestHttpPlaneLineageRecovery:
         finally:
             cluster.stop()
 
+    def test_skew_counts_each_current_bucket_once(self):
+        """Re-executed map tasks replace the lost buckets; the skew row
+        is a view over the buckets the dataset holds, so it reads the
+        same before the loss and after the recovery."""
+        cluster = LocalCluster(
+            SummingProgram, [], n_slaves=2, data_plane="http"
+        )
+        cluster.start()
+        try:
+            backend = cluster.backend
+            job = Job(backend, cluster.program)
+            source = job.local_data([(i, i) for i in range(8)], splits=4)
+            mapped = job.map_data(source, cluster.program.map, splits=2)
+            job.wait(mapped, timeout=60)
+            before = backend.telemetry()["skew"][mapped.id]
+            assert before["records_total"] == 8
+            completed = backend.observability.registry.counter(
+                "tasks.completed"
+            )
+            tasks_before = completed.value
+            cluster.kill_slave(0)
+            assert wait_until(
+                lambda: len(backend.alive_slaves()) == 1 and mapped.complete,
+                timeout=30,
+            ), "lost map tasks must be re-executed on the survivor"
+            assert completed.value > tasks_before, "nothing was re-executed"
+            assert backend.telemetry()["skew"][mapped.id] == before
+        finally:
+            cluster.stop()
+
     def test_consumer_in_flight_during_loss_still_completes(self):
         """Queue the reduce *before* killing the slave: its tasks will
         fetch-fail against dead URLs, which must not burn the failure

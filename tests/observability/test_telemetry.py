@@ -1,6 +1,7 @@
-"""The cluster telemetry plane: health sampling, the master-side
-time-series store, shuffle-skew accounting, straggler scoring, the
-Prometheus renderer, and the offline analyzer.
+"""The cluster telemetry plane: health sampling, the coordinator's
+latest-sample-per-source view, shuffle skew as a view over a dataset's
+buckets, straggler scoring, the Prometheus renderer, and the offline
+analyzer.
 
 Everything here runs on synthetic data with injected clocks — the
 end-to-end piggyback paths are covered by the integration suites; these
@@ -12,23 +13,22 @@ import re
 
 import pytest
 
-from repro.observability import Observability
+from repro.core.dataset import BaseDataset
+from repro.observability import Observability, skew
 from repro.observability.analyze import (
     analyze,
     critical_path,
     main as analyze_main,
     slave_utilization,
 )
-from repro.observability.skew import SkewTracker, gini, max_over_median
+from repro.observability.skew import gini, max_over_median
 from repro.observability.telemetry import (
-    DEFAULT_INTERVAL,
     DEFAULT_STRAGGLER_FACTOR,
     HealthSampler,
     StragglerScorer,
-    Telemetry,
-    TimeSeriesStore,
     render_prometheus,
     sample_health,
+    snapshot,
 )
 
 
@@ -87,45 +87,73 @@ class TestHealthSampler:
         assert sample["cpu_seconds"] >= 0.0
 
 
-class TestTimeSeriesStore:
-    def test_same_slot_samples_merge(self):
-        store = TimeSeriesStore(interval=5.0)
-        store.record("slave-1", {"t": 100.0, "cpu_seconds": 1.0})
-        store.record("slave-1", {"t": 103.0, "rss_bytes": 7.0})
-        (entry,) = store.series()["slave-1"]
-        assert entry["cpu_seconds"] == 1.0
-        assert entry["rss_bytes"] == 7.0
-        store.record("slave-1", {"t": 106.0, "cpu_seconds": 2.0})
-        assert len(store.series()["slave-1"]) == 2
+@pytest.fixture
+def transport(tmp_path):
+    """An in-memory coordinator transport and a job on it."""
+    from repro.core.job import Job
+    from repro.core.options import default_options
+    from tests.runtime.programs_mp import Tally
+    from tests.runtime.test_coordinator import FakeTransport
 
-    def test_ring_bounds_memory(self):
-        store = TimeSeriesStore(interval=1.0, capacity=10)
-        for i in range(100):
-            store.record("slave-1", {"t": float(i), "cpu_seconds": float(i)})
-        series = store.series()["slave-1"]
-        assert len(series) == 10
-        assert series[-1]["cpu_seconds"] == 99.0
-        assert series[0]["cpu_seconds"] == 90.0
+    opts = default_options(tmpdir=str(tmp_path / "run"))
+    program = Tally(opts, [])
+    backend = FakeTransport(program, opts)
+    yield backend, Job(backend, program), program
+    backend.close()
 
-    def test_piggyback_merge_across_two_slaves(self):
-        """Two fake slaves' samples and ping RTTs land in distinct,
-        independently downsampled series — the master-side merge."""
-        telemetry = Telemetry(role="master", interval=5.0)
-        telemetry.record_remote("slave-1", {"t": 10.0, "cpu_seconds": 1.0})
-        telemetry.record_remote("slave-2", {"t": 10.0, "cpu_seconds": 9.0})
-        telemetry.record_remote("slave-1", None, rtt_seconds=0.002)
-        snapshot = telemetry.snapshot()
-        assert set(snapshot["series"]) >= {"slave-1", "slave-2"}
-        assert snapshot["latest"]["slave-2"]["cpu_seconds"] == 9.0
-        assert snapshot["latest"]["slave-1"]["rtt_seconds"] == 0.002
-        # The coordinator samples itself too (non-empty own series).
-        assert snapshot["series"]["master"]
-        assert snapshot["version"] == 1
 
-    def test_empty_record_is_a_noop(self):
-        store = TimeSeriesStore()
-        store.record("slave-1", None)
-        assert len(store) == 0
+def done_with_health(backend, worker, health):
+    """Answer ``worker``'s next task with ``health`` piggybacked."""
+    from repro.comm import protocol
+
+    worker_id, descriptor = backend.sent.pop(0)
+    assert worker_id == worker
+    backend.task_done(
+        worker_id,
+        descriptor["dataset_id"],
+        descriptor["task_index"],
+        [(0, "file:/nowhere", True)],
+        metrics=protocol.make_task_metrics(health=health),
+    )
+
+
+class TestLatestHealth:
+    """One latest sample per source on the coordinator: done payloads
+    and ping RTTs merge into it, later fields win."""
+
+    def test_piggyback_merge_across_two_slaves(self, transport):
+        backend, job, program = transport
+        source = job.local_data([(i, i) for i in range(4)], splits=4)
+        job.map_data(source, program.map, splits=1)
+        done_with_health(backend, 1, {"t": 10.0, "cpu_seconds": 1.0})
+        done_with_health(backend, 2, {"t": 10.0, "cpu_seconds": 9.0})
+        with backend._lock:
+            backend._note_health("worker-1", {"rtt_seconds": 0.002})
+        latest = backend.telemetry()["latest"]
+        assert latest["worker-2"]["cpu_seconds"] == 9.0
+        assert latest["worker-1"] == {
+            "t": 10.0, "cpu_seconds": 1.0, "rtt_seconds": 0.002,
+        }
+        # The coordinator samples itself on demand.
+        assert latest["fake"]["cpu_seconds"] >= 0.0
+        assert set(latest) == {"worker-1", "worker-2", "fake"}
+
+    def test_later_fields_win(self, transport):
+        backend, _, _ = transport
+        with backend._lock:
+            backend._note_health("slave-1", {"t": 100.0, "cpu_seconds": 1.0})
+            backend._note_health("slave-1", {"t": 103.0, "rss_bytes": 7.0})
+            backend._note_health("slave-1", {"t": 106.0, "cpu_seconds": 2.0})
+        assert backend.telemetry()["latest"]["slave-1"] == {
+            "t": 106.0, "cpu_seconds": 2.0, "rss_bytes": 7.0,
+        }
+
+    def test_empty_health_is_a_noop(self, transport):
+        backend, job, program = transport
+        source = job.local_data([(0, 0)], splits=1)
+        job.map_data(source, program.map, splits=1)
+        done_with_health(backend, 1, None)
+        assert set(backend.telemetry()["latest"]) == {"fake"}
 
 
 class SpanDriver:
@@ -264,20 +292,10 @@ class TestCoordinatorStragglers:
     in the scheduler."""
 
     @pytest.fixture
-    def coord(self, tmp_path):
-        from repro.core.job import Job
-        from repro.core.options import default_options
-        from tests.runtime.programs_mp import Tally
-        from tests.runtime.test_coordinator import FakeTransport
-
-        opts = default_options(tmpdir=str(tmp_path / "run"))
-        program = Tally(opts, [])
-        transport = FakeTransport(program, opts)
-        job = Job(transport, program)
+    def coord(self, transport):
+        backend, job, program = transport
         source = job.local_data([(i, i) for i in range(4)], splits=4)
-        mapped = job.map_data(source, program.map, splits=1)
-        yield transport, mapped
-        transport.close()
+        return backend, job.map_data(source, program.map, splits=1)
 
     def test_slow_task_surfaces_with_its_worker(self, coord):
         import time
@@ -327,69 +345,63 @@ class TestSkew:
         assert max_over_median([]) is None
         assert max_over_median([0.0, 0.0]) is None
 
+    @staticmethod
+    def sized_buckets(*sizes):
+        """A dataset holding one bucket per ``(source, split, records,
+        bytes)``, as the coordinator registers reported buckets."""
+        dataset = BaseDataset(dataset_id="ds")
+        for source, split, records, nbytes in sizes:
+            bucket = dataset.bucket(source, split)
+            bucket.url_size = (records, nbytes)
+        return dataset.existing_buckets()
+
     def test_tracker_accumulates_across_tasks(self):
-        tracker = SkewTracker()
         # Two map tasks each emit into splits 0 and 1; split 1 is fat.
-        tracker.record_emitted("ds", [(0, 10, 100.0), (1, 10, 100.0)])
-        tracker.record_emitted("ds", [(0, 10, 100.0), (1, 90, 900.0)])
-        summary = tracker.summary()["ds"]
+        buckets = self.sized_buckets(
+            (0, 0, 10, 100), (0, 1, 10, 100), (1, 0, 10, 100), (1, 1, 90, 900)
+        )
+        summary = skew.summary({"ds": buckets})["ds"]
         assert summary["buckets"] == 2
-        assert summary["bytes_total"] == pytest.approx(1200.0)
-        assert summary["bytes_max"] == pytest.approx(1000.0)
+        assert summary["records_total"] == 120
+        assert summary["bytes_total"] == 1200
+        assert summary["bytes_max"] == 1000
         assert summary["max_over_median_bytes"] == pytest.approx(
             1000.0 / 600.0
         )
         assert summary["gini_bytes"] > 0.0
 
-    def test_fetched_side_totals_attach(self):
-        tracker = SkewTracker()
-        tracker.record_emitted("ds", [(0, 1, 10.0)])
-        tracker.record_fetched("ds", 0, 10.0)
-        tracker.record_fetched("other", 3, 44.0)
-        summary = tracker.summary()
-        assert summary["ds"]["fetched_bytes_total"] == pytest.approx(10.0)
-        # Fetch-only datasets still appear, with a zeroed emit side.
-        assert summary["other"]["buckets"] == 0
-        assert summary["other"]["fetched_bytes_total"] == pytest.approx(44.0)
+    def test_forget_dataset(self, transport):
+        """A released dataset's row goes with its buckets: nothing to
+        forget separately."""
+        backend, job, program = transport
+        source = job.local_data([(i, i) for i in range(2)], splits=2)
+        mapped = job.map_data(source, program.map, splits=1)
+        while backend.sent:
+            worker, descriptor = backend.sent.pop(0)
+            backend.task_done(
+                worker, mapped.id, descriptor["task_index"],
+                [(0, f"file:/{descriptor['task_index']}", True, 1.0, 10.0)],
+            )
+        assert backend.telemetry()["skew"][mapped.id]["bytes_total"] == 20
+        with backend._lock:
+            backend._forget_dataset(mapped.id)
+        assert backend.telemetry()["skew"] == {}
 
-    def test_forget_dataset(self):
-        tracker = SkewTracker()
-        tracker.record_emitted("ds", [(0, 1, 10.0)])
-        tracker.forget_dataset("ds")
-        assert tracker.summary() == {}
-        assert len(tracker) == 0
-
-    def test_malformed_triples_are_skipped(self):
-        tracker = SkewTracker()
-        tracker.record_emitted("ds", [(0, 1, 10.0), ("x", "y"), None])
-        assert tracker.summary()["ds"]["buckets"] == 1
-
-
-class TestTelemetryFromOpts:
-    """The bundle every ``Observability`` builds: telemetry is always
-    on."""
-
-    def test_constructor_sets_cadence_and_factor(self):
-        bundle = Telemetry(role="serial", interval=2.0, straggler_factor=3.0)
-        assert bundle.interval == 2.0
-        assert bundle.sampler.interval == 2.0
-        assert bundle.straggler_factor == 3.0
-
-    def test_on_builds_bundle(self):
-        bundle = Observability(role="serial").telemetry
-        assert isinstance(bundle, Telemetry)
-        assert bundle.role == "serial"
-        assert bundle.interval == DEFAULT_INTERVAL
-        assert bundle.straggler_factor == DEFAULT_STRAGGLER_FACTOR
-
-    def test_observability_wiring(self, tmp_path):
-        obs = Observability(role="serial")
-        obs.telemetry.set_rundir(str(tmp_path))
-        assert obs.telemetry.sampler.rundir == str(tmp_path)
-        # The task counter is live: registry increments feed throughput.
-        obs.registry.counter("tasks.completed").inc(3)
-        sample = obs.telemetry.sampler.sample()
-        assert sample["tasks_completed"] == 3.0
+    def test_malformed_triples_are_skipped(self, transport):
+        """Buckets reported without a size (older triples) and input
+        buckets are left out of the view."""
+        backend, job, program = transport
+        source = job.local_data([(i, i) for i in range(2)], splits=2)
+        mapped = job.map_data(source, program.map, splits=2)
+        (w0, d0), (w1, d1) = backend.sent
+        backend.task_done(
+            w0, mapped.id, d0["task_index"], [(0, "file:/a", True, 1.0, 10.0)]
+        )
+        backend.task_done(w1, mapped.id, d1["task_index"], [(1, "file:/b", True)])
+        rows = backend.telemetry()["skew"]
+        assert set(rows) == {mapped.id}
+        assert rows[mapped.id]["buckets"] == 1
+        assert rows[mapped.id]["bytes_total"] == 10
 
 
 _PROM_LINE = re.compile(
@@ -421,15 +433,6 @@ class TestRenderers:
         def __init__(self):
             self.observability = Observability(role="master")
             self.observability.registry.counter("tasks.completed").inc(7)
-            self._telemetry = Telemetry(role="master")
-            self._telemetry.record_remote(
-                "slave-1",
-                {"t": 1.0, "cpu_seconds": 2.5, "rss_bytes": 1024.0},
-                rtt_seconds=0.001,
-            )
-            self._telemetry.skew.record_emitted(
-                "ds", [(0, 1, 10.0), (1, 9, 90.0)]
-            )
 
         def status(self):
             return {
@@ -448,7 +451,15 @@ class TestRenderers:
             }
 
         def telemetry(self):
-            return self._telemetry.snapshot(
+            return snapshot(
+                "master",
+                latest={"slave-1": {
+                    "t": 1.0, "cpu_seconds": 2.5, "rss_bytes": 1024.0,
+                    "rtt_seconds": 0.001,
+                }},
+                skew=skew.summary({"ds": TestSkew.sized_buckets(
+                    (0, 0, 1, 10), (0, 1, 9, 90)
+                )}),
                 stragglers=[{
                     "dataset_id": "ds", "task_index": 3, "slave": 2,
                     "elapsed_seconds": 9.0, "median_seconds": 3.0,

@@ -364,6 +364,63 @@ def test_status_has_one_shape_on_every_transport(plane, tmp_path):
 
 
 @pytest.mark.parametrize("plane", PLANES)
+def test_telemetry_is_a_view_over_real_workers(plane, tmp_path):
+    """After a WordCount on real workers, ``telemetry()`` has one latest
+    health entry per worker, and the map dataset's skew row is exactly
+    what its bucket files hold (the file plane: every file on disk)."""
+    from repro.apps.wordcount import WordCount
+    from repro.core.options import parse_options
+    from repro.io import urls as url_io
+    from repro.runtime.cluster import LocalCluster
+
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for n in range(4):
+        (inputs / f"{n}.txt").write_text(f"the quick fox {n}\nthe lazy dog\n")
+    args = [str(inputs), str(tmp_path / "out")]
+    kind, _, start_method = plane.partition("-")
+    tmpdir = str(tmp_path / "run")
+    if kind == "master":
+        cluster = LocalCluster(WordCount, args, n_slaves=2, tmpdir=tmpdir).start()
+        backend, program, stop = cluster.backend, cluster.program, cluster.stop
+    else:
+        opts, positional = parse_options(
+            WordCount,
+            ["--mrs-tmpdir", tmpdir, "--mrs-procs", "2",
+             "--mrs-start-method", start_method, *args],
+        )
+        program = WordCount(opts, positional)
+        backend = MultiprocessBackend(program, opts, positional)
+        stop = backend.close
+        deadline = time.monotonic() + 60
+        while backend.status()["workers"]["ready"] < 2:
+            assert time.monotonic() < deadline, "pool never became ready"
+            time.sleep(0.01)
+    try:
+        job = Job(backend, program)
+        # Four map tasks: the first dispatch hands one to each worker.
+        assert program.run(job) == 0
+        telemetry = backend.telemetry()
+        mapped = job.get_dataset(program.output_data.input_id)
+        urls = [bucket.url for bucket in mapped.existing_buckets()]
+        disk_bytes = sum(os.path.getsize(url[len("file:"):]) for url in urls)
+        disk_records = sum(len(url_io.fetch_pairs(url)) for url in urls)
+    finally:
+        stop()
+    label = backend.worker_label
+    workers = sorted(set(telemetry["latest"]) - {telemetry["role"]})
+    assert len(workers) == 2, telemetry["latest"]
+    for source in workers:
+        assert source.startswith(f"{label}-")
+        sample = telemetry["latest"][source]
+        assert sample["rss_bytes"] > 0
+        assert "tasks_completed" in sample  # the worker's own count
+    row = telemetry["skew"][mapped.id]
+    assert (row["bytes_total"], row["records_total"]) == (disk_bytes, disk_records)
+    assert disk_records > 0
+
+
+@pytest.mark.parametrize("plane", PLANES)
 def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
     """No reference cycle may pin a finished job: once the backend is
     closed and the caller lets go, the datasets (and the buffers in

@@ -44,8 +44,10 @@ def test_slave_and_pool_paths_agree(tmp_path):
     )
     urls, seconds, metrics = as_worker
     assert as_slave[0] == urls
-    assert [split for split, _, _ in urls] == [0, 1]
-    assert all(url.startswith("file:" + str(tmp_path / "shared")) for _, url, _ in urls)
+    assert [entry[0] for entry in urls] == [0, 1]
+    assert all(
+        entry[1].startswith("file:" + str(tmp_path / "shared")) for entry in urls
+    )
     assert seconds > 0
     assert as_slave[2].keys() == metrics.keys()
     assert [name for name, _ in metrics["span"]["marks"]] == [
@@ -64,7 +66,7 @@ def test_slave_and_pool_paths_agree(tmp_path):
 
     assert names(as_slave[2], "slave") == names(metrics, "worker")
     pairs = [
-        pair for _, url, _ in urls for pair in url_io.fetch_pairs(url)
+        pair for entry in urls for pair in url_io.fetch_pairs(entry[1])
     ]
     assert sorted(pairs) == sorted((i % 3, 1) for i in range(9))
 
@@ -79,8 +81,8 @@ def test_local_output_is_published_through_url_for(tmp_path):
         program, descriptor, "slave",
         localdir=localdir, url_for=lambda path: "http://host:1/" + path,
     )
-    for _, url, _ in urls:
-        path = url[len("http://host:1/"):]
+    for entry in urls:
+        path = entry[1][len("http://host:1/"):]
         assert os.path.dirname(path) == os.path.join(localdir, "map_x")
         assert os.path.exists(path)
 
@@ -97,10 +99,10 @@ def test_done_metrics_carry_the_span_once(tmp_path):
         dataset_id="reduce_x",
         task_index=0,
         op_dict=ReduceOperation(reduce_name="reduce", splits=1).to_dict(),
-        input_urls=[url for split, url, _ in mapped[0] if split == 0],
+        input_urls=[entry[1] for entry in mapped[0] if entry[0] == 0],
         outdir=str(tmp_path / "shared"),
         format_ext="mrsb",
-        input_sorted=[flag for split, _, flag in mapped[0] if split == 0],
+        input_sorted=[entry[2] for entry in mapped[0] if entry[0] == 0],
     )
     _, seconds, metrics = execute_descriptor(program, descriptor, "slave")
     assert set(metrics) == {"span", "registry"}
@@ -117,13 +119,21 @@ def test_done_metrics_carry_the_span_once(tmp_path):
 
 
 def test_sampler_adds_health_and_buckets(tmp_path):
+    """The sampler adds a health sample to the metrics; each bucket's
+    size rides once, in its URL tuple, sampler or not."""
     from repro.observability.telemetry import HealthSampler
 
     program = Tally(default_options(), [])
-    _, _, metrics = execute_descriptor(
+    urls, _, metrics = execute_descriptor(
         program,
         make_descriptor(tmp_path, str(tmp_path / "shared")),
         "worker",
         sampler=HealthSampler(),
     )
-    assert set(metrics) == {"span", "registry", "health", "buckets"}
+    assert set(metrics) == {"span", "registry", "health"}
+    assert metrics["health"]["rss_bytes"] > 0
+    for _, url, _, records, nbytes in urls:
+        path = url[len("file:"):]
+        assert nbytes == os.path.getsize(path) > 0
+        assert records == len(url_io.fetch_pairs(url))
+    assert sum(entry[3] for entry in urls) == 9  # one per input pair

@@ -145,6 +145,30 @@ class TestLifecycle:
         b.close()
         assert not os.path.exists(runfile)
 
+    def test_unwritable_runfile_leaves_nothing_behind(
+        self, tmp_path, launch_leftovers
+    ):
+        """A start that fails after its listeners are up closes them and
+        removes the run directory it created."""
+        opts = default_options(
+            runfile=str(tmp_path / "missing" / "master.run"),
+            data_plane="http",
+        )
+        with pytest.raises(FileNotFoundError):
+            MasterBackend(Prog(opts, []), opts)
+        assert launch_leftovers() == []
+
+    def test_taken_port_leaves_nothing_behind(self, launch_leftovers):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            opts = default_options(port=taken.getsockname()[1])
+            with pytest.raises(OSError):
+                MasterBackend(Prog(opts, []), opts)
+        assert launch_leftovers() == []
+
     def test_close_idempotent(self, tmp_path):
         opts = default_options(tmpdir=str(tmp_path))
         b = MasterBackend(Prog(opts, []), opts)

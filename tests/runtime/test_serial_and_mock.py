@@ -171,23 +171,24 @@ class TestMockParallelBackend:
 
 class TestProfiling:
     def test_profile_dir_gets_per_task_dumps(self, tmp_path):
-        """--mrs-profile writes a loadable .prof per task (section
-        IV-B's profiling culture, made a one-flag affair)."""
+        """--mrs-profile-tasks N, N at least the task count, writes a
+        loadable .pstats per task (section IV-B's profiling culture,
+        made a one-flag affair)."""
         import pstats
 
         from repro.core.main import run_program
         from repro.apps.wordcount import WordCountCombined
 
-        profile_dir = tmp_path / "profiles"
         input_file = tmp_path / "in.txt"
         input_file.write_text("a b c\n" * 50)
         run_program(
             WordCountCombined,
             [str(input_file), str(tmp_path / "out")],
             impl="serial",
-            profile_dir=str(profile_dir),
+            profile_tasks=100,
+            tmpdir=str(tmp_path / "run"),
         )
-        dumps = list(profile_dir.glob("*.prof"))
-        assert len(dumps) >= 2  # at least one map + one reduce task
+        dumps = list((tmp_path / "run" / "mrs_task_profiles").glob("*.pstats"))
+        assert len(dumps) == 2  # the one map and the one reduce task
         stats = pstats.Stats(str(dumps[0]))
         assert stats.total_calls > 0
