@@ -29,6 +29,17 @@ sort/merge plumbing exchanges: :func:`group_sorted_records`,
 speak records, while the historical pair-level helpers
 (:func:`group_sorted`, :func:`merge_sorted_buckets`) remain as thin
 views for callers that only care about pairs.
+
+Spill and merge
+---------------
+A :class:`FileBucket` batch-writes its records through
+``BinWriter.writerecords`` and remembers whether the spill stream came
+out key-sorted (``url_sorted``).  The reduce side merges its inputs
+with one heap merge (:func:`merge_sorted_records`) over
+:func:`bucket_sorted_records` streams — sorted files stream straight
+off ``BinReader.iter_records`` — and groups the result with
+:func:`group_sorted_records`.  The ``.mrsb`` framing itself is known
+only to :mod:`repro.io.formats`.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ import heapq
 import itertools
 import os
 from operator import itemgetter, le
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.native import kernels as _nk
 from repro.util.hashing import key_to_bytes
@@ -409,34 +422,41 @@ class FileBucket(Bucket):
                 self._writer = writer_cls(fileobj)
         return self._writer
 
-    def addpair(self, pair: KeyValue, keybytes: Optional[bytes] = None) -> None:
-        if keybytes is None:
-            keybytes = key_to_bytes(pair[0])
-        if (
-            self._spill_sorted
-            and self._last_spill_key is not None
-            and self._last_spill_key > keybytes
-        ):
-            self._spill_sorted = False
-        self._last_spill_key = keybytes
-        if self._retain:
-            super().addpair(pair, keybytes)
-        self._spill_buffer.append((keybytes, pair))
+    def _track_spill_order(
+        self, keys: Sequence[bytes], ordered: Optional[bool] = None
+    ) -> None:
+        """The one spill-order rule: the spill stream stays key-sorted
+        while every batch is itself sorted (``ordered``, or one scan of
+        ``keys`` when the caller does not know) and starts no lower than
+        the last key spilled before it."""
+        if not keys:
+            return
+        if self._spill_sorted:
+            last = self._last_spill_key
+            if (last is not None and last > keys[0]) or not (
+                ordered
+                if ordered is not None
+                else all(map(le, keys, itertools.islice(keys, 1, None)))
+            ):
+                self._spill_sorted = False
+        self._last_spill_key = keys[-1]
+
+    def _buffer(self, records: Iterable[Record]) -> None:
+        self._spill_buffer.extend(records)
         if len(self._spill_buffer) >= self.spill_buffer_pairs:
             self._flush_spill()
 
+    def addpair(self, pair: KeyValue, keybytes: Optional[bytes] = None) -> None:
+        if keybytes is None:
+            keybytes = key_to_bytes(pair[0])
+        self._track_spill_order((keybytes,), True)
+        if self._retain:
+            super().addpair(pair, keybytes)
+        self._buffer(((keybytes, pair),))
+
     def absorb(self, other: Bucket) -> None:
         keys = other._keys
-        if keys:
-            if self._spill_sorted and (
-                not other.is_sorted
-                or (
-                    self._last_spill_key is not None
-                    and self._last_spill_key > keys[0]
-                )
-            ):
-                self._spill_sorted = False
-            self._last_spill_key = keys[-1]
+        self._track_spill_order(keys, other.is_sorted)
         if self._retain:
             super().absorb(other)
         if not self._spill_buffer and len(keys) >= self.spill_buffer_pairs:
@@ -448,9 +468,7 @@ class FileBucket(Bucket):
             # writers that need a second pass (the sidecar's user file).
             self._write_batch(zip(keys, other._pairs), other._pairs)
         else:
-            self._spill_buffer.extend(zip(keys, other._pairs))
-            if len(self._spill_buffer) >= self.spill_buffer_pairs:
-                self._flush_spill()
+            self._buffer(zip(keys, other._pairs))
 
     def collector(self) -> Tuple[Callable[[bytes], None], Callable[[KeyValue], None]]:
         """File buckets must observe every record for spill-order and
@@ -465,28 +483,16 @@ class FileBucket(Bucket):
         return pending.append, add_pair
 
     def extend_records(self, records: List[Record]) -> None:
-        if records:
-            if self._spill_sorted:
-                batch_keys = [record[0] for record in records]
-                if (
-                    self._last_spill_key is not None
-                    and self._last_spill_key > batch_keys[0]
-                ) or not all(
-                    map(le, batch_keys, itertools.islice(batch_keys, 1, None))
-                ):
-                    self._spill_sorted = False
-            self._last_spill_key = records[-1][0]
+        self._track_spill_order(list(map(record_key, records)))
         if self._retain:
             super().extend_records(records)
-        self._spill_buffer.extend(records)
-        if len(self._spill_buffer) >= self.spill_buffer_pairs:
-            self._flush_spill()
+        self._buffer(records)
 
     def extend_columns(self, keys: List[bytes], pairs: List[KeyValue]) -> None:
-        """File buckets route the column form through
-        :meth:`extend_records` so spill-order tracking and buffered
-        flushing see every record."""
-        self.extend_records(list(zip(keys, pairs)))
+        self._track_spill_order(keys)
+        if self._retain:
+            super().extend_columns(keys, pairs)
+        self._buffer(zip(keys, pairs))
 
     def _flush_spill(self) -> None:
         if self._spill_buffer:
@@ -647,183 +653,6 @@ def merge_sorted_records(streams: List[Iterator[Record]]) -> Iterator[Record]:
     pairs — mixed-type key sets merge fine.
     """
     return heapq.merge(*streams, key=record_key)
-
-
-#: Window read size for the native fused merge (per input stream).
-_MERGE_READ_CHUNK = 1 << 20
-
-
-def native_merge_plan(buckets: Iterable[Bucket]) -> Optional[List[str]]:
-    """The file URLs for a fused native merge, or ``None``.
-
-    The fused merge (:func:`native_merged_groups`) reads framed records
-    straight off bucket files and merges them on *wire* key bytes, so
-    it is only sound when every input bucket is URL-only, local, known
-    key-sorted, binary-framed, and uses a canonical key serializer (a
-    constant tag prefix means wire order equals canonical order).  Any
-    bucket failing a condition sends the whole merge down the pure
-    streaming path.
-    """
-    if _nk.get() is None:
-        return None
-    from repro.io import formats
-    from repro.io.serializers import get_serializer
-
-    urls: List[str] = []
-    key_name = value_name = None
-    for bucket in buckets:
-        if len(bucket) or not bucket.url or not bucket.url_sorted:
-            return None
-        if not bucket.url.startswith("file:"):
-            return None
-        if formats.reader_for(bucket.url) is not formats.BinReader:
-            return None
-        if urls:
-            if (
-                bucket.key_serializer != key_name
-                or bucket.value_serializer != value_name
-            ):
-                return None
-        else:
-            key_name = bucket.key_serializer
-            value_name = bucket.value_serializer
-        urls.append(bucket.url)
-    if not urls:
-        return None
-    try:
-        key_s = get_serializer(key_name)
-        value_s = get_serializer(value_name)
-    except Exception:
-        return None
-    if getattr(key_s, "canonical_key_tag", None) is None:
-        return None
-    from repro.io.serializers import loads_view_for
-
-    if loads_view_for(value_s) is not None:
-        # Zero-copy value serializers (numpy blocks) decode straight
-        # out of an mmap on the streaming path; the fused C merge would
-        # copy every value through its read window instead.  Few keys /
-        # huge values is exactly the shape where the window copy costs
-        # more than the merge saves.
-        return None
-    return urls
-
-
-def native_merged_groups(
-    urls: List[str],
-    key_serializer: Optional[str] = None,
-    value_serializer: Optional[str] = None,
-) -> Iterator[Tuple[bytes, Any, List[Any]]]:
-    """Merge key-sorted local ``.mrsb`` files into key groups, natively.
-
-    Yields ``(keybytes, key, values_list)`` in exactly the order — and
-    with exactly the group boundaries — of ``group_sorted_records(
-    merge_sorted_records(streams))`` over the same files: the C picker
-    replays ``heapq.merge`` (ties to the lowest stream index) over
-    windowed views of each file, and each group's key is decoded once.
-    Callers must pre-qualify the inputs with :func:`native_merge_plan`.
-    """
-    from repro.io import formats
-    from repro.io.serializers import get_serializer
-
-    native = _nk.get()
-    key_s = get_serializer(key_serializer)
-    value_s = get_serializer(value_serializer)
-    tag = key_s.canonical_key_tag
-    key_loads = key_s.loads
-    value_loads = value_s.loads
-
-    k = len(urls)
-    files: List[Any] = []
-    try:
-        for url in urls:
-            fileobj = open(url[len("file:"):], "rb")
-            files.append(fileobj)
-            magic = fileobj.read(len(formats._BIN_MAGIC))
-            if magic != formats._BIN_MAGIC:
-                raise ValueError(f"not a BinWriter file (magic={magic!r})")
-
-        picker = _nk.MergePicker(native, k)
-        windows = [b""] * k
-        triples: List[Any] = [None] * k
-        counts = [0] * k
-        cursor = [0] * k
-        tails = [b""] * k
-        eof = [False] * k
-        done = [False] * k
-
-        def refill(s: int) -> None:
-            data = tails[s]
-            if not eof[s]:
-                chunk = files[s].read(_MERGE_READ_CHUNK)
-                if chunk:
-                    data = data + chunk if data else chunk
-                else:
-                    eof[s] = True
-            count, tri = native.scan(data)
-            while count == 0 and not eof[s]:
-                # A record larger than the window: keep widening.
-                chunk = files[s].read(_MERGE_READ_CHUNK)
-                if not chunk:
-                    eof[s] = True
-                    break
-                data += chunk
-                count, tri = native.scan(data)
-            consumed = tri[3 * count - 1] if count else 0
-            tails[s] = data[consumed:]
-            if eof[s]:
-                if tails[s]:
-                    raise ValueError("truncated record")
-                done[s] = True
-                picker.mark_done(s)
-            windows[s] = data
-            triples[s] = tri
-            counts[s] = count
-            cursor[s] = 0
-            picker.set_window(s, data, tri, count)
-
-        for s in range(k):
-            refill(s)
-
-        prev_key: Optional[bytes] = None
-        cur_kb: Optional[bytes] = None
-        cur_key: Any = None
-        cur_values: Optional[List[Any]] = None
-        while True:
-            npicks, srcs, newgrp = picker.pick(prev_key)
-            for i in range(npicks):
-                s = srcs[i]
-                idx = cursor[s]
-                cursor[s] = idx + 1
-                tri = triples[s]
-                vstart = tri[3 * idx + 1]
-                window = windows[s]
-                value = value_loads(window[vstart:tri[3 * idx + 2]])
-                if newgrp[i]:
-                    if cur_values is not None:
-                        yield cur_kb, cur_key, cur_values
-                    kb = window[tri[3 * idx]:vstart]
-                    cur_kb = tag + kb
-                    cur_key = key_loads(kb)
-                    cur_values = [value]
-                else:
-                    cur_values.append(value)
-            if npicks:
-                # Every record in the open group shares its key, so the
-                # last emitted wire key is the group key minus the tag.
-                prev_key = cur_kb[len(tag):]
-            refilled = False
-            for s in range(k):
-                if cursor[s] >= counts[s] and not done[s]:
-                    refill(s)
-                    refilled = True
-            if npicks == 0 and not refilled:
-                break
-        if cur_values is not None:
-            yield cur_kb, cur_key, cur_values
-    finally:
-        for fileobj in files:
-            fileobj.close()
 
 
 def merge_sorted_buckets(

@@ -23,6 +23,7 @@ import binascii
 import io
 import os
 import struct
+from itertools import repeat
 from typing import Any, BinaryIO, Iterable, Iterator, List, Optional, Tuple
 
 from repro.io.serializers import (
@@ -34,11 +35,6 @@ from repro.io.serializers import (
 from repro.native import kernels as _nk
 
 KeyValue = Tuple[Any, Any]
-
-
-def _native_kernels():
-    """The shared native kernels, or ``None`` (mode-aware, cached)."""
-    return _nk.get()
 
 
 class Writer:
@@ -131,27 +127,18 @@ class TextReader(Reader):
 
 _LEN_STRUCT = struct.Struct("!II")
 _BIN_MAGIC = b"MRSB\x01"
-#: Read granularity for streaming record iteration: large enough that
-#: per-record costs are slicing, small enough to keep merges O(1)-ish
-#: in memory.
+#: Read granularity for streaming record iteration (and the writer's
+#: flush size): large enough that per-record costs are slicing, small
+#: enough to keep merges O(1)-ish in memory.
 _READ_CHUNK = 1 << 20
 #: The ``!II`` framing caps each encoded key and value at 2^32 - 1
-#: bytes.  Writers check explicitly and raise a ValueError naming the
-#: record, instead of letting ``struct.error: argument out of range``
-#: escape with no hint of which record overflowed.
+#: bytes.  The writer checks explicitly and raises a ValueError naming
+#: the record, instead of letting ``struct.error: argument out of
+#: range`` escape with no hint of which record overflowed.
 FRAME_LIMIT = 0xFFFFFFFF
 #: Value parts at least this large are written directly (scatter) on
 #: the zero-copy path; smaller parts coalesce into the batch buffer.
 _SCATTER_MIN = 1 << 16
-
-
-def _frame_limit_error(key: Any, klen: int, vlen: int) -> ValueError:
-    side, size = ("key", klen) if klen > FRAME_LIMIT else ("value", vlen)
-    return ValueError(
-        f"record {side} for key {key!r} is {size} bytes, which exceeds "
-        f"the .mrsb frame limit of {FRAME_LIMIT} bytes ({size - FRAME_LIMIT} "
-        f"over); split the value into smaller blocks"
-    )
 
 
 def _part_nbytes(part: Any) -> int:
@@ -184,95 +171,11 @@ class BinWriter(Writer):
         self.fileobj.write(_BIN_MAGIC)
 
     def writepair(self, pair: KeyValue) -> None:
-        key, value = pair
-        kb = self.key_s.dumps(key)
-        if self._value_parts is not None:
-            self._scatter([(key, kb, self._value_parts(value))])
-            return
-        vb = self.value_s.dumps(value)
-        if len(kb) > FRAME_LIMIT or len(vb) > FRAME_LIMIT:
-            raise _frame_limit_error(key, len(kb), len(vb))
-        self.fileobj.write(_LEN_STRUCT.pack(len(kb), len(vb)))
-        self.fileobj.write(kb)
-        self.fileobj.write(vb)
-
-    def _scatter(
-        self, items: Iterable[Tuple[Any, bytes, Tuple[Any, ...]]]
-    ) -> None:
-        """Write ``(key, keybytes, value_parts)`` items without joining.
-
-        Small parts (headers, framing) coalesce into a batch buffer;
-        large parts go straight to the file object, which hands buffers
-        above its own block size to the OS untouched — a multi-megabyte
-        array block reaches the page cache without ever being copied
-        into an intermediate ``bytes``.  Output is byte-for-byte
-        identical to the ``dumps`` path.
-        """
-        pack = _LEN_STRUCT.pack
-        write = self.fileobj.write
-        chunks: List[Any] = []
-        append = chunks.append
-        pending = 0
-        for key, kb, parts in items:
-            vlen = sum(_part_nbytes(part) for part in parts)
-            klen = len(kb)
-            if klen > FRAME_LIMIT or vlen > FRAME_LIMIT:
-                raise _frame_limit_error(key, klen, vlen)
-            append(pack(klen, vlen))
-            append(kb)
-            pending += _LEN_STRUCT.size + klen
-            for part in parts:
-                nbytes = _part_nbytes(part)
-                if nbytes >= _SCATTER_MIN:
-                    if chunks:
-                        write(b"".join(chunks))
-                        chunks.clear()
-                        pending = 0
-                    write(part)
-                else:
-                    append(part)
-                    pending += nbytes
-            if pending >= _READ_CHUNK:
-                write(b"".join(chunks))
-                chunks.clear()
-                pending = 0
-        if chunks:
-            write(b"".join(chunks))
+        self.writepairs([pair])
 
     def writepairs(self, pairs: Iterable[KeyValue]) -> None:
-        """Serialize a whole batch into one buffer and write it once.
-
-        Byte-for-byte identical to looping :meth:`writepair`; only the
-        number of file-object calls changes (3 per pair → 1 per batch).
-        """
-        key_dumps = self.key_s.dumps
-        if self._value_parts is not None:
-            value_parts = self._value_parts
-            self._scatter(
-                (key, key_dumps(key), value_parts(value))
-                for key, value in pairs
-            )
-            return
-        value_dumps = self.value_s.dumps
-        pack = _LEN_STRUCT.pack
-        chunks: List[bytes] = []
-        append = chunks.append
-        key = None
-        kb = vb = b""
-        try:
-            for key, value in pairs:
-                kb = key_dumps(key)
-                vb = value_dumps(value)
-                append(pack(len(kb), len(vb)))
-                append(kb)
-                append(vb)
-        except struct.error:
-            # ``pack`` overflowed the !II framing — unless the error
-            # came from inside a serializer, in which case let it out.
-            if len(kb) > FRAME_LIMIT or len(vb) > FRAME_LIMIT:
-                raise _frame_limit_error(key, len(kb), len(vb)) from None
-            raise
-        self.fileobj.write(b"".join(chunks))
+        """Serialize a batch of pairs, every key through ``dumps``."""
+        self._write(zip(repeat(None), pairs), None)
 
     def writerecords(self, records: Iterable[Tuple[bytes, KeyValue]]) -> None:
         """Batch-write decorated ``(keybytes, (key, value))`` records.
@@ -283,77 +186,94 @@ class BinWriter(Writer):
         one encode per key also covers serialization.  Non-matching
         keys (or non-canonical serializers) go through ``dumps``, which
         preserves the serializer's type errors.  Output is byte-for-byte
-        identical to looping :meth:`writepair`.
-
-        Values whose serializer implements ``dumps_parts`` (and the
-        zero-copy knob is on) take the scatter-write path instead of
-        being joined into the batch buffer.
+        identical to :meth:`writepairs` over the same pairs.
         """
-        tag = getattr(self.key_s, "canonical_key_tag", None)
+        self._write(records, getattr(self.key_s, "canonical_key_tag", None))
+
+    def _write(
+        self, records: Iterable[Tuple[Optional[bytes], KeyValue]],
+        tag: Optional[bytes],
+    ) -> None:
+        """The one ``.mrsb`` encode loop.
+
+        A key's wire bytes are its cached key bytes minus ``tag`` when
+        they start with it, else ``key_dumps(key)``.  Frames coalesce
+        into one buffer written every ``_READ_CHUNK`` bytes.  Values
+        whose serializer implements ``dumps_parts`` (zero-copy knob on)
+        are scatter-written: parts of at least ``_SCATTER_MIN`` bytes go
+        straight to the file object, which hands buffers above its own
+        block size to the OS untouched — a multi-megabyte array block
+        reaches the page cache without ever being copied into an
+        intermediate ``bytes``.  Either way the bytes are identical.
+        """
         key_dumps = self.key_s.dumps
-        if self._value_parts is not None:
-            value_parts = self._value_parts
-            taglen = len(tag) if tag is not None else 0
-
-            def items():
-                for keybytes, pair in records:
-                    if tag is not None and keybytes.startswith(tag):
-                        kb = keybytes[taglen:]
-                    else:
-                        kb = key_dumps(pair[0])
-                    yield pair[0], kb, value_parts(pair[1])
-
-            self._scatter(items())
-            return
-        if tag is None:
-            self.writepairs([record[1] for record in records])
-            return
-        taglen = len(tag)
         value_dumps = self.value_s.dumps
-        native = _native_kernels()
-        if native is not None:
-            # Batch framing in C: serialize keys/values into two column
-            # lists, then one kernel call lays out every length prefix
-            # and body (identical bytes to the pure loop below).
-            kbs: List[bytes] = []
-            vbs: List[bytes] = []
-            kappend = kbs.append
-            vappend = vbs.append
-            for keybytes, pair in records:
-                if keybytes.startswith(tag):
-                    kappend(keybytes[taglen:])
-                else:
-                    kappend(key_dumps(pair[0]))
-                vappend(value_dumps(pair[1]))
-            if kbs and (
-                max(map(len, kbs)) > FRAME_LIMIT
-                or max(map(len, vbs)) > FRAME_LIMIT
-            ):
-                for kb, vb in zip(kbs, vbs):
-                    if len(kb) > FRAME_LIMIT or len(vb) > FRAME_LIMIT:
-                        raise _frame_limit_error(kb, len(kb), len(vb))
-            self.fileobj.write(native.frame(kbs, vbs))
-            return
+        value_parts = self._value_parts
+        taglen = len(tag) if tag is not None else 0
         pack = _LEN_STRUCT.pack
-        chunks: List[bytes] = []
+        write = self.fileobj.write
+        chunks: List[Any] = []
         append = chunks.append
-        pair = (None, None)
-        kb = vb = b""
-        try:
-            for keybytes, pair in records:
-                if keybytes.startswith(tag):
-                    kb = keybytes[taglen:]
-                else:
-                    kb = key_dumps(pair[0])
-                vb = value_dumps(pair[1])
-                append(pack(len(kb), len(vb)))
-                append(kb)
+        pending = 0
+        for keybytes, (key, value) in records:
+            if tag is not None and keybytes.startswith(tag):
+                kb = keybytes[taglen:]
+            else:
+                kb = key_dumps(key)
+            if value_parts is None:
+                parts = None
+                vb = value_dumps(value)
+                vlen = len(vb)
+            else:
+                parts = value_parts(value)
+                vlen = sum(map(_part_nbytes, parts))
+            klen = len(kb)
+            if klen > FRAME_LIMIT or vlen > FRAME_LIMIT:
+                side, size = ("key", klen) if klen > vlen else ("value", vlen)
+                raise ValueError(
+                    f"record {side} for key {key!r} is {size} bytes, which "
+                    f"exceeds the .mrsb frame limit of {FRAME_LIMIT} bytes "
+                    f"({size - FRAME_LIMIT} over); split the value into "
+                    f"smaller blocks"
+                )
+            append(pack(klen, vlen))
+            append(kb)
+            if parts is None:
                 append(vb)
-        except struct.error:
-            if len(kb) > FRAME_LIMIT or len(vb) > FRAME_LIMIT:
-                raise _frame_limit_error(pair[0], len(kb), len(vb)) from None
-            raise
-        self.fileobj.write(b"".join(chunks))
+                pending += klen + vlen
+            else:
+                for part in parts:
+                    nbytes = _part_nbytes(part)
+                    if nbytes < _SCATTER_MIN:
+                        append(part)
+                        pending += nbytes
+                        continue
+                    write(b"".join(chunks))
+                    chunks.clear()
+                    pending = 0
+                    write(part)
+            if pending >= _READ_CHUNK:
+                write(b"".join(chunks))
+                chunks.clear()
+                pending = 0
+        if chunks:
+            write(b"".join(chunks))
+
+
+def _frames(buf: Any, pos: int) -> Iterator[Tuple[int, int, int]]:
+    """``(key_start, value_start, value_end)`` of each complete record
+    in ``buf[pos:]``, lazily: the pure form of ``ShuffleKernels.scan``."""
+    header_size = _LEN_STRUCT.size
+    unpack_from = _LEN_STRUCT.unpack_from
+    end = len(buf)
+    while pos + header_size <= end:
+        klen, vlen = unpack_from(buf, pos)
+        vstart = pos + header_size + klen
+        vend = vstart + vlen
+        if vend > end:
+            return
+        yield pos + header_size, vstart, vend
+        pos = vend
 
 
 class BinReader(Reader):
@@ -376,12 +296,14 @@ class BinReader(Reader):
             raise ValueError(f"not a BinWriter file (magic={magic!r})")
         self._mmap = None
         self._mview: Optional[memoryview] = None
-        if use_mmap:
+        if use_mmap and self._value_view is not None:
             self._try_mmap()
 
     def _try_mmap(self) -> None:
         """Map the file read-only; silently stay on the streaming path
-        for non-file objects (sockets, BytesIO) or empty files."""
+        for non-file objects (sockets, BytesIO) or empty files.  Only
+        readers whose values decode as views map: a copy out of the map
+        saves nothing over a copy out of a read."""
         import mmap
 
         try:
@@ -412,70 +334,8 @@ class BinReader(Reader):
                 pass
         super().close()
 
-    def _iter_view(
-        self, decorate: bool
-    ) -> Iterator[Any]:
-        """Walk the mmap'd file; values decode as zero-copy views when
-        the serializer supports it (``loads_view``)."""
-        from repro.util.hashing import key_to_bytes
-
-        mv = self._mview
-        assert mv is not None
-        header_size = _LEN_STRUCT.size
-        unpack_from = _LEN_STRUCT.unpack_from
-        key_loads = self.key_s.loads
-        value_view = self._value_view
-        value_loads = self.value_s.loads
-        tag = getattr(self.key_s, "canonical_key_tag", None)
-        pos = len(_BIN_MAGIC)
-        end = len(mv)
-        while pos < end:
-            body = pos + header_size
-            if body > end:
-                raise ValueError("truncated record header")
-            klen, vlen = unpack_from(mv, pos)
-            vstart = body + klen
-            rec_end = vstart + vlen
-            if rec_end > end:
-                raise ValueError("truncated record body")
-            kb = bytes(mv[body:vstart])
-            if value_view is not None:
-                value = value_view(mv[vstart:rec_end])
-            else:
-                value = value_loads(bytes(mv[vstart:rec_end]))
-            pos = rec_end
-            key = key_loads(kb)
-            if decorate:
-                yield (
-                    tag + kb if tag is not None else key_to_bytes(key),
-                    (key, value),
-                )
-            else:
-                yield key, value
-
     def __iter__(self) -> Iterator[KeyValue]:
-        if self._mview is not None:
-            return self._iter_view(decorate=False)
-        return self._iter_stream()
-
-    def _iter_stream(self) -> Iterator[KeyValue]:
-        read = self.fileobj.read
-        header_size = _LEN_STRUCT.size
-        unpack = _LEN_STRUCT.unpack
-        key_loads = self.key_s.loads
-        value_loads = self.value_s.loads
-        while True:
-            header = read(header_size)
-            if not header:
-                return
-            if len(header) != header_size:
-                raise ValueError("truncated record header")
-            klen, vlen = unpack(header)
-            kb = read(klen)
-            vb = read(vlen)
-            if len(kb) != klen or len(vb) != vlen:
-                raise ValueError("truncated record body")
-            yield key_loads(kb), value_loads(vb)
+        return self._walk(decorate=False)
 
     def iter_records(self) -> Iterator[Tuple[bytes, KeyValue]]:
         """Iterate decorated ``(keybytes, (key, value))`` records.
@@ -485,92 +345,80 @@ class BinReader(Reader):
         bytes are rebuilt by concatenation — the encode-once pipeline's
         key bytes survive the round-trip through the file.  Otherwise
         each key is re-encoded once here (the minimum possible).
-
-        Records are parsed out of large read chunks rather than with
-        three ``read`` calls each, so per-record cost is a pair of
-        slices; memory stays bounded by the chunk size (plus one
-        in-flight record), preserving the streaming-merge property.
-        In mmap mode no chunking happens at all: records are walked in
-        place and values decode as zero-copy views when the serializer
-        supports ``loads_view``.
         """
-        if self._mview is not None:
-            yield from self._iter_view(decorate=True)
-            return
+        return self._walk(decorate=True)
+
+    def _walk(self, decorate: bool) -> Iterator[Any]:
+        """The one ``.mrsb`` decoder: pairs, or with ``decorate`` the
+        ``(keybytes, pair)`` records of :meth:`iter_records`.
+
+        Records are parsed out of windows — ``_READ_CHUNK`` reads joined
+        to the previous window's partial tail — so per-record cost is a
+        pair of slices and memory stays bounded by the window, which is
+        what lets a merge stream its inputs.  A record larger than the
+        window is completed with one sized read and one join.  With the
+        native kernels loaded one C call finds every record's offsets in
+        a window; Python only slices and decodes.  In mmap mode the
+        whole mapping is the one window and is walked in Python (the C
+        scan takes ``bytes`` and sizes its offsets by the window):
+        slicing the mmap copies each key out as ``bytes``, and values
+        decode as views over the map (``loads_view``).
+        """
         from repro.util.hashing import key_to_bytes
 
-        read = self.fileobj.read
-        header_size = _LEN_STRUCT.size
-        unpack_from = _LEN_STRUCT.unpack_from
         key_loads = self.key_s.loads
-        value_loads = self.value_s.loads
         tag = getattr(self.key_s, "canonical_key_tag", None)
-        native = _native_kernels()
-        buf = b""
-        pos = 0
+        if self._mview is not None:
+            keys, values, value_loads = self._mmap, self._mview, self._value_view
+            pos, read, native = len(_BIN_MAGIC), None, None
+        else:
+            keys = values = b""
+            value_loads = self.value_s.loads
+            pos, read, native = 0, self.fileobj.read, _nk.get()
+        header_size = _LEN_STRUCT.size
         while True:
-            chunk = read(_READ_CHUNK)
-            if not chunk:
-                if pos != len(buf):
-                    raise ValueError("truncated record")
-                return
-            if pos or buf:
-                tail = buf[pos:]
-                # Peek at the pending record's header: a record larger
-                # than the chunk is completed with ONE sized read and
-                # ONE join, instead of re-growing the buffer chunk by
-                # chunk (quadratic in the record size).
-                parts = [tail, chunk]
-                avail = len(tail) + len(chunk)
-                if avail >= header_size:
-                    if len(tail) >= header_size:
-                        klen, vlen = unpack_from(tail, 0)
-                    else:
-                        klen, vlen = _LEN_STRUCT.unpack(
-                            (tail + chunk[: header_size - len(tail)])
+            if read is not None:
+                chunk = read(_READ_CHUNK)
+                if not chunk:
+                    break
+                tail = keys[pos:]
+                if tail:
+                    parts = [tail, chunk]
+                    avail = len(tail) + len(chunk)
+                    if avail >= header_size:
+                        klen, vlen = _LEN_STRUCT.unpack_from(
+                            tail if len(tail) >= header_size
+                            else tail + chunk[:header_size]
                         )
-                    rec_len = header_size + klen + vlen
-                    if rec_len > avail:
-                        more = read(rec_len - avail)
-                        if more:
-                            parts.append(more)
-                buf = b"".join(parts)
-            else:
-                buf = chunk
-            pos = 0
-            end = len(buf)
+                        missing = header_size + klen + vlen - avail
+                        if missing > 0:
+                            parts.append(read(missing))
+                    chunk = b"".join(parts)
+                keys = values = chunk
+                pos = 0
             if native is not None:
-                # One C call finds every complete record's offsets in
-                # the chunk; Python only slices and decodes.
-                count, triples = native.scan(buf)
-                if count:
-                    offsets = iter(triples[: 3 * count])
-                    for kstart, vstart, vend in zip(offsets, offsets, offsets):
-                        kb = buf[kstart:vstart]
-                        key = key_loads(kb)
-                        yield (
-                            tag + kb if tag is not None else key_to_bytes(key),
-                            (key, value_loads(buf[vstart:vend])),
-                        )
-                    pos = triples[3 * count - 1]
-                continue
-            while True:
-                body = pos + header_size
-                if body > end:
-                    break
-                klen, vlen = unpack_from(buf, pos)
-                vstart = body + klen
-                rec_end = vstart + vlen
-                if rec_end > end:
-                    break
-                kb = buf[body:vstart]
-                vb = buf[vstart:rec_end]
-                pos = rec_end
-                key = key_loads(kb)
-                yield (
-                    tag + kb if tag is not None else key_to_bytes(key),
-                    (key, value_loads(vb)),
+                count, triples = native.scan(keys)
+                offsets = iter(triples[: 3 * count])
+                frames: Iterator[Tuple[int, int, int]] = zip(
+                    offsets, offsets, offsets
                 )
+            else:
+                frames = _frames(keys, pos)
+            # ``pos`` ends on the first byte of the window not decoded.
+            for kstart, vstart, pos in frames:
+                kb = keys[kstart:vstart]
+                key = key_loads(kb)
+                value = value_loads(values[vstart:pos])
+                if not decorate:
+                    yield key, value
+                elif tag is not None:
+                    yield tag + kb, (key, value)
+                else:
+                    yield key_to_bytes(key), (key, value)
+            if read is None:
+                break
+        if pos != len(keys):
+            raise ValueError("truncated record")
 
 
 class HexWriter(Writer):

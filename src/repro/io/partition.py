@@ -23,9 +23,9 @@ key (``mod_partition``) simply don't.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Sequence
 
-from repro.util.hashing import _MASK, _MIX, _crc32, key_to_bytes, stable_hash
+from repro.util.hashing import _MASK, _MIX, _crc32, stable_hash
 
 
 def hash_partition(key: Any, n_splits: int) -> int:
@@ -77,35 +77,6 @@ def hash_partition_splits(keys: Sequence[bytes], n_splits: int) -> Sequence[int]
 
 #: Batches below this size stay pure Python (ctypes overhead dominates).
 _NATIVE_MIN_BATCH = 32
-
-
-def route(
-    key: Any,
-    n_splits: int,
-    _crc32=_crc32,
-    _MIX=_MIX,
-    _MASK=_MASK,
-    _key_to_bytes=key_to_bytes,
-) -> Tuple[bytes, int]:
-    """Encode ``key`` once and place it: ``(keybytes, split)``.
-
-    The fused emit-loop form of :func:`repro.util.hashing.key_to_bytes`
-    followed by :func:`hash_partition` — one Python call per emitted
-    record instead of two, with the string case (the overwhelmingly
-    common key type) encoded inline.  Agrees with ``hash_partition`` /
-    ``hash_partition_bytes`` for every key by construction.  The
-    trailing defaults bind the hash constants as locals; they are not
-    part of the signature.
-    """
-    if type(key) is str:
-        keybytes = b"s:" + key.encode("utf-8")
-    else:
-        keybytes = _key_to_bytes(key)
-    if n_splits <= 1:
-        if n_splits < 1:
-            raise ValueError(f"n_splits must be positive, got {n_splits}")
-        return keybytes, 0
-    return keybytes, ((_crc32(keybytes) * _MIX) & _MASK) % n_splits
 
 
 def mod_partition(key: Any, n_splits: int) -> int:

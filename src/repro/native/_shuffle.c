@@ -25,6 +25,9 @@
  *    (big-endian u32 key/value length prefixes) byte-identically.
  *  - mrs_merge_pick replays heapq.merge(key=record_key) pick order,
  *    ties broken by lowest stream index.
+ *
+ * mrs_frame and mrs_merge_pick serve only the benchmark's probes; jobs
+ * frame records in Python (BinWriter) and merge with heapq.merge.
  */
 
 #include <stdint.h>
@@ -169,14 +172,6 @@ int mrs_sort_index(const uint8_t *keys, const int64_t *offs, int64_t n,
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
     return sort_index_by_key(keys, offs, offs + 1, n, order);
-}
-
-/* 1 when the packed keys are already in non-descending order. */
-int mrs_is_sorted(const uint8_t *keys, const int64_t *offs, int64_t n) {
-    for (int64_t i = 1; i < n; i++)
-        if (key_cmp(keys, offs, offs + 1, i - 1, i) > 0)
-            return 0;
-    return 1;
 }
 
 /* ------------------------------------------------------------------ */

@@ -162,8 +162,6 @@ class ShuffleKernels:
         ]
         lib.mrs_sort_index.restype = ctypes.c_int
         lib.mrs_sort_index.argtypes = [void_p, void_p, i64, void_p]
-        lib.mrs_is_sorted.restype = ctypes.c_int
-        lib.mrs_is_sorted.argtypes = [void_p, void_p, i64]
         lib.mrs_group_scatter.restype = i64
         lib.mrs_group_scatter.argtypes = [
             void_p, void_p, i64, ctypes.c_int, void_p, void_p,
@@ -235,10 +233,6 @@ class ShuffleKernels:
             raise MemoryError("mrs_sort_index allocation failed")
         return order
 
-    def is_sorted(self, keys: Sequence[bytes]) -> bool:
-        buf, offs = pack(keys)
-        return bool(self._lib.mrs_is_sorted(buf, _addr(offs), len(keys)))
-
     def group_scatter(
         self, keys: Sequence[bytes], sort_groups: bool = False
     ) -> Tuple[int, array, array]:
@@ -263,7 +257,8 @@ class ShuffleKernels:
     # -- record framing --------------------------------------------
 
     def frame(self, keys: Sequence[bytes], values: Sequence[bytes]) -> bytearray:
-        """Frame a record batch exactly like ``BinWriter`` does."""
+        """Frame a record batch exactly like ``BinWriter`` does (a
+        benchmark probe; the writer frames in Python)."""
         n = len(keys)
         if n == 0:
             return bytearray()
@@ -294,12 +289,13 @@ class ShuffleKernels:
 class MergePicker:
     """Stateful k-way merge over framed windows.
 
-    The driver (``io.bucket._native_merged_groups``) feeds each stream
-    a window — a buffer of framed bytes plus its :meth:`ShuffleKernels.
-    scan` triples — and repeatedly calls :meth:`pick`, refilling any
-    stream whose window runs dry.  Pick order replays
-    ``heapq.merge(key=record_key)``: bytewise key order, ties broken by
-    the lowest stream index.
+    No job runs it: the reduce side merges with ``heapq.merge`` over
+    ``BinReader`` streams (``io.bucket.merge_sorted_records``).  It is
+    kept, with :meth:`ShuffleKernels.frame`, as the benchmark's
+    ``merge_pick``/``frame`` probes.  Each stream gets a window — a
+    buffer of framed bytes plus its :meth:`ShuffleKernels.scan` triples
+    — and :meth:`pick` replays ``heapq.merge(key=record_key)`` over
+    them: bytewise key order, ties broken by the lowest stream index.
     """
 
     #: picks returned per C call; bounds the out arrays.
@@ -332,12 +328,6 @@ class MergePicker:
 
     def mark_done(self, s: int) -> None:
         self._done[s] = 1
-
-    def position(self, s: int) -> int:
-        return self._positions[s]
-
-    def exhausted(self, s: int) -> bool:
-        return self._positions[s] >= self._counts[s]
 
     def pick(self, prev_key: Optional[bytes]):
         """Run the merge until MAX_OUT picks or a window runs dry.

@@ -27,12 +27,9 @@ from repro.io.bucket import (
     bucket_sorted_records,
     group_sorted_records,
     merge_sorted_records,
-    native_merge_plan,
-    native_merged_groups,
-    record_key,
 )
 from repro.io import urls as url_io
-from repro.io.partition import hash_partition
+from repro.io.partition import hash_partition_bytes
 from repro.native import kernels as _nk
 from repro.util.hashing import _MASK, _MIX, _crc32, key_to_bytes
 
@@ -111,10 +108,9 @@ def _emit(
 
     The canonical key bytes computed here ride into the bucket with the
     pair and are reused by every later hop (sort, group, merge).  This
-    is the *custom partitioner* path — the default hash partitioner
-    goes through :func:`make_hash_emitter` instead.  Partitioners with
-    a ``partition_bytes`` fast path get the cached bytes; others get
-    the live key.
+    is the *custom partitioner* path (see :func:`_emitter`).
+    Partitioners with a ``partition_bytes`` fast path get the cached
+    bytes; others get the live key.
     """
     bytes_parter = getattr(parter, "partition_bytes", None)
     for pair in pairs:
@@ -135,58 +131,21 @@ def _emit(
         out[split].addpair(pair, keybytes)
 
 
-#: Records the batch emitter accumulates before a native scatter.
+#: Records the batch emitter accumulates before placing them.
 _EMIT_BATCH = 8192
 
 
-class _CollectorEmitter:
-    """The pure-Python emit fast path (default hash partitioner only).
-
-    Exactly the hoisted-collectors loop of :func:`_emit`:
-    :func:`repro.io.partition.route` unrolled over per-bucket collector
-    closures — encode, place, two C-level appends per record.  This is
-    the ``MRS_NATIVE=off`` path, byte- and speed-identical to the
-    pre-native emit loop.
-    """
-
-    __slots__ = ("_collectors", "_n")
-
-    def __init__(self, staging: List[Bucket], n_splits: int):
-        self._collectors = [bucket.collector() for bucket in staging]
-        self._n = n_splits
-
-    def emit(self, pairs: Iterable[KeyValue]) -> None:
-        n = self._n
-        collectors = self._collectors
-        for pair in pairs:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise TaskError(
-                    f"map function must yield (key, value) tuples, got {pair!r}"
-                )
-            key = pair[0]
-            if type(key) is str:
-                keybytes = b"s:" + key.encode("utf-8")
-            else:
-                keybytes = key_to_bytes(key)
-            add_key, add_pair = collectors[
-                ((_crc32(keybytes) * _MIX) & _MASK) % n
-            ]
-            add_key(keybytes)
-            add_pair(pair)
-
-    def flush(self) -> None:
-        pass
-
-
-class _NativeHashEmitter:
-    """Batch emit through the native partition-scatter kernel.
+class _HashEmitter:
+    """Batch emit for the default hash partitioner.
 
     Emitted records accumulate in two parallel columns; every
-    ``_EMIT_BATCH`` records one C call hashes, places, and stably
-    groups the whole batch by split, and each split's slice lands in
-    its staging bucket with two list ``extend`` calls.  The scatter is
-    stable, so every bucket receives its records in emit order —
-    exactly what the sequential loop produces.
+    ``_EMIT_BATCH`` records the batch is placed at once.  With the
+    native kernels loaded one C call hashes, places, and stably groups
+    the batch by split, and each split's slice lands in its staging
+    bucket with two list ``extend`` calls; without them (or for a batch
+    too small to pay for the call) each record is placed in Python.
+    Either way every bucket receives its records in emit order —
+    exactly what :func:`_emit` produces.
     """
 
     __slots__ = ("_staging", "_n", "_native", "_keys", "_pairs")
@@ -226,7 +185,10 @@ class _NativeHashEmitter:
         self._pairs = []
         staging = self._staging
         n = self._n
-        if len(keys) < _nk.MIN_BATCH:
+        if n == 1:
+            staging[0].extend_columns(keys, pairs)
+            return
+        if self._native is None or len(keys) < _nk.MIN_BATCH:
             for keybytes, pair in zip(keys, pairs):
                 staging[((_crc32(keybytes) * _MIX) & _MASK) % n].addpair(
                     pair, keybytes
@@ -244,17 +206,29 @@ class _NativeHashEmitter:
                 )
 
 
-def make_hash_emitter(staging: List[Bucket], n_splits: int):
-    """The per-task emitter for the default hash partitioner.
+def make_hash_emitter(staging: List[Bucket], n_splits: int) -> _HashEmitter:
+    """The per-task batch emitter for the default hash partitioner."""
+    return _HashEmitter(staging, n_splits, _nk.get())
 
-    Chosen once per task: the native batch emitter when the shuffle
-    kernels are loaded (and placement is non-trivial), else the pure
-    collectors loop.  Both produce identical bucket contents.
+
+def _emitter(
+    parter: Callable[[Any, int], int], staging: List[Bucket], n_splits: int
+) -> Tuple[Callable[[Iterable[KeyValue]], None], Callable[[], None]]:
+    """``(emit, flush)`` placing one task's emitted pairs in ``staging``.
+
+    A partitioner whose ``partition_bytes`` is the default hash's — the
+    unmodified ``MapReduce.partition`` or ``hash_partition`` itself —
+    goes through the batch emitter; any other partitioner is called per
+    record by :func:`_emit`.  Both fill the buckets identically.
     """
-    native = _nk.get()
-    if native is not None and n_splits > 1:
-        return _NativeHashEmitter(staging, n_splits, native)
-    return _CollectorEmitter(staging, n_splits)
+    if getattr(parter, "partition_bytes", None) is hash_partition_bytes:
+        emitter = make_hash_emitter(staging, n_splits)
+        return emitter.emit, emitter.flush
+
+    def emit(pairs: Iterable[KeyValue]) -> None:
+        _emit(pairs, parter, n_splits, staging)
+
+    return emit, lambda: None
 
 
 def _emit_one_key(
@@ -323,9 +297,9 @@ def _apply_combiner(
     return combined
 
 
-def _merged_records(input_buckets: Sequence[Bucket], span: Any = None):
-    """The reduce-side merge: one key-sorted decorated record stream
-    over every source bucket.
+def _merged_groups(input_buckets: Sequence[Bucket], span: Any = None):
+    """The reduce-side merge: key-ordered ``(keybytes, key, values)``
+    groups over every source bucket.
 
     Every input is :func:`bucket_sorted_records`, local or remote;
     buckets behind HTTP URLs are opened in parallel by
@@ -335,26 +309,9 @@ def _merged_records(input_buckets: Sequence[Bucket], span: Any = None):
     stream — and therefore the reduce output — identical to a
     sequential fetch.
     """
-    return merge_sorted_records(bucket_record_streams(input_buckets, span=span))
-
-
-def _merged_groups(input_buckets: Sequence[Bucket], span: Any = None):
-    """Key-ordered ``(keybytes, key, values)`` groups over all sources.
-
-    When every input bucket qualifies (URL-only local sorted binary
-    files with a canonical key serializer — see
-    :func:`repro.io.bucket.native_merge_plan`), the merge *and* the
-    grouping run in the native fused path, with one key decode per
-    group.  Otherwise this is :func:`group_sorted_records` over the
-    pure streaming merge, unchanged.
-    """
-    plan = native_merge_plan(input_buckets)
-    if plan is not None:
-        first = input_buckets[0]
-        return native_merged_groups(
-            plan, first.key_serializer, first.value_serializer
-        )
-    return group_sorted_records(_merged_records(input_buckets, span=span))
+    return group_sorted_records(
+        merge_sorted_records(bucket_record_streams(input_buckets, span=span))
+    )
 
 
 def run_map_task(
@@ -370,18 +327,12 @@ def run_map_task(
     # Map into memory first; the combiner (if any) must see the data
     # before it is persisted.
     staging = [Bucket(split=s) for s in range(n)]
-    # Hoist the per-bucket append fast path out of the per-record loop;
-    # only the default partitioner's placement is safe to unroll.
-    emitter = make_hash_emitter(staging, n) if parter is hash_partition else None
+    emit, flush = _emitter(parter, staging, n)
     for key, value in input_pairs:
         result = mapper(key, value)
         if result is not None:
-            if emitter is not None:
-                emitter.emit(result)
-            else:
-                _emit(result, parter, n, staging)
-    if emitter is not None:
-        emitter.flush()
+            emit(result)
+    flush()
     staging = _apply_combiner(program, op.combine_name, op, staging)
     if span is not None:
         span.mark("map")
@@ -427,7 +378,7 @@ def run_reducemap_task(
     parter = _resolve_parter(program, op)
     n = op.splits
     staging = [Bucket(split=s) for s in range(n)]
-    emitter = make_hash_emitter(staging, n) if parter is hash_partition else None
+    emit, flush = _emitter(parter, staging, n)
     for _, key, values in _merged_groups(input_buckets, span=span):
         reduced = reducer(key, values)
         if reduced is None:
@@ -435,12 +386,8 @@ def run_reducemap_task(
         for value in reduced:
             mapped = mapper(key, value)
             if mapped is not None:
-                if emitter is not None:
-                    emitter.emit(mapped)
-                else:
-                    _emit(mapped, parter, n, staging)
-    if emitter is not None:
-        emitter.flush()
+                emit(mapped)
+    flush()
     staging = _apply_combiner(program, op.combine_name, op, staging)
     if span is not None:
         # The fused operation's compute is reduce-dominated; attribute

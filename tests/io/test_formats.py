@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.io import formats
 from repro.io.formats import (
     BinReader,
     BinWriter,
@@ -16,7 +17,15 @@ from repro.io.formats import (
     reader_for,
     writer_for,
 )
-from repro.io.serializers import IntSerializer, StrSerializer
+from repro.io.serializers import (
+    IntSerializer,
+    Serializer,
+    StrSerializer,
+    set_zero_copy_mode,
+    zero_copy_mode,
+)
+from repro.native import kernels
+from repro.util.hashing import key_to_bytes
 
 
 def roundtrip_bin(pairs, **kw):
@@ -88,6 +97,118 @@ class TestBinFormat:
         BinWriter(buffer).finish()
         buffer.seek(0)
         assert list(BinReader(buffer)) == []
+
+
+#: Raw-bytes values that also decode as views, so one file can be read
+#: through every ``BinReader`` entry point, the mmap walk included.
+RAW_VIEW = Serializer("raw-view", bytes, bytes, loads_view=bytes)
+#: Every way to read a ``.mrsb`` file: ``iter``/``records`` over a
+#: buffered file, the same over an mmap, and over a non-seekable stream.
+ENTRY_POINTS = [
+    "iter", "records", "mmap", "mmap_records", "stream", "stream_records",
+]
+#: Key width of the boundary tests: a frame is 8 + 6 + value bytes.
+KEY_WIDTH = 6
+
+
+class _NonSeekable(io.RawIOBase):
+    """A pipe- or socket-like raw stream: no ``fileno``, no ``seek``."""
+
+    def __init__(self, data):
+        self._source = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._source.readinto(buffer)
+
+
+@pytest.fixture(params=["auto", "off"])
+def native_mode(request):
+    kernels.set_mode(request.param)
+    yield request.param
+    kernels.set_mode("auto")
+
+
+@pytest.fixture
+def views_on():
+    previous = zero_copy_mode()
+    set_zero_copy_mode("on")
+    yield
+    set_zero_copy_mode(previous)
+
+
+def _pairs_framed(sizes):
+    """``str``/raw pairs whose frames are exactly ``sizes`` bytes."""
+    header = 8 + KEY_WIDTH
+    return [
+        (f"{i:0{KEY_WIDTH}d}", bytes([i % 251]) * (size - header))
+        for i, size in enumerate(sizes)
+    ]
+
+
+def _write_file(path, pairs):
+    with open(path, "wb") as f:
+        BinWriter(f, StrSerializer, RAW_VIEW).writepairs(pairs)
+    return path.read_bytes()
+
+
+def _read(path, entry):
+    """Everything ``entry`` yields for the file at ``path``."""
+    if entry.startswith("stream"):
+        f = io.BufferedReader(_NonSeekable(path.read_bytes()))
+    else:
+        f = open(path, "rb")
+    with f:
+        reader = BinReader(
+            f, StrSerializer, RAW_VIEW, use_mmap=entry.startswith("mmap")
+        )
+        assert (reader._mview is not None) == entry.startswith("mmap")
+        try:
+            return list(reader.iter_records() if entry.endswith("records") else reader)
+        finally:
+            reader.close()
+
+
+CHUNK = formats._READ_CHUNK
+WINDOW_SHAPES = {
+    # 1024 frames fill the first read exactly; the next starts a window.
+    "ends_on_chunk": [1024] * (CHUNK // 1024) + [100] * 3,
+    # The frame after CHUNK - 3 bytes has its header split in two reads.
+    "header_split": [1024] * (CHUNK // 1024 - 1) + [1021] + [100] * 3,
+    # One frame spans more than three reads.
+    "larger_than_chunk": [100] * 5 + [3 * CHUNK + 17] + [100] * 5,
+}
+
+
+class TestBinWalker:
+    """The one ``.mrsb`` decoder, at every window boundary, through
+    every entry point, with and without the native scan."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", sorted(WINDOW_SHAPES))
+    def test_window_boundaries(self, tmp_path, shape, entry, native_mode, views_on):
+        pairs = _pairs_framed(WINDOW_SHAPES[shape])
+        data = _write_file(tmp_path / "w.mrsb", pairs)
+        assert len(data) == 5 + sum(WINDOW_SHAPES[shape])
+        want = (
+            [(key_to_bytes(k), (k, v)) for k, v in pairs]
+            if entry.endswith("records") else pairs
+        )
+        assert _read(tmp_path / "w.mrsb", entry) == want
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("cut", ["header", "body"])
+    def test_truncation_raises(self, tmp_path, cut, entry, native_mode, views_on):
+        data = _write_file(tmp_path / "full.mrsb", _pairs_framed([40, 40, 40]))
+        # Magic + two whole frames, then 3 bytes of the third's header,
+        # or all of the third but its last byte.
+        end = 5 + 80 + 3 if cut == "header" else len(data) - 1
+        path = tmp_path / "cut.mrsb"
+        path.write_bytes(data[:end])
+        with pytest.raises(ValueError, match="truncated"):
+            _read(path, entry)
 
 
 class TestHexFormat:

@@ -2,8 +2,8 @@
 
 Every kernel in ``src/repro/native/_shuffle.c`` mirrors a pure-Python
 loop; these tests pin the contract three ways: bit-level parity of the
-primitives (CRC/hash/partition/sort/group/frame/scan/merge) against
-their Python references, byte-identical ``.mrsb`` files and split
+primitives (CRC/hash/partition/sort/group/frame/scan) against their
+Python references, byte-identical ``.mrsb`` files and split
 assignments between ``MRS_NATIVE=on`` and ``off`` over random
 mixed-type batches (hypothesis), and graceful-fallback behavior of the
 compile/cache layer (``CC`` honored, ``auto`` silent, ``on`` loud).
@@ -12,7 +12,6 @@ Kernel-parity tests skip when no compiler is available; the fallback
 tests run everywhere.
 """
 
-import heapq
 import io
 import os
 import struct
@@ -21,20 +20,17 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.operations import ReduceOperation
+from repro.core.options import default_options
+from repro.core.program import MapReduce
 from repro.io import formats
-from repro.io.bucket import (
-    Bucket,
-    FileBucket,
-    group_sorted_records,
-    native_merge_plan,
-    native_merged_groups,
-    record_key,
-)
+from repro.io.bucket import Bucket, FileBucket
 from repro.io.partition import hash_partition_bytes, hash_partition_splits
 from repro.io.serializers import get_serializer
 from repro.native import compile as native_compile
 from repro.native import kernels
 from repro.native.compile import CompilerUnavailable
+from repro.runtime.taskrunner import memory_bucket_factory, run_reduce_task
 from repro.util.hashing import key_to_bytes, stable_hash_bytes
 
 HAVE_COMPILER = native_compile.find_compiler() is not None
@@ -157,89 +153,76 @@ class TestPrimitives:
 
 
 # ---------------------------------------------------------------------
-# Merge parity
+# The reduce-side merge over sorted files
 # ---------------------------------------------------------------------
 
 
-def _write_sorted_file(path, pairs):
-    """Write key-sorted (str, int) pairs as a canonical .mrsb bucket."""
+def _write_sorted_file(path, pairs, value_serializer="int"):
+    """Write key-sorted str-keyed pairs as a canonical .mrsb bucket."""
     with open(path, "wb") as f:
         writer = formats.BinWriter(
             f,
             key_serializer=get_serializer("str"),
-            value_serializer=get_serializer("int"),
+            value_serializer=get_serializer(value_serializer),
         )
         writer.writerecords([(key_to_bytes(k), (k, v)) for k, v in pairs])
         writer.finish()
 
 
+class ListValues(MapReduce):
+    """Reduce to the group's values, in the order the merge hands them."""
+
+    def reduce(self, key, values):
+        yield list(values)
+
+
 @needs_compiler
 class TestNativeMerge:
-    def _make_buckets(self, tmp_path, streams):
+    """``run_reduce_task`` over URL-only, key-sorted ``str``-key files,
+    read through ``BinReader``'s native scan and merged by the streaming
+    heap merge."""
+
+    def _make_buckets(self, tmp_path, streams, value_serializer="int"):
         buckets = []
         for source, pairs in enumerate(streams):
             path = tmp_path / f"m_{source}_0.mrsb"
-            _write_sorted_file(str(path), pairs)
+            _write_sorted_file(str(path), pairs, value_serializer)
             bucket = Bucket(source=source, split=0, url=f"file:{path}")
             bucket.url_sorted = True
             bucket.key_serializer = "str"
-            bucket.value_serializer = "int"
+            bucket.value_serializer = value_serializer
             buckets.append(bucket)
         return buckets
 
-    def test_matches_heapq_merge_and_grouping(self, tmp_path, native):
-        streams = [
-            sorted((f"k{(i * j) % 17}", i) for i in range(40))
-            for j in range(1, 5)
-        ] + [[]]  # one empty stream
-        buckets = self._make_buckets(tmp_path, streams)
-        plan = native_merge_plan(buckets)
-        assert plan is not None
-        got = [
-            (kb, key, list(values))
-            for kb, key, values in native_merged_groups(plan, "str", "int")
-        ]
-        decorated = [
-            sorted(((key_to_bytes(k), (k, v)) for k, v in pairs))
-            for pairs in streams
-        ]
-        want = [
-            (kb, key, list(values))
-            for kb, key, values in group_sorted_records(
-                heapq.merge(*map(iter, decorated), key=record_key)
-            )
-        ]
-        assert got == want
+    def _reduce(self, buckets):
+        program = ListValues(default_options(), [])
+        (out,) = run_reduce_task(
+            program, ReduceOperation("reduce", splits=1), buckets,
+            memory_bucket_factory(0),
+        )
+        return list(out)
 
     def test_tie_break_prefers_lower_stream(self, tmp_path, native):
         # Equal keys in several streams: heapq.merge yields stream 0's
         # records first, and record order within a stream is preserved.
         streams = [[("dup", 100 + i) for i in range(3)] for _ in range(3)]
         buckets = self._make_buckets(tmp_path, streams)
-        plan = native_merge_plan(buckets)
-        assert plan is not None
-        ((_, _, values),) = list(native_merged_groups(plan, "str", "int"))
-        assert values == [100, 101, 102] * 3
+        assert self._reduce(buckets) == [("dup", [100, 101, 102] * 3)]
 
-    def test_plan_rejects_unsorted_and_nonlocal(self, tmp_path, native):
-        buckets = self._make_buckets(tmp_path, [[("a", 1)], [("b", 2)]])
-        assert native_merge_plan(buckets) is not None
-        buckets[1].url_sorted = False
-        assert native_merge_plan(buckets) is None
-        buckets[1].url_sorted = True
-        buckets[1].url = "http://example/bucket.mrsb"
-        assert native_merge_plan(buckets) is None
-
-    def test_plan_rejects_pickle_keys(self, tmp_path, native):
-        buckets = self._make_buckets(tmp_path, [[("a", 1)]])
-        buckets[0].key_serializer = None  # default pickle: no tag
-        assert native_merge_plan(buckets) is None
-
-    def test_plan_off_without_kernels(self, tmp_path, native_off):
-        bucket = Bucket(source=0, split=0, url="file:/nonexistent.mrsb")
-        bucket.url_sorted = True
-        bucket.key_serializer = "str"
-        assert native_merge_plan([bucket]) is None
+    def test_value_larger_than_read_window(self, tmp_path, native):
+        big = bytes(range(256)) * (3 * 4096)  # 3 MiB: three read windows
+        assert len(big) > formats._READ_CHUNK
+        streams = [
+            [("a", b"a0"), ("m", big), ("z", b"z0")],
+            [("m", b"m1"), ("q", big[::-1])],
+        ]
+        buckets = self._make_buckets(tmp_path, streams, value_serializer="raw")
+        assert self._reduce(buckets) == [
+            ("a", [b"a0"]),
+            ("m", [big, b"m1"]),
+            ("q", [big[::-1]]),
+            ("z", [b"z0"]),
+        ]
 
 
 # ---------------------------------------------------------------------

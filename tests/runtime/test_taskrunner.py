@@ -10,10 +10,11 @@ from repro.core.dataset import (
     make_reduce_data,
     make_reducemap_data,
 )
-from repro.core.operations import MapOperation, ReduceOperation
+from repro.core.operations import MapOperation, ReduceMapOperation, ReduceOperation
 from repro.core.options import default_options
 from repro.core.program import MapReduce
 from repro.io.bucket import Bucket
+from repro.io.partition import hash_partition
 from repro.runtime import taskrunner
 
 
@@ -98,6 +99,61 @@ class TestMapTask:
             taskrunner.run_map_task(
                 program, op, [(0, "x")], taskrunner.memory_bucket_factory(0)
             )
+
+
+class Fanning(MapReduce):
+    """Default partitioner; map and reducemap emit many distinct keys."""
+
+    def map(self, key, value):
+        for word in value.split():
+            yield (word, 1)
+
+    def reduce(self, key, values):
+        yield sum(values)
+
+    def fan_map(self, key, value):
+        for j in range(3):
+            yield (f"{key}/{j}", value)
+
+
+class HashWrapped(Fanning):
+    """The same placement behind an override, which drops the
+    ``partition_bytes`` attribute and is called once per record."""
+
+    def partition(self, key, n_splits):
+        return hash_partition(key, n_splits)
+
+
+class TestEmitPath:
+    @pytest.mark.parametrize("kind", ["map", "reducemap"])
+    def test_default_partition_emits_through_batch_emitter(
+        self, tmp_path, monkeypatch, kind
+    ):
+        calls = []
+        batch_emitter = taskrunner.make_hash_emitter
+
+        def spy(staging, n_splits):
+            calls.append(n_splits)
+            return batch_emitter(staging, n_splits)
+
+        monkeypatch.setattr(taskrunner, "make_hash_emitter", spy)
+        words = " ".join(f"w{i % 997}" for i in range(20000))
+        files = {}
+        for name, cls in (("batch", Fanning), ("per_record", HashWrapped)):
+            program = cls(default_options(), [])
+            factory = taskrunner.file_bucket_factory(str(tmp_path), name, 0)
+            if kind == "map":
+                op = MapOperation("map", splits=4)
+                out = taskrunner.run_map_task(program, op, [(0, words)], factory)
+            else:
+                op = ReduceMapOperation("reduce", "fan_map", splits=4)
+                source = input_bucket([(w, 1) for w in words.split()])
+                out = taskrunner.run_reducemap_task(program, op, [source], factory)
+            files[name] = [open(b.path, "rb").read() for b in out]
+            # Only the default partitioner reaches the batch emitter.
+            assert calls == [4]
+        assert files["batch"] == files["per_record"]
+        assert all(len(data) > 100 for data in files["batch"])
 
 
 class TestReduceTask:
