@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import time
 from typing import Any, Optional, Tuple
-from xmlrpc.client import ServerProxy
+from xmlrpc.client import ServerProxy, Transport
 from xmlrpc.server import SimpleXMLRPCDispatcher, SimpleXMLRPCRequestHandler
 
 from repro.comm.listener import Listener
@@ -141,9 +141,6 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
-
-
-from xmlrpc.client import Transport
 
 
 class _TimeoutTransport(Transport):

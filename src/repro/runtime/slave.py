@@ -101,11 +101,9 @@ class Slave:
 
         self._owns_tmpdir = opts.tmpdir is None
         base_tmp = opts.tmpdir or tempfile.mkdtemp(prefix="mrs_slave_")
-        os.makedirs(base_tmp, exist_ok=True)
         #: Slave-local output directory (per-process to avoid collisions
         #: when several slaves share a tmpdir).
         self.localdir = os.path.join(base_tmp, f"slave_{os.getpid()}")
-        os.makedirs(self.localdir, exist_ok=True)
         #: Health samples piggyback on pings and done RPCs: disk free
         #: of the slave's own run dir, task throughput from its
         #: registry's completion count.
@@ -114,15 +112,23 @@ class Slave:
             rundir=self.localdir, task_counter=lambda: completed.value
         )
 
-        self.rpc = RpcServer(
-            SlaveInterface(self),
-            host="127.0.0.1",
-            port=0,
-            registry=self.observability.registry,
-        )
+        self.rpc: Optional[RpcServer] = None
         self.dataserver: Optional[DataServer] = None
-        if self.data_plane == "http":
-            self.dataserver = DataServer(self.localdir, host="127.0.0.1")
+        try:
+            os.makedirs(self.localdir, exist_ok=True)
+            self.rpc = RpcServer(
+                SlaveInterface(self),
+                host="127.0.0.1",
+                port=0,
+                registry=self.observability.registry,
+            )
+            if self.data_plane == "http":
+                self.dataserver = DataServer(self.localdir, host="127.0.0.1")
+        except BaseException:
+            # A failed start closes what it opened: the listener and
+            # the run directory.
+            self.shutdown()
+            raise
 
         self.slave_id: Optional[int] = None
         #: Programs resolved from task descriptors, keyed by
@@ -284,15 +290,13 @@ class Slave:
             self.shutdown()
 
     def shutdown(self) -> None:
-        self.rpc.shutdown()
-        if self.dataserver is not None:
-            self.dataserver.shutdown()
+        for server in (self.rpc, self.dataserver):
+            if server is not None:
+                server.shutdown()
         # Pooled keep-alive transfer connections are process-global;
-        # close them so a graceful exit leaves no half-open sockets.
-        try:
-            transfer.get_pool().close()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
+        # close them so a graceful exit leaves no half-open sockets
+        # (ConnectionPool.close already ignores per-connection errors).
+        transfer.get_pool().close()
         if self._owns_tmpdir:
             shutil.rmtree(os.path.dirname(self.localdir), ignore_errors=True)
         else:

@@ -2,6 +2,7 @@
 
 import http.server
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -54,6 +55,28 @@ class TestConnectionReuse:
         assert delta["fetch.connections.created"] == 1
         assert delta["fetch.connections.reused"] == 4
         assert delta["fetch.requests"] == 5
+
+    def test_reused_connection_is_as_fast_as_a_fresh_one(self, tmp_path):
+        """Two small fetches on one pooled connection each finish in
+        well under the ~40 ms a peer's delayed ACK costs a reply split
+        into small writes with Nagle on (the listener sets TCP_NODELAY
+        on accepted connections)."""
+        pairs = [(f"k{i:03d}", i) for i in range(50)]
+        path = write_bucket(tmp_path, "small.mrsb", pairs)
+        slowest = []
+        with DataServer(str(tmp_path)) as server:
+            url = server.url_for(path)
+            # Best of three: one slow scheduling slice must not fail it.
+            for _ in range(3):
+                pool = ConnectionPool()
+                took = []
+                for _ in range(2):
+                    started = time.perf_counter()
+                    assert list(fetch_pair_stream(url, pool=pool)) == pairs
+                    took.append(time.perf_counter() - started)
+                pool.close()
+                slowest.append(max(took))
+        assert min(slowest) < 0.010, slowest
 
     def test_pool_caps_idle_connections(self, tmp_path):
         pool = ConnectionPool(max_idle_per_host=1)
