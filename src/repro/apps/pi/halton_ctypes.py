@@ -8,8 +8,7 @@ sequence" (section V-B).
 
 The C source lives next to this module (``_halton.c``); compiler
 discovery, the per-user build cache, and the atomic compile-and-load
-live in :mod:`repro.native.compile` (shared with the framework's own
-shuffle kernels).  Environments without a compiler fall back to the
+live in :mod:`repro.native.compile`.  Environments without a compiler fall back to the
 vectorized NumPy kernel (see DESIGN.md's substitution table) — call
 :func:`is_available` to find out which world you are in.
 """

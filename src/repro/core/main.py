@@ -20,20 +20,17 @@ logger = logging.getLogger("repro")
 
 def configure_process(opts) -> None:
     """Turn parsed options into process-wide state, before any shuffle
-    code runs: ``--mrs-native`` and ``--mrs-zero-copy``.
+    code runs: ``--mrs-zero-copy``.
 
     The one place that does so — every entry point that parses options
     (:func:`main`, :func:`run_program`, ``LocalCluster.start``) calls
-    it.  Setting a mode also mirrors it into its environment variable
-    (``MRS_NATIVE`` / ``MRS_ZERO_COPY``), the only two option->
-    environment mirrors, so worker processes spawned later
+    it.  Setting the mode also mirrors it into ``MRS_ZERO_COPY``, the
+    only option->environment mirror, so worker processes spawned later
     (multiprocess pool, slaves launched with the job's environment)
     resolve the same path.
     """
     from repro.io import serializers
-    from repro.native import kernels
 
-    kernels.configure_from_opts(opts)
     serializers.configure_zero_copy_from_opts(opts)
 
 

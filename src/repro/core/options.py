@@ -125,16 +125,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         "tolerant) or direct HTTP between slaves (fast)",
     )
     group.add_argument(
-        "--mrs-native",
-        dest="native",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="native (C) shuffle kernels: 'auto' compiles on demand and "
-        "silently falls back to pure Python without a compiler, 'on' "
-        "fails loudly when unavailable, 'off' never compiles; outputs "
-        "are byte-identical either way (default: MRS_NATIVE or auto)",
-    )
-    group.add_argument(
         "--mrs-zero-copy",
         dest="zero_copy",
         choices=("on", "off"),

@@ -52,7 +52,6 @@ from typing import (
     Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
-from repro.native import kernels as _nk
 from repro.util.hashing import key_to_bytes
 
 KeyValue = Tuple[Any, Any]
@@ -236,20 +235,13 @@ class Bucket:
         return self._pairs[index]
 
     def sort(self) -> None:
-        """Sort pairs by canonical key encoding (stable).
-
-        With the native kernels loaded, the stable sort permutation is
-        computed in C over the packed key bytes; either way the result
-        is exactly ``sorted(range(n), key=keys.__getitem__)`` applied to
-        both parallel arrays.
+        """Sort pairs by canonical key encoding (stable): one
+        permutation, ``sorted(range(n), key=keys.__getitem__)``, applied
+        to both parallel arrays.
         """
         if not self.is_sorted:
             keys = self._keys
-            native = _nk.get() if len(keys) >= _nk.MIN_BATCH else None
-            if native is not None:
-                order = native.sort_index(keys)
-            else:
-                order = sorted(range(len(keys)), key=keys.__getitem__)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
             self._keys = list(map(keys.__getitem__, order))
             self._pairs = list(map(self._pairs.__getitem__, order))
             self._sorted = True
@@ -315,31 +307,12 @@ class Bucket:
 
         Exactly :meth:`hash_grouped_records` followed by sorting the
         group list on the cached key bytes — the combiner's access
-        pattern.  With the native kernels loaded, grouping and the
-        group sort fuse into one C call over the packed key bytes
-        (values still in encounter order, as a stable sort delivers
-        them).
+        pattern (values stay in encounter order, as a stable sort
+        delivers them).
         """
-        keys = self._keys
-        native = _nk.get() if len(keys) >= _nk.MIN_BATCH else None
-        if native is None:
-            groups = self.hash_grouped_records()
-            groups.sort(key=record_key)
-            return groups
-        pairs = self._pairs
-        ngroups, order, bounds = native.group_scatter(keys, sort_groups=True)
-        out: List[Tuple[bytes, Any, List[Any]]] = []
-        for g in range(ngroups):
-            lo, hi = bounds[g], bounds[g + 1]
-            first = order[lo]
-            out.append(
-                (
-                    keys[first],
-                    pairs[first][0],
-                    [pairs[i][1] for i in order[lo:hi]],
-                )
-            )
-        return out
+        groups = self.hash_grouped_records()
+        groups.sort(key=record_key)
+        return groups
 
     def grouped(self) -> Iterator[Tuple[Any, Iterator[Any]]]:
         """Yield ``(key, values)`` groups in key order."""

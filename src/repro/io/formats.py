@@ -32,7 +32,6 @@ from repro.io.serializers import (
     get_serializer,
     loads_view_for,
 )
-from repro.native import kernels as _nk
 
 KeyValue = Tuple[Any, Any]
 
@@ -262,7 +261,7 @@ class BinWriter(Writer):
 
 def _frames(buf: Any, pos: int) -> Iterator[Tuple[int, int, int]]:
     """``(key_start, value_start, value_end)`` of each complete record
-    in ``buf[pos:]``, lazily: the pure form of ``ShuffleKernels.scan``."""
+    in ``buf[pos:]``, lazily."""
     header_size = _LEN_STRUCT.size
     unpack_from = _LEN_STRUCT.unpack_from
     end = len(buf)
@@ -356,13 +355,10 @@ class BinReader(Reader):
         to the previous window's partial tail — so per-record cost is a
         pair of slices and memory stays bounded by the window, which is
         what lets a merge stream its inputs.  A record larger than the
-        window is completed with one sized read and one join.  With the
-        native kernels loaded one C call finds every record's offsets in
-        a window; Python only slices and decodes.  In mmap mode the
-        whole mapping is the one window and is walked in Python (the C
-        scan takes ``bytes`` and sizes its offsets by the window):
-        slicing the mmap copies each key out as ``bytes``, and values
-        decode as views over the map (``loads_view``).
+        window is completed with one sized read and one join.  In mmap
+        mode the whole mapping is the one window: slicing the mmap
+        copies each key out as ``bytes``, and values decode as views
+        over the map (``loads_view``).
         """
         from repro.util.hashing import key_to_bytes
 
@@ -370,11 +366,11 @@ class BinReader(Reader):
         tag = getattr(self.key_s, "canonical_key_tag", None)
         if self._mview is not None:
             keys, values, value_loads = self._mmap, self._mview, self._value_view
-            pos, read, native = len(_BIN_MAGIC), None, None
+            pos, read = len(_BIN_MAGIC), None
         else:
             keys = values = b""
             value_loads = self.value_s.loads
-            pos, read, native = 0, self.fileobj.read, _nk.get()
+            pos, read = 0, self.fileobj.read
         header_size = _LEN_STRUCT.size
         while True:
             if read is not None:
@@ -396,16 +392,8 @@ class BinReader(Reader):
                     chunk = b"".join(parts)
                 keys = values = chunk
                 pos = 0
-            if native is not None:
-                count, triples = native.scan(keys)
-                offsets = iter(triples[: 3 * count])
-                frames: Iterator[Tuple[int, int, int]] = zip(
-                    offsets, offsets, offsets
-                )
-            else:
-                frames = _frames(keys, pos)
             # ``pos`` ends on the first byte of the window not decoded.
-            for kstart, vstart, pos in frames:
+            for kstart, vstart, pos in _frames(keys, pos):
                 kb = keys[kstart:vstart]
                 key = key_loads(kb)
                 value = value_loads(values[vstart:pos])

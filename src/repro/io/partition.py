@@ -54,29 +54,18 @@ hash_partition.partition_bytes = hash_partition_bytes
 
 
 def hash_partition_splits(keys: Sequence[bytes], n_splits: int) -> Sequence[int]:
-    """Split ids for a whole batch of canonical key bytes.
-
-    Semantically ``[hash_partition_bytes(kb, n_splits) for kb in keys]``
-    — and that is the fallback — but with the native shuffle kernels
-    loaded (:mod:`repro.native.kernels`) the batch crosses into C once,
-    hashing and placing every key in a single call.
+    """Split ids for a whole batch of canonical key bytes:
+    ``[hash_partition_bytes(kb, n_splits) for kb in keys]``, with the
+    hash inlined as the batch emitter (``taskrunner._HashEmitter``)
+    inlines it.  The benchmark times routing with it
+    (``io.partition.route_us``).
     """
     if n_splits <= 0:
         raise ValueError(f"n_splits must be positive, got {n_splits}")
     if n_splits == 1:
         return [0] * len(keys)
-    if len(keys) >= _NATIVE_MIN_BATCH:
-        from repro.native import kernels as native_kernels
-
-        native = native_kernels.get()
-        if native is not None:
-            return native.splits_for(keys, n_splits)
     mix, mask, crc = _MIX, _MASK, _crc32
     return [((crc(kb) * mix) & mask) % n_splits for kb in keys]
-
-
-#: Batches below this size stay pure Python (ctypes overhead dominates).
-_NATIVE_MIN_BATCH = 32
 
 
 def mod_partition(key: Any, n_splits: int) -> int:

@@ -189,8 +189,7 @@ FloatSerializer = register_serializer(Serializer("float", _float_dumps, _float_l
 # One knob gates every buffer-protocol fast path (scatter-write,
 # mmap-backed reads, sendfile): ``--mrs-zero-copy on|off``, mirrored
 # into the ``MRS_ZERO_COPY`` environment variable so spawned workers
-# and slaves inherit the choice.  Same state-machine shape as the
-# native-kernel knob (repro/native/kernels.py).
+# and slaves inherit the choice.
 
 _VALID_ZERO_COPY_MODES = ("on", "off")
 _zero_copy_mode: Optional[str] = None

@@ -1,21 +1,16 @@
-"""Native (C) kernels for the framework's own hot loops.
+"""Native (C) code compiled on demand and loaded with :mod:`ctypes`.
 
 The paper's thesis is "Python for the framework, C for the inner loop"
-(section V-B, Fig 3b).  The Pi application demonstrated the mechanism
-for *application* inner loops (``repro.apps.pi.halton_ctypes``); this
-package applies the same pattern — C source compiled on demand with the
-system compiler into a per-user cache and loaded with :mod:`ctypes`,
-with a graceful pure-Python fallback — to the framework's shuffle
-plane:
+(section V-B, Fig 3b): the framework, its shuffle included, is pure
+Python, and a program puts C in its own inner loop, as the Pi
+application does (``repro.apps.pi.halton_ctypes``).
 
-* :mod:`repro.native.compile` — shared compiler discovery (honouring
-  ``CC``), per-user build cache, and atomic compile-and-load helpers.
-* :mod:`repro.native.kernels` — the shuffle kernels (keybytes sort,
-  record framing, CRC partitioning, k-way merge) behind the
-  ``--mrs-native auto|on|off`` knob / ``MRS_NATIVE`` variable.
-
-Every native code path is an *internal* optimization: outputs are
-byte-identical whether kernels are available or not.
+* :mod:`repro.native.compile` — compiler discovery (honouring ``CC``),
+  per-user build cache, and atomic compile-and-load helpers, with a
+  :class:`CompilerUnavailable` error the caller turns into a
+  pure-Python fallback.
+* :mod:`repro.native.kernels` — C shuffle probes that only the
+  benchmark imports; no job calls them.
 """
 
 from repro.native.compile import CompilerUnavailable  # noqa: F401

@@ -1,12 +1,13 @@
-/* Native shuffle kernels: the framework's hot inner loops in C.
+/* C shuffle probes for the benchmark.
  *
- * "Python for the framework, C for the inner loop" — applied to the
- * framework itself.  Each kernel operates on the encode-once data
- * plane's raw representation: a batch of canonical key bytes packed
- * into one contiguous buffer addressed by an offsets array (offs[i] ..
- * offs[i+1] is record i's key), plus plain int64 index/position
- * arrays.  No CPython API is used anywhere, so the library compiles
- * with any C compiler and loads with ctypes.
+ * No job calls these kernels: the framework's shuffle is pure Python.
+ * They stay only while bench/layers.py times them (native.kernels.*)
+ * and go with those probes (ROADMAP item 9(f)).  Each kernel operates
+ * on the data plane's raw representation: a batch of canonical key
+ * bytes packed into one contiguous buffer addressed by an offsets
+ * array (offs[i] .. offs[i+1] is record i's key), plus plain int64
+ * index/position arrays.  No CPython API is used anywhere, so the
+ * library compiles with any C compiler and loads with ctypes.
  *
  * Correctness contracts (each mirrors a pure-Python loop and must stay
  * byte/percall identical to it — see tests/io/test_native_kernels.py):
@@ -14,9 +15,9 @@
  *  - mrs_crc32 matches zlib.crc32 (IEEE, reflected, init/xorout -1).
  *  - mrs_hash64(key) == repro.util.hashing.stable_hash_bytes(key):
  *    crc32 * 0x9E3779B97F4A7C15 mod 2^64.
- *  - mrs_partition/mrs_partition_scatter place keys exactly like
- *    hash_partition_bytes, and the scatter is a stable counting sort
- *    (records keep their emit order within a split).
+ *  - mrs_partition_scatter places keys exactly like
+ *    hash_partition_bytes, as a stable counting sort (records keep
+ *    their emit order within a split).
  *  - mrs_sort_index is a stable mergesort by key bytes — the same
  *    permutation as sorted(range(n), key=keys.__getitem__).
  *  - mrs_group_scatter groups equal keys (values keep encounter
@@ -25,9 +26,6 @@
  *    (big-endian u32 key/value length prefixes) byte-identically.
  *  - mrs_merge_pick replays heapq.merge(key=record_key) pick order,
  *    ties broken by lowest stream index.
- *
- * mrs_frame and mrs_merge_pick serve only the benchmark's probes; jobs
- * frame records in Python (BinWriter) and merge with heapq.merge.
  */
 
 #include <stdint.h>
@@ -69,19 +67,8 @@ uint64_t mrs_hash64(const uint8_t *data, int64_t len) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Partitioning: split ids and a stable scatter by split.             */
+/* Partitioning: a stable scatter by split.                           */
 /* ------------------------------------------------------------------ */
-
-void mrs_partition(const uint8_t *keys, const int64_t *offs, int64_t n,
-                   uint32_t n_splits, uint32_t *out) {
-    if (!crc_table_ready)
-        crc_table_init();
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t h =
-            (uint64_t)mrs_crc32(keys + offs[i], offs[i + 1] - offs[i]) * MRS_MIX;
-        out[i] = (uint32_t)(h % n_splits);
-    }
-}
 
 /* Stable counting sort of record indices by split id.  order[] gets
  * the record indices grouped by split (emit order preserved within a
@@ -92,7 +79,9 @@ int mrs_partition_scatter(const uint8_t *keys, const int64_t *offs, int64_t n,
     uint32_t *splits = (uint32_t *)malloc((size_t)(n ? n : 1) * 4);
     if (splits == NULL)
         return -1;
-    mrs_partition(keys, offs, n, n_splits, splits);
+    for (int64_t i = 0; i < n; i++)
+        splits[i] = (uint32_t)(
+            mrs_hash64(keys + offs[i], offs[i + 1] - offs[i]) % n_splits);
     int64_t *cursor = (int64_t *)calloc((size_t)n_splits + 1, 8);
     if (cursor == NULL) {
         free(splits);

@@ -1,4 +1,4 @@
-"""On-demand C compilation shared by every native kernel.
+"""On-demand C compilation for ctypes kernels.
 
 Generalizes the pattern introduced by ``repro.apps.pi.halton_ctypes``:
 compile a single-file C source with the system compiler into a per-user

@@ -1,18 +1,17 @@
-"""ctypes loader and wrappers for the native shuffle kernels.
+"""ctypes loader and wrappers for the C shuffle probes.
 
-The mode knob (``--mrs-native`` / ``MRS_NATIVE``) selects the path:
+No job calls these kernels: the framework's shuffle is pure Python, as
+the paper has it, and C belongs in a program's own inner loop through
+ctypes (``repro.apps.pi.halton_ctypes``).  The module and
+``_shuffle.c`` stay only because the benchmark imports them:
+``bench/layers.py::native_kernel_costs`` times each kernel against the
+workload's keys (``MergePicker`` included), ``bench/runner.py`` times
+the cold compile through :func:`set_mode` and :func:`get`, and
+``bench/workloads/base.py`` calls :func:`configure_from_opts`.
+ROADMAP item 9(f) deletes them together with those probes.
 
-* ``auto`` (default) — use the C kernels when a compiler is available,
-  silently fall back to the pure-Python loops otherwise.
-* ``on`` — require the kernels; :func:`get` raises
-  :class:`~repro.native.compile.CompilerUnavailable` loudly.
-* ``off`` — never load the kernels; :func:`get` returns ``None``.
-
-Call sites ask :func:`get` once per batch (or once per task) and branch
-on ``None``; the pure path must remain byte-identical, so the native
-branch is an internal detail.  The mode is mirrored into the
-``MRS_NATIVE`` environment variable so spawned worker processes
-(multiprocess backend, slaves) inherit it.
+:func:`get` compiles on demand and returns ``None`` when no compiler is
+available (mode ``auto``) or after ``set_mode("off")``.
 
 Data marshalling convention: a batch of byte strings is packed with
 :func:`pack` into one contiguous ``bytes`` buffer plus an ``array('q')``
@@ -34,20 +33,19 @@ from typing import List, Optional, Sequence, Tuple
 from repro.native.compile import CompilerUnavailable, load_shared_library
 
 #: Below this many records the ctypes call overhead can outweigh the C
-#: speedup; call sites keep the pure loop for tiny batches.
+#: speedup; the benchmark probes skip smaller samples.
 MIN_BATCH = 32
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_shuffle.c")
 _CACHE_PREFIX = "repro_native"
 _CFLAGS = ["-O2", "-shared", "-fPIC"]
 
-_VALID_MODES = ("auto", "on", "off")
+_VALID_MODES = ("auto", "off")
 
 _lock = threading.Lock()
-_mode: Optional[str] = None  # resolved lazily from MRS_NATIVE
+_mode = "auto"
 _UNSET = object()
 _kernels = _UNSET  # cached ShuffleKernels, or None after a failed load
-_load_error: Optional[CompilerUnavailable] = None
 
 
 def _addr(arr: array) -> int:
@@ -69,36 +67,21 @@ def pack(chunks: Sequence[bytes]) -> Tuple[bytes, array]:
     return buf, offs
 
 
-def mode() -> str:
-    """The active native-kernel mode (``auto``/``on``/``off``)."""
-    global _mode
-    if _mode is None:
-        value = os.environ.get("MRS_NATIVE", "auto").strip().lower()
-        _mode = value if value in _VALID_MODES else "auto"
-    return _mode
-
-
 def set_mode(value: str) -> None:
-    """Set the mode and reset the cached kernels.
-
-    Also mirrors the mode into ``MRS_NATIVE`` so spawned worker
-    processes resolve the same path.
-    """
-    global _mode, _kernels, _load_error
+    """Set the mode and forget the loaded kernels, so the next
+    :func:`get` compiles again (into whatever cache ``TMPDIR`` names)."""
+    global _mode, _kernels
     if value not in _VALID_MODES:
-        raise ValueError(f"invalid native mode {value!r} (auto/on/off)")
+        raise ValueError(f"invalid native mode {value!r} (auto/off)")
     with _lock:
         _mode = value
-        os.environ["MRS_NATIVE"] = value
         _kernels = _UNSET
-        _load_error = None
 
 
 def configure_from_opts(opts) -> None:
-    """Apply the ``--mrs-native`` option (no-op when absent)."""
-    value = getattr(opts, "native", None)
-    if value:
-        set_mode(value)
+    """Does nothing: no option selects the kernels any more.  The
+    benchmark's pool start still calls it, so it stays until ROADMAP
+    item 9(f)."""
 
 
 def get() -> Optional["ShuffleKernels"]:
@@ -106,15 +89,13 @@ def get() -> Optional["ShuffleKernels"]:
 
     ``off`` always returns ``None``; ``auto`` returns ``None`` when the
     kernels cannot be built (the failure is cached — one compile attempt
-    per process); ``on`` raises :class:`CompilerUnavailable` instead of
-    falling back.
+    per process).
     """
-    global _kernels, _load_error
-    active = mode()
-    if active == "off":
+    global _kernels
+    if _mode == "off":
         return None
     cached = _kernels
-    if cached is not _UNSET and not (cached is None and active == "on"):
+    if cached is not _UNSET:
         return cached
     with _lock:
         if _kernels is _UNSET:
@@ -122,25 +103,9 @@ def get() -> Optional["ShuffleKernels"]:
                 _kernels = ShuffleKernels(
                     load_shared_library(_SOURCE, _CACHE_PREFIX, _CFLAGS)
                 )
-            except CompilerUnavailable as exc:
+            except (CompilerUnavailable, OSError):  # no compiler, or dlopen
                 _kernels = None
-                _load_error = exc
-            except OSError as exc:  # dlopen failure
-                _kernels = None
-                _load_error = CompilerUnavailable(f"cannot load kernels: {exc}")
-        if _kernels is None and active == "on":
-            raise CompilerUnavailable(
-                f"--mrs-native on but kernels unavailable: {_load_error}"
-            )
         return _kernels
-
-
-def available() -> bool:
-    """Whether the native kernels load under the current mode."""
-    try:
-        return get() is not None
-    except CompilerUnavailable:
-        return False
 
 
 class ShuffleKernels:
@@ -154,8 +119,6 @@ class ShuffleKernels:
         lib.mrs_crc32.argtypes = [void_p, i64]
         lib.mrs_hash64.restype = ctypes.c_uint64
         lib.mrs_hash64.argtypes = [void_p, i64]
-        lib.mrs_partition.restype = None
-        lib.mrs_partition.argtypes = [void_p, void_p, i64, ctypes.c_uint32, void_p]
         lib.mrs_partition_scatter.restype = ctypes.c_int
         lib.mrs_partition_scatter.argtypes = [
             void_p, void_p, i64, ctypes.c_uint32, void_p, void_p,
@@ -192,14 +155,6 @@ class ShuffleKernels:
 
     def hash64(self, data: bytes) -> int:
         return self._lib.mrs_hash64(data, len(data))
-
-    def splits_for(self, keys: Sequence[bytes], n_splits: int) -> array:
-        """Split ids for a key batch — one ``hash_partition_bytes`` each."""
-        buf, offs = pack(keys)
-        n = len(keys)
-        out = array("I", bytes(4 * n))
-        self._lib.mrs_partition(buf, _addr(offs), n, n_splits, _addr(out))
-        return out
 
     def partition_scatter(
         self, keys: Sequence[bytes], n_splits: int

@@ -30,7 +30,6 @@ from repro.io.bucket import (
 )
 from repro.io import urls as url_io
 from repro.io.partition import hash_partition_bytes
-from repro.native import kernels as _nk
 from repro.util.hashing import _MASK, _MIX, _crc32, key_to_bytes
 
 KeyValue = Tuple[Any, Any]
@@ -139,21 +138,16 @@ class _HashEmitter:
     """Batch emit for the default hash partitioner.
 
     Emitted records accumulate in two parallel columns; every
-    ``_EMIT_BATCH`` records the batch is placed at once.  With the
-    native kernels loaded one C call hashes, places, and stably groups
-    the batch by split, and each split's slice lands in its staging
-    bucket with two list ``extend`` calls; without them (or for a batch
-    too small to pay for the call) each record is placed in Python.
-    Either way every bucket receives its records in emit order —
-    exactly what :func:`_emit` produces.
+    ``_EMIT_BATCH`` records the batch is placed at once, each record by
+    the inlined ``hash_partition_bytes``, so every bucket receives its
+    records in emit order — exactly what :func:`_emit` produces.
     """
 
-    __slots__ = ("_staging", "_n", "_native", "_keys", "_pairs")
+    __slots__ = ("_staging", "_n", "_keys", "_pairs")
 
-    def __init__(self, staging: List[Bucket], n_splits: int, native) -> None:
+    def __init__(self, staging: List[Bucket], n_splits: int) -> None:
         self._staging = staging
         self._n = n_splits
-        self._native = native
         self._keys: List[bytes] = []
         self._pairs: List[KeyValue] = []
 
@@ -188,27 +182,15 @@ class _HashEmitter:
         if n == 1:
             staging[0].extend_columns(keys, pairs)
             return
-        if self._native is None or len(keys) < _nk.MIN_BATCH:
-            for keybytes, pair in zip(keys, pairs):
-                staging[((_crc32(keybytes) * _MIX) & _MASK) % n].addpair(
-                    pair, keybytes
-                )
-            return
-        order, bounds = self._native.partition_scatter(keys, n)
-        kget = keys.__getitem__
-        pget = pairs.__getitem__
-        for split in range(n):
-            lo, hi = bounds[split], bounds[split + 1]
-            if lo != hi:
-                chunk = order[lo:hi]
-                staging[split].extend_columns(
-                    list(map(kget, chunk)), list(map(pget, chunk))
-                )
+        for keybytes, pair in zip(keys, pairs):
+            staging[((_crc32(keybytes) * _MIX) & _MASK) % n].addpair(
+                pair, keybytes
+            )
 
 
 def make_hash_emitter(staging: List[Bucket], n_splits: int) -> _HashEmitter:
     """The per-task batch emitter for the default hash partitioner."""
-    return _HashEmitter(staging, n_splits, _nk.get())
+    return _HashEmitter(staging, n_splits)
 
 
 def _emitter(
@@ -284,8 +266,7 @@ def _apply_combiner(
         # Group with one pass and sort only the (much smaller) group
         # list by cached key bytes, then stream the combiner output
         # straight into the fresh bucket in that order — no per-record
-        # sort ever runs on either side.  With native kernels the
-        # grouping and group sort fuse into one C call.
+        # sort ever runs on either side.
         groups = bucket.sorted_grouped_lists()
         fresh = Bucket(source=bucket.source, split=bucket.split)
         add_key, add_pair = fresh.collector()

@@ -34,10 +34,9 @@ _crc32 = zlib.crc32
 # the CRC's 32 bits across the full word so any ``% n_splits`` sees
 # well-mixed high and low bits.
 #
-# The native shuffle kernels (src/repro/native/_shuffle.c: mrs_hash64)
-# reimplement crc32 * _MIX mod 2^64 in C; placement there and here MUST
-# agree bit-for-bit, so any change to this construction has to land in
-# both places (tests/io/test_native_kernels.py locks the parity).
+# The benchmark's C probe (src/repro/native/_shuffle.c: mrs_hash64)
+# mirrors crc32 * _MIX mod 2^64 for its partition_scatter timing, and
+# tests/io/test_native_kernels.py locks the parity; no job calls it.
 _MIX = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 

@@ -103,7 +103,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-master",
     "--mrs-max-concurrent-jobs",
     "--mrs-metrics-json",
-    "--mrs-native",
     "--mrs-no-affinity",
     "--mrs-pipeline",
     "--mrs-port",
@@ -136,11 +135,11 @@ REMOVED_FLAGS = [
     "--mrs-straggler-factor",
     "--mrs-heartbeat-interval",
     "--mrs-profile",
+    "--mrs-native",
 ]
 
 #: Every environment variable the framework reads or writes.
 FRAMEWORK_ENVIRONMENT = {
-    "MRS_NATIVE",
     "MRS_ZERO_COPY",
     "MRS_SLAVE_WAIT_TIMEOUT",
     "MRS_AUTH_TOKEN",
@@ -176,7 +175,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 28
+        assert len(flags) == 27
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))

@@ -66,6 +66,23 @@ class TestSerialCli:
         assert result.returncode == 0, result.stderr
         assert read_counts(out) == EXPECTED
 
+    def test_job_never_imports_the_c_kernels(self, corpus_file, tmp_path):
+        """The shuffle is pure Python: a process booted the way a slave
+        is, that runs a whole WordCount, loads no ``repro.native``."""
+        out = str(tmp_path / "out")
+        script = (
+            "import sys\n"
+            "from repro.runtime import slave_boot\n"
+            "status = slave_boot.main(['repro.apps.wordcount:WordCount',"
+            " '--mrs', 'serial', sys.argv[1], sys.argv[2]])\n"
+            "assert status in (None, 0), status\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.native')))\n"
+        )
+        result = run_cli(["-c", script, corpus_file, out])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert read_counts(out) == EXPECTED
+
     def test_bad_flag_reports_usage(self, corpus_file, tmp_path):
         result = run_cli(
             ["-m", "repro.apps.wordcount", "--mrs", "warpdrive",

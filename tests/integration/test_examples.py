@@ -54,13 +54,3 @@ class TestExamples:
         assert "identical counts" in result.stdout or "identical output" in (
             result.stdout
         )
-
-    def test_optimization_suite(self):
-        result = run_example("optimization_suite.py", "sphere", "5")
-        assert result.returncode == 0, result.stderr
-        assert "final:" in result.stdout
-
-    def test_parameter_sweep(self):
-        result = run_example("parameter_sweep.py", "150")
-        assert result.returncode == 0, result.stderr
-        assert "max |Δmean|" in result.stdout

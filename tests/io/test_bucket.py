@@ -1,10 +1,15 @@
-"""Bucket invariants: sort/group, merge, file backing, sidecars."""
+"""Bucket invariants: sort/group, merge, file backing, sidecars, and
+key-sorted URL inputs (streaming, reduce-side merge, checkpoint flag)."""
 
 import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.operations import ReduceOperation
+from repro.core.options import default_options
+from repro.core.program import MapReduce
+from repro.io import formats
 from repro.io.bucket import (
     Bucket,
     FileBucket,
@@ -13,6 +18,8 @@ from repro.io.bucket import (
     merge_sorted_buckets,
     sort_key,
 )
+from repro.io.serializers import get_serializer
+from repro.runtime.taskrunner import memory_bucket_factory, run_reduce_task
 from repro.util.hashing import key_to_bytes
 
 
@@ -306,3 +313,177 @@ def test_grouping_partitions_all_pairs(pairs):
     assert total == len(pairs)
     assert seen_keys == sorted(seen_keys)
     assert len(seen_keys) == len(set(seen_keys))
+
+
+def _write_sorted_file(path, pairs, value_serializer="int"):
+    """Write key-sorted str-keyed pairs as a canonical .mrsb bucket."""
+    with open(path, "wb") as f:
+        writer = formats.BinWriter(
+            f,
+            key_serializer=get_serializer("str"),
+            value_serializer=get_serializer(value_serializer),
+        )
+        writer.writerecords([(key_to_bytes(k), (k, v)) for k, v in pairs])
+        writer.finish()
+
+
+class ListValues(MapReduce):
+    """Reduce to the group's values, in the order the merge hands them."""
+
+    def reduce(self, key, values):
+        yield list(values)
+
+
+class TestSortedUrlMerge:
+    """``run_reduce_task`` over URL-only, key-sorted ``str``-key files,
+    read through ``BinReader`` and merged by the streaming heap merge."""
+
+    def _make_buckets(self, tmp_path, streams, value_serializer="int"):
+        buckets = []
+        for source, pairs in enumerate(streams):
+            path = tmp_path / f"m_{source}_0.mrsb"
+            _write_sorted_file(str(path), pairs, value_serializer)
+            bucket = Bucket(source=source, split=0, url=f"file:{path}")
+            bucket.url_sorted = True
+            bucket.key_serializer = "str"
+            bucket.value_serializer = value_serializer
+            buckets.append(bucket)
+        return buckets
+
+    def _reduce(self, buckets):
+        program = ListValues(default_options(), [])
+        (out,) = run_reduce_task(
+            program, ReduceOperation("reduce", splits=1), buckets,
+            memory_bucket_factory(0),
+        )
+        return list(out)
+
+    def test_tie_break_prefers_lower_stream(self, tmp_path):
+        # Equal keys in several streams: heapq.merge yields stream 0's
+        # records first, and record order within a stream is preserved.
+        streams = [[("dup", 100 + i) for i in range(3)] for _ in range(3)]
+        buckets = self._make_buckets(tmp_path, streams)
+        assert self._reduce(buckets) == [("dup", [100, 101, 102] * 3)]
+
+    def test_value_larger_than_read_window(self, tmp_path):
+        big = bytes(range(256)) * (3 * 4096)  # 3 MiB: three read windows
+        assert len(big) > formats._READ_CHUNK
+        streams = [
+            [("a", b"a0"), ("m", big), ("z", b"z0")],
+            [("m", b"m1"), ("q", big[::-1])],
+        ]
+        buckets = self._make_buckets(tmp_path, streams, value_serializer="raw")
+        assert self._reduce(buckets) == [
+            ("a", [b"a0"]),
+            ("m", [big, b"m1"]),
+            ("q", [big[::-1]]),
+            ("z", [b"z0"]),
+        ]
+
+
+class TestSortedUrlStreaming:
+    def test_sorted_records_from_url_streams(self, tmp_path, monkeypatch):
+        """A url_sorted bucket must stream: no list() materialization.
+
+        Read through a counting file wrapper and assert the stream
+        yields its first record after a bounded number of reads — a
+        materializing implementation would consume the whole file
+        before yielding anything.
+        """
+        from repro.io.bucket import sorted_records_from_url
+
+        path = tmp_path / "big.mrsb"
+        pairs = sorted((f"key{i:07d}", i) for i in range(20000))
+        _write_sorted_file(str(path), pairs)
+
+        reads = {"n": 0}
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            real_read = f.read
+
+            def read(*a):
+                reads["n"] += 1
+                return real_read(*a)
+
+            f.read = read
+            return f
+
+        import builtins
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        stream = sorted_records_from_url(f"file:{path}", True, "str", "int")
+        first = next(iter(stream))
+        assert first[1] == pairs[0]
+        # One magic read + one chunk read (+ maybe one readahead); a
+        # materializing path would need the whole multi-MB file first.
+        assert reads["n"] <= 4
+
+    def test_unsorted_url_still_sorts(self, tmp_path):
+        from repro.io.bucket import sorted_records_from_url
+
+        path = tmp_path / "unsorted.mrsb"
+        _write_sorted_file(str(path), [("b", 2), ("a", 1), ("c", 3)][::-1])
+        records = list(
+            sorted_records_from_url(f"file:{path}", False, "str", "int")
+        )
+        assert [r[1][0] for r in records] == ["a", "b", "c"]
+
+
+class TestCheckpointSortedFlags:
+    def test_roundtrip_preserves_sorted_flag(self, tmp_path):
+        from repro.core.dataset import BaseDataset
+        from repro.io import checkpoint
+
+        dataset = BaseDataset(
+            splits=1, prefix="t", key_serializer="str", value_serializer="int"
+        )
+        sorted_bucket = Bucket(source=0, split=0)
+        for word in ["a", "b", "c"]:
+            sorted_bucket.addpair((word, 1))
+        unsorted_bucket = Bucket(source=1, split=0)
+        for word in ["z", "y"]:
+            unsorted_bucket.addpair((word, 1))
+        dataset.add_bucket(sorted_bucket)
+        dataset.add_bucket(unsorted_bucket)
+        dataset.complete = True
+        path = str(tmp_path / "ckpt")
+        checkpoint.write_checkpoint(path, dataset)
+
+        loaded = checkpoint.load_checkpoint(path)
+        flags = {
+            (b.source, b.split): b.url_sorted
+            for b in loaded.existing_buckets()
+        }
+        assert flags[(0, 0)] is True
+        assert flags[(1, 0)] is False
+
+    def test_version_1_manifest_still_loads(self, tmp_path):
+        import json
+
+        from repro.core.dataset import BaseDataset
+        from repro.io import checkpoint
+
+        dataset = BaseDataset(
+            splits=1, prefix="t", key_serializer="str", value_serializer="int"
+        )
+        bucket = Bucket(source=0, split=0)
+        bucket.addpair(("a", 1))
+        dataset.add_bucket(bucket)
+        dataset.complete = True
+        path = str(tmp_path / "ckpt")
+        checkpoint.write_checkpoint(path, dataset)
+        manifest_path = os.path.join(path, checkpoint.MANIFEST)
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        manifest["version"] = 1
+        for entry in manifest["buckets"]:
+            entry.pop("sorted", None)
+        with open(manifest_path, "w") as f:
+            json.dump(manifest, f)
+
+        loaded = checkpoint.load_checkpoint(path)
+        (bucket,) = loaded.existing_buckets()
+        assert bucket.url_sorted is False  # conservative default
+        assert list(bucket) == [("a", 1)]

@@ -1,18 +1,15 @@
-"""Native shuffle kernels: C paths must be invisible optimizations.
+"""The benchmark's C shuffle probes (``repro.native.kernels``).
 
-Every kernel in ``src/repro/native/_shuffle.c`` mirrors a pure-Python
-loop; these tests pin the contract three ways: bit-level parity of the
-primitives (CRC/hash/partition/sort/group/frame/scan) against their
-Python references, byte-identical ``.mrsb`` files and split
-assignments between ``MRS_NATIVE=on`` and ``off`` over random
-mixed-type batches (hypothesis), and graceful-fallback behavior of the
-compile/cache layer (``CC`` honored, ``auto`` silent, ``on`` loud).
+No job calls these kernels; ``bench/layers.py`` times them.  While they
+exist, these tests pin two things: bit-level parity of each primitive
+(CRC/hash/scatter/sort/group/frame/scan) against the pure-Python loop
+the runtime actually runs, and graceful behaviour of the compile/cache
+layer (``CC`` honoured, ``auto`` silent, ``off`` never compiles).
 
-Kernel-parity tests skip when no compiler is available; the fallback
-tests run everywhere.
+Kernel-parity tests skip when no compiler is available; the compile
+layer tests run everywhere.
 """
 
-import io
 import os
 import struct
 import zlib
@@ -20,17 +17,11 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.operations import ReduceOperation
-from repro.core.options import default_options
-from repro.core.program import MapReduce
-from repro.io import formats
 from repro.io.bucket import Bucket, FileBucket
-from repro.io.partition import hash_partition_bytes, hash_partition_splits
-from repro.io.serializers import get_serializer
+from repro.io.partition import hash_partition_bytes
 from repro.native import compile as native_compile
 from repro.native import kernels
 from repro.native.compile import CompilerUnavailable
-from repro.runtime.taskrunner import memory_bucket_factory, run_reduce_task
 from repro.util.hashing import key_to_bytes, stable_hash_bytes
 
 HAVE_COMPILER = native_compile.find_compiler() is not None
@@ -47,14 +38,6 @@ def native():
     if lib is None:
         pytest.skip("native kernels unavailable")
     yield lib
-    kernels.set_mode("auto")
-
-
-@pytest.fixture
-def native_off(monkeypatch):
-    """Force the pure-Python path for the duration of a test."""
-    kernels.set_mode("off")
-    yield
     kernels.set_mode("auto")
 
 
@@ -76,14 +59,6 @@ class TestPrimitives:
         lib = kernels.get()
         assert lib is not None
         assert lib.hash64(data) == stable_hash_bytes(data)
-
-    def test_splits_match_scalar_partitioner(self, native):
-        keys = [key_to_bytes(k) for k in ["a", "bb", 3, (4, "x"), b"raw", 2.5]]
-        keys = keys * 20
-        for n_splits in (1, 2, 7, 64):
-            got = list(hash_partition_splits(keys, n_splits))
-            want = [hash_partition_bytes(kb, n_splits) for kb in keys]
-            assert got == want
 
     def test_partition_scatter_is_stable(self, native):
         keys = [key_to_bytes(f"k{i % 13}") for i in range(500)]
@@ -116,17 +91,20 @@ class TestPrimitives:
 
     def test_sorted_grouped_lists_matches_pure(self, native):
         raw = [(f"w{(i * 7) % 11}", i) for i in range(400)]
-        native_bucket, pure_bucket = Bucket(), Bucket()
+        bucket = Bucket()
         for pair in raw:
-            native_bucket.addpair(pair)
-            pure_bucket.addpair(pair)
-        got = native_bucket.sorted_grouped_lists()
-        kernels.set_mode("off")
-        try:
-            want = pure_bucket.sorted_grouped_lists()
-        finally:
-            kernels.set_mode("auto")
-        assert got == want
+            bucket.addpair(pair)
+        keys = [key_to_bytes(k) for k, _ in raw]
+        ngroups, order, bounds = native.group_scatter(keys, sort_groups=True)
+        got = [
+            (
+                keys[order[bounds[g]]],
+                raw[order[bounds[g]]][0],
+                [raw[i][1] for i in order[bounds[g]:bounds[g + 1]]],
+            )
+            for g in range(ngroups)
+        ]
+        assert got == bucket.sorted_grouped_lists()
 
     def test_frame_scan_roundtrip(self, native):
         header = struct.Struct("!II")
@@ -150,175 +128,6 @@ class TestPrimitives:
         # A truncated tail parses to one fewer record.
         count, _ = native.scan(framed[:-1])
         assert count == len(keys) - 1
-
-
-# ---------------------------------------------------------------------
-# The reduce-side merge over sorted files
-# ---------------------------------------------------------------------
-
-
-def _write_sorted_file(path, pairs, value_serializer="int"):
-    """Write key-sorted str-keyed pairs as a canonical .mrsb bucket."""
-    with open(path, "wb") as f:
-        writer = formats.BinWriter(
-            f,
-            key_serializer=get_serializer("str"),
-            value_serializer=get_serializer(value_serializer),
-        )
-        writer.writerecords([(key_to_bytes(k), (k, v)) for k, v in pairs])
-        writer.finish()
-
-
-class ListValues(MapReduce):
-    """Reduce to the group's values, in the order the merge hands them."""
-
-    def reduce(self, key, values):
-        yield list(values)
-
-
-@needs_compiler
-class TestNativeMerge:
-    """``run_reduce_task`` over URL-only, key-sorted ``str``-key files,
-    read through ``BinReader``'s native scan and merged by the streaming
-    heap merge."""
-
-    def _make_buckets(self, tmp_path, streams, value_serializer="int"):
-        buckets = []
-        for source, pairs in enumerate(streams):
-            path = tmp_path / f"m_{source}_0.mrsb"
-            _write_sorted_file(str(path), pairs, value_serializer)
-            bucket = Bucket(source=source, split=0, url=f"file:{path}")
-            bucket.url_sorted = True
-            bucket.key_serializer = "str"
-            bucket.value_serializer = value_serializer
-            buckets.append(bucket)
-        return buckets
-
-    def _reduce(self, buckets):
-        program = ListValues(default_options(), [])
-        (out,) = run_reduce_task(
-            program, ReduceOperation("reduce", splits=1), buckets,
-            memory_bucket_factory(0),
-        )
-        return list(out)
-
-    def test_tie_break_prefers_lower_stream(self, tmp_path, native):
-        # Equal keys in several streams: heapq.merge yields stream 0's
-        # records first, and record order within a stream is preserved.
-        streams = [[("dup", 100 + i) for i in range(3)] for _ in range(3)]
-        buckets = self._make_buckets(tmp_path, streams)
-        assert self._reduce(buckets) == [("dup", [100, 101, 102] * 3)]
-
-    def test_value_larger_than_read_window(self, tmp_path, native):
-        big = bytes(range(256)) * (3 * 4096)  # 3 MiB: three read windows
-        assert len(big) > formats._READ_CHUNK
-        streams = [
-            [("a", b"a0"), ("m", big), ("z", b"z0")],
-            [("m", b"m1"), ("q", big[::-1])],
-        ]
-        buckets = self._make_buckets(tmp_path, streams, value_serializer="raw")
-        assert self._reduce(buckets) == [
-            ("a", [b"a0"]),
-            ("m", [big, b"m1"]),
-            ("q", [big[::-1]]),
-            ("z", [b"z0"]),
-        ]
-
-
-# ---------------------------------------------------------------------
-# Property: native and pure paths are byte-identical
-# ---------------------------------------------------------------------
-
-mixed_keys = st.one_of(
-    st.text(max_size=8),
-    st.binary(max_size=8),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.booleans(),
-    st.tuples(st.text(max_size=3), st.integers(-100, 100)),
-)
-mixed_values = st.one_of(
-    st.integers(-(2**40), 2**40), st.text(max_size=12), st.none()
-)
-batches = st.lists(st.tuples(mixed_keys, mixed_values), max_size=120)
-
-
-@needs_compiler
-class TestModeByteIdentity:
-    @given(batch=batches, n_splits=st.integers(min_value=1, max_value=9))
-    @settings(max_examples=60, deadline=None)
-    def test_splits_identical(self, batch, n_splits):
-        keys = [key_to_bytes(k) for k, _ in batch]
-        kernels.set_mode("auto")
-        assert kernels.get() is not None
-        native = list(hash_partition_splits(keys, n_splits))
-        kernels.set_mode("off")
-        try:
-            pure = list(hash_partition_splits(keys, n_splits))
-        finally:
-            kernels.set_mode("auto")
-        assert native == pure
-
-    @given(batch=batches)
-    @settings(max_examples=60, deadline=None)
-    def test_mrsb_files_identical(self, batch):
-        # Pickle-serializer records exercise the generic writer; the
-        # canonical tag path is covered by str keys below.
-        outputs = {}
-        for mode in ("auto", "off"):
-            kernels.set_mode(mode)
-            try:
-                buf = io.BytesIO()
-                writer = formats.BinWriter(buf)
-                writer.writerecords(
-                    [(key_to_bytes(k), (k, v)) for k, v in batch]
-                )
-                outputs[mode] = buf.getvalue()
-            finally:
-                kernels.set_mode("auto")
-        assert outputs["auto"] == outputs["off"]
-
-    @given(words=st.lists(st.text(min_size=1, max_size=6), max_size=100))
-    @settings(max_examples=60, deadline=None)
-    def test_canonical_str_files_and_readback_identical(self, words):
-        records = [(key_to_bytes(w), (w, 1)) for w in words]
-        outputs = {}
-        for mode in ("auto", "off"):
-            kernels.set_mode(mode)
-            try:
-                buf = io.BytesIO()
-                writer = formats.BinWriter(
-                    buf,
-                    key_serializer=get_serializer("str"),
-                    value_serializer=get_serializer("int"),
-                )
-                writer.writerecords(records)
-                data = buf.getvalue()
-                reader = formats.BinReader(
-                    io.BytesIO(data),
-                    key_serializer=get_serializer("str"),
-                    value_serializer=get_serializer("int"),
-                )
-                outputs[mode] = (data, list(reader.iter_records()))
-            finally:
-                kernels.set_mode("auto")
-        assert outputs["auto"] == outputs["off"]
-        assert outputs["auto"][1] == records
-
-    @given(batch=batches)
-    @settings(max_examples=40, deadline=None)
-    def test_bucket_sort_identical(self, batch):
-        results = {}
-        for mode in ("auto", "off"):
-            kernels.set_mode(mode)
-            try:
-                bucket = Bucket()
-                for pair in batch:
-                    bucket.addpair(pair)
-                bucket.sort()
-                results[mode] = (list(bucket._keys), list(bucket._pairs))
-            finally:
-                kernels.set_mode("auto")
-        assert results["auto"] == results["off"]
 
 
 # ---------------------------------------------------------------------
@@ -358,17 +167,6 @@ class TestCompileLayer:
         kernels.set_mode("auto")
         try:
             assert kernels.get() is None
-            assert not kernels.available()
-        finally:
-            kernels.set_mode("auto")
-
-    def test_on_mode_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("CC", "/nonexistent/compiler-xyz")
-        kernels.set_mode("on")
-        try:
-            with pytest.raises(CompilerUnavailable):
-                kernels.get()
-            assert not kernels.available()
         finally:
             kernels.set_mode("auto")
 
@@ -376,13 +174,12 @@ class TestCompileLayer:
         kernels.set_mode("off")
         try:
             assert kernels.get() is None
-            assert os.environ.get("MRS_NATIVE") == "off"
         finally:
             kernels.set_mode("auto")
 
     def test_pure_fallback_still_shuffles(self, monkeypatch, tmp_path):
-        # With a broken compiler and auto mode, the whole write/sort/
-        # read pipeline runs pure-Python and stays correct.
+        # With a broken compiler the whole write/sort/read pipeline
+        # still runs and stays correct: it never asks for the kernels.
         monkeypatch.setenv("CC", "/nonexistent/compiler-xyz")
         kernels.set_mode("auto")
         try:
@@ -408,116 +205,3 @@ class TestCompileLayer:
 
         assert halton_ctypes.CompilerUnavailable is CompilerUnavailable
         assert halton_ctypes.is_available()
-
-
-# ---------------------------------------------------------------------
-# Streaming regression: sorted URLs must not be materialized
-# ---------------------------------------------------------------------
-
-
-class TestSortedUrlStreaming:
-    def test_sorted_records_from_url_streams(self, tmp_path, monkeypatch):
-        """A url_sorted bucket must stream: no list() materialization.
-
-        Read through a counting file wrapper and assert the stream
-        yields its first record after a bounded number of reads — a
-        materializing implementation would consume the whole file
-        before yielding anything.
-        """
-        from repro.io.bucket import sorted_records_from_url
-
-        path = tmp_path / "big.mrsb"
-        pairs = sorted((f"key{i:07d}", i) for i in range(20000))
-        _write_sorted_file(str(path), pairs)
-
-        reads = {"n": 0}
-        real_open = open
-
-        def counting_open(file, *args, **kwargs):
-            f = real_open(file, *args, **kwargs)
-            real_read = f.read
-
-            def read(*a):
-                reads["n"] += 1
-                return real_read(*a)
-
-            f.read = read
-            return f
-
-        import builtins
-
-        monkeypatch.setattr(builtins, "open", counting_open)
-        stream = sorted_records_from_url(f"file:{path}", True, "str", "int")
-        first = next(iter(stream))
-        assert first[1] == pairs[0]
-        # One magic read + one chunk read (+ maybe one readahead); a
-        # materializing path would need the whole multi-MB file first.
-        assert reads["n"] <= 4
-
-    def test_unsorted_url_still_sorts(self, tmp_path):
-        from repro.io.bucket import sorted_records_from_url
-
-        path = tmp_path / "unsorted.mrsb"
-        _write_sorted_file(str(path), [("b", 2), ("a", 1), ("c", 3)][::-1])
-        records = list(
-            sorted_records_from_url(f"file:{path}", False, "str", "int")
-        )
-        assert [r[1][0] for r in records] == ["a", "b", "c"]
-
-
-class TestCheckpointSortedFlags:
-    def test_roundtrip_preserves_sorted_flag(self, tmp_path):
-        from repro.core.dataset import BaseDataset
-        from repro.io import checkpoint
-
-        dataset = BaseDataset(
-            splits=1, prefix="t", key_serializer="str", value_serializer="int"
-        )
-        sorted_bucket = Bucket(source=0, split=0)
-        for word in ["a", "b", "c"]:
-            sorted_bucket.addpair((word, 1))
-        unsorted_bucket = Bucket(source=1, split=0)
-        for word in ["z", "y"]:
-            unsorted_bucket.addpair((word, 1))
-        dataset.add_bucket(sorted_bucket)
-        dataset.add_bucket(unsorted_bucket)
-        dataset.complete = True
-        path = str(tmp_path / "ckpt")
-        checkpoint.write_checkpoint(path, dataset)
-
-        loaded = checkpoint.load_checkpoint(path)
-        flags = {
-            (b.source, b.split): b.url_sorted
-            for b in loaded.existing_buckets()
-        }
-        assert flags[(0, 0)] is True
-        assert flags[(1, 0)] is False
-
-    def test_version_1_manifest_still_loads(self, tmp_path):
-        import json
-
-        from repro.core.dataset import BaseDataset
-        from repro.io import checkpoint
-
-        dataset = BaseDataset(
-            splits=1, prefix="t", key_serializer="str", value_serializer="int"
-        )
-        bucket = Bucket(source=0, split=0)
-        bucket.addpair(("a", 1))
-        dataset.add_bucket(bucket)
-        dataset.complete = True
-        path = str(tmp_path / "ckpt")
-        checkpoint.write_checkpoint(path, dataset)
-        manifest_path = os.path.join(path, checkpoint.MANIFEST)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        manifest["version"] = 1
-        for entry in manifest["buckets"]:
-            entry.pop("sorted", None)
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
-
-        loaded = checkpoint.load_checkpoint(path)
-        (bucket,) = loaded.existing_buckets()
-        assert bucket.url_sorted is False  # conservative default
-        assert list(bucket) == [("a", 1)]

@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.io.partition import first_byte_partition, hash_partition, mod_partition
+from repro.io.partition import (
+    first_byte_partition,
+    hash_partition,
+    hash_partition_bytes,
+    hash_partition_splits,
+    mod_partition,
+)
+from repro.util.hashing import key_to_bytes
 
 
 class TestHashPartition:
@@ -29,6 +36,14 @@ class TestHashPartition:
         for i in range(4000):
             counts[hash_partition(i, n)] += 1
         assert min(counts) > 700  # each split gets a fair share
+
+    def test_splits_match_scalar_partitioner(self):
+        keys = [key_to_bytes(k) for k in ["a", "bb", 3, (4, "x"), b"raw", 2.5]]
+        keys = keys * 20
+        for n_splits in (1, 2, 7, 64):
+            got = list(hash_partition_splits(keys, n_splits))
+            want = [hash_partition_bytes(kb, n_splits) for kb in keys]
+            assert got == want
 
 
 class TestModPartition:
