@@ -24,6 +24,7 @@ from repro.io.serializers import (
     set_zero_copy_mode,
     zero_copy_mode,
 )
+from repro.native import kernels
 from repro.util.hashing import key_to_bytes
 
 
@@ -123,6 +124,17 @@ class _NonSeekable(io.RawIOBase):
         return self._source.readinto(buffer)
 
 
+@pytest.fixture(params=["auto", "off"])
+def native_mode(request, monkeypatch):
+    """Either kernel mode; the decoder must never ask for the kernels."""
+    calls = []
+    monkeypatch.setattr(kernels, "get", lambda: calls.append(1))
+    kernels.set_mode(request.param)
+    yield request.param
+    kernels.set_mode("auto")
+    assert calls == []
+
+
 @pytest.fixture
 def views_on():
     previous = zero_copy_mode()
@@ -176,11 +188,11 @@ WINDOW_SHAPES = {
 
 class TestBinWalker:
     """The one ``.mrsb`` decoder, at every window boundary, through
-    every entry point."""
+    every entry point, in either kernel mode."""
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("shape", sorted(WINDOW_SHAPES))
-    def test_window_boundaries(self, tmp_path, shape, entry, views_on):
+    def test_window_boundaries(self, tmp_path, shape, entry, native_mode, views_on):
         pairs = _pairs_framed(WINDOW_SHAPES[shape])
         data = _write_file(tmp_path / "w.mrsb", pairs)
         assert len(data) == 5 + sum(WINDOW_SHAPES[shape])
@@ -192,7 +204,7 @@ class TestBinWalker:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("cut", ["header", "body"])
-    def test_truncation_raises(self, tmp_path, cut, entry, views_on):
+    def test_truncation_raises(self, tmp_path, cut, entry, native_mode, views_on):
         data = _write_file(tmp_path / "full.mrsb", _pairs_framed([40, 40, 40]))
         # Magic + two whole frames, then 3 bytes of the third's header,
         # or all of the third but its last byte.
