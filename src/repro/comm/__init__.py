@@ -5,25 +5,9 @@ paper "because it is included in the Python standard library even
 though other protocols are more efficient".  Data plane: either a
 shared filesystem (``file:`` URLs) or direct slave-to-slave transfer
 served by a built-in HTTP server (:mod:`repro.comm.dataserver`).
-Every server — RPC, data and status — is a request handler on the one
-:class:`~repro.comm.listener.Listener`.
-
-Bucket *fetches* ride the transfer plane (:mod:`repro.comm.transfer`):
-pooled keep-alive connections, inputs opened in parallel, and
-streaming, optionally compressed responses.
+Every server is a request handler on the one keep-alive
+:class:`~repro.comm.listener.Listener`, and both planes' calls and
+fetches go through one HTTP client, :mod:`repro.comm.transfer`'s
+``ConnectionPool``: pooled keep-alive connections, and for fetches,
+inputs opened in parallel and streaming, optionally compressed responses.
 """
-
-from repro.comm.rpc import RpcServer, rpc_client, parse_address, format_address
-from repro.comm.dataserver import DataServer
-from repro.comm.transfer import ConnectionPool, FetchError, FetchPolicy
-
-__all__ = [
-    "RpcServer",
-    "rpc_client",
-    "parse_address",
-    "format_address",
-    "DataServer",
-    "ConnectionPool",
-    "FetchError",
-    "FetchPolicy",
-]

@@ -6,7 +6,8 @@ status/control surface (:class:`~repro.comm.dataserver.StatusServer`)
 are each a request handler plus their own state on top of
 :class:`Listener`, which owns everything they share: binding (address
 reuse, a 128-connection backlog, ``TCP_NODELAY`` on accepted sockets),
-one daemon thread per request with a quiet error policy, the serving
+one daemon thread per HTTP/1.1 keep-alive connection, held until the
+peer closes it, with a quiet error policy, the serving
 thread ("all child threads are configured as daemon threads ... a
 straggling thread does not prevent the program from terminating",
 section IV-B), ``host``/``port``/``address``, and ``shutdown()``, which

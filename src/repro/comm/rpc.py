@@ -2,11 +2,13 @@
 
 "Communication between the master and a slave occurs over a simple
 HTTP-based remote procedure call API using XML-RPC" (section IV-B).
-We use the standard library's :mod:`xmlrpc` exactly as the paper did,
-wrapped with two conveniences: a server on the shared
-:class:`~repro.comm.listener.Listener` that exposes an object's
-``rpc_``-prefixed methods, and address parsing/formatting for
-the ``HOST:PORT`` strings that are the framework's entire configuration
+We use the standard library's XML-RPC encoding exactly as the paper
+did, over HTTP/1.1 keep-alive: a server on the shared
+:class:`~repro.comm.listener.Listener` exposes an object's
+``rpc_``-prefixed methods, and :class:`RpcClient`, one long-lived
+client per peer, sends calls through the keep-alive client the data
+plane's fetches use.  Address parsing/formatting covers the
+``HOST:PORT`` strings that are the framework's entire configuration
 surface.
 """
 
@@ -14,25 +16,38 @@ from __future__ import annotations
 
 import functools
 import time
+import xmlrpc.client
 from typing import Any, Optional, Tuple
-from xmlrpc.client import ServerProxy, Transport
 from xmlrpc.server import SimpleXMLRPCDispatcher, SimpleXMLRPCRequestHandler
 
 from repro.comm.listener import Listener
+from repro.comm.transfer import ConnectionPool
 
 RPC_PREFIX = "rpc_"
+_HEADERS = {"Content-Type": "text/xml"}
 
 
 class _QuietHandler(SimpleXMLRPCRequestHandler):
-    """Request handler that suppresses per-request stderr logging."""
+    """Request handler that suppresses per-request stderr logging and
+    keeps the connection open between calls."""
+
+    protocol_version = "HTTP/1.1"
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
 
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        # A stopped listener answers the call in hand and then closes a
+        # kept-alive connection, so a peer learns of the stop on its
+        # next call, as it does on a new connection.
+        if self.server.socket.fileno() < 0:
+            self.close_connection = True
+
 
 class RpcServer(Listener, SimpleXMLRPCDispatcher):
-    """Serve an object's ``rpc_*`` methods over XML-RPC, one call per
-    HTTP/1.0 connection, each in its own daemon thread."""
+    """Serve an object's ``rpc_*`` methods over XML-RPC, one daemon
+    thread per keep-alive connection."""
 
     thread_name = "rpc-server"
     # Read off the server by SimpleXMLRPCRequestHandler.
@@ -59,60 +74,65 @@ class RpcServer(Listener, SimpleXMLRPCDispatcher):
         super().__init__(_QuietHandler, host, port)
 
 
-def rpc_client(
-    address: str,
-    timeout: Optional[float] = None,
-    registry: Any = None,
-) -> Any:
-    """Connect to an RPC server at ``HOST:PORT``.
+class RpcClient:
+    """A thread-safe XML-RPC client for the server at ``HOST:PORT``.
 
-    Each client proxy is cheap; callers create one per thread because
-    :class:`ServerProxy` is not thread-safe.  With a ``registry``
-    (a :class:`~repro.observability.metrics.MetricsRegistry`), every
-    call is timed into ``rpc.client.<method>.seconds`` and failures
-    counted in ``rpc.client.errors`` — the control-plane latency the
-    paper's per-iteration overhead numbers are made of.
+    ``client.method(*params)`` POSTs the call through the client's own
+    :class:`~repro.comm.transfer.ConnectionPool`; concurrent calls hold
+    a connection each, so none waits behind another's timeout.  Returns
+    and :class:`xmlrpc.client.Fault` are the standard library's.  With a
+    ``registry``, each call is timed into ``rpc.client.<method>.seconds``
+    and counted in ``rpc.client.calls`` (failures in
+    ``rpc.client.errors``): the control-plane latency the paper's
+    per-iteration overhead is made of.
     """
-    host, port = parse_address(address)
-    uri = f"http://{host}:{port}/"
-    if timeout is not None:
-        proxy = ServerProxy(
-            uri, allow_none=True, transport=_TimeoutTransport(timeout)
-        )
-    else:
-        proxy = ServerProxy(uri, allow_none=True)
-    if registry is not None:
-        return MeteredProxy(proxy, registry)
-    return proxy
 
-
-class MeteredProxy:
-    """Wrap a ServerProxy so each method call records latency metrics."""
-
-    def __init__(self, proxy: Any, registry: Any, prefix: str = "rpc.client"):
-        self._proxy = proxy
-        self._registry = registry
-        self._prefix = prefix
+    def __init__(
+        self, address: str, timeout: Optional[float] = None, registry: Any = None
+    ):
+        self.host, self.port = parse_address(address)
+        self.timeout = timeout
+        self.registry = registry
+        self.pool = ConnectionPool()
 
     def __getattr__(self, name: str) -> Any:
-        method = getattr(self._proxy, name)
-        registry = self._registry
-        prefix = self._prefix
+        return functools.partial(self._call, name)
 
-        def call(*args: Any) -> Any:
-            started = time.perf_counter()
+    def _call(self, name: str, *params: Any) -> Any:
+        started = time.perf_counter()
+        body = xmlrpc.client.dumps(params, name, allow_none=True)
+        body = body.encode("utf-8", "xmlcharrefreplace")
+        host, port = self.host, self.port
+        try:
+            conn, _, response = self.pool.request(
+                host, port, "POST", "/", self.timeout, body, _HEADERS
+            )
             try:
-                result = method(*args)
-            except Exception:
-                registry.counter(f"{prefix}.errors").inc()
-                raise
-            registry.histogram(f"{prefix}.{name}.seconds").observe(
+                data = response.read()
+            finally:
+                self.pool.release(host, port, conn, response.isclosed())
+            if response.status != 200:
+                raise xmlrpc.client.ProtocolError(
+                    f"{host}:{port}/", response.status, response.reason, {}
+                )
+            result = xmlrpc.client.loads(data)[0][0]
+        except Exception:
+            if self.registry is not None:
+                self.registry.counter("rpc.client.errors").inc()
+            raise
+        if self.registry is not None:
+            self.registry.histogram(f"rpc.client.{name}.seconds").observe(
                 time.perf_counter() - started
             )
-            registry.counter(f"{prefix}.calls").inc()
-            return result
+            self.registry.counter("rpc.client.calls").inc()
+        return result
 
-        return call
+    def close(self) -> None:
+        """Close the idle connections."""
+        self.pool.close()
+
+
+rpc_client = RpcClient
 
 
 def _metered_handler(method: Any, public: str, registry: Any) -> Any:
@@ -141,16 +161,3 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 def format_address(host: str, port: int) -> str:
     return f"{host}:{port}"
-
-
-class _TimeoutTransport(Transport):
-    """An xmlrpc transport with a per-connection socket timeout."""
-
-    def __init__(self, timeout: float):
-        super().__init__()
-        self._timeout = timeout
-
-    def make_connection(self, host):
-        connection = super().make_connection(host)
-        connection.timeout = self._timeout
-        return connection

@@ -1,17 +1,22 @@
-"""The shuffle transfer plane: pooled, streaming bucket fetches.
+"""The HTTP client both planes share, and the shuffle fetches built on it.
 
 Section IV-B's direct peer transfer — "requests from readers are served
 by a built-in HTTP server" — is what makes iterative shuffles cheap, so
 reading a remote bucket should cost no more than reading a local file.
 This module owns everything between a bucket URL and the decoded record
-stream a task consumes:
+stream a task consumes, and the keep-alive client under it:
 
-* :class:`FetchPolicy` — the one timeout/retries/backoff policy shared
-  by every HTTP fetch in the process.
 * :class:`ConnectionPool` — persistent keep-alive
   :class:`http.client.HTTPConnection` objects keyed by ``host:port``,
-  so an R-bucket shuffle pays one TCP handshake per peer instead of one
-  per bucket.
+  and :meth:`ConnectionPool.request`, the one place a request is sent
+  on a pooled connection (and replayed once when a reused connection
+  turns out to be closed by its peer).  Bucket fetches share the
+  process's pool (:func:`get_pool`), so an R-bucket shuffle pays one
+  TCP handshake per peer instead of one per bucket; every control-plane
+  client (:class:`~repro.comm.rpc.RpcClient`) owns a pool of its own,
+  so its sockets go with the peer's record.
+* :class:`FetchPolicy` — the one timeout/retries/backoff policy shared
+  by every HTTP fetch in the process.
 * streaming fetches — the response body feeds the format reader
   straight off the socket (``BinReader.iter_records`` slices canonical
   key bytes from the wire), with transparent gzip when negotiated and
@@ -20,9 +25,9 @@ stream a task consumes:
   advanced to its first record, and hands the streams back to be read
   in the task's own thread: a reduce merge reads each key-sorted remote
   bucket straight off its socket, exactly as it reads a local file.
-* :class:`TransferStats` — bytes moved, connections created/reused and
-  retries, mirrored into the process's metrics registry and
-  piggybacked per task to the coordinator.
+* :class:`TransferStats` — fetch bytes, connections created/reused and
+  retries (RPC calls are not counted here), mirrored into the process's
+  metrics registry and piggybacked per task to the coordinator.
 
 The plane has no options: its settings are the module constants below
 (:data:`FETCH_THREADS`, :data:`COMPRESSION` and :class:`FetchPolicy`'s
@@ -181,25 +186,22 @@ class ConnectionPool:
     """Keep-alive HTTP connections keyed by ``(host, port)``.
 
     ``acquire`` hands out an idle pooled connection when one exists
-    (counted as reused) or opens a fresh one, and never waits: a task
-    merging N key-sorted buckets from one peer holds N connections for
-    as long as the merge runs, so any per-host cap below its fan-in
-    would hang it.  ``release`` returns a healthy connection to the
-    idle stack (at most ``max_idle_per_host`` kept) or closes it.
+    (``reused``) or opens a fresh one, and never waits: a task merging
+    N key-sorted buckets from one peer holds N connections for as long
+    as the merge runs, so any per-host cap below its fan-in would hang
+    it.  ``release`` returns a healthy connection to the idle stack (at
+    most ``max_idle_per_host`` kept) or closes it.  :meth:`request` is
+    the one way a request is sent on a pooled connection, by fetches
+    and RPC calls alike.
     """
 
-    def __init__(
-        self,
-        max_idle_per_host: int = 4,
-        stats: Optional[TransferStats] = None,
-    ):
+    def __init__(self, max_idle_per_host: int = 4):
         self.max_idle_per_host = max_idle_per_host
-        self.stats = stats if stats is not None else STATS
         self._lock = threading.Lock()
         self._idle: Dict[Tuple[str, int], deque] = {}
 
     def acquire(
-        self, host: str, port: int, timeout: float
+        self, host: str, port: int, timeout: Optional[float]
     ) -> Tuple[http.client.HTTPConnection, bool]:
         """Return ``(connection, reused)`` for ``host:port``."""
         with self._lock:
@@ -211,11 +213,39 @@ class ConnectionPool:
             # socket; a live pooled socket must be retimed directly.
             if conn.sock is not None:
                 conn.sock.settimeout(timeout)
-            self.stats.add("fetch.connections.reused")
             return conn, True
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        self.stats.add("fetch.connections.created")
-        return conn, False
+        return http.client.HTTPConnection(host, port, timeout=timeout), False
+
+    def request(
+        self,
+        host: str,
+        port: int,
+        method: str,
+        path: str,
+        timeout: Optional[float],
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[http.client.HTTPConnection, bool, http.client.HTTPResponse]:
+        """Send one request; return ``(conn, reused, response)`` once the
+        status line is in.  The caller reads the body and releases ``conn``.
+
+        A failure closes the connection and raises, except that a *reused*
+        connection its peer has closed (``RemoteDisconnected``, a reset,
+        an abort or a broken pipe: a :class:`ConnectionError`) is replayed
+        once on a fresh one.  A timeout is never replayed, so a slow but
+        live peer never receives a request twice.
+        """
+        conn, reused = self.acquire(host, port, timeout)
+        while True:
+            try:
+                conn.request(method, path, body, headers or {})
+                return conn, reused, conn.getresponse()
+            except BaseException as exc:
+                self.release(host, port, conn, reusable=False)
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
+            conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            reused = False
 
     def release(
         self,
@@ -345,49 +375,6 @@ class _RawAdapter(io.RawIOBase):
         return len(data)
 
 
-def _open_response(
-    url: str,
-    parsed: urllib.parse.ParseResult,
-    pool: ConnectionPool,
-    policy: FetchPolicy,
-    gzip_ok: bool,
-) -> Tuple[http.client.HTTPConnection, bool, Any]:
-    """One GET attempt on a pooled connection.
-
-    Returns ``(conn, reused, response)``; raises on connect/HTTP
-    failure after returning the connection to the pool.  A *reused*
-    connection that fails before producing a status line gets one free
-    replay on a fresh connection — the server legitimately closes idle
-    keep-alive sockets, and that must not burn a retry.
-    """
-    host = parsed.hostname or "127.0.0.1"
-    port = parsed.port or 80
-    path = parsed.path or "/"
-    if parsed.query:
-        path += "?" + parsed.query
-    headers = {"Accept-Encoding": "gzip" if gzip_ok else "identity"}
-    for replay in (True, False):
-        conn, reused = pool.acquire(host, port, policy.timeout)
-        try:
-            conn.request("GET", path, headers=headers)
-            response = conn.getresponse()
-        except Exception:
-            pool.release(host, port, conn, reusable=False)
-            if reused and replay:
-                continue
-            raise
-        if response.status != 200:
-            # Drain the error body so the connection stays reusable.
-            try:
-                response.read()
-                pool.release(host, port, conn, reusable=True)
-            except Exception:
-                pool.release(host, port, conn, reusable=False)
-            raise FetchError(f"HTTP {response.status} fetching {url}")
-        return conn, reused, response
-    raise FetchError(f"failed to fetch {url}")  # pragma: no cover
-
-
 def _stream_items(
     url: str,
     make_iter: Callable[[Any], Iterator[Any]],
@@ -411,7 +398,11 @@ def _stream_items(
     parsed = urllib.parse.urlparse(url)
     host = parsed.hostname or "127.0.0.1"
     port = parsed.port or 80
-    gzip_ok = _want_gzip(host, compression or COMPRESSION)
+    path = parsed.path or "/"
+    if parsed.query:
+        path += "?" + parsed.query
+    gzip = _want_gzip(host, compression or COMPRESSION)
+    headers = {"Accept-Encoding": "gzip" if gzip else "identity"}
     delivered = 0
     last_error: Exception = FetchError(url)
     for attempt in range(policy.retries):
@@ -420,13 +411,20 @@ def _stream_items(
             time.sleep(policy.backoff(attempt - 1))
         started = time.perf_counter()
         try:
-            conn, _, response = _open_response(url, parsed, pool, policy, gzip_ok)
+            conn, reused, response = pool.request(
+                host, port, "GET", path, policy.timeout, headers=headers
+            )
         except Exception as exc:
             last_error = exc
             continue
-        STATS.add("fetch.requests")
+        STATS.add(
+            "fetch.connections.reused" if reused else "fetch.connections.created"
+        )
         reusable = False
         try:
+            if response.status != 200:
+                raise FetchError(f"HTTP {response.status} fetching {url}")
+            STATS.add("fetch.requests")
             stream: Any = _ByteCounter(response, "fetch.wire_bytes")
             if (response.getheader("Content-Encoding") or "").lower() == "gzip":
                 stream = _GunzipStream(stream)

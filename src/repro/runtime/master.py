@@ -79,17 +79,13 @@ class SlaveRecord:
         self.id = slave_id
         self.address = address
         self.alive = True
-        #: Metrics registry receiving master->slave RPC latencies.
-        self.registry = registry
+        #: The one client for master->slave calls, shared by every
+        #: thread; its latencies go to ``registry``.
+        self.client = rpc_client(
+            address, timeout=SLAVE_RPC_TIMEOUT, registry=registry
+        )
         #: Consecutive watchdog ping failures (reset on any success).
         self.ping_failures = 0
-
-    def client(self):
-        """A fresh RPC proxy (ServerProxy is not thread-safe; callers
-        hold one per call site)."""
-        return rpc_client(
-            self.address, timeout=SLAVE_RPC_TIMEOUT, registry=self.registry
-        )
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
@@ -168,7 +164,7 @@ class MasterBackend(Coordinator):
         return (s.id for s in self._slaves.values() if s.alive)
 
     def _send(self, worker_id: int, descriptor: Dict[str, Any]) -> None:
-        self._slaves[worker_id].client().start_task(descriptor)
+        self._slaves[worker_id].client.start_task(descriptor)
 
     def _output_dir(self, dataset: ComputedData) -> Optional[str]:
         if self.data_plane == "file":
@@ -210,9 +206,13 @@ class MasterBackend(Coordinator):
         status["slaves"] = slaves
 
     def _release_worker_copies(self, dataset_id: str) -> None:
+        # On the file plane every bucket lives under the shared run
+        # directory, so a slave holds no copy to drop.
+        if self.data_plane != "http":
+            return
         for record in self.alive_slaves():
             try:
-                record.client().remove_data(dataset_id)
+                record.client.remove_data(dataset_id)
             except Exception:
                 pass  # best-effort cleanup
 
@@ -220,9 +220,10 @@ class MasterBackend(Coordinator):
         self._stop_watchdog.set()
         for record in self.alive_slaves():
             try:
-                record.client().quit()
+                record.client.quit()
             except Exception:
                 pass
+            record.client.close()
         self.rpc.shutdown()
         if self.dataserver is not None:
             self.dataserver.shutdown()
@@ -438,6 +439,7 @@ class MasterBackend(Coordinator):
                 recomputed = self._recover_lost_data(slave_id)
             alive = len(self.alive_slaves())
             self._cond.notify_all()
+        record.client.close()
         self.observability.registry.counter("slaves.lost").inc()
         self.observability.registry.gauge("slaves.alive").set(alive)
         events = self.observability.events
@@ -509,7 +511,7 @@ class MasterBackend(Coordinator):
                     return
                 started = time.perf_counter()
                 try:
-                    result = record.client().ping()
+                    result = record.client.ping()
                 except Exception as exc:
                     # 3-strike budget: a single transient timeout must
                     # not lose a healthy slave (mirrors the slave side's

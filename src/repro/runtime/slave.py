@@ -91,6 +91,13 @@ class Slave:
         self.quit_event = threading.Event()
         self.data_plane = getattr(opts, "data_plane", "file") or "file"
         self.observability = Observability(role="slave")
+        #: The one client for slave->master calls, built before anything
+        #: that can fail, so :meth:`shutdown` can always close it.
+        self.master = rpc_client(
+            self.master_address,
+            timeout=30.0,
+            registry=self.observability.registry,
+        )
         # Mirror the transfer plane's counters into the slave's live
         # registry.
         transfer.install_registry(self.observability.registry)
@@ -139,16 +146,9 @@ class Slave:
 
     # -- master communication -------------------------------------------
 
-    def _master(self):
-        return rpc_client(
-            self.master_address,
-            timeout=30.0,
-            registry=self.observability.registry,
-        )
-
     def signin(self) -> int:
         self.slave_id = int(
-            self._master().signin(
+            self.master.signin(
                 protocol.PROTOCOL_VERSION, self.rpc.host, self.rpc.port
             )
         )
@@ -209,7 +209,7 @@ class Slave:
             self.observability.registry.histogram("task.seconds").observe(
                 seconds
             )
-            self._master().done(
+            self.master.done(
                 self.slave_id, dataset_id, task_index, urls, seconds, metrics
             )
         except Exception as exc:
@@ -218,7 +218,7 @@ class Slave:
             )
             self.observability.registry.counter("tasks.failed").inc()
             try:
-                self._master().failed(
+                self.master.failed(
                     self.slave_id, dataset_id, task_index, repr(exc)
                 )
             except Exception:
@@ -272,7 +272,7 @@ class Slave:
                     if now - last_ping >= MASTER_PING_INTERVAL:
                         last_ping = now
                         try:
-                            self._master().ping(self.slave_id)
+                            self.master.ping(self.slave_id)
                             ping_failures = 0
                         except Exception:
                             ping_failures += 1
@@ -293,9 +293,11 @@ class Slave:
         for server in (self.rpc, self.dataserver):
             if server is not None:
                 server.shutdown()
-        # Pooled keep-alive transfer connections are process-global;
-        # close them so a graceful exit leaves no half-open sockets
-        # (ConnectionPool.close already ignores per-connection errors).
+        # Close the keep-alive connections, the master's and the
+        # process-global transfer pool's, so a graceful exit leaves no
+        # half-open sockets (ConnectionPool.close already ignores
+        # per-connection errors).
+        self.master.close()
         transfer.get_pool().close()
         if self._owns_tmpdir:
             shutil.rmtree(os.path.dirname(self.localdir), ignore_errors=True)

@@ -7,6 +7,7 @@ import socket
 import threading
 import time
 import urllib.request
+import xmlrpc.client
 
 import pytest
 
@@ -109,10 +110,12 @@ def test_serve_then_stop(tmp_path, kind, form):
 
 def open_idle_connection(kind, server):
     """A client connection the server is holding open: a finished
-    keep-alive GET on the HTTP/1.1 listeners; on the RPC listener (one
-    call per connection) a connection that has not sent its call."""
+    keep-alive call (RPC) or GET (data, status)."""
     if kind == "rpc":
-        return socket.create_connection((server.host, server.port), timeout=5)
+        client = rpc_client(server.address, timeout=5)
+        assert client.echo("x") == "x"
+        assert client.pool.idle_count(server.host, server.port) == 1
+        return client
     conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
     conn.request("GET", KEEP_ALIVE_PATHS[kind])
     assert conn.getresponse().read()
@@ -196,18 +199,26 @@ def test_start_serve_stop_cycles_leak_nothing(tmp_path, kind):
     assert fds() <= fds_before
 
 
-def test_rpc_one_call_per_connection():
-    """The RPC listener speaks HTTP/1.0: every call is its own
-    connection, closed by the server after the reply."""
+def test_rpc_keeps_the_connection_alive():
+    """The RPC listener speaks HTTP/1.1 keep-alive: five calls from one
+    client ride one accepted connection."""
     with RpcServer(Echo()) as server:
-        head = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        accepted = []
+        get_request = server.get_request
+
+        def counting_get_request():
+            accepted.append(1)
+            return get_request()
+
+        server.get_request = counting_get_request
+        client = rpc_client(server.address, timeout=5)
+        for i in range(5):
+            assert client.echo(i) == i
+        client.close()
+        assert len(accepted) == 1
+        body = xmlrpc.client.dumps(("x",), "echo").encode()
+        head = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
         with socket.create_connection((server.host, server.port)) as sock:
             sock.settimeout(5)
-            sock.sendall(head)
-            answer = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break  # server closed the connection
-                answer += chunk
-        assert answer.startswith(b"HTTP/1.0 ")
+            sock.sendall(head % len(body) + body)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")

@@ -82,6 +82,26 @@ class TestRpcServer:
             t.join()
         assert not errors
 
+    def test_one_client_shared_by_threads(self, server):
+        srv, handler = server
+        client = rpc_client(srv.address, timeout=5)
+        errors = []
+
+        def hammer(n):
+            try:
+                for i in range(10):
+                    assert client.add(n, i) == n + i
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        client.close()
+        assert not errors
+
     def test_client_timeout_on_dead_server(self):
         handler = EchoHandler()
         srv = RpcServer(handler)
@@ -102,3 +122,60 @@ class TestAddresses:
 
     def test_empty_host_defaults_to_loopback(self):
         assert parse_address(":8000") == ("127.0.0.1", 8000)
+
+
+class TestKeepAlive:
+    def test_call_after_server_closed_idle_connection(self, server):
+        """A kept-alive connection the server has closed is replayed
+        once on a fresh connection: the call succeeds and the handler
+        runs exactly once."""
+        srv, handler = server
+
+        class CloseAfterReply(srv.RequestHandlerClass):
+            def handle_one_request(self):
+                super().handle_one_request()
+                self.close_connection = True
+
+        srv.RequestHandlerClass = CloseAfterReply
+        client = rpc_client(srv.address, timeout=5)
+        assert client.echo("first") == "first"
+        assert client.pool.idle_count(srv.host, srv.port) == 1
+        assert client.echo("second") == "second"
+        client.close()
+        assert handler.calls == ["first", "second"]
+
+    def test_timeout_is_not_replayed(self, server):
+        """A handler slower than the client's timeout: the call raises,
+        and the handler ran once, on a reused connection too."""
+        srv, _ = server
+        release = threading.Event()
+        ran = []
+
+        def slow():
+            ran.append(1)
+            return release.wait(5)
+
+        srv.register_function(slow, "slow")
+        client = rpc_client(srv.address, timeout=0.2)
+        assert client.echo("warm") == "warm"  # the next call reuses it
+        with pytest.raises(TimeoutError):
+            client.slow()
+        release.set()
+        client.close()
+        assert ran == [1]
+
+    def test_stopped_server_closes_kept_alive_connection(self):
+        """A stopped server closes a kept-alive connection once it has
+        answered the call in hand (if one raced the stop), so a client
+        learns of the stop by its second call at the latest."""
+        srv = RpcServer(EchoHandler())
+        client = rpc_client(srv.address, timeout=5)
+        assert client.echo("before") == "before"
+        srv.shutdown()
+        try:
+            client.echo("racing the stop")
+        except ConnectionRefusedError:
+            pass
+        with pytest.raises(ConnectionRefusedError):
+            client.echo("after")
+        client.close()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.comm import transfer
 from repro.comm.dataserver import DataServer
+from repro.comm.rpc import RpcServer, rpc_client
 from repro.comm.transfer import (
     ConnectionPool,
     FetchError,
@@ -107,6 +108,23 @@ class TestConnectionReuse:
             finally:
                 pool.release(server.host, server.port, conn, reusable=True)
         pool.close()
+
+    def test_rpc_calls_stay_out_of_fetch_counters(self):
+        """RPC clients share the pool's code, not its counters: the
+        fetch connection counters count fetches only."""
+
+        class Echo:
+            def rpc_echo(self, value):
+                return value
+
+        with RpcServer(Echo()) as server:
+            client = rpc_client(server.address, timeout=5)
+            before = transfer.STATS.totals()
+            for i in range(10):
+                assert client.echo(i) == i
+            delta = transfer.STATS.delta(before)
+            client.close()
+        assert not [name for name in delta if name.startswith("fetch.")]
 
     def test_counters_visible_in_metrics_names(self, tmp_path):
         path = write_bucket(tmp_path, "a.mrsb", [("k", 1)])

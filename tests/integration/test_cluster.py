@@ -124,6 +124,22 @@ class TestPsoDistributed:
         ] == [(r.iteration, r.evals, r.best) for r in serial.convergence]
 
 
+    def test_file_plane_sends_no_remove_data(self):
+        """PSO releases every finished iteration's datasets.  On the
+        file plane their buckets live in the shared run directory, so
+        the master sends no slave a ``remove_data`` call."""
+        flags = [
+            "--mrs-seed", "17", "--pso-function", "sphere", "--pso-dims", "6",
+            "--pso-subswarms", "3", "--pso-particles", "4",
+            "--pso-inner", "3", "--pso-outer", "3",
+        ]
+        with LocalCluster(ApiaryPSO, flags, n_slaves=2) as cluster:
+            program = cluster.run()
+        histograms = program.metrics_report["metrics"]["histograms"]
+        assert "rpc.client.start_task.seconds" in histograms
+        assert "rpc.client.remove_data.seconds" not in histograms
+
+
 class TestFailureInjection:
     def test_slave_death_mid_job_recovers(self, tmp_path):
         """Kill one of three slaves mid-run; the watchdog reassigns its

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.comm.rpc import RpcServer
 from repro.core.dataset import LocalData
 from repro.core.job import Job
 from repro.core.options import default_options
@@ -178,6 +179,26 @@ class TestLifecycle:
     def test_lose_unknown_slave_is_noop(self, backend):
         b, _ = backend
         b.lose_slave(999, "never existed")
+
+    def test_lost_slave_keeps_no_idle_connection(self, backend):
+        """Each slave record owns one keep-alive client; losing the
+        slave closes its idle connection."""
+
+        class FakeSlave:
+            def rpc_ping(self):
+                return True
+
+            def rpc_quit(self):
+                return True
+
+        b, _ = backend
+        with RpcServer(FakeSlave()) as fake:
+            slave = b.slave_signin(1, fake.address)
+            client = b._slaves[slave].client
+            assert client.ping() and client.ping()
+            assert client.pool.idle_count(fake.host, fake.port) == 1
+            b.lose_slave(slave, "test")
+            assert client.pool.idle_count(fake.host, fake.port) == 0
 
 
 class TestStatus:
