@@ -142,16 +142,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         "(ablation knob)",
     )
     group.add_argument(
-        "--mrs-pipeline",
-        dest="pipeline",
-        choices=("off", "buckets"),
-        default="buckets",
-        help="iteration pipelining: 'buckets' dispatches a task as "
-        "soon as its specific input buckets are committed (identity-"
-        "routed reduce->map edges overlap across iterations); 'off' "
-        "restores the per-dataset barrier (ablation knob)",
-    )
-    group.add_argument(
         "--mrs-host",
         dest="host",
         default=None,

@@ -88,8 +88,7 @@ class Coordinator(Backend):
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self.scheduler = Scheduler(
-            affinity=not getattr(opts, "no_affinity", False),
-            pipeline=getattr(opts, "pipeline", "buckets") != "off",
+            affinity=not getattr(opts, "no_affinity", False)
         )
         #: Straggler scorer: reads ``_busy`` and the task spans; see
         #: :meth:`straggler_candidates`.
@@ -98,10 +97,6 @@ class Coordinator(Backend):
         #: later fields win, so a ping's RTT and a done's sample share
         #: one entry.
         self._health: Dict[str, Dict[str, float]] = {}
-        #: Mirror of the scheduler's pipelined-dispatch count already
-        #: folded into the metrics registry.
-        self._pipelined_seen = 0
-        self.observability.registry.counter("scheduler.pipelined_dispatches")
         self._datasets: Dict[str, BaseDataset] = {}
         self._failures = FailureTracker()
         #: Task each worker is currently executing (absent = idle);
@@ -188,7 +183,6 @@ class Coordinator(Backend):
                     affinity_group=dataset.affinity_group,
                     input_id=dataset.input_id,
                     blocking_ids=dataset.blocking_ids,
-                    routing=dataplane.derive_routing(dataset, input_dataset),
                     job_id=getattr(job, "namespace", None),
                 )
             )
@@ -196,9 +190,8 @@ class Coordinator(Backend):
         self._dispatch()
 
     def _drain_scheduler(self) -> None:
-        """Publish scheduler-side transitions (caller holds the lock):
-        zero-task datasets that completed without any task report, and
-        pipelined tasks whose input buckets just committed."""
+        """Publish the zero-task datasets that completed without any
+        task report (caller holds the lock)."""
         events = self.observability.events
         for dataset_id in self.scheduler.take_completed_datasets():
             dataset = self._datasets.get(dataset_id)
@@ -209,17 +202,6 @@ class Coordinator(Backend):
                     events.emit(
                         "dataset.complete", dataset_id=dataset_id, tasks=0
                     )
-        for entry in self.scheduler.take_unblocked():
-            dataset_id, task_index = entry["task"]
-            if events is not None:
-                events.emit(
-                    "task.unblocked",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    input_id=entry["input_id"],
-                    source=entry["source"],
-                    split=entry["split"],
-                )
         self._cond.notify_all()
 
     def wait(
@@ -532,9 +514,8 @@ class Coordinator(Backend):
             # Dependents can never run; fail them too so any wait() on
             # them returns instead of hanging.
             propagate_error(self._datasets, dataset_id)
-            # Drop the failed datasets' remaining queued tasks —
-            # including dependents' pre-queued pipelined ones; they can
-            # only waste workers.
+            # Cancel the failed datasets: their queued tasks can only
+            # waste workers, and their in-flight ones are not requeued.
             for errored_id, errored in self._datasets.items():
                 if errored.error:
                     self.scheduler.cancel_dataset(errored_id)
@@ -548,13 +529,11 @@ class Coordinator(Backend):
         return True
 
     def _note_requeued(self, task: TaskId, free_retry: bool = False) -> None:
-        """Emit ``task.requeued`` unless the task's dataset has failed
-        (caller holds the lock)."""
+        """Emit ``task.requeued`` if the task is back in the queue — not
+        when its dataset failed or was released (caller holds the
+        lock)."""
         events = self.observability.events
-        dataset = self._datasets.get(task[0])
-        if events is not None and (
-            free_retry or (dataset is not None and not dataset.error)
-        ):
+        if events is not None and self.scheduler.is_pending(task):
             events.emit(
                 "task.requeued",
                 dataset_id=task[0],
@@ -586,12 +565,6 @@ class Coordinator(Backend):
                     self._busy[worker_id] = task
                     self.observability.tracer.span(*task).mark("started")
                     to_send.append((worker_id, task, descriptor))
-                pipelined = self.scheduler.pipelined_dispatches
-                if pipelined > self._pipelined_seen:
-                    self.observability.registry.counter(
-                        "scheduler.pipelined_dispatches"
-                    ).inc(pipelined - self._pipelined_seen)
-                    self._pipelined_seen = pipelined
             if not to_send:
                 return
             # First work handed out: the job is effectively started even

@@ -10,48 +10,9 @@ before a task descriptor referencing them can be handed out.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-from repro.core.dataset import BaseDataset, ComputedData
-from repro.core.operations import REDUCE
+from repro.core.dataset import BaseDataset
 from repro.io.bucket import Bucket, FileBucket
-from repro.runtime.scheduler import ROUTING_IDENTITY
-
-
-def derive_routing(
-    dataset: ComputedData, input_dataset: BaseDataset
-) -> Optional[str]:
-    """How ``dataset``'s output buckets route to its consumers.
-
-    Returns :data:`~repro.runtime.scheduler.ROUTING_IDENTITY` when task
-    ``i`` provably writes only split ``i``, so a consumer task ``j``
-    depends on source ``j`` alone; ``None`` means dense (any task may
-    write any split) and consumers must wait for the whole dataset.
-
-    The identity case is a *reduce* whose partition function and split
-    count match its input's: a reduce emits each group's key unchanged
-    (the task runner reuses the group's key bytes), the input column
-    ``i`` holds exactly the keys the input's partitioner sent to split
-    ``i``, and the partitioner contract makes the split a pure function
-    of the key — so re-partitioning the same keys with the same
-    function over the same split count lands everything back on split
-    ``i``.  This is the shape of every iterative reduce-then-map
-    program that keeps a stable partitioner across the iteration.
-    """
-    operation = dataset.operation
-    if operation.kind != REDUCE:
-        return None
-    if not isinstance(input_dataset, ComputedData):
-        return None
-    input_op = input_dataset.operation
-    if operation.parter_name != input_op.parter_name:
-        return None
-    if operation.splits != input_op.splits:
-        return None
-    # Square grid: source i must exist for every output split i.
-    if dataset.ntasks != operation.splits:
-        return None
-    return ROUTING_IDENTITY
 
 
 def spill_bucket(dataset: BaseDataset, bucket: Bucket, tmpdir: str) -> str:

@@ -18,26 +18,12 @@ Model
   ``(affinity_group, task_index) -> slave``.  Future tasks with the
   same key prefer that slave.  Iterative programs get this for free
   because every iteration's datasets share an affinity group.
-
-Bucket-granular pipelining
---------------------------
-Dependencies are tracked at *bucket* granularity, not just dataset
-granularity.  Every completed task of a scheduled dataset records a
-**source commit**: source ``i``'s output buckets are durable and their
-URLs published.  When a producer has *identity routing* (its task ``i``
-writes only split ``i`` — true for a reduce that re-partitions with the
-same partition function and split count as its input, because a reduce
-emits each group's key unchanged), a consumer task ``j`` reads exactly
-the producer's source-``j`` bucket plus structurally empty ones.  Such
-consumer tasks are queued as soon as the consumer is submitted and
-become *eligible* the moment source ``j`` commits — even while sibling
-producer tasks are still running.  Dense (all-to-all) edges keep the
-classic dataset barrier.
-
-Lineage recovery revokes commits with the same precision:
-``reset_tasks`` removes exactly the reset sources' commits, so a
-revoked producer re-blocks exactly its consumers' corresponding tasks
-and nothing else.
+* One dependency rule: a queued task may run only while its input
+  dataset and blockers are complete.  Lineage recovery revokes a
+  dataset's completeness (:meth:`Scheduler.unmark_complete`), which
+  holds back its consumers' queued tasks until the lost tasks re-run.
+* A cancelled dataset (failed or released) never has a task queued
+  again, whichever path would requeue it.
 """
 
 from __future__ import annotations
@@ -45,10 +31,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 TaskId = Tuple[str, int]
-
-#: Producer task ``i`` writes only split ``i`` (diagonal bucket grid);
-#: consumer task ``j`` depends on source ``j`` alone.
-ROUTING_IDENTITY = "identity"
 
 
 class TaskState:
@@ -67,7 +49,6 @@ class ScheduledDataset:
         affinity_group: str,
         input_id: str,
         blocking_ids: Sequence[str] = (),
-        routing: Optional[str] = None,
         job_id: Optional[str] = None,
     ):
         self.id = dataset_id
@@ -80,18 +61,10 @@ class ScheduledDataset:
         #: starve the others; ``None`` (the single-job case) is its own
         #: bucket and degenerates to the classic FIFO behaviour.
         self.job_id = job_id
-        #: How this dataset's output buckets route to consumers:
-        #: ``None`` (dense — any consumer task may read any source) or
-        #: :data:`ROUTING_IDENTITY`.
-        self.routing = routing
         self.task_state: Dict[int, str] = {}
         self.runnable = False
-        #: Tasks were queued ahead of activation (pipelined consumer).
-        self.prequeued = False
-        #: Source indices whose output buckets are durable.  A source
-        #: commits when its task completes and is revoked when lineage
-        #: recovery resets that task.
-        self.committed: Set[int] = set()
+        #: Failed or released: no task of this dataset is queued again.
+        self.cancelled = False
 
     @property
     def done_count(self) -> int:
@@ -107,12 +80,8 @@ class ScheduledDataset:
 class Scheduler:
     """Affinity-aware FIFO task scheduler."""
 
-    def __init__(self, affinity: bool = True, pipeline: bool = True):
+    def __init__(self, affinity: bool = True):
         self.affinity_enabled = affinity
-        #: Bucket-granular pipelining: dispatch a consumer task as soon
-        #: as its specific input buckets are committed, instead of
-        #: waiting for the whole input dataset (``--mrs-pipeline``).
-        self.pipeline_enabled = pipeline
         self._datasets: Dict[str, ScheduledDataset] = {}
         #: Insertion order of datasets — FIFO across datasets keeps
         #: early operations flowing first.
@@ -125,20 +94,14 @@ class Scheduler:
         #: Completed input datasets (including non-computed ones the
         #: master marks complete directly).
         self._complete_ids: Set[str] = set()
-        #: dataset id -> scheduled datasets that read it as input.
-        self._consumers: Dict[str, List[str]] = {}
-        #: Tasks dispatched before their input dataset completed.
-        self.pipelined_dispatches = 0
         #: Fair-share rotation pointer: the job id served by the most
         #: recent ``next_task`` pick.
         self._last_job: Optional[str] = None
         #: Dispatch counts per job id (fairness introspection).
         self.job_dispatches: Dict[Optional[str], int] = {}
-        #: Drain queues for the driving backend (under its lock):
-        #: datasets that completed without any task running (ntasks=0)
-        #: and tasks whose eligibility just flipped on a bucket commit.
+        #: Datasets that completed without any task running (ntasks=0),
+        #: drained by the driving backend under its lock.
         self._completed_datasets: List[str] = []
-        self._unblocked: List[Dict[str, Any]] = []
 
     # -- dataset lifecycle ------------------------------------------------
 
@@ -148,21 +111,7 @@ class Scheduler:
         self._datasets[sched.id] = sched
         self._order_rank[sched.id] = len(self._order)
         self._order.append(sched.id)
-        self._consumers.setdefault(sched.input_id, []).append(sched.id)
-        if not self._maybe_activate(sched) and self._pipelinable(sched):
-            # The input is an identity-routing producer: queue every
-            # task now so each becomes dispatchable the moment its own
-            # source bucket commits.
-            sched.prequeued = True
-            for task_index in range(sched.ntasks):
-                sched.task_state[task_index] = TaskState.PENDING
-                self._insert_pending((sched.id, task_index))
-
-    def _pipelinable(self, sched: ScheduledDataset) -> bool:
-        if not self.pipeline_enabled:
-            return False
-        producer = self._datasets.get(sched.input_id)
-        return producer is not None and producer.routing == ROUTING_IDENTITY
+        self._maybe_activate(sched)
 
     def mark_input_complete(self, dataset_id: str) -> List[str]:
         """Record that ``dataset_id`` is complete; activate dependents.
@@ -184,10 +133,9 @@ class Scheduler:
         if not deps <= self._complete_ids:
             return False
         sched.runnable = True
-        if not sched.prequeued:
-            for task_index in range(sched.ntasks):
-                sched.task_state[task_index] = TaskState.PENDING
-                self._insert_pending((sched.id, task_index))
+        for task_index in range(sched.ntasks):
+            sched.task_state[task_index] = TaskState.PENDING
+            self._insert_pending((sched.id, task_index))
         if sched.ntasks == 0:
             # A zero-task dataset is complete the instant it activates;
             # nothing will ever call task_done for it, so completion
@@ -211,13 +159,6 @@ class Scheduler:
         wake waiters."""
         drained = self._completed_datasets
         self._completed_datasets = []
-        return drained
-
-    def take_unblocked(self) -> List[Dict[str, Any]]:
-        """Drain pipelined eligibility flips: each entry names the task
-        that just became dispatchable and the bucket that enabled it."""
-        drained = self._unblocked
-        self._unblocked = []
         return drained
 
     # -- slaves ------------------------------------------------------------
@@ -257,7 +198,11 @@ class Scheduler:
         index) so requeued tasks — slave loss, failure retry, lineage
         re-execution — rejoin *ahead* of later iterations' work instead
         of starving the dependency frontier at the tail of the queue.
+        A cancelled dataset's task is refused: every requeue path ends
+        here, and a failure or release is permanent.
         """
+        if self._datasets[task[0]].cancelled:
+            return
         rank = (self._order_rank.get(task[0], len(self._order)), task[1])
         lo, hi = 0, len(self._pending)
         while lo < hi:
@@ -274,27 +219,14 @@ class Scheduler:
         self._pending.insert(lo, task)
 
     def _task_eligible(self, task: TaskId) -> bool:
-        """A task may run once the buckets it reads are durable.
-
-        Dataset granularity: the input (and any blockers) are complete.
-        Bucket granularity: with pipelining on and an identity-routing
-        producer, task ``j`` needs only producer source ``j`` committed.
-        Lineage recovery can *revoke* either level while consumers are
-        already queued — dispatching one then would silently compute
-        over partial input.
-        """
+        """A queued task may run while its input dataset and blockers
+        are complete.  Lineage recovery can revoke that after the task
+        was queued — dispatching it then would silently compute over
+        partial input."""
         sched = self._datasets[task[0]]
-        if not sched.blocking_ids <= self._complete_ids:
-            return False
-        if sched.input_id in self._complete_ids:
-            return True
-        if not self.pipeline_enabled:
-            return False
-        producer = self._datasets.get(sched.input_id)
         return (
-            producer is not None
-            and producer.routing == ROUTING_IDENTITY
-            and task[1] in producer.committed
+            sched.input_id in self._complete_ids
+            and sched.blocking_ids <= self._complete_ids
         )
 
     def next_task(self, slave_id: int) -> Optional[TaskId]:
@@ -340,10 +272,6 @@ class Scheduler:
         self._datasets[dataset_id].task_state[task_index] = TaskState.ASSIGNED
         self._assigned[task] = slave_id
         self._slave_tasks[slave_id].add(task)
-        if dataset_id in self._datasets and (
-            self._datasets[dataset_id].input_id not in self._complete_ids
-        ):
-            self.pipelined_dispatches += 1
         return task
 
     def _pick_job(self, candidates: Dict[Optional[str], Any]) -> Optional[str]:
@@ -361,6 +289,9 @@ class Scheduler:
 
     def has_pending(self) -> bool:
         return bool(self._pending)
+
+    def is_pending(self, task: TaskId) -> bool:
+        return task in self._pending
 
     # -- completion ------------------------------------------------------------
 
@@ -385,34 +316,10 @@ class Scheduler:
         self._slave_tasks[slave_id].discard(task)
         if self.affinity_enabled:
             self._affinity[(sched.affinity_group, task_index)] = slave_id
-        # The producing task is known and its bucket bytes are durable
-        # by the time the backend reports done: commit the source.
-        sched.committed.add(task_index)
         if sched.complete:
             self.mark_input_complete(dataset_id)
             return True, True
-        self._note_unblocked(sched, task_index)
         return True, False
-
-    def _note_unblocked(self, sched: ScheduledDataset, source: int) -> None:
-        """Record consumer tasks whose eligibility just flipped because
-        ``sched`` committed ``source`` (the dataset itself is still
-        incomplete, so this is a genuinely pipelined unblock)."""
-        if not self.pipeline_enabled or sched.routing != ROUTING_IDENTITY:
-            return
-        for consumer_id in self._consumers.get(sched.id, ()):
-            consumer = self._datasets[consumer_id]
-            if consumer.task_state.get(source) != TaskState.PENDING:
-                continue
-            if self._task_eligible((consumer_id, source)):
-                self._unblocked.append(
-                    {
-                        "task": (consumer_id, source),
-                        "input_id": sched.id,
-                        "source": source,
-                        "split": source,
-                    }
-                )
 
     def reset_tasks(self, dataset_id: str, task_indices) -> int:
         """Return completed tasks to the pending queue (lineage
@@ -420,17 +327,15 @@ class Scheduler:
 
         Tasks currently assigned are left alone — if they were assigned
         to the dead slave, :meth:`remove_slave` already requeued them.
-        Revokes the reset sources' bucket commits, so pipelined
-        consumers of exactly those sources re-block until the data is
-        recomputed.  Returns the number of tasks reset.
+        The caller revokes the dataset's completeness
+        (:meth:`unmark_complete`) so its consumers wait for the re-run.
+        Returns the number of tasks reset.
         """
         sched = self._datasets.get(dataset_id)
         if sched is None:
             return 0
         count = 0
         for task_index in task_indices:
-            # The bucket is gone whether or not the task re-runs here.
-            sched.committed.discard(task_index)
             if sched.task_state.get(task_index) == TaskState.DONE:
                 sched.task_state[task_index] = TaskState.PENDING
                 self._insert_pending((dataset_id, task_index))
@@ -438,14 +343,17 @@ class Scheduler:
         return count
 
     def cancel_dataset(self, dataset_id: str) -> int:
-        """Drop every pending task of a permanently failed dataset.
+        """Drop every pending task of a failed or released dataset,
+        for good.
 
-        Once a dataset is marked failed, its remaining queued tasks can
-        only waste workers (and, for crash-inducing tasks, kill them
-        again); remove them from the pending queue.  Tasks already
-        assigned are left to finish or fail on their own.  Returns the
-        number of tasks dropped.
+        Its queued tasks can only waste workers (and, for crash-inducing
+        tasks, kill them again).  Tasks already assigned are left to
+        finish or fail on their own; a failed one is not requeued (see
+        :meth:`_insert_pending`).  Returns the number of tasks dropped.
         """
+        sched = self._datasets.get(dataset_id)
+        if sched is not None:
+            sched.cancelled = True
         before = len(self._pending)
         self._pending = [task for task in self._pending if task[0] != dataset_id]
         return before - len(self._pending)
@@ -470,10 +378,6 @@ class Scheduler:
             slave = self._assigned.pop(task)
             self._slave_tasks.get(slave, set()).discard(task)
         self._complete_ids.discard(dataset_id)
-        self._consumers.pop(dataset_id, None)
-        consumers = self._consumers.get(sched.input_id)
-        if consumers and dataset_id in consumers:
-            consumers.remove(dataset_id)
         # Affinity hints keyed by this dataset's group are only shared
         # within its own job; releasing the whole job drops them all.
         self._affinity = {

@@ -104,7 +104,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-max-concurrent-jobs",
     "--mrs-metrics-json",
     "--mrs-no-affinity",
-    "--mrs-pipeline",
     "--mrs-port",
     "--mrs-procs",
     "--mrs-profile-tasks",
@@ -136,6 +135,7 @@ REMOVED_FLAGS = [
     "--mrs-heartbeat-interval",
     "--mrs-profile",
     "--mrs-native",
+    "--mrs-pipeline",
 ]
 
 #: Every environment variable the framework reads or writes.
@@ -175,7 +175,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 27
+        assert len(flags) == 26
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))

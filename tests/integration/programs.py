@@ -64,9 +64,8 @@ class SummingProgram(mrs.MapReduce):
 
 class ModSumProgram(mrs.MapReduce):
     """Iterative-shaped program whose reduce keeps its input's
-    partitioner and split count — the identity-routing shape the
-    pipelined scheduler overlaps across iterations.  ``map`` increments
-    every value so each pass is observable in the output."""
+    partitioner and split count.  ``map`` increments every value so
+    each pass is observable in the output."""
 
     def mod4(self, key, n):
         return int(key) % n

@@ -1,13 +1,10 @@
-"""Bucket-granular pipelining on the master/slave runtime.
-
-Two acceptance scenarios from the scheduler rework:
+"""Chains of datasets on the master/slave runtime.
 
 * zero-task datasets (an empty input split set) complete and unblock
   their dependents instead of stalling the job forever;
-* killing a slave mid-iteration revokes bucket commits at task
-  granularity — only the dead slave's tasks (and hence only their
-  consumers) re-run, while work produced by survivors is never
-  re-executed.
+* killing a slave mid-iteration re-runs only the dead slave's tasks:
+  its consumers wait at the dataset barrier for the re-run, and work
+  produced by survivors is never re-executed.
 """
 
 import time
@@ -16,7 +13,6 @@ import pytest
 
 from repro.core.job import Job
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.scheduler import ROUTING_IDENTITY
 from tests.integration.programs import ModSumProgram, SummingProgram
 
 pytestmark = pytest.mark.integration
@@ -51,7 +47,7 @@ class TestZeroTaskDatasetsOnCluster:
 
 
 class TestPipelinedLineageRecovery:
-    def test_kill_slave_mid_iteration_reruns_only_revoked_consumers(self):
+    def test_kill_slave_mid_iteration_reruns_only_the_dead_slaves_tasks(self):
         cluster = LocalCluster(
             ModSumProgram, [], n_slaves=2, data_plane="http"
         )
@@ -71,16 +67,8 @@ class TestPipelinedLineageRecovery:
             reduced = job.reduce_data(
                 mapped, program.reduce, splits=4, parter=program.mod4
             )
-            # The reduce keeps its input's partitioner and split count
-            # and is square, so the scheduler derives identity routing:
-            # consumers of ``reduced`` depend on single source buckets.
-            assert (
-                backend.scheduler._datasets[reduced.id].routing
-                == ROUTING_IDENTITY
-            )
-
             # Submit the next iteration while this one is still in
-            # flight (the pipelined edge), then kill a slave.
+            # flight, then kill a slave.
             mapped2 = job.map_data(
                 reduced, program.map, splits=4, parter=program.mod4
             )
@@ -100,8 +88,7 @@ class TestPipelinedLineageRecovery:
 
             # Let lineage re-execution quiesce, then check precision:
             # a reduced task first produced by the *survivor* must
-            # never have re-run.  Only the dead slave's commits were
-            # revoked, so only their consumers saw re-execution.
+            # never have re-run.  Only the dead slave's tasks were reset.
             assert wait_until(
                 lambda: backend.scheduler.outstanding() == 0, timeout=60
             ), "recovery never quiesced"

@@ -233,29 +233,6 @@ def test_zero_task_dataset_completes_and_unblocks(coord):
     )
 
 
-def test_pipelined_dispatch_is_counted(coord):
-    transport, job, program = coord
-    source = job.local_data([(i, i) for i in range(4)], splits=2)
-    mapped = job.map_data(source, program.map, splits=2)
-    # Same partitioner and split count as its input: identity-routed,
-    # so consumer task j needs only reduce task j's bucket.
-    reduced = job.reduce_data(mapped, program.reduce, splits=2)
-    again = job.map_data(reduced, program.map, splits=2)
-    for _ in range(2):  # both map tasks
-        transport.finish(*transport.sent.pop(0))
-    assert {d["dataset_id"] for _, d in transport.sent} == {reduced.id}
-    transport.finish(*transport.sent.pop(0))  # one reduce task commits
-    assert not reduced.complete
-    dispatched = [d["dataset_id"] for _, d in transport.sent]
-    assert again.id in dispatched, "consumer waited for the whole dataset"
-    assert transport.scheduler.pipelined_dispatches == 1
-    counters = transport.metrics()["metrics"]["counters"]
-    assert counters["scheduler.pipelined_dispatches"] == 1
-    assert "task.unblocked" in event_names(transport)
-    transport.finish_all()
-    assert again.complete
-
-
 def test_failed_send_loses_worker_and_requeues(coord):
     transport, job, program = coord
     transport.down.add(1)

@@ -176,22 +176,34 @@ class TestSpillHygiene:
         assert backend.scheduler.outstanding() == 1
         assert not os.path.exists(rundir)
 
+    def test_failed_task_of_released_dataset_is_not_requeued(self, harness):
+        """A release is permanent: a task in flight when its dataset is
+        released and that then fails (on the pool, its worker dies) is
+        not queued again to run against a deleted run directory."""
+        backend, job, program = harness.backend, harness.job, harness.program
+        source = job.local_data([(0, 1)], splits=1)
+        mapped = job.map_data(source, program.map, splits=1)
+        task, _ = harness.assign()
+        job.remove_data(mapped)
+        harness.fail(task)
+        assert not backend.scheduler.has_pending()
+        assert backend.scheduler.outstanding() == 0
+        assert "task.requeued" not in event_names(backend)
+
 
 class TestStrikeOut:
-    def test_three_failed_attempts_fail_dataset_and_pipelined_dependents(
-        self, harness
-    ):
+    def test_three_failed_attempts_fail_dataset_and_dependents(self, harness):
         backend, job, program = harness.backend, harness.job, harness.program
         source = job.local_data([(i, i) for i in range(4)], splits=2)
         mapped = job.map_data(source, program.map, splits=2)
-        # Identity-routed reduce: its consumer's tasks are pre-queued.
         reduced = job.reduce_data(mapped, program.reduce, splits=2)
         again = job.map_data(reduced, program.map, splits=2)
         for _ in range(2):
             task, _ = harness.assign()
             harness.finish(task)
         assert mapped.complete
-        assert backend.scheduler.outstanding() == 4  # 2 reduce + 2 queued
+        # The reduce's 2 tasks; its consumer waits for all of it.
+        assert backend.scheduler.outstanding() == 2
         for attempt in range(MAX_TASK_FAILURES):
             assert not reduced.error, f"failed after {attempt} attempts"
             task, _ = harness.assign()

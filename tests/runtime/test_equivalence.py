@@ -121,21 +121,10 @@ class TestKMeansEquivalence:
         assert np.array_equal(ser.centroids, mock.centroids)
         assert ser.shift_history == mock.shift_history
 
-    @pytest.mark.parametrize("pipeline", ["off", "buckets"])
-    def test_pool_equals_serial_in_both_pipeline_modes(
-        self, tmp_path, pipeline
-    ):
-        # K-means waits on every iteration in its driver, so bucket-
-        # granular dispatch has nothing to overlap: the control case for
-        # "pipelining changes when tasks run, never what they compute".
+    def test_pool_equals_serial(self, tmp_path):
         ser = run_program(KMeans, KM_FLAGS, impl="serial")
         pool = run_program(
-            KMeans,
-            KM_FLAGS,
-            impl="multiprocess",
-            procs=2,
-            pipeline=pipeline,
-            tmpdir=str(tmp_path),
+            KMeans, KM_FLAGS, impl="multiprocess", procs=2, tmpdir=str(tmp_path)
         )
         assert np.array_equal(ser.centroids, pool.centroids)
         assert ser.shift_history == pool.shift_history

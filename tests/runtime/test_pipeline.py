@@ -1,13 +1,9 @@
-"""Iteration pipelining at the runtime level.
+"""Chains of datasets at the runtime level.
 
-Covers the acceptance bar for bucket-granular scheduling: zero-task
-datasets complete (and unblock dependents) under every runtime, the
-pipelined scheduler actually dispatches across the iteration barrier
-on the multiprocess pool, and outputs stay byte-identical to the
-barrier scheduler and across implementations.
+Zero-task datasets complete (and unblock dependents) under every
+runtime, and an unfused iterative program — two barriers per iteration
+— computes the same thing on every implementation.
 """
-
-import json
 
 import pytest
 
@@ -22,9 +18,8 @@ from repro.runtime.serial import SerialBackend
 
 from tests.runtime.programs_mp import Tally
 
-# Unfused PSO keeps a stable partitioner and split count across the
-# reduce of every iteration — the identity-routing shape the pipelined
-# scheduler overlaps across iterations.
+# Unfused PSO: a reduce and a map per iteration, each behind its own
+# dataset barrier.
 PSO_FLAGS = [
     "--mrs-seed", "11", "--pso-function", "sphere", "--pso-dims", "6",
     "--pso-subswarms", "4", "--pso-particles", "3", "--pso-inner", "2",
@@ -89,54 +84,24 @@ class TestZeroTaskDatasets:
 
 class TestPipelinedEquivalence:
     def test_unfused_pso_identical_across_impls_and_modes(self, tmp_path):
-        """Pipelined and barrier scheduling must be observationally
-        identical — same convergence log, bit for bit — and agree with
-        the non-scheduled implementations."""
+        """The same convergence log, bit for bit, from every
+        implementation, and on the pool with task affinity on and off:
+        the scheduler decides when and where tasks run, never what they
+        compute."""
         logs = {}
         for impl in ("serial", "mockparallel"):
             logs[impl] = pso_log(run_program(ApiaryPSO, PSO_FLAGS, impl=impl))
-        for mode in ("off", "buckets"):
+        for no_affinity in (False, True):
             prog = run_program(
                 ApiaryPSO,
                 PSO_FLAGS,
                 impl="multiprocess",
                 procs=4,
-                pipeline=mode,
-                tmpdir=str(tmp_path / f"mp_{mode}"),
+                no_affinity=no_affinity,
+                tmpdir=str(tmp_path / f"mp_{no_affinity}"),
             )
-            logs[f"multiprocess/{mode}"] = pso_log(prog)
+            logs[f"multiprocess/no_affinity={no_affinity}"] = pso_log(prog)
         reference = logs.pop("serial")
         assert reference, "PSO produced no convergence log"
         for impl, log in logs.items():
             assert log == reference, f"{impl} diverged from serial"
-
-    def test_pipelined_dispatches_surface_in_metrics(self, tmp_path):
-        """The pool actually crosses the iteration barrier: some tasks
-        dispatch before their input dataset completes, and the count
-        lands in job metrics."""
-        path = tmp_path / "metrics.json"
-        run_program(
-            ApiaryPSO,
-            PSO_FLAGS,
-            impl="multiprocess",
-            procs=4,
-            pipeline="buckets",
-            tmpdir=str(tmp_path / "mp"),
-            metrics_json=str(path),
-        )
-        counters = json.loads(path.read_text())["metrics"]["counters"]
-        assert counters.get("scheduler.pipelined_dispatches", 0) > 0
-
-    def test_pipeline_off_never_crosses_barrier(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        run_program(
-            ApiaryPSO,
-            PSO_FLAGS,
-            impl="multiprocess",
-            procs=4,
-            pipeline="off",
-            tmpdir=str(tmp_path / "mp"),
-            metrics_json=str(path),
-        )
-        counters = json.loads(path.read_text())["metrics"]["counters"]
-        assert counters.get("scheduler.pipelined_dispatches", 0) == 0

@@ -2,24 +2,16 @@
 
 import pytest
 
-from repro.runtime.scheduler import (
-    ROUTING_IDENTITY,
-    ScheduledDataset,
-    Scheduler,
-    TaskState,
-)
+from repro.runtime.scheduler import ScheduledDataset, Scheduler
 
 
-def sched_ds(
-    ds_id, ntasks=2, group=None, input_id="input", blocking=(), routing=None
-):
+def sched_ds(ds_id, ntasks=2, group=None, input_id="input", blocking=()):
     return ScheduledDataset(
         ds_id,
         ntasks=ntasks,
         affinity_group=group or ds_id,
         input_id=input_id,
         blocking_ids=blocking,
-        routing=routing,
     )
 
 
@@ -308,146 +300,74 @@ class TestRequeueOrdering:
         assert s.next_task(2) == ("d1", 0)
 
 
-def identity_pair(scheduler, ntasks=2):
-    """A producer with identity routing and its pipelined consumer."""
+def iteration_pair(scheduler, ntasks=2):
+    """One iteration's reduce and the next iteration's map over it,
+    with the same split count: the shape of an unfused iterative
+    program."""
     scheduler.mark_input_complete("input")
-    scheduler.add_dataset(
-        sched_ds("red", ntasks=ntasks, routing=ROUTING_IDENTITY)
-    )
+    scheduler.add_dataset(sched_ds("red", ntasks=ntasks))
     scheduler.add_dataset(sched_ds("map2", ntasks=ntasks, input_id="red"))
 
 
-class TestPipelining:
-    def test_consumer_task_unblocks_on_its_source_commit(self, scheduler):
-        identity_pair(scheduler)
+class TestIterationBarrier:
+    def test_consumer_waits_for_whole_input(self, scheduler):
+        iteration_pair(scheduler)
         assert scheduler.next_task(1) == ("red", 0)
         assert scheduler.next_task(2) == ("red", 1)
-        # Nothing from map2 is eligible yet: all of red is in flight.
+        scheduler.task_done(1, ("red", 0))
+        # Source 0 is done, but map2 task 0 waits for all of red.
         assert scheduler.next_task(1) is None
-        scheduler.task_done(1, ("red", 0))
-        # Source 0 committed: map2 task 0 dispatches while red is
-        # still incomplete — that is a pipelined dispatch.
+        scheduler.task_done(2, ("red", 1))
         assert scheduler.next_task(1) == ("map2", 0)
-        assert scheduler.pipelined_dispatches == 1
-        assert not scheduler.is_complete("red")
-        scheduler.task_done(2, ("red", 1))
-        assert scheduler.is_complete("red")
         assert scheduler.next_task(2) == ("map2", 1)
-        # The second dispatch happened after red completed: not counted.
-        assert scheduler.pipelined_dispatches == 1
 
-    def test_commit_unblocks_only_matching_index(self, scheduler):
-        identity_pair(scheduler)
-        assert scheduler.next_task(1) == ("red", 0)
-        assert scheduler.next_task(2) == ("red", 1)
-        scheduler.task_done(2, ("red", 1))
-        # Only map2 task 1 may run; task 0's bucket is uncommitted.
-        assert scheduler.next_task(2) == ("map2", 1)
-        assert scheduler.next_task(2) is None
-
-    def test_unblocked_drain_names_enabling_bucket(self, scheduler):
-        identity_pair(scheduler)
-        scheduler.next_task(1)
-        scheduler.next_task(2)
-        assert scheduler.take_unblocked() == []
-        scheduler.task_done(1, ("red", 0))
-        assert scheduler.take_unblocked() == [
-            {"task": ("map2", 0), "input_id": "red", "source": 0, "split": 0}
-        ]
-        # Drained once; no duplicates.
-        assert scheduler.take_unblocked() == []
-
-    def test_pipeline_off_keeps_dataset_barrier(self):
-        s = Scheduler(pipeline=False)
-        s.add_slave(1)
-        s.add_slave(2)
-        s.mark_input_complete("input")
-        s.add_dataset(sched_ds("red", ntasks=2, routing=ROUTING_IDENTITY))
-        s.add_dataset(sched_ds("map2", ntasks=2, input_id="red"))
-        assert s.next_task(1) == ("red", 0)
-        assert s.next_task(2) == ("red", 1)
-        s.task_done(1, ("red", 0))
-        assert s.next_task(1) is None  # barrier: wait for all of red
-        s.task_done(2, ("red", 1))
-        assert s.next_task(1) == ("map2", 0)
-        assert s.pipelined_dispatches == 0
-
-    def test_dense_routing_keeps_dataset_barrier(self, scheduler):
-        scheduler.mark_input_complete("input")
-        scheduler.add_dataset(sched_ds("m", ntasks=2))  # dense routing
-        scheduler.add_dataset(sched_ds("r", ntasks=2, input_id="m"))
-        scheduler.next_task(1)
-        scheduler.next_task(2)
-        scheduler.task_done(1, ("m", 0))
-        assert scheduler.next_task(1) is None
-        assert scheduler.take_unblocked() == []
-
-    def test_blockers_still_gate_pipelined_tasks(self, scheduler):
-        scheduler.mark_input_complete("input")
-        scheduler.add_dataset(
-            sched_ds("red", ntasks=1, routing=ROUTING_IDENTITY)
-        )
-        scheduler.add_dataset(
-            sched_ds("map2", ntasks=1, input_id="red", blocking=["gate"])
-        )
-        scheduler.next_task(1)
-        scheduler.task_done(1, ("red", 0))
-        assert scheduler.next_task(1) is None  # blocker incomplete
-        scheduler.mark_input_complete("gate")
-        assert scheduler.next_task(1) == ("map2", 0)
-
-    def test_reset_reblocks_exactly_revoked_consumers(self, scheduler):
-        """Bucket-level lineage revocation: resetting producer task 0
-        re-blocks only consumer task 0; the sibling committed source
-        keeps its consumer eligible."""
-        identity_pair(scheduler)
+    def test_reset_blocks_every_consumer_until_rerun(self, scheduler):
+        """Lineage recovery re-runs only the lost producer task, and
+        every consumer task waits for it, not only the matching one."""
+        iteration_pair(scheduler)
         scheduler.next_task(1)
         scheduler.next_task(2)
         scheduler.task_done(1, ("red", 0))
         scheduler.task_done(2, ("red", 1))
-        assert scheduler.is_complete("red")
-        # Slave 1's data died: revoke source 0 at both granularities.
+        # Slave 1's data died.
         scheduler.unmark_complete("red")
-        reset = scheduler.reset_tasks("red", [0])
-        assert reset == 1
-        # The producer's re-execution outranks (FIFO) the still-valid
-        # consumer task 1; consumer task 0 is blocked again.
+        assert scheduler.reset_tasks("red", [0]) == 1
         assert scheduler.next_task(2) == ("red", 0)
-        assert scheduler.next_task(2) == ("map2", 1)
         assert scheduler.next_task(2) is None
-        # Recommitting source 0 unblocks consumer task 0 again.
         scheduler.task_done(2, ("red", 0))
+        assert scheduler.is_complete("red")
         assert scheduler.next_task(2) == ("map2", 0)
+        assert scheduler.next_task(1) == ("map2", 1)
 
-    def test_no_duplicate_tasks_when_prequeued_dataset_activates(
-        self, scheduler
-    ):
-        identity_pair(scheduler)
-        scheduler.next_task(1)
-        scheduler.next_task(2)
-        scheduler.task_done(1, ("red", 0))
-        scheduler.task_done(2, ("red", 1))  # activates map2 for real
-        seen = []
-        while True:
-            task = scheduler.next_task(1)
-            if task is None:
-                break
-            seen.append(task)
-        assert seen == [("map2", 0), ("map2", 1)]
 
-    def test_pipelined_consumer_completes_dataset(self, scheduler):
-        identity_pair(scheduler)
-        for slave, task in ((1, ("red", 0)), (2, ("red", 1))):
-            assert scheduler.next_task(slave) == task
-        scheduler.task_done(1, ("red", 0))
-        assert scheduler.next_task(1) == ("map2", 0)
-        accepted, complete = scheduler.task_done(1, ("map2", 0))
-        assert accepted and not complete
-        scheduler.task_done(2, ("red", 1))
-        assert scheduler.next_task(2) == ("map2", 1)
-        accepted, complete = scheduler.task_done(2, ("map2", 1))
-        assert accepted and complete
-        assert scheduler.is_complete("map2")
+class TestCancel:
+    def test_struck_out_siblings_retry_is_not_requeued(self, scheduler):
+        """A dataset that struck out is cancelled; a sibling task still
+        in flight that then fails once must not be dispatched again."""
+        scheduler.mark_input_complete("input")
+        scheduler.add_dataset(sched_ds("d1", ntasks=2))
+        assert scheduler.next_task(1) == ("d1", 0)
+        assert scheduler.next_task(2) == ("d1", 1)
+        scheduler.cancel_dataset("d1")
+        scheduler.task_failed(2, ("d1", 1))
+        assert not scheduler.has_pending()
+        assert scheduler.next_task(2) is None
+        assert scheduler.outstanding() == 1  # task 0 still runs
+
+    def test_cancelled_tasks_stay_out_on_every_requeue_path(self, scheduler):
+        scheduler.mark_input_complete("input")
+        scheduler.add_dataset(sched_ds("d1", ntasks=3))
+        assert scheduler.next_task(1) == ("d1", 0)
+        scheduler.task_done(1, ("d1", 0))
+        assert scheduler.next_task(1) == ("d1", 1)
+        assert scheduler.next_task(2) == ("d1", 2)
+        assert scheduler.cancel_dataset("d1") == 0
+        scheduler.remove_slave(2)
+        scheduler.unmark_complete("d1")
+        scheduler.reset_tasks("d1", [0])
+        scheduler.task_failed(1, ("d1", 1))
+        assert not scheduler.has_pending()
+        assert scheduler.outstanding() == 0
 
 
 class TestSlaveFailure:

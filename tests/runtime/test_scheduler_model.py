@@ -1,9 +1,10 @@
 """Model-based property testing of the scheduler.
 
 Hypothesis drives random interleavings of slave arrivals/failures,
-task assignment, completions, and stale reports; after every step the
-scheduler must satisfy its structural invariants, and eventually every
-dataset must complete as long as at least one slave survives.
+task assignment, completions, stale reports and cancellations; after
+every step the scheduler must satisfy its structural invariants, and
+eventually every dataset that was not cancelled must complete as long
+as at least one slave survives.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,12 +15,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.runtime.scheduler import (
-    ROUTING_IDENTITY,
-    ScheduledDataset,
-    Scheduler,
-    TaskState,
-)
+from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskState
 
 
 class SchedulerMachine(RuleBasedStateMachine):
@@ -33,6 +29,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.assigned = {}  # task -> slave
         self.done = set()
         self.all_tasks = set()
+        self.cancelled = set()  # dataset ids
 
     # -- rules -------------------------------------------------------------
 
@@ -63,6 +60,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         if task is not None:
             assert task not in self.assigned, "task double-assigned"
             assert task not in self.done, "completed task re-assigned"
+            assert task[0] not in self.cancelled, "cancelled task assigned"
             self.assigned[task] = slave
 
     @rule(data=st.data())
@@ -110,6 +108,21 @@ class SchedulerMachine(RuleBasedStateMachine):
         for task in reassigned:
             self.assigned.pop(task, None)
 
+    @rule(data=st.data())
+    def cancel(self, data):
+        """A dataset fails or is released.  One with a task in flight is
+        picked when there is one: that task's failure, or its slave's
+        loss, is what could queue it again."""
+        in_flight = {task[0] for task in self.assigned} - self.cancelled
+        live = in_flight or (
+            {task[0] for task in self.all_tasks} - self.cancelled
+        )
+        if not live:
+            return
+        ds_id = data.draw(st.sampled_from(sorted(live)))
+        self.scheduler.cancel_dataset(ds_id)
+        self.cancelled.add(ds_id)
+
     @rule()
     def drain(self):
         """Run everything to completion on the surviving slaves."""
@@ -121,6 +134,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             for slave in slaves:
                 task = self.scheduler.next_task(slave)
                 if task is not None:
+                    assert task[0] not in self.cancelled
                     accepted, _ = self.scheduler.task_done(slave, task)
                     assert accepted
                     self.done.add(task)
@@ -128,10 +142,13 @@ class SchedulerMachine(RuleBasedStateMachine):
                     progress = True
             if not progress:
                 break
-        # After a full drain, every task is either done or still held
-        # by a live slave the model never completed (in-flight).  No
-        # task may be lost.
-        assert self.all_tasks - self.done == set(self.assigned)
+        # After a full drain, every task of a dataset that was not
+        # cancelled is either done or still held by a live slave the
+        # model never completed (in-flight).  No task may be lost.
+        def live(tasks):
+            return {task for task in tasks if task[0] not in self.cancelled}
+
+        assert live(self.all_tasks) - self.done == live(self.assigned)
 
     # -- invariants -------------------------------------------------------------
 
@@ -144,6 +161,15 @@ class SchedulerMachine(RuleBasedStateMachine):
     def no_task_both_done_and_assigned(self):
         if hasattr(self, "done"):
             assert not (self.done & set(self.assigned))
+
+    @invariant()
+    def no_cancelled_task_pending(self):
+        if hasattr(self, "cancelled"):
+            assert not [
+                task
+                for task in self.scheduler._pending
+                if task[0] in self.cancelled
+            ]
 
 
 SchedulerMachine.TestCase.settings = settings(
@@ -181,23 +207,17 @@ def test_full_drain_completes_everything(n_slaves, n_tasks):
     assert scheduler.is_complete("d")
 
 
-# -- bucket-granular pipelining properties ---------------------------------
+# -- the dependency rule: input complete -----------------------------------
 
 
-def _identity_chain(n):
-    """One identity-routing producer with all tasks held in flight,
-    plus its pipelined consumer."""
+def _chain(n):
+    """A producer whose tasks have all been dispatched, plus a consumer
+    of it with the same task count."""
     scheduler = Scheduler()
     scheduler.add_slave(0)
     scheduler.mark_input_complete("input")
     scheduler.add_dataset(
-        ScheduledDataset(
-            "red",
-            ntasks=n,
-            affinity_group="red",
-            input_id="input",
-            routing=ROUTING_IDENTITY,
-        )
+        ScheduledDataset("red", ntasks=n, affinity_group="red", input_id="input")
     )
     scheduler.add_dataset(
         ScheduledDataset("map", ntasks=n, affinity_group="map", input_id="red")
@@ -207,71 +227,53 @@ def _identity_chain(n):
     return scheduler
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_random_commit_orders_unblock_exactly_committed_tasks(data):
-    """Whatever order producer sources commit in, the eligible consumer
-    tasks are exactly those whose own source bucket is committed."""
-    n = data.draw(st.integers(min_value=2, max_value=5), label="ntasks")
-    scheduler = _identity_chain(n)
-    order = data.draw(st.permutations(range(n)), label="commit order")
-    committed = set()
-    for idx in order:
-        scheduler.task_done(0, ("red", idx))
-        committed.add(idx)
-        eligible = {
-            i for i in range(n) if scheduler._task_eligible(("map", i))
-        }
-        assert eligible == committed
-        unblocked = [entry["task"] for entry in scheduler.take_unblocked()]
-        if len(committed) < n:
-            assert unblocked == [("map", idx)]
-        else:
-            # The final commit completes the dataset: that is a normal
-            # activation, not a pipelined unblock.
-            assert unblocked == []
-    assert scheduler.is_complete("red")
+def _eligible_consumers(scheduler, n):
+    return {i for i in range(n) if scheduler._task_eligible(("map", i))}
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_revocation_reblocks_exactly_revoked_consumers(data):
-    """Lineage recovery for a random subset of producer sources must
-    re-block exactly those sources' consumer tasks and no others."""
+def test_revocation_blocks_consumers_until_revoked_sources_rerun(data):
+    """Lineage recovery for a random subset of producer sources: every
+    consumer task stays blocked until every revoked source has re-run,
+    whatever order the re-runs finish in, and only those sources re-run."""
     n = data.draw(st.integers(min_value=2, max_value=5), label="ntasks")
-    scheduler = _identity_chain(n)
+    scheduler = _chain(n)
     for i in range(n):
         scheduler.task_done(0, ("red", i))
+    assert _eligible_consumers(scheduler, n) == set(range(n))
     revoked = data.draw(
         st.sets(st.sampled_from(range(n)), min_size=1), label="revoked"
     )
     scheduler.unmark_complete("red")
     assert scheduler.reset_tasks("red", sorted(revoked)) == len(revoked)
-    eligible = {i for i in range(n) if scheduler._task_eligible(("map", i))}
-    assert eligible == set(range(n)) - revoked
-    # Re-running the revoked producers restores full eligibility; the
-    # requeued producer tasks outrank consumer work (FIFO order).
-    for idx in sorted(revoked):
-        assert scheduler.next_task(0) == ("red", idx)
-        scheduler.task_done(0, ("red", idx))
+    assert _eligible_consumers(scheduler, n) == set()
+    # The requeued producer tasks are the only dispatchable work.
+    rerun = [scheduler.next_task(0) for _ in revoked]
+    assert rerun == [("red", i) for i in sorted(revoked)]
+    assert scheduler.next_task(0) is None
+    order = data.draw(st.permutations(rerun), label="re-run order")
+    for k, task in enumerate(order):
+        assert _eligible_consumers(scheduler, n) == set()
+        accepted, complete = scheduler.task_done(0, task)
+        assert accepted and complete == (k == len(order) - 1)
     assert scheduler.is_complete("red")
-    assert all(scheduler._task_eligible(("map", i)) for i in range(n))
+    assert _eligible_consumers(scheduler, n) == set(range(n))
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_random_dag_dispatches_match_reference_model(data):
     """Differential check against an independent bookkeeping model:
-    over a random DAG (dense and identity edges, including zero-task
-    datasets) with a random execution order, a pending task is
-    dispatchable iff the model says its inputs are available — and the
-    whole DAG always drains to completion."""
+    over a random DAG (including zero-task datasets) with a random
+    execution order, a pending task is dispatchable iff the model says
+    its input dataset is complete — and the whole DAG always drains to
+    completion."""
     scheduler = Scheduler()
     scheduler.add_slave(0)
     scheduler.mark_input_complete("input")
     complete_ids = {"input"}
-    shapes = {}  # ds_id -> (input_id, ntasks, routing)
-    model_done = {}
+    shapes = {}  # ds_id -> (input_id, ntasks)
     n_datasets = data.draw(st.integers(min_value=1, max_value=5), label="n")
     for k in range(n_datasets):
         ds_id = f"d{k}"
@@ -279,66 +281,39 @@ def test_random_dag_dispatches_match_reference_model(data):
             st.sampled_from(["input"] + [f"d{j}" for j in range(k)]),
             label=f"input of {ds_id}",
         )
-        if input_id in shapes and shapes[input_id][2] == ROUTING_IDENTITY:
-            # Identity consumers are square with their producer.
-            ntasks = shapes[input_id][1]
-        else:
-            ntasks = data.draw(
-                st.integers(min_value=0, max_value=3), label=f"ntasks {ds_id}"
-            )
-        routing = (
-            data.draw(
-                st.sampled_from([None, ROUTING_IDENTITY]),
-                label=f"routing {ds_id}",
-            )
-            if ntasks
-            else None
+        ntasks = data.draw(
+            st.integers(min_value=0, max_value=3), label=f"ntasks {ds_id}"
         )
         scheduler.add_dataset(
             ScheduledDataset(
-                ds_id,
-                ntasks=ntasks,
-                affinity_group=ds_id,
-                input_id=input_id,
-                routing=routing,
+                ds_id, ntasks=ntasks, affinity_group=ds_id, input_id=input_id
             )
         )
-        shapes[ds_id] = (input_id, ntasks, routing)
-        model_done[ds_id] = set()
+        shapes[ds_id] = (input_id, ntasks)
         complete_ids.update(scheduler.take_completed_datasets())
 
-    def model_eligible(ds_id, idx):
-        input_id = shapes[ds_id][0]
-        if input_id in complete_ids:
-            return True
-        if input_id not in shapes:
-            return False
-        return (
-            shapes[input_id][2] == ROUTING_IDENTITY
-            and idx in model_done[input_id]
-        )
+    def model_eligible(ds_id):
+        return shapes[ds_id][0] in complete_ids
 
     def check_pending_against_model():
-        for ds_id, (_, ntasks, _) in shapes.items():
+        for ds_id, (_, ntasks) in shapes.items():
             sched = scheduler._datasets[ds_id]
             for idx in range(ntasks):
                 if sched.task_state.get(idx) == TaskState.PENDING:
                     assert scheduler._task_eligible(
                         (ds_id, idx)
-                    ) == model_eligible(ds_id, idx)
+                    ) == model_eligible(ds_id)
 
     def run_one():
         task = scheduler.next_task(0)
         if task is None:
             return False
-        assert model_eligible(*task), f"{task} dispatched too early"
+        assert model_eligible(task[0]), f"{task} dispatched too early"
         accepted, ds_complete = scheduler.task_done(0, task)
         assert accepted
-        model_done[task[0]].add(task[1])
         if ds_complete:
             complete_ids.add(task[0])
         complete_ids.update(scheduler.take_completed_datasets())
-        scheduler.take_unblocked()
         return True
 
     for _ in range(data.draw(st.integers(0, 30), label="steps")):
