@@ -10,7 +10,9 @@ explicit: a reduce task depends on one bucket from every map task.
 Dataset subclasses:
 
 * :class:`LocalData` — literal pairs supplied by the master program.
-* :class:`FileData` — one bucket per input URL/file, one task per file.
+* :class:`FileData` — one bucket per input URL/file; the files form a
+  bounded number of contiguous groups, one task per group (see
+  :func:`file_groups`).
 * :class:`MapData` / :class:`ReduceData` / :class:`ReduceMapData` —
   lazily *computed* datasets; submitting one to a
   :class:`~repro.core.job.Job` queues the operation (section IV-A:
@@ -21,6 +23,8 @@ Dataset subclasses:
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -35,6 +39,17 @@ from repro.io import urls as url_io
 from repro.io.bucket import Bucket
 
 KeyValue = Tuple[Any, Any]
+
+#: A file input makes at least this many map tasks (fewer only when it
+#: has fewer files): enough to keep a pool's workers busy and balanced
+#: without paying per-task costs once per file.  On a 2-core VM, for a
+#: 300-file, 3 MB WordCount on two workers, 8 and 16 tasks took the same
+#: time and 16 peaked 15 % lower in memory.
+FILE_TASKS_MIN = 16
+#: Past ``FILE_TASKS_MIN`` tasks, one more map task per this many input
+#: bytes.  A WordCount map task holds ~65 bytes per input byte until its
+#: combiner runs, so this also bounds a task's memory (~1 GB).
+FILE_TASK_BYTES = 16 << 20
 
 _dataset_counter = itertools.count()
 _counter_lock = threading.Lock()
@@ -92,6 +107,9 @@ class BaseDataset:
         self.key_serializer = key_serializer
         self.value_serializer = value_serializer
         self._buckets: Dict[Tuple[int, int], Bucket] = {}
+        #: The same buckets by split column, then source: a task reads
+        #: one column without scanning the grid.
+        self._columns: Dict[int, Dict[int, Bucket]] = {}
         #: True once every bucket's data is final.
         self.complete = False
         #: Set if computation failed irrecoverably.
@@ -101,15 +119,15 @@ class BaseDataset:
 
     def bucket(self, source: int, split: int) -> Bucket:
         """Get-or-create the bucket at grid position (source, split)."""
-        key = (source, split)
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get((source, split))
         if bucket is None:
             bucket = Bucket(source=source, split=split)
-            self._buckets[key] = bucket
+            self.add_bucket(bucket)
         return bucket
 
     def add_bucket(self, bucket: Bucket) -> None:
         self._buckets[(bucket.source, bucket.split)] = bucket
+        self._columns.setdefault(bucket.split, {})[bucket.source] = bucket
 
     def existing_buckets(self) -> List[Bucket]:
         """All buckets that currently exist, in grid order."""
@@ -117,12 +135,8 @@ class BaseDataset:
 
     def buckets_for_split(self, split: int) -> List[Bucket]:
         """Every bucket in split column ``split``, ordered by source."""
-        found = [
-            bucket
-            for (source, s), bucket in sorted(self._buckets.items())
-            if s == split
-        ]
-        return found
+        column = self._columns.get(split, {})
+        return [column[source] for source in sorted(column)]
 
     @property
     def n_sources(self) -> int:
@@ -182,6 +196,7 @@ class BaseDataset:
         doomed = [key for key in self._buckets if key[0] == source]
         for key in doomed:
             del self._buckets[key]
+            del self._columns[key[1]][source]
         return len(doomed)
 
     def __repr__(self) -> str:
@@ -240,12 +255,58 @@ class LocalData(BaseDataset):
         self.complete = True
 
 
-class FileData(BaseDataset):
-    """One bucket (and hence one downstream task) per input URL.
+def _url_bytes(url: str) -> int:
+    """Size of the file behind a ``file:`` URL, from ``os.stat``.  A URL
+    that cannot be sized this way (``http://``, or a file that is not
+    there yet, which fails when its task reads it) counts as
+    ``FILE_TASK_BYTES``: a whole task's worth, so a list of remote
+    inputs keeps one task per URL."""
+    try:
+        return os.stat(url_io.path_of_file_url(url)).st_size
+    except (OSError, ValueError):
+        return FILE_TASK_BYTES
 
+
+def file_groups(file_urls: Sequence[str], tasks: Optional[int] = None) -> List[int]:
+    """The map task of each input file: contiguous runs of files, in
+    input order, balanced by bytes.
+
+    ``tasks`` defaults to ``min(files, max(FILE_TASKS_MIN,
+    ceil(bytes / FILE_TASK_BYTES)))``, which depends on the input alone,
+    so every runtime lays a job out the same way.  File *i* joins the
+    group its byte midpoint falls in, moved by at most one group so that
+    no group is empty; ``tasks=len(file_urls)`` is one task per file.
+    """
+    # An empty file still weighs a byte, so a tree of empty files splits
+    # evenly too.
+    sizes = [max(1, _url_bytes(url)) for url in file_urls]
+    total, n = sum(sizes), len(sizes)
+    if tasks is None:
+        tasks = max(FILE_TASKS_MIN, math.ceil(total / FILE_TASK_BYTES))
+    tasks = min(n, tasks)
+    groups: List[int] = []
+    before, group = 0, -1
+    for index, size in enumerate(sizes):
+        target = (before + size / 2) * tasks // total
+        # At most one group further, and late enough that every later
+        # group still gets a file.
+        group = max(tasks - n + index, min(group + 1, int(target)))
+        groups.append(group)
+        before += size
+    return groups
+
+
+class FileData(BaseDataset):
+    """One bucket per input URL, grouped into a bounded number of tasks.
+
+    File *i* is bucket ``(i, g)``, where *g* is its group from
+    :func:`file_groups`: the layout computed datasets use, so map task
+    *g* reads its contiguous run of files as a reduce task reads its
+    column, and each reduce still sees a key's values in input order.
     This is the input layout that lets Mrs ingest the ragged Project
     Gutenberg directory tree directly — any iterable of paths works,
-    there is no single-directory requirement (section V-B).
+    there is no single-directory requirement (section V-B).  ``tasks``
+    overrides the byte rule (``len(file_urls)``: one task per file).
     """
 
     def __init__(
@@ -254,19 +315,20 @@ class FileData(BaseDataset):
         dataset_id: Optional[str] = None,
         affinity_group: Optional[str] = None,
         namespace: Optional[str] = None,
+        tasks: Optional[int] = None,
     ):
         file_urls = list(file_urls)
         if not file_urls:
             raise ValueError("file_data requires at least one input file")
+        groups = file_groups(file_urls, tasks)
         super().__init__(
-            dataset_id, splits=len(file_urls), affinity_group=affinity_group,
+            dataset_id, splits=groups[-1] + 1, affinity_group=affinity_group,
             prefix="file", namespace=namespace,
         )
-        for split, url in enumerate(file_urls):
+        for source, (url, split) in enumerate(zip(file_urls, groups)):
             if "://" not in url and not url.startswith("file:"):
                 url = "file:" + url
-            bucket = Bucket(source=0, split=split, url=url)
-            self.add_bucket(bucket)
+            self.add_bucket(Bucket(source=source, split=split, url=url))
         self.complete = True
 
 

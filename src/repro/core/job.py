@@ -160,7 +160,12 @@ class Job:
         file_urls: Sequence[str],
         affinity_group: Optional[str] = None,
     ) -> ds.FileData:
-        """Create a dataset over existing files; one task per file."""
+        """Create a dataset over existing files.
+
+        A map over it runs one task per contiguous group of files, about
+        ``FILE_TASK_BYTES`` each and never fewer than ``FILE_TASKS_MIN``
+        (see :func:`repro.core.dataset.file_groups`).
+        """
         data = ds.FileData(
             list(file_urls),
             affinity_group=self._group(affinity_group),

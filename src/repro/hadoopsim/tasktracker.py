@@ -91,7 +91,8 @@ def execute_job_for_parity(
     ``n_reduce_tasks`` reduce tasks over hash partitions.  Returns all
     output pairs and the measured per-task Python compute seconds.
     """
-    input_data = FileData(list(input_paths))
+    # Hadoop's decomposition, not Mrs's byte-sized file groups.
+    input_data = FileData(list(input_paths), tasks=len(input_paths))
     map_ds = make_map_data(
         input_data, program.map, splits=n_reduce_tasks, combiner=combiner
     )

@@ -489,21 +489,22 @@ class Coordinator(Backend):
                     error=message,
                     free_retry=free_retry,
                 )
-            if free_retry or not self._strike(
-                task, "failed", f"; last: {message}"
-            ):
-                self.scheduler.task_failed(worker_id, task)
+            if not free_retry:
+                self._strike(task, "failed", f"; last: {message}")
+            # Always release the attempt.  A struck-out task's dataset
+            # is cancelled by now, so the scheduler does not requeue it.
+            self.scheduler.task_failed(worker_id, task)
             self._note_requeued(task, free_retry)
             self._cond.notify_all()
         self._dispatch()
 
-    def _strike(self, task: TaskId, what: str, detail: str = "") -> bool:
+    def _strike(self, task: TaskId, what: str, detail: str = "") -> None:
         """Charge one failed attempt to ``task``'s budget (caller holds
-        the lock).  Returns True once the budget is exhausted; the
-        first time that happens the dataset fails as ``"task <i> <what>
-        <n> times<detail>"``, along with every transitive dependent."""
+        the lock).  The first time the budget is exhausted the dataset
+        fails as ``"task <i> <what> <n> times<detail>"``, along with
+        every transitive dependent, and all of them are cancelled."""
         if not self._failures.record(task):
-            return False
+            return
         dataset_id, task_index = task
         dataset = self._datasets.get(dataset_id)
         if dataset is not None and not dataset.error:
@@ -526,7 +527,6 @@ class Coordinator(Backend):
                     dataset_id=dataset_id,
                     error=dataset.error,
                 )
-        return True
 
     def _note_requeued(self, task: TaskId, free_retry: bool = False) -> None:
         """Emit ``task.requeued`` if the task is back in the queue — not

@@ -1,11 +1,17 @@
 """Dataset grid semantics: LocalData, FileData, computed datasets."""
 
+import sys
+
 import pytest
 
+from repro.core import dataset as dataset_module
 from repro.core.dataset import (
+    FILE_TASK_BYTES,
+    FILE_TASKS_MIN,
     BaseDataset,
     FileData,
     LocalData,
+    file_groups,
     make_map_data,
     make_reduce_data,
     make_reducemap_data,
@@ -26,6 +32,15 @@ class TestBaseDataset:
         ds.bucket(1, 0)
         ds.bucket(0, 1)
         assert [b.source for b in ds.buckets_for_split(0)] == [0, 1]
+
+    def test_buckets_for_split_ascends_by_source_whatever_the_insertion(self):
+        ds = BaseDataset(splits=1)
+        for source in (3, 0, 2, 1):
+            ds.add_bucket(Bucket(source=source, split=0))
+        assert [b.source for b in ds.buckets_for_split(0)] == [0, 1, 2, 3]
+        ds.remove_source(2)
+        assert [b.source for b in ds.buckets_for_split(0)] == [0, 1, 3]
+        assert [b.source for b in ds.existing_buckets()] == [0, 1, 3]
 
     def test_rejects_negative_splits(self):
         with pytest.raises(ValueError):
@@ -117,6 +132,94 @@ class TestFileData:
         ds.fetchall()
         pairs = ds.data()
         assert pairs[0] == (0, "the quick brown fox")
+
+    def test_grid_is_source_file_split_group(self, text_file):
+        ds = FileData([text_file] * 40)
+        assert ds.splits == FILE_TASKS_MIN
+        buckets = ds.existing_buckets()
+        assert [b.source for b in buckets] == list(range(40))
+        columns = [ds.buckets_for_split(g) for g in range(ds.splits)]
+        assert [b for column in columns for b in column] == buckets
+
+    def test_explicit_one_task_per_file(self, text_file):
+        ds = FileData([text_file] * 20, tasks=20)
+        assert ds.splits == 20
+        assert [b.split for b in ds.existing_buckets()] == list(range(20))
+
+    def test_split_columns_read_without_scanning_the_grid(self, text_file):
+        """Every map task of a 20,000-file input reads its column: the
+        Python lines run in ``core/dataset.py`` stay linear in the file
+        count (a grid scan per column is quadratic, ~4e8 here)."""
+        n = 20_000
+        ds = FileData([text_file] * n)
+        budget = 4 * n + 100 * ds.splits
+        executed = 0
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != dataset_module.__file__:
+                return None
+
+            def count(frame, event, arg):
+                nonlocal executed
+                executed += 1
+                if executed > budget:
+                    raise AssertionError(f"over {budget} lines executed")
+                return count
+
+            return count
+
+        sys.settrace(trace)
+        try:
+            columns = [ds.buckets_for_split(g) for g in range(ds.splits)]
+        finally:
+            sys.settrace(None)
+        assert [b for column in columns for b in column] == ds.existing_buckets()
+
+
+class TestFileGroups:
+    """The one rule that sizes a file input's map tasks."""
+
+    @staticmethod
+    def files(tmp_path, sizes):
+        paths = []
+        for index, size in enumerate(sizes):
+            path = tmp_path / f"f{index:03d}.txt"
+            path.write_bytes(b"x" * size)
+            paths.append(str(path))
+        return paths
+
+    def test_small_input_makes_the_minimum(self, tmp_path):
+        groups = file_groups(self.files(tmp_path, [100] * 300))
+        assert groups == sorted(groups)
+        assert set(groups) == set(range(FILE_TASKS_MIN))
+        assert all(groups.count(g) in (18, 19) for g in set(groups))
+
+    def test_fewer_files_than_the_minimum_one_task_each(self, tmp_path):
+        assert file_groups(self.files(tmp_path, [10, 5000, 0])) == [0, 1, 2]
+
+    def test_groups_balance_bytes(self, tmp_path):
+        sizes = [4000] + [100] * 40 + [4000]
+        groups = file_groups(self.files(tmp_path, sizes), tasks=4)
+        weight = [0] * 4
+        for group, size in zip(groups, sizes):
+            weight[group] += size
+        assert groups[0] == 0 and groups[-1] == 3
+        assert groups == sorted(groups) and set(groups) == {0, 1, 2, 3}
+        assert weight == [4000, 2000, 2000, 4000]
+
+    def test_bytes_past_the_target_add_tasks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset_module, "FILE_TASK_BYTES", 1000)
+        groups = file_groups(self.files(tmp_path, [100] * 300))
+        assert groups[-1] + 1 == 30
+
+    def test_unsized_urls_count_as_a_whole_task(self):
+        urls = [f"http://host:1/{i}.txt" for i in range(40)]
+        assert file_groups(urls) == list(range(40))
+        assert dataset_module._url_bytes(urls[0]) == FILE_TASK_BYTES
+
+    def test_same_layout_from_plain_paths_and_file_urls(self, tmp_path):
+        paths = self.files(tmp_path, [10 * i for i in range(1, 30)])
+        assert file_groups(paths) == file_groups(["file:" + p for p in paths])
 
 
 class TestComputedFactories:

@@ -1,5 +1,7 @@
 """Programs used by integration tests (importable by slave_boot)."""
 
+import os
+import signal
 import time
 
 import repro as mrs
@@ -130,3 +132,31 @@ class TypedWordCount(mrs.MapReduce):
         job.wait(output)
         self.output_data = output
         return 0
+
+
+class OrderedJoin(mrs.MapReduce):
+    """A reduce that is not commutative: each word's file tags joined in
+    the order the values arrive, so any change in the order a reduce
+    sees its inputs changes the output bytes.
+
+    Every input line starts with its file's tag.  A ``CRASH:<marker>``
+    word SIGKILLs the worker mapping it unless the marker file exists
+    (the marker is made first, so the retry goes through).
+    """
+
+    def input_data(self, job):
+        self.input = super().input_data(job)
+        return self.input
+
+    def map(self, key, value):
+        tag, *words = value.split()
+        for word in words:
+            marker = word[len("CRASH:"):]
+            if word.startswith("CRASH:") and not os.path.exists(marker):
+                with open(marker, "w"):
+                    pass
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield (word, tag)
+
+    def reduce(self, key, values):
+        yield ",".join(values)

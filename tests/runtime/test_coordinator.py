@@ -182,7 +182,11 @@ def test_three_strikes_fail_dataset_and_dependents(coord):
     assert "failed 3 times; last: Boom({})" in mapped.error
     assert reduced.error and final.error
     assert not transport.sent, "a struck-out task was dispatched again"
-    assert transport.scheduler.outstanding() == 1  # the abandoned attempt
+    # The last attempt is released, not left assigned, and the
+    # cancelled dataset never takes it back into the queue.
+    assert transport.scheduler._datasets[mapped.id].cancelled
+    assert transport.scheduler.outstanding() == 0
+    assert transport.status()["outstanding"] == 0
     with pytest.raises(JobError):
         job.wait(final, timeout=1)
     names = event_names(transport)
