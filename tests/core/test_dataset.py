@@ -1,6 +1,7 @@
 """Dataset grid semantics: LocalData, FileData, computed datasets."""
 
 import sys
+import zipfile
 
 import pytest
 
@@ -168,11 +169,12 @@ class TestFileData:
 
             return count
 
+        previous = sys.gettrace()
         sys.settrace(trace)
         try:
             columns = [ds.buckets_for_split(g) for g in range(ds.splits)]
         finally:
-            sys.settrace(None)
+            sys.settrace(previous)
         assert [b for column in columns for b in column] == ds.existing_buckets()
 
 
@@ -216,6 +218,19 @@ class TestFileGroups:
         urls = [f"http://host:1/{i}.txt" for i in range(40)]
         assert file_groups(urls) == list(range(40))
         assert dataset_module._url_bytes(urls[0]) == FILE_TASK_BYTES
+
+    def test_zip_counts_its_uncompressed_members(self, tmp_path):
+        archive = tmp_path / "book.zip"
+        with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as out:
+            out.writestr("book/a.txt", b"the " * 50_000)
+            out.writestr("book/b.txt", b"cat " * 25_000)
+        assert archive.stat().st_size < 10_000
+        assert dataset_module._url_bytes("file:" + str(archive)) == 300_000
+
+    def test_unreadable_zip_counts_as_a_whole_task(self, tmp_path):
+        archive = tmp_path / "broken.zip"
+        archive.write_bytes(b"not a zip")
+        assert dataset_module._url_bytes(str(archive)) == FILE_TASK_BYTES
 
     def test_same_layout_from_plain_paths_and_file_urls(self, tmp_path):
         paths = self.files(tmp_path, [10 * i for i in range(1, 30)])
