@@ -13,10 +13,13 @@ Run:
 
 Pass ``--mrs-metrics-json out.json`` to dump the serial run's metrics
 report — startup time, per-phase (map/shuffle/reduce) breakdown, and
-one span per task — as JSON.  Pass ``--mrs-event-log events.jsonl``
-and/or ``--mrs-trace trace.json`` to record the serial run's structured
-event stream and a Chrome/Perfetto timeline (open the trace at
-https://ui.perfetto.dev).
+one span per task — as JSON.  Pass ``--mrs-event-log events.jsonl`` to
+record the serial run's structured event stream; turn it into a
+Chrome/Perfetto timeline afterwards with
+
+    python -m repro.observability.analyze events.jsonl --trace trace.json
+
+(open the trace at https://ui.perfetto.dev).
 """
 
 import argparse
@@ -46,13 +49,6 @@ def main() -> int:
         default=None,
         help="append the serial run's structured events to PATH (JSONL)",
     )
-    parser.add_argument(
-        "--mrs-trace",
-        dest="trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome/Perfetto trace of the serial run to PATH",
-    )
     cli = parser.parse_args()
 
     workdir = tempfile.mkdtemp(prefix="mrs_quickstart_")
@@ -70,14 +66,14 @@ def main() -> int:
         impl="serial",
         metrics_json=cli.metrics_json,
         event_log=cli.event_log,
-        trace=cli.trace,
     )
     counts = output_counts(serial)
     print(f"serial:       {len(counts)} distinct words")
     if cli.event_log:
-        print(f"event log:    {cli.event_log}")
-    if cli.trace:
-        print(f"trace:        {cli.trace} (open at https://ui.perfetto.dev)")
+        print(
+            f"event log:    {cli.event_log} (timeline: python -m "
+            f"repro.observability.analyze {cli.event_log} --trace OUT.json)"
+        )
     if cli.metrics_json:
         from repro.observability import export
 

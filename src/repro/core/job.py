@@ -82,9 +82,9 @@ class Backend:
 
     def telemetry(self) -> Dict[str, Any]:
         """The cluster telemetry snapshot: the latest health sample per
-        source, shuffle-skew summaries, straggler candidates.  Empty
-        when the backend records nothing; a single-process backend has
-        only its own health.  The coordinator fills in the rest."""
+        source and shuffle-skew summaries.  Empty when the backend
+        records nothing; a single-process backend has only its own
+        health.  The coordinator fills in the rest."""
         if self.observability is None:
             return {}
         from repro.observability.telemetry import snapshot
@@ -133,6 +133,19 @@ class Job:
             raise ValueError(f"duplicate dataset id {dataset.id!r}")
         self._datasets[dataset.id] = dataset
         return dataset
+
+    def _submit(self, data: ds.ComputedData) -> ds.ComputedData:
+        """Register a computed dataset and queue it on the backend; an
+        operation on a released dataset raises here, in the caller's
+        thread."""
+        for dep_id in (data.input_id, *data.blocking_ids):
+            if dep_id not in self._datasets:
+                raise JobError(
+                    f"dataset {dep_id} was released or is not of this job"
+                )
+        self._register(data)
+        self.backend.submit(data, self)
+        return data
 
     # -- input datasets -------------------------------------------------
 
@@ -207,9 +220,7 @@ class Job:
             value_serializer=value_serializer,
             namespace=self.namespace,
         )
-        self._register(data)
-        self.backend.submit(data, self)
-        return data
+        return self._submit(data)
 
     def reduce_data(
         self,
@@ -241,9 +252,7 @@ class Job:
             value_serializer=value_serializer,
             namespace=self.namespace,
         )
-        self._register(data)
-        self.backend.submit(data, self)
-        return data
+        return self._submit(data)
 
     def reducemap_data(
         self,
@@ -281,9 +290,7 @@ class Job:
             value_serializer=value_serializer,
             namespace=self.namespace,
         )
-        self._register(data)
-        self.backend.submit(data, self)
-        return data
+        return self._submit(data)
 
     # -- synchronization --------------------------------------------------
 
@@ -331,15 +338,24 @@ class Job:
 
     def telemetry(self) -> Dict[str, Any]:
         """The cluster telemetry view: the latest health sample per
-        slave/worker, shuffle-skew summaries per dataset, and straggler
-        candidates."""
+        slave/worker and shuffle-skew summaries per dataset."""
         return self.backend.telemetry()
 
     def remove_data(self, dataset: ds.BaseDataset) -> None:
         """Free a dataset that no further operation will read.
 
         Long iterative runs must release old iterations or the job's
-        footprint grows linearly with iteration count.
+        footprint grows linearly with iteration count.  The dataset
+        leaves every table of the job and its backend; its tasks' spans
+        fold into one row of ``metrics()["operations"]``.  Two rules
+        keep a release from stranding work:
+
+        * a dataset that is not finished and still reads the released
+          one (as input or blocker, directly or transitively) fails at
+          once, with an error that names the released dataset;
+        * an operation submitted on a released dataset raises
+          :class:`JobError` here, in the caller's thread.
         """
         self.backend.remove_data(dataset.id, self)
         dataset.clear()
+        self._datasets.pop(dataset.id, None)

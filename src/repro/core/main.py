@@ -127,23 +127,13 @@ def _maybe_dump_metrics(backend: Any, opts: Any) -> Optional[str]:
 
 def _finalize_run(backend: Any, opts: Any) -> None:
     """End-of-job observability outputs: the metrics report
-    (--mrs-metrics-json), the Perfetto timeline (--mrs-trace), and the
-    event-log flush (--mrs-event-log)."""
+    (--mrs-metrics-json) and the event-log flush (--mrs-event-log)."""
     _maybe_dump_metrics(backend, opts)
     events = getattr(
         getattr(backend, "observability", None), "events", None
     )
-    if events is None:
-        return
-    trace_path = getattr(opts, "trace", None)
-    if trace_path:
-        from repro.observability import timeline
-
-        timeline.write_trace(
-            timeline.trace_from_events(events.snapshot()), trace_path
-        )
-        logger.info("timeline trace written to %s", trace_path)
-    events.close()
+    if events is not None:
+        events.close()
 
 
 def _maybe_start_ticker(backend: Any, opts: Any) -> Optional[Any]:

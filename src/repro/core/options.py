@@ -168,15 +168,6 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         "(lines carry pid/role/sequence fields)",
     )
     group.add_argument(
-        "--mrs-trace",
-        dest="trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome/Perfetto trace_event JSON timeline of the "
-        "job to PATH on exit (open in ui.perfetto.dev); one track per "
-        "worker/slave, spans per task phase",
-    )
-    group.add_argument(
         "--mrs-progress",
         dest="progress",
         action="store_true",

@@ -95,8 +95,8 @@ class Observability:
 
         ``path`` adds the crash-safe JSONL sink (``--mrs-event-log``);
         ``unbounded=True`` keeps the full stream in memory instead of a
-        bounded ring (needed when a trace will be built from it at job
-        end).
+        bounded ring (tests that inspect a whole run ask for it; the
+        framework never does).
         """
         if self.events is None:
             from repro.observability.events import DEFAULT_RING_SIZE
@@ -117,11 +117,8 @@ class Observability:
         if opts is None:
             return
         event_log = getattr(opts, "event_log", None)
-        trace = getattr(opts, "trace", None)
-        if event_log or trace:
-            # A requested trace is built from memory at job end, so the
-            # ring must keep the whole stream.
-            self.enable_events(path=event_log, unbounded=bool(trace))
+        if event_log:
+            self.enable_events(path=event_log)
         # The transfer plane is process-global; mirror its counters
         # into this backend's registry so fetch traffic performed by
         # this process shows up in the report.

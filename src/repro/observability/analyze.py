@@ -12,6 +12,9 @@ log (``--mrs-event-log``):
   job window, i.e. how much of each slave's time the scheduler kept
   busy.
 
+``--trace OUT.json`` also writes the log as a Chrome/Perfetto timeline
+(:func:`repro.observability.timeline.trace_from_events`).
+
 Events carry process-local ``perf_counter`` timestamps; the
 coordinator re-anchors remote batches into its own clock before
 logging, so all ``task.*`` events here are directly comparable.
@@ -27,7 +30,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from repro.core.dataset import namespace_of
-from repro.observability import events as events_mod
+from repro.observability import events as events_mod, timeline
 
 
 def _collect_tasks(
@@ -189,12 +192,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="emit the full report as JSON instead of text",
     )
+    parser.add_argument(
+        "--trace",
+        metavar="OUT",
+        help="also write the log as a Chrome/Perfetto trace_event JSON "
+        "timeline to OUT (open in ui.perfetto.dev)",
+    )
     opts = parser.parse_args(argv)
     try:
         rows = events_mod.read_jsonl(opts.event_log)
     except (OSError, ValueError) as exc:
         print(f"cannot read {opts.event_log}: {exc}", file=sys.stderr)
         return 1
+    if opts.trace:
+        timeline.write_trace(timeline.trace_from_events(rows), opts.trace)
     report = analyze(rows)
     if opts.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)

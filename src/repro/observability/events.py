@@ -77,8 +77,8 @@ class EventLog:
         self.path = path
         self._seq = 0
         self._lock = threading.Lock()
-        #: ring_size=None keeps the full stream (needed when a trace
-        #: will be built from memory at job end).
+        #: ring_size=None keeps the full stream (tests only: a run's
+        #: whole stream belongs in the JSONL file).
         self._ring: deque = deque(maxlen=ring_size)
         self._file = None
         if path:

@@ -1,10 +1,9 @@
-"""Cluster telemetry: worker health, stragglers, and surfacing.
+"""Cluster telemetry: worker health, skew, and surfacing.
 
 The metrics/events planes answer *per-job* questions.  This module
-answers *cluster* questions — is a slave slow, is a bucket fat, is a
-task an outlier relative to its siblings — the inputs the ROADMAP's
-speculative-execution item needs to pick victims.  It keeps no store of
-its own: every fact is a view over state the coordinator already holds.
+answers *cluster* questions — is a slave slow, is a bucket fat.  It
+keeps no store of its own: every fact is a view over state the
+coordinator already holds.
 
 * :class:`HealthSampler` — cheap process-health snapshots (CPU time,
   RSS, open fds, disk free on the run dir, task throughput) built from
@@ -12,14 +11,8 @@ its own: every fact is a view over state the coordinator already holds.
   The slave and the pool worker each own one; its samples piggyback on
   the done and ping messages already flowing, and the coordinator keeps
   the latest per source.
-* :class:`StragglerScorer` — a running task exceeding ``factor`` × the
-  median run time of its dataset's committed tasks is a straggler
-  candidate.  It reads the coordinator's task spans and keeps no
-  timings of its own
-  (:meth:`~repro.runtime.coordinator.Coordinator.straggler_candidates`).
 * :func:`snapshot` — the ``job.telemetry()`` shape: latest health per
-  source, skew per dataset (:func:`repro.observability.skew.summary`),
-  straggler candidates.
+  source and skew per dataset (:func:`repro.observability.skew.summary`).
 * :func:`render_prometheus` — the live ``GET /metrics`` view (Prometheus
   text exposition) on the ``--mrs-status-http`` surface; ``GET
   /status`` serves the same state as JSON.
@@ -32,16 +25,13 @@ import re
 import shutil
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 #: Minimum seconds between one process's health samples.
 DEFAULT_INTERVAL = 5.0
 
-#: Version of the :func:`snapshot` shape.
-SNAPSHOT_VERSION = 2
-
-#: Straggler threshold: multiple of the running median task time.
-DEFAULT_STRAGGLER_FACTOR = 1.5
+#: Version of the :func:`snapshot` shape (3: no ``stragglers`` block).
+SNAPSHOT_VERSION = 3
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -166,107 +156,6 @@ class HealthSampler:
 
 
 # ---------------------------------------------------------------------------
-# Straggler scoring
-# ---------------------------------------------------------------------------
-
-
-class StragglerScorer:
-    """Flags running tasks that exceed ``factor`` × the median run time
-    of their dataset's committed tasks.
-
-    A function of what the coordinator already records, evaluated under
-    its lock: *running* is its worker -> task map, *since when* each
-    running task's last ``started`` mark, the median that of the
-    dataset's committed spans (last ``started`` to ``committed``; a
-    failed or abandoned dispatch never committed, so it cannot poison
-    it).  With one committed task the median *is* that task.  All the
-    scorer remembers is which dispatches it has already reported.
-    """
-
-    def __init__(self, factor: float = DEFAULT_STRAGGLER_FACTOR):
-        self.factor = float(factor)
-        #: (dataset_id, task_index) -> the ``started`` stamp of the
-        #: dispatch already reported; a redispatch is a new candidate.
-        self._flagged: Dict[Any, float] = {}
-        self.flagged_total = 0
-
-    def forget_dataset(self, dataset_id: str) -> None:
-        self._flagged = {
-            key: started
-            for key, started in self._flagged.items()
-            if key[0] != dataset_id
-        }
-
-    def candidates(
-        self,
-        running: Dict[Any, Any],
-        tracer: Any,
-        now: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        """Running tasks currently over the straggler threshold, most
-        severe first: task, slave, elapsed seconds, dataset median and
-        their ratio — what a speculative re-launcher needs to pick
-        victims.  ``running`` maps worker id -> ``(dataset_id,
-        task_index)``; ``now`` is on the spans' clock.
-        """
-        if now is None:
-            now = time.perf_counter()
-        by_dataset: Dict[str, Any] = {}
-        out: List[Dict[str, Any]] = []
-        for slave_id, task in running.items():
-            dataset_id, task_index = task
-            if dataset_id not in by_dataset:
-                spans = tracer.spans_for(dataset_id)
-                by_dataset[dataset_id] = (
-                    {span.task_index: span for span in spans},
-                    _median_run_seconds(spans),
-                )
-            spans_by_index, median = by_dataset[dataset_id]
-            span = spans_by_index.get(task_index)
-            started = None if span is None else span.last_time("started")
-            if started is None or median <= 0.0:
-                continue
-            elapsed = max(0.0, now - started)
-            if elapsed <= self.factor * median:
-                continue
-            first_flag = self._flagged.get(task) != started
-            if first_flag:
-                self._flagged[task] = started
-                self.flagged_total += 1
-            out.append(
-                {
-                    "dataset_id": dataset_id,
-                    "task_index": task_index,
-                    "slave": slave_id,
-                    "elapsed_seconds": elapsed,
-                    "median_seconds": median,
-                    "ratio": elapsed / median,
-                    "first_flag": first_flag,
-                }
-            )
-        out.sort(key=lambda c: c["ratio"], reverse=True)
-        return out
-
-
-def _median_run_seconds(spans: List[Any]) -> float:
-    """Median last-``started`` -> ``committed`` seconds of the spans
-    whose latest dispatch committed; 0.0 when none has."""
-    runs = []
-    for span in spans:
-        started = span.last_time("started")
-        committed = span.last_time("committed")
-        if started is not None and committed is not None and committed >= started:
-            runs.append(committed - started)
-    if not runs:
-        return 0.0
-    # Not statistics.median: importing it pulls in fractions/decimal,
-    # ~2 MB and ~10 ms in every slave and worker process.
-    runs.sort()
-    mid = len(runs) // 2
-    return runs[mid] if len(runs) % 2 else 0.5 * (runs[mid - 1] + runs[mid])
-
-
-# ---------------------------------------------------------------------------
 # The job.telemetry() snapshot
 # ---------------------------------------------------------------------------
 
@@ -276,8 +165,6 @@ def snapshot(
     rundir: Optional[str] = None,
     latest: Optional[Dict[str, Dict[str, float]]] = None,
     skew: Optional[Dict[str, Dict[str, Any]]] = None,
-    stragglers: Sequence[Dict[str, Any]] = (),
-    flagged_total: int = 0,
 ) -> Dict[str, Any]:
     """The ``job.telemetry()`` payload.
 
@@ -292,11 +179,6 @@ def snapshot(
         "role": role,
         "latest": dict(sorted(latest.items())),
         "skew": dict(skew or {}),
-        "stragglers": {
-            "factor": DEFAULT_STRAGGLER_FACTOR,
-            "candidates": list(stragglers),
-            "flagged_total": int(flagged_total),
-        },
     }
 
 
@@ -418,17 +300,6 @@ def render_prometheus(backend: Any) -> str:
             if summary[key] is not None:
                 writer.add(metric, summary[key], labels)
         writer.add("mrs_skew_bytes_total", summary["bytes_total"], labels, "counter")
-
-    stragglers = telemetry.get("stragglers") or {}
-    writer.add(
-        "mrs_straggler_candidates",
-        len(stragglers.get("candidates") or ()),
-    )
-    writer.add(
-        "mrs_stragglers_flagged_total",
-        stragglers.get("flagged_total", 0),
-        mtype="counter",
-    )
 
     observability = getattr(backend, "observability", None)
     if observability is not None:

@@ -1,6 +1,7 @@
 """Chrome/Perfetto ``trace_event`` conversion for merged event streams.
 
-``--mrs-trace PATH`` turns a job's event stream into a JSON file that
+``python -m repro.observability.analyze EVENTS.jsonl --trace OUT.json``
+turns a job's ``--mrs-event-log`` into a JSON file that
 ``chrome://tracing`` and https://ui.perfetto.dev open directly: one
 track per executing worker/slave (serial backends get a single track),
 a ``B``/``E`` span per task with nested spans for its phases
@@ -10,9 +11,9 @@ instant events for failures, requeues, and worker/slave deaths — so a
 1000-task job is inspectable as a flame-style timeline instead of a
 1000-row table.
 
-Input is either a live :class:`~repro.observability.events.EventLog`
-snapshot or a JSONL file written with ``--mrs-event-log``
-(:func:`trace_from_jsonl`).
+Input is a JSONL file written with ``--mrs-event-log``
+(:func:`trace_from_jsonl`) or an in-memory
+:class:`~repro.observability.events.EventLog` snapshot.
 
 Output schema (the "JSON Array Format" plus process/thread metadata)::
 

@@ -19,8 +19,9 @@ offsets from its own task start (:meth:`TaskSpan.to_wire`) and the
 coordinator's span for the task re-anchors them at its own last
 ``started`` mark (:meth:`TaskSpan.absorb`).  Every other report of task
 time (``phases``, ``operations``, status views, ``task_stats()``,
-``task.phase`` events, straggler scoring) is derived from spans, and
-spans live as long as their dataset (:meth:`Tracer.fold`).
+``task.phase`` events) is derived from spans, and spans live as long
+as their dataset: releasing it on any runtime folds them into one
+summary row (:meth:`Tracer.fold`).
 """
 
 from __future__ import annotations

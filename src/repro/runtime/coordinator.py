@@ -7,8 +7,8 @@ condition variable, the dataset table, the affinity-aware
 :class:`~repro.runtime.failures.FailureTracker` and every decision made
 from them: submission, dispatch, descriptor building, stale-report
 rejection, bucket registration, metrics folding, the 3-strike failure
-policy with error propagation, and the cancel -> release -> delete
-order of ``remove_data``.
+policy with error propagation, and ``remove_data``, the one way a
+dataset leaves every table.
 
 A *transport* subclass supplies only what genuinely differs between
 the cluster master (XML-RPC to slave processes) and the multiprocess
@@ -53,12 +53,13 @@ from repro.core.job import Backend, Job
 from repro.io.bucket import Bucket
 from repro.observability import MetricsRegistry, Observability, skew
 from repro.observability.events import emit_task_events
-from repro.observability.telemetry import (
-    StragglerScorer,
-    snapshot as telemetry_snapshot,
-)
+from repro.observability.telemetry import snapshot as telemetry_snapshot
 from repro.runtime import dataplane
-from repro.runtime.failures import FailureTracker, propagate_error
+from repro.runtime.failures import (
+    FailureTracker,
+    propagate_error,
+    release_dataset,
+)
 from repro.runtime.scheduler import ScheduledDataset, Scheduler, TaskId
 
 logger = logging.getLogger("repro.coordinator")
@@ -90,9 +91,6 @@ class Coordinator(Backend):
         self.scheduler = Scheduler(
             affinity=not getattr(opts, "no_affinity", False)
         )
-        #: Straggler scorer: reads ``_busy`` and the task spans; see
-        #: :meth:`straggler_candidates`.
-        self._stragglers = StragglerScorer()
         #: Source (``slave-3``/``worker-1``) -> its latest health sample;
         #: later fields win, so a ping's RTT and a done's sample share
         #: one entry.
@@ -164,18 +162,19 @@ class Coordinator(Backend):
 
     def submit(self, dataset: ComputedData, job: Job) -> None:
         self.observability.note_submitted(dataset)
+        deps = [
+            job.get_dataset(dep_id)
+            for dep_id in (dataset.input_id, *dataset.blocking_ids)
+        ]
         with self._lock:
-            input_dataset = job.get_dataset(dataset.input_id)
             self._datasets[dataset.id] = dataset
-            self._datasets.setdefault(input_dataset.id, input_dataset)
-            for blocker_id in dataset.blocking_ids:
-                self._datasets.setdefault(blocker_id, job.get_dataset(blocker_id))
-            # Non-computed inputs (LocalData/FileData) are complete on
-            # arrival; tell the scheduler so dependents can activate.
-            for dep_id in [dataset.input_id, *dataset.blocking_ids]:
-                dep = self._datasets[dep_id]
-                if dep.complete and not self.scheduler.is_complete(dep_id):
-                    self.scheduler.mark_input_complete(dep_id)
+            for dep in deps:
+                self._datasets.setdefault(dep.id, dep)
+                # Non-computed inputs (LocalData/FileData) are complete
+                # on arrival; tell the scheduler so dependents can
+                # activate.
+                if dep.complete and not self.scheduler.is_complete(dep.id):
+                    self.scheduler.mark_input_complete(dep.id)
             self.scheduler.add_dataset(
                 ScheduledDataset(
                     dataset.id,
@@ -186,6 +185,11 @@ class Coordinator(Backend):
                     job_id=getattr(job, "namespace", None),
                 )
             )
+            # An input that already failed can never complete: fail
+            # this dataset now rather than leave its waiters hanging.
+            failed = [dep.id for dep in deps if dep.error]
+            if failed:
+                self._fail(dataset, f"input dataset {failed[0]} failed")
             self._drain_scheduler()
         self._dispatch()
 
@@ -271,9 +275,8 @@ class Coordinator(Backend):
 
     def telemetry(self) -> Dict[str, Any]:
         """The cluster telemetry snapshot: the latest health sample per
-        source, shuffle skew over the buckets each dataset holds now,
-        and the live straggler candidates."""
-        candidates = self.straggler_candidates()
+        source and shuffle skew over the buckets each dataset holds
+        now."""
         with self._lock:
             latest = {
                 source: dict(sample) for source, sample in self._health.items()
@@ -287,8 +290,6 @@ class Coordinator(Backend):
             self.tmpdir,
             latest,
             skew.summary(buckets),
-            candidates,
-            self._stragglers.flagged_total,
         )
 
     def _note_health(self, source: str, sample: Dict[str, float]) -> None:
@@ -296,38 +297,34 @@ class Coordinator(Backend):
         holds the lock)."""
         self._health.setdefault(source, {}).update(sample)
 
-    def straggler_candidates(self) -> List[Dict[str, Any]]:
-        """Running tasks over the straggler threshold, most severe
-        first.  This is the API speculative execution consumes to pick
-        re-launch victims."""
-        with self._lock:
-            return self._stragglers.candidates(
-                self._busy, self.observability.tracer
-            )
-
     def remove_data(self, dataset_id: str, job: Optional[Job] = None) -> None:
-        # Ordering matters for spill-file hygiene: first stop any more
-        # of this dataset's tasks from running, then release
-        # worker-local copies, and only *then* delete the run
-        # directory — deleting it first left a window where an
-        # in-flight task re-created the directory with fresh spill
-        # files that nothing would ever clean up.
+        """Release a dataset: the one way it leaves the coordinator.
+
+        Under the lock it leaves every table (its queued tasks go, an
+        in-flight one is abandoned, its spans fold into one summary
+        row), and every unfinished dataset that still reads it fails,
+        so no consumer waits on data that is gone.  Only then are
+        worker-local copies released and the run directory deleted: a
+        task that finishes later finds no dataset, and
+        :meth:`task_done` sweeps its late output.
+        """
         with self._lock:
-            self.scheduler.cancel_dataset(dataset_id)
+            failed = release_dataset(self._datasets, dataset_id)
+            self.scheduler.forget_dataset(dataset_id)
+            self._failures.forget_dataset(dataset_id)
+            self.observability.tracer.fold(dataset_id)
+            events = self.observability.events
+            for failed_id in failed:
+                self.scheduler.cancel_dataset(failed_id)
+                if events is not None:
+                    events.emit(
+                        "dataset.failed",
+                        dataset_id=failed_id,
+                        error=self._datasets[failed_id].error,
+                    )
+            self._cond.notify_all()
         self._release_worker_copies(dataset_id)
         shutil.rmtree(os.path.join(self.tmpdir, dataset_id), ignore_errors=True)
-
-    def _forget_dataset(self, dataset_id: str) -> None:
-        """Drop every trace of a released dataset (caller holds the
-        lock), so a long-lived coordinator's memory does not grow with
-        every dataset ever run."""
-        self._datasets.pop(dataset_id, None)
-        self._failures.forget_dataset(dataset_id)
-        self.scheduler.forget_dataset(dataset_id)
-        # The spans shrink to the one row the report and status views
-        # still need.
-        self.observability.tracer.fold(dataset_id)
-        self._stragglers.forget_dataset(dataset_id)
 
     def close(self) -> None:
         with self._lock:
@@ -502,31 +499,33 @@ class Coordinator(Backend):
         """Charge one failed attempt to ``task``'s budget (caller holds
         the lock).  The first time the budget is exhausted the dataset
         fails as ``"task <i> <what> <n> times<detail>"``, along with
-        every transitive dependent, and all of them are cancelled."""
-        if not self._failures.record(task):
+        every transitive dependent, and all of them are cancelled.  A
+        released dataset's attempt is not counted: nothing would ever
+        forget the count."""
+        dataset = self._datasets.get(task[0])
+        if dataset is None or not self._failures.record(task):
             return
-        dataset_id, task_index = task
-        dataset = self._datasets.get(dataset_id)
-        if dataset is not None and not dataset.error:
-            dataset.error = (
-                f"task {task_index} {what} "
-                f"{self._failures.count(task)} times{detail}"
+        if not dataset.error:
+            self._fail(
+                dataset,
+                f"task {task[1]} {what} "
+                f"{self._failures.count(task)} times{detail}",
             )
-            # Dependents can never run; fail them too so any wait() on
-            # them returns instead of hanging.
-            propagate_error(self._datasets, dataset_id)
-            # Cancel the failed datasets: their queued tasks can only
-            # waste workers, and their in-flight ones are not requeued.
-            for errored_id, errored in self._datasets.items():
-                if errored.error:
-                    self.scheduler.cancel_dataset(errored_id)
-            events = self.observability.events
-            if events is not None:
-                events.emit(
-                    "dataset.failed",
-                    dataset_id=dataset_id,
-                    error=dataset.error,
-                )
+
+    def _fail(self, dataset: BaseDataset, error: str) -> None:
+        """Fail ``dataset`` and every unfinished dataset that
+        (transitively) reads it, so a wait() on any of them returns
+        instead of hanging, and cancel them all: their queued tasks can
+        only waste workers, and their in-flight ones are not requeued
+        (caller holds the lock)."""
+        dataset.error = error
+        for failed_id in [
+            dataset.id, *propagate_error(self._datasets, dataset.id)
+        ]:
+            self.scheduler.cancel_dataset(failed_id)
+        events = self.observability.events
+        if events is not None:
+            events.emit("dataset.failed", dataset_id=dataset.id, error=error)
 
     def _note_requeued(self, task: TaskId, free_retry: bool = False) -> None:
         """Emit ``task.requeued`` if the task is back in the queue — not

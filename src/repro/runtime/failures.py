@@ -9,7 +9,7 @@ dataset raises instead of hanging forever.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 TaskId = Tuple[str, int]
 
@@ -49,13 +49,15 @@ class FailureTracker:
 
 def propagate_error(
     datasets: Dict[str, object], failed_id: str, message: Optional[str] = None
-) -> None:
-    """Mark every (transitive) dependent of ``failed_id`` as failed.
+) -> List[str]:
+    """Mark every unfinished (transitive) dependent of ``failed_id`` as
+    failed; returns their ids.
 
     ``datasets`` maps dataset id -> dataset; dependents are found
     through ``input_id`` and ``blocking_ids``.  Caller holds whatever
     lock guards the dataset table.
     """
+    failed: List[str] = []
     frontier = [failed_id]
     while frontier:
         current = frontier.pop()
@@ -67,4 +69,19 @@ def propagate_error(
             )
             if current in deps:
                 dataset.error = message or f"input dataset {current} failed"
+                failed.append(dataset.id)
                 frontier.append(dataset.id)
+    return failed
+
+
+def release_dataset(datasets: Dict[str, object], released_id: str) -> List[str]:
+    """Drop a released dataset from ``datasets`` and fail what can no
+    longer finish: the dataset itself if it was unfinished, and every
+    unfinished dataset that (transitively) reads it, with an error that
+    names it.  Returns the failed readers' ids."""
+    released = datasets.pop(released_id, None)
+    if released is not None and not (released.complete or released.error):
+        released.error = f"dataset {released_id} was released"
+    return propagate_error(
+        datasets, released_id, f"input dataset {released_id} was released"
+    )

@@ -245,8 +245,8 @@ class MasterBackend(Coordinator):
 
     def remove_data(self, dataset_id: str, job: Optional[Job] = None) -> None:
         with self._lock:
-            # Released datasets are exempt from lineage recovery: their
-            # data is gone on purpose and nothing will read it again.
+            # A released dataset is exempt from lineage recovery: its
+            # data is gone on purpose.
             self._producers = {
                 task: producer
                 for task, producer in self._producers.items()
@@ -381,25 +381,21 @@ class MasterBackend(Coordinator):
         return canceled
 
     def release_namespace(self, namespace: str) -> int:
-        """Release a finished job's intermediate data and bookkeeping.
-
-        Run directories and slave-local copies of every dataset under
-        the namespace are removed (user outdirs are untouched), and the
-        scheduler/dataset maps forget them so a long-lived server's
-        memory does not grow with every job ever run.  The per-job
-        metrics registry is kept so the job's final numbers remain
-        queryable.  Returns the number of datasets released.
+        """Release a finished job: :meth:`remove_data` on each of its
+        datasets, newest first (so none fails for a released input),
+        then its program, dispatch count and affinity entries.  User
+        outdirs are untouched; the per-job metrics registry is kept so
+        the job's final numbers remain queryable.  Returns the number
+        of datasets released.
         """
         prefix = namespace + "."
         with self._lock:
             ds_ids = [i for i in self._datasets if i.startswith(prefix)]
-        for ds_id in ds_ids:
+        for ds_id in reversed(ds_ids):
             self.remove_data(ds_id)
         with self._lock:
-            for ds_id in ds_ids:
-                self._forget_dataset(ds_id)
             self._job_programs.pop(namespace, None)
-            self.scheduler.job_dispatches.pop(namespace, None)
+            self.scheduler.forget_job(namespace)
         return len(ds_ids)
 
     def job_status(self, namespace: str) -> Dict[str, Any]:
@@ -488,6 +484,21 @@ class MasterBackend(Coordinator):
         recomputed = 0
         for dataset_id, task_indices in by_dataset.items():
             dataset = self._datasets[dataset_id]
+            released = [
+                dep_id
+                for dep_id in (dataset.input_id, *dataset.blocking_ids)
+                if dep_id not in self._datasets
+            ]
+            if released:
+                # Its input is gone on purpose: the lost output cannot
+                # be computed again.
+                dataset.complete = False
+                self._fail(
+                    dataset,
+                    f"output lost with slave {slave_id}; input dataset "
+                    f"{released[0]} was released",
+                )
+                continue
             reset = self.scheduler.reset_tasks(dataset_id, task_indices)
             if reset:
                 for task_index in task_indices:
@@ -540,26 +551,6 @@ class MasterBackend(Coordinator):
                 sample["rtt_seconds"] = rtt
                 with self._lock:
                     self._note_health(f"slave-{record.id}", sample)
-            self._poll_stragglers()
-
-    def _poll_stragglers(self) -> None:
-        """Emit ``task.straggler`` events for tasks newly over the
-        threshold (piggybacks on the watchdog cadence)."""
-        candidates = self.straggler_candidates()
-        events = self.observability.events
-        if events is None:
-            return
-        for cand in candidates:
-            if cand.get("first_flag"):
-                events.emit(
-                    "task.straggler",
-                    dataset_id=cand["dataset_id"],
-                    task_index=cand["task_index"],
-                    slave=cand["slave"],
-                    elapsed_seconds=cand["elapsed_seconds"],
-                    median_seconds=cand["median_seconds"],
-                    ratio=cand["ratio"],
-                )
 
 
 class MasterInterface:

@@ -359,32 +359,33 @@ class Scheduler:
         return before - len(self._pending)
 
     def forget_dataset(self, dataset_id: str) -> None:
-        """Drop every trace of a dataset (service mode: a finished
-        job's datasets are released so a long-lived scheduler's state
-        does not grow with every job ever run).  Any still-assigned
-        task is abandoned — a late completion report for it is then
-        rejected as stale by :meth:`task_done`.
+        """Drop every trace of a released dataset, so the scheduler's
+        state does not grow with every dataset ever run.  Any
+        still-assigned task is abandoned — a late completion report for
+        it is then rejected as stale by :meth:`task_done`.  Affinity
+        entries stay: later iterations share the dataset's group.
         """
-        sched = self._datasets.pop(dataset_id, None)
-        if sched is None:
+        self._complete_ids.discard(dataset_id)
+        if self._datasets.pop(dataset_id, None) is None:
             return
-        # _order keeps its other entries' ranks stable: the rank map is
-        # per-id, not positional, so removal never renumbers.
-        if dataset_id in self._order:
-            self._order.remove(dataset_id)
+        # Ranks are per id, not positional: removal never renumbers.
+        self._order.remove(dataset_id)
         self._order_rank.pop(dataset_id, None)
         self._pending = [t for t in self._pending if t[0] != dataset_id]
         for task in [t for t in self._assigned if t[0] == dataset_id]:
             slave = self._assigned.pop(task)
             self._slave_tasks.get(slave, set()).discard(task)
-        self._complete_ids.discard(dataset_id)
-        # Affinity hints keyed by this dataset's group are only shared
-        # within its own job; releasing the whole job drops them all.
+
+    def forget_job(self, job_id: str) -> None:
+        """Drop a released job's affinity entries (its groups are
+        namespaced ``<job_id>.``) and its dispatch count."""
+        prefix = job_id + "."
         self._affinity = {
             key: slave
             for key, slave in self._affinity.items()
-            if key[0] != sched.affinity_group
+            if not key[0].startswith(prefix)
         }
+        self.job_dispatches.pop(job_id, None)
 
     def task_failed(self, slave_id: int, task: TaskId) -> None:
         """Return a failed task to the pending queue (retried elsewhere)."""

@@ -18,6 +18,7 @@ from repro.observability import Observability
 from repro.observability.events import emit_task_events
 from repro.observability.profiling import profiler_from_opts
 from repro.runtime import taskrunner
+from repro.runtime.failures import release_dataset
 
 
 class SerialBackend(Backend):
@@ -183,5 +184,10 @@ class SerialBackend(Backend):
         )
 
     def remove_data(self, dataset_id: str, job: Job) -> None:
-        # In-memory data is freed by Job.remove_data via dataset.clear().
+        """Release a dataset as the coordinator does: its spans fold
+        into one summary row, and a queued dataset that can no longer
+        run (it is the released one, or reads it) fails.  Job.remove_data
+        frees the in-memory pairs via dataset.clear()."""
         self._completed_tasks.pop(dataset_id, None)
+        self.observability.tracer.fold(dataset_id)
+        release_dataset({d.id: d for d in self._queue}, dataset_id)

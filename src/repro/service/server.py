@@ -211,13 +211,13 @@ class JobServer:
                 raise JobError(f"job {record.id} canceled")
             if status not in (None, 0):
                 raise JobError(f"{record.program} exited with {status}")
-            record.state = DONE
+            state = DONE
         except BaseException as exc:  # noqa: BLE001 - job isolation wall
             if record.cancel_event.is_set():
-                record.state = CANCELED
+                state = CANCELED
                 logger.info("%s canceled", record.id)
             else:
-                record.state = FAILED
+                state = FAILED
                 record.error = repr(exc)
                 logger.warning("%s failed: %r", record.id, exc)
         finally:
@@ -226,6 +226,9 @@ class JobServer:
                 self.backend.release_namespace(record.id)
             except Exception:  # pragma: no cover - best-effort cleanup
                 logger.exception("releasing %s", record.id)
+            # Terminal only once released: a view of a finished job
+            # never shows its datasets.
+            record.state = state
             if record.state == DONE:
                 self._completed.inc()
             elif record.state == CANCELED:

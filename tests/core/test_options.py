@@ -117,7 +117,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-status-http",
     "--mrs-timeout",
     "--mrs-tmpdir",
-    "--mrs-trace",
     "--mrs-verbose",
     "--mrs-zero-copy",
 }
@@ -136,6 +135,7 @@ REMOVED_FLAGS = [
     "--mrs-profile",
     "--mrs-native",
     "--mrs-pipeline",
+    "--mrs-trace",
 ]
 
 #: Every environment variable the framework reads or writes.
@@ -175,7 +175,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 26
+        assert len(flags) == 25
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))

@@ -168,7 +168,6 @@ class TestDisabledPath:
     def test_configure_without_flags_stays_disabled(self):
         class Opts:
             event_log = None
-            trace = None
 
         obs = Observability()
         obs.configure_from_opts(Opts())
@@ -179,21 +178,24 @@ class TestDisabledPath:
     def test_configure_enables_on_either_flag(self, tmp_path):
         class Opts:
             event_log = str(tmp_path / "e.jsonl")
-            trace = None
 
         obs = Observability()
         obs.configure_from_opts(Opts())
         assert obs.events is not None
         obs.events.close()
 
-    def test_trace_flag_requests_unbounded_ring(self):
+    def test_event_log_keeps_a_bounded_ring(self, tmp_path):
+        """The framework never asks for an unbounded ring: a run's
+        whole stream belongs in the JSONL file."""
+        from repro.observability.events import DEFAULT_RING_SIZE
+
         class Opts:
-            event_log = None
-            trace = "trace.json"
+            event_log = str(tmp_path / "e.jsonl")
 
         obs = Observability()
         obs.configure_from_opts(Opts())
-        assert obs.events._ring.maxlen is None
+        assert obs.events._ring.maxlen == DEFAULT_RING_SIZE
+        obs.events.close()
 
     def test_enable_events_idempotent(self):
         obs = Observability()

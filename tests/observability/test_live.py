@@ -2,8 +2,9 @@
 
 Covers the acceptance criteria for the event-log/trace/status work:
 every backend's ``--mrs-event-log`` JSONL has complete, seq-ordered
-per-task lifecycles; ``--mrs-trace`` output passes the Perfetto
-structural checks; ``Job.status()``, the progress ticker, and the
+per-task lifecycles; the trace ``python -m
+repro.observability.analyze LOG --trace OUT`` builds from it passes
+the Perfetto structural checks; ``Job.status()``, the progress ticker, and the
 ``--mrs-status-http`` endpoint all render the same live view; and
 cross-process span merging never double-counts compute.
 """
@@ -19,6 +20,7 @@ import repro as mrs
 from repro.core.job import Backend
 from repro.core.main import run_program
 from repro.observability import Observability
+from repro.observability.analyze import main as analyze_main
 from repro.observability.events import read_jsonl
 from repro.observability.progress import ProgressTicker, format_status_line
 from repro.observability.timeline import trace_from_jsonl
@@ -39,15 +41,22 @@ class MaterializedWordCount(WordCount):
         return status
 
 
+def offline_trace(log_path, tmp_path):
+    """The Perfetto trace of a finished run, built from its event log
+    the way a user builds one."""
+    trace_path = str(tmp_path / "trace.json")
+    assert analyze_main([log_path, "--trace", trace_path]) == 0
+    with open(trace_path) as f:
+        return json.load(f)
+
+
 def run_with_event_log(impl, tmp_path, **extra):
     log_path = str(tmp_path / "events.jsonl")
-    trace_path = str(tmp_path / "trace.json")
     program = run_program(
-        MaterializedWordCount, [], impl=impl,
-        event_log=log_path, trace=trace_path, **extra,
+        MaterializedWordCount, [], impl=impl, event_log=log_path, **extra,
     )
     assert program.counts["the"] == 3
-    return log_path, trace_path
+    return log_path
 
 
 def lifecycle_by_task(events):
@@ -71,7 +80,7 @@ class TestBackendEventLogs:
         self.check("multiprocess", tmp_path, procs=2)
 
     def check(self, impl, tmp_path, **extra):
-        log_path, trace_path = run_with_event_log(impl, tmp_path, **extra)
+        log_path = run_with_event_log(impl, tmp_path, **extra)
         events = read_jsonl(log_path)
 
         # Per-process sequence numbers are complete and in file order.
@@ -111,15 +120,14 @@ class TestBackendEventLogs:
             "dataset.complete"
         )
 
-        # The trace written alongside passes the Perfetto checks and
-        # matches a rebuild from the JSONL.
-        with open(trace_path) as f:
-            trace = json.load(f)
+        # The trace built from the log passes the Perfetto checks, one
+        # task span per task.
+        trace = offline_trace(log_path, tmp_path)
         assert_perfetto_structure(trace)
         task_begins = [e for e in trace["traceEvents"]
                        if e["ph"] == "B" and e.get("cat") == "task"]
         assert len(task_begins) == WordCount.N_TASKS
-        assert_perfetto_structure(trace_from_jsonl(log_path))
+        assert trace == trace_from_jsonl(log_path)
 
 
 @pytest.mark.integration
@@ -129,11 +137,10 @@ class TestClusterEventLog:
         from repro.runtime.cluster import LocalCluster
 
         log_path = str(tmp_path / "events.jsonl")
-        trace_path = str(tmp_path / "trace.json")
         flags = ["--pi-samples", "4000", "--pi-tasks", "4"]
         with LocalCluster(
             PiEstimator, flags, n_slaves=2,
-            opt_overrides={"event_log": log_path, "trace": trace_path},
+            opt_overrides={"event_log": log_path},
         ) as cluster:
             cluster.run()
         events = read_jsonl(log_path)
@@ -147,8 +154,7 @@ class TestClusterEventLog:
             assert positions == sorted(positions)
             # Slave-side phases were piggybacked and re-anchored.
             assert "task.phase" in task_names
-        with open(trace_path) as f:
-            trace = json.load(f)
+        trace = offline_trace(log_path, tmp_path)
         assert_perfetto_structure(trace)
         thread_names = {
             e["args"]["name"]

@@ -1,7 +1,6 @@
 """The cluster telemetry plane: health sampling, the coordinator's
 latest-sample-per-source view, shuffle skew as a view over a dataset's
-buckets, straggler scoring, the Prometheus renderer, and the offline
-analyzer.
+buckets, the Prometheus renderer, and the offline analyzer.
 
 Everything here runs on synthetic data with injected clocks — the
 end-to-end piggyback paths are covered by the integration suites; these
@@ -23,9 +22,8 @@ from repro.observability.analyze import (
 )
 from repro.observability.skew import gini, max_over_median
 from repro.observability.telemetry import (
-    DEFAULT_STRAGGLER_FACTOR,
+    SNAPSHOT_VERSION,
     HealthSampler,
-    StragglerScorer,
     render_prometheus,
     sample_health,
     snapshot,
@@ -155,177 +153,13 @@ class TestLatestHealth:
         done_with_health(backend, 1, None)
         assert set(backend.telemetry()["latest"]) == {"fake"}
 
-
-class SpanDriver:
-    """Plays the coordinator's part for the scorer: a tracer, a
-    worker -> task map and an injected clock for the span marks."""
-
-    def __init__(self, factor=DEFAULT_STRAGGLER_FACTOR):
-        from repro.observability.tracing import Tracer
-
-        self.clock = FakeClock()
-        self.tracer = Tracer()
-        self.running = {}
-        self.scorer = StragglerScorer(factor=factor)
-
-    def start(self, index, worker=1):
-        self.running[worker] = ("ds", index)
-        self.tracer.span("ds", index).mark("started", self.clock.now)
-
-    def finish(self, index, worker=1):
-        del self.running[worker]
-        self.tracer.span("ds", index).mark("committed", self.clock.now)
-
-    def run(self, index, seconds, worker=1):
-        self.start(index, worker)
-        self.clock.advance(seconds)
-        self.finish(index, worker)
-
-    def candidates(self):
-        return self.scorer.candidates(
-            self.running, self.tracer, now=self.clock.now
-        )
-
-
-class TestStragglerScorer:
-    def test_slow_task_flagged_against_running_median(self):
-        d = SpanDriver(factor=1.5)
-        # Three siblings finish in 1s each; one task keeps running.
-        for index in range(3):
-            d.run(index, 1.0)
-        d.start(3, worker=2)
-        d.clock.advance(1.4)
-        assert d.candidates() == []  # 1.4 <= 1.5 * median(1.0)
-        d.clock.advance(0.2)
-        (cand,) = d.candidates()
-        assert cand["dataset_id"] == "ds"
-        assert cand["task_index"] == 3
-        assert cand["slave"] == 2
-        assert cand["median_seconds"] == pytest.approx(1.0)
-        assert cand["ratio"] == pytest.approx(1.6)
-        assert cand["first_flag"] is True
-        # Re-polling reports the candidate again but not as a first flag.
-        (again,) = d.candidates()
-        assert again["first_flag"] is False
-        assert d.scorer.flagged_total == 1
-
-    def test_all_equal_distribution_flags_nothing_on_time(self):
-        d = SpanDriver(factor=1.5)
-        for index in range(4):
-            d.run(index, 2.0)
-        d.start(9)
-        d.clock.advance(2.0)  # exactly the median: not a straggler
-        assert d.candidates() == []
-
-    def test_single_completed_sample_is_the_median(self):
-        d = SpanDriver(factor=2.0)
-        d.run(0, 1.0)
-        d.start(1)
-        d.clock.advance(2.5)
-        (cand,) = d.candidates()
-        assert cand["median_seconds"] == pytest.approx(1.0)
-
-    def test_no_completions_means_no_candidates(self):
-        d = SpanDriver()
-        d.start(0)
-        d.clock.advance(1000.0)
-        assert d.candidates() == []
-
-    def test_abandoned_dispatch_never_poisons_the_distribution(self):
-        d = SpanDriver(factor=1.5)
-        d.start(0)
-        d.clock.advance(50.0)
-        del d.running[1]  # failed / worker lost: requeued, never committed
-        d.run(1, 1.0)
-        d.start(2)
-        d.clock.advance(1.4)
-        assert d.candidates() == []  # median is 1.0, not 50-tainted
-
-    def test_requeue_then_redispatch_counts_from_the_last_start(self):
-        d = SpanDriver(factor=1.5)
-        d.run(0, 1.0)
-        d.start(1, worker=2)
-        d.clock.advance(5.0)
-        (cand,) = d.candidates()
-        assert cand["first_flag"] is True
-        del d.running[2]  # the slow dispatch fails and is requeued ...
-        d.clock.advance(10.0)
-        d.start(1, worker=3)  # ... and redispatched much later
-        d.clock.advance(1.2)
-        assert d.candidates() == []  # 1.2s into *this* dispatch, not 16.2
-        d.clock.advance(1.0)
-        (again,) = d.candidates()
-        assert again["slave"] == 3
-        assert again["elapsed_seconds"] == pytest.approx(2.2)
-        # A new dispatch over the threshold is a new flag.
-        assert again["first_flag"] is True
-        assert d.scorer.flagged_total == 2
-        d.finish(1, worker=3)
-        assert d.candidates() == []
-
-    def test_forget_dataset_clears_flags(self):
-        d = SpanDriver()
-        d.run(0, 1.0)
-        d.start(1)
-        d.clock.advance(100.0)
-        assert d.candidates()[0]["first_flag"] is True
-        d.scorer.forget_dataset("ds")
-        assert d.scorer._flagged == {}
-        # The coordinator folds the dataset's spans at the same time.
-        d.tracer.fold("ds")
-        assert d.candidates() == []
-
-    def test_even_count_median_is_the_mean_of_the_middle_two(self):
-        d = SpanDriver(factor=1.0)
-        d.run(0, 1.0)
-        d.run(1, 3.0)
-        d.start(2)
-        d.clock.advance(2.5)
-        (cand,) = d.candidates()
-        assert cand["median_seconds"] == pytest.approx(2.0)
-
-
-class TestCoordinatorStragglers:
-    """The coordinator's own dispatch / completion / failure paths are
-    all the scorer needs: a seeded skew (one task much slower than its
-    siblings) surfaces through ``straggler_candidates()`` with no hook
-    in the scheduler."""
-
-    @pytest.fixture
-    def coord(self, transport):
-        backend, job, program = transport
-        source = job.local_data([(i, i) for i in range(4)], splits=4)
-        return backend, job.map_data(source, program.map, splits=1)
-
-    def test_slow_task_surfaces_with_its_worker(self, coord):
-        import time
-
-        transport, mapped = coord
-        slow_worker, slow = transport.sent.pop(0)  # never finishes
-        while transport.sent:  # its siblings finish at once
-            transport.finish(*transport.sent.pop(0))
-        deadline = time.monotonic() + 5.0
-        while not transport.straggler_candidates():
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        (cand,) = transport.straggler_candidates()
-        assert (cand["dataset_id"], cand["task_index"]) == (
-            mapped.id, slow["task_index"],
-        )
-        assert cand["slave"] == slow_worker
-        assert cand["ratio"] > 1.5
-        assert transport.telemetry()["stragglers"]["flagged_total"] == 1
-
-    def test_failed_task_is_not_a_candidate_until_redispatched(self, coord):
-        transport, mapped = coord
-        worker, descriptor = transport.sent.pop(0)
-        transport.finish(*transport.sent.pop(0))
-        transport.task_failed(
-            worker, mapped.id, descriptor["task_index"], "Boom()"
-        )
-        running = set(transport._busy.values())
-        for cand in transport.straggler_candidates():
-            assert (cand["dataset_id"], cand["task_index"]) in running
+    def test_snapshot_shape(self, transport):
+        """Health and skew, nothing else: the straggler block is gone
+        (version 3)."""
+        backend, _, _ = transport
+        telemetry = backend.telemetry()
+        assert set(telemetry) == {"version", "role", "latest", "skew"}
+        assert telemetry["version"] == SNAPSHOT_VERSION == 3
 
 
 class TestSkew:
@@ -383,8 +217,7 @@ class TestSkew:
                 [(0, f"file:/{descriptor['task_index']}", True, 1.0, 10.0)],
             )
         assert backend.telemetry()["skew"][mapped.id]["bytes_total"] == 20
-        with backend._lock:
-            backend._forget_dataset(mapped.id)
+        backend.remove_data(mapped.id)
         assert backend.telemetry()["skew"] == {}
 
     def test_malformed_triples_are_skipped(self, transport):
@@ -460,12 +293,6 @@ class TestRenderers:
                 skew=skew.summary({"ds": TestSkew.sized_buckets(
                     (0, 0, 1, 10), (0, 1, 9, 90)
                 )}),
-                stragglers=[{
-                    "dataset_id": "ds", "task_index": 3, "slave": 2,
-                    "elapsed_seconds": 9.0, "median_seconds": 3.0,
-                    "ratio": 3.0, "first_flag": True,
-                }],
-                flagged_total=1,
             )
 
     def test_prometheus_exposition_is_well_formed(self):
@@ -477,8 +304,7 @@ class TestRenderers:
         assert 'mrs_slave_cpu_seconds_total{slave="slave-1"} 2.5' in body
         assert 'mrs_dataset_progress{dataset="ds"} 0.5' in body
         assert 'mrs_skew_gini{dataset="ds"}' in body
-        assert "mrs_straggler_candidates 1" in body
-        assert "mrs_stragglers_flagged_total 1" in body
+        assert "straggler" not in body
         assert "mrs_tasks_completed_total 7" in body
 
 

@@ -150,8 +150,6 @@ class TestSpillHygiene:
         task, _ = harness.assign()
         if fate == "released":
             backend.remove_data(mapped.id)
-            with backend._lock:
-                backend._forget_dataset(mapped.id)
         else:
             mapped.error = "canceled"
         rundir, url = self.spill(harness, mapped)
@@ -171,9 +169,12 @@ class TestSpillHygiene:
         assert os.path.isdir(rundir)
         job.remove_data(mapped)
         job.remove_data(source)
-        # The queued task is gone; only the in-flight one remains.
+        # The queued task is gone and the in-flight one abandoned: the
+        # scheduler forgets the dataset, and the worker stays busy
+        # until it reports.
         assert not backend.scheduler.has_pending()
-        assert backend.scheduler.outstanding() == 1
+        assert backend.scheduler.outstanding() == 0
+        assert harness.worker in backend._busy
         assert not os.path.exists(rundir)
 
     def test_failed_task_of_released_dataset_is_not_requeued(self, harness):
