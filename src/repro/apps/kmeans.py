@@ -149,6 +149,7 @@ class KMeans(mrs.MapReduce):
             self.centroids = new_centroids
             self.shift_history.append(shift)
             self.iterations_run += 1
+            job.remove_data(source)
             job.remove_data(intermediate)
             job.remove_data(output)
             if shift <= self.tolerance:

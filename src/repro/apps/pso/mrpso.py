@@ -162,6 +162,8 @@ class ApiaryPSO(mrs.IterativeMR):
         self._iterations_queued = 0
         self._last_dataset = None
         self._consumed: List[Any] = []
+        #: Unfused runs: map dataset id -> the reduce dataset it read.
+        self._reduced: Dict[str, Any] = {}
         self._job: Optional[mrs.Job] = None
         self._started_at: Optional[float] = None
         #: Hive reinitializations performed (meaningful in in-process
@@ -358,6 +360,7 @@ class ApiaryPSO(mrs.IterativeMR):
                 parter=self.mod_partition,
                 affinity_group="pso_iter",
             )
+            self._reduced[dataset.id] = reduced
         self._last_dataset = dataset
         self._iterations_queued += 1
         return [dataset]
@@ -383,6 +386,12 @@ class ApiaryPSO(mrs.IterativeMR):
         # newest queued operation consumes self._last_dataset, so
         # anything consumed at least two rounds ago is garbage.
         self._consumed.append(dataset)
+        # An unfused run's reduce dataset goes once the map after the
+        # one that read it is consumed: one more live dataset than fused.
+        if len(self._consumed) > 1:
+            reduced = self._reduced.pop(self._consumed[-2].id, None)
+            if reduced is not None and self._job is not None:
+                self._job.remove_data(reduced)
         while len(self._consumed) > 2:
             old = self._consumed.pop(0)
             if self._job is not None and old is not self._last_dataset:

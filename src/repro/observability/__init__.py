@@ -233,9 +233,10 @@ class Observability:
         ``namespace`` restricts the view to one job's datasets — the
         per-job view a multi-job server exposes at ``GET /jobs/<id>``
         (job namespaces prefix every dataset id).  Its cost depends on
-        that job's datasets only, not on every job ever run.
+        the live datasets only, not on every dataset ever run: released
+        ones count through their namespace's folded total.
         """
-        totals = merge_rows(self.tracer.rows(namespace).values())
+        totals = self.tracer.totals(namespace)
         wall = totals["wall_seconds"]
         compute = sum(
             totals["durations"].get(e, 0.0) for e in _COMPUTE_EVENTS

@@ -241,19 +241,14 @@ class Tracer:
         #: dataset id -> summary row (folded datasets).
         self._folded: Dict[str, Dict[str, Any]] = {}
         #: job namespace (``job-3`` of ``job-3.map_7``, ``""`` for a
-        #: single-job run's ids) -> its dataset ids, live and folded:
-        #: a per-job view touches only its own.
-        self._by_namespace: Dict[str, List[str]] = {}
+        #: single-job run's ids; ``None``: every job) -> the sum of its
+        #: folded rows, so a live view costs the live datasets only.
+        self._folded_totals: Dict[Optional[str], Dict[str, Any]] = {}
 
     def span(self, dataset_id: str, task_index: int) -> TaskSpan:
         task_index = int(task_index)
         with self._lock:
-            spans = self._spans.get(dataset_id)
-            if spans is None:
-                spans = self._spans[dataset_id] = {}
-                self._by_namespace.setdefault(
-                    namespace_of(dataset_id) or "", []
-                ).append(dataset_id)
+            spans = self._spans.setdefault(dataset_id, {})
             span = spans.get(task_index)
             if span is None:
                 span = spans[task_index] = TaskSpan(dataset_id, task_index)
@@ -267,33 +262,46 @@ class Tracer:
             ]
 
     def fold(self, dataset_id: str) -> None:
-        """Drop a released dataset's spans, keeping their summary row."""
+        """Drop a released dataset's spans, keeping their summary row
+        (and adding it to its namespace's folded total)."""
         with self._lock:
             spans = self._spans.pop(dataset_id, None)
             if spans is not None:
-                self._folded[dataset_id] = _summarize(spans.values())
+                row = self._folded[dataset_id] = _summarize(spans.values())
+                for key in (None, namespace_of(dataset_id) or ""):
+                    self._folded_totals[key] = merge_rows(
+                        [self._folded_totals.get(key, merge_rows()), row]
+                    )
+
+    def _live(self, namespace: Optional[str]) -> Dict[str, List[TaskSpan]]:
+        """The live datasets' spans under ``namespace`` (caller holds
+        the lock)."""
+        return {
+            dataset_id: list(spans.values())
+            for dataset_id, spans in self._spans.items()
+            if namespace in (None, namespace_of(dataset_id) or "")
+        }
 
     def rows(self, namespace: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
         """``{dataset id: summary row}`` for every dataset ever traced
         (``namespace`` restricts it to one job's), folded or live."""
         with self._lock:
-            if namespace is None:
-                dataset_ids = [
-                    i for ids in self._by_namespace.values() for i in ids
-                ]
-            else:
-                dataset_ids = list(self._by_namespace.get(namespace, ()))
             rows = {
-                i: self._folded[i] for i in dataset_ids if i in self._folded
+                dataset_id: row
+                for dataset_id, row in self._folded.items()
+                if namespace in (None, namespace_of(dataset_id) or "")
             }
-            live = {
-                i: list(self._spans[i].values())
-                for i in dataset_ids
-                if i in self._spans
-            }
-        for dataset_id, spans in live.items():
-            rows[dataset_id] = _summarize(spans)
+            live = self._live(namespace)
+        rows.update((i, _summarize(spans)) for i, spans in live.items())
         return rows
+
+    def totals(self, namespace: Optional[str] = None) -> Dict[str, Any]:
+        """The sum of :meth:`rows`, costing the live datasets only:
+        released ones count through their namespace's folded total."""
+        with self._lock:
+            folded = self._folded_totals.get(namespace, merge_rows())
+            live = self._live(namespace)
+        return merge_rows([folded, *map(_summarize, live.values())])
 
     def __len__(self) -> int:
         """Number of live spans."""

@@ -3,8 +3,8 @@
 A coordinator turns scheduler state into dispatched tasks and folds
 completions and failures back into datasets.  It owns the lock and
 condition variable, the dataset table, the affinity-aware
-:class:`~repro.runtime.scheduler.Scheduler`, the per-task
-:class:`~repro.runtime.failures.FailureTracker` and every decision made
+:class:`~repro.runtime.scheduler.Scheduler` (which keeps each dataset's
+queued tasks, done count and failure strikes) and every decision made
 from them: submission, dispatch, descriptor building, stale-report
 rejection, bucket registration, metrics folding, the 3-strike failure
 policy with error propagation, and ``remove_data``, the one way a
@@ -56,7 +56,7 @@ from repro.observability.events import emit_task_events
 from repro.observability.telemetry import snapshot as telemetry_snapshot
 from repro.runtime import dataplane
 from repro.runtime.failures import (
-    FailureTracker,
+    MAX_TASK_FAILURES,
     propagate_error,
     release_dataset,
 )
@@ -96,7 +96,6 @@ class Coordinator(Backend):
         #: one entry.
         self._health: Dict[str, Dict[str, float]] = {}
         self._datasets: Dict[str, BaseDataset] = {}
-        self._failures = FailureTracker()
         #: Task each worker is currently executing (absent = idle);
         #: set together with the task span's ``started`` mark.
         self._busy: Dict[int, TaskId] = {}
@@ -311,7 +310,6 @@ class Coordinator(Backend):
         with self._lock:
             failed = release_dataset(self._datasets, dataset_id)
             self.scheduler.forget_dataset(dataset_id)
-            self._failures.forget_dataset(dataset_id)
             self.observability.tracer.fold(dataset_id)
             events = self.observability.events
             for failed_id in failed:
@@ -500,16 +498,15 @@ class Coordinator(Backend):
         the lock).  The first time the budget is exhausted the dataset
         fails as ``"task <i> <what> <n> times<detail>"``, along with
         every transitive dependent, and all of them are cancelled.  A
-        released dataset's attempt is not counted: nothing would ever
-        forget the count."""
+        released dataset's attempt is not counted: its strikes left
+        with it."""
         dataset = self._datasets.get(task[0])
-        if dataset is None or not self._failures.record(task):
+        if dataset is None:
             return
-        if not dataset.error:
+        strikes = self.scheduler.strikes(task, add=1)
+        if strikes >= MAX_TASK_FAILURES and not dataset.error:
             self._fail(
-                dataset,
-                f"task {task[1]} {what} "
-                f"{self._failures.count(task)} times{detail}",
+                dataset, f"task {task[1]} {what} {strikes} times{detail}"
             )
 
     def _fail(self, dataset: BaseDataset, error: str) -> None:
@@ -537,7 +534,7 @@ class Coordinator(Backend):
                 "task.requeued",
                 dataset_id=task[0],
                 task_index=task[1],
-                failures=self._failures.count(task),
+                failures=self.scheduler.strikes(task),
                 free_retry=free_retry,
             )
 

@@ -4,47 +4,19 @@ The cluster master and the multiprocess worker pool apply the same
 rules when a task attempt dies: retry it elsewhere until a per-task
 budget is exhausted, then fail the owning dataset and transitively
 everything that depends on it, so a ``Job.wait`` on any affected
-dataset raises instead of hanging forever.
+dataset raises instead of hanging forever.  The strikes themselves live
+with each dataset in the scheduler
+(:meth:`~repro.runtime.scheduler.Scheduler.strike`), so they leave when
+the dataset does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-TaskId = Tuple[str, int]
+from typing import Dict, List, Optional
 
 #: A task is retried on another worker/slave this many times before the
 #: whole dataset is declared failed.
 MAX_TASK_FAILURES = 3
-
-
-class FailureTracker:
-    """Per-task strike counter with a fixed budget.
-
-    Not thread-safe on its own; callers mutate it under their backend
-    lock, the same discipline the scheduler requires.
-    """
-
-    def __init__(self, budget: int = MAX_TASK_FAILURES):
-        self.budget = budget
-        self._counts: Dict[TaskId, int] = {}
-
-    def record(self, task: TaskId) -> bool:
-        """Count one strike; returns True when the budget is exhausted."""
-        self._counts[task] = self._counts.get(task, 0) + 1
-        return self._counts[task] >= self.budget
-
-    def count(self, task: TaskId) -> int:
-        return self._counts.get(task, 0)
-
-    def forget_dataset(self, dataset_id: str) -> None:
-        """Drop all strike state for one dataset (a long-lived server
-        releases finished jobs; their counts must not accumulate)."""
-        self._counts = {
-            task: count
-            for task, count in self._counts.items()
-            if task[0] != dataset_id
-        }
 
 
 def propagate_error(

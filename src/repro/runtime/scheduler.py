@@ -14,6 +14,9 @@ Model
   input split.
 * A *task* is ``(dataset_id, task_index)``; it is pending, assigned to
   a slave, or done.
+* Each :class:`ScheduledDataset` keeps its own queue, done count,
+  strikes and affinity index; the dataset table's insertion order is
+  the FIFO order, so a dispatch costs one look per live dataset.
 * Affinity: when a task completes on a slave, the scheduler remembers
   ``(affinity_group, task_index) -> slave``.  Future tasks with the
   same key prefer that slave.  Iterative programs get this for free
@@ -28,6 +31,8 @@ Model
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 TaskId = Tuple[str, int]
@@ -62,15 +67,18 @@ class ScheduledDataset:
         #: bucket and degenerates to the classic FIFO behaviour.
         self.job_id = job_id
         self.task_state: Dict[int, str] = {}
+        #: Queued task indices, ascending: a requeued task rejoins at
+        #: its index, ahead of the dataset's untouched work.
+        self.pending: List[int] = []
+        self.done_count = 0
+        #: Failed attempts per task index.
+        self.strikes: Dict[int, int] = {}
+        #: Slave -> heap of queued indices whose affinity entry named
+        #: that slave when they were noted; re-checked when picked.
+        self.affine: Dict[int, List[int]] = {}
         self.runnable = False
         #: Failed or released: no task of this dataset is queued again.
         self.cancelled = False
-
-    @property
-    def done_count(self) -> int:
-        return sum(
-            1 for state in self.task_state.values() if state == TaskState.DONE
-        )
 
     @property
     def complete(self) -> bool:
@@ -82,12 +90,9 @@ class Scheduler:
 
     def __init__(self, affinity: bool = True):
         self.affinity_enabled = affinity
+        #: Live datasets in insertion order — FIFO across datasets
+        #: keeps early operations flowing first.
         self._datasets: Dict[str, ScheduledDataset] = {}
-        #: Insertion order of datasets — FIFO across datasets keeps
-        #: early operations flowing first.
-        self._order: List[str] = []
-        self._order_rank: Dict[str, int] = {}
-        self._pending: List[TaskId] = []
         self._assigned: Dict[TaskId, int] = {}
         self._slave_tasks: Dict[int, Set[TaskId]] = {}
         self._affinity: Dict[Tuple[str, int], int] = {}
@@ -109,40 +114,27 @@ class Scheduler:
         if sched.id in self._datasets:
             raise ValueError(f"dataset {sched.id} already scheduled")
         self._datasets[sched.id] = sched
-        self._order_rank[sched.id] = len(self._order)
-        self._order.append(sched.id)
         self._maybe_activate(sched)
 
-    def mark_input_complete(self, dataset_id: str) -> List[str]:
-        """Record that ``dataset_id`` is complete; activate dependents.
-
-        Returns the ids of datasets that just became runnable.
-        """
+    def mark_input_complete(self, dataset_id: str) -> None:
+        """Record that ``dataset_id`` is complete; activate dependents."""
         self._complete_ids.add(dataset_id)
-        activated = []
-        for ds_id in list(self._order):
-            sched = self._datasets[ds_id]
-            if not sched.runnable and self._maybe_activate(sched):
-                activated.append(ds_id)
-        return activated
+        for sched in list(self._datasets.values()):
+            self._maybe_activate(sched)
 
-    def _maybe_activate(self, sched: ScheduledDataset) -> bool:
-        if sched.runnable:
-            return False
+    def _maybe_activate(self, sched: ScheduledDataset) -> None:
         deps = {sched.input_id} | sched.blocking_ids
-        if not deps <= self._complete_ids:
-            return False
+        if sched.runnable or not deps <= self._complete_ids:
+            return
         sched.runnable = True
         for task_index in range(sched.ntasks):
-            sched.task_state[task_index] = TaskState.PENDING
-            self._insert_pending((sched.id, task_index))
+            self._queue(sched, task_index)
         if sched.ntasks == 0:
             # A zero-task dataset is complete the instant it activates;
             # nothing will ever call task_done for it, so completion
             # must propagate here or its dependents stall forever.
             self._completed_datasets.append(sched.id)
             self.mark_input_complete(sched.id)
-        return True
 
     def is_complete(self, dataset_id: str) -> bool:
         return dataset_id in self._complete_ids
@@ -171,6 +163,12 @@ class Scheduler:
 
         Returns the reassigned task ids.
         """
+        # Affinity entries pointing at the dead slave are stale.
+        self._affinity = {
+            key: slave
+            for key, slave in self._affinity.items()
+            if slave != slave_id
+        }
         tasks = sorted(self._slave_tasks.pop(slave_id, set()))
         for task in tasks:
             self._assigned.pop(task, None)
@@ -179,97 +177,85 @@ class Scheduler:
             if sched is not None and sched.task_state.get(task_index) == (
                 TaskState.ASSIGNED
             ):
-                sched.task_state[task_index] = TaskState.PENDING
-                self._insert_pending(task)
-        # Affinity entries pointing at the dead slave are stale.
-        self._affinity = {
-            key: slave
-            for key, slave in self._affinity.items()
-            if slave != slave_id
-        }
+                self._queue(sched, task_index)
         return tasks
 
     # -- assignment ----------------------------------------------------------
 
-    def _insert_pending(self, task: TaskId) -> None:
-        """Queue a task at its FIFO position.
-
-        ``_pending`` is kept sorted by (dataset insertion order, task
-        index) so requeued tasks — slave loss, failure retry, lineage
-        re-execution — rejoin *ahead* of later iterations' work instead
-        of starving the dependency frontier at the tail of the queue.
-        A cancelled dataset's task is refused: every requeue path ends
-        here, and a failure or release is permanent.
-        """
-        if self._datasets[task[0]].cancelled:
-            return
-        rank = (self._order_rank.get(task[0], len(self._order)), task[1])
-        lo, hi = 0, len(self._pending)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            queued = self._pending[mid]
-            queued_rank = (
-                self._order_rank.get(queued[0], len(self._order)),
-                queued[1],
-            )
-            if queued_rank <= rank:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pending.insert(lo, task)
+    def _queue(self, sched: ScheduledDataset, task_index: int) -> None:
+        """Mark a task pending and queue it at its index.  A cancelled
+        dataset's task is not queued: every requeue path ends here, and
+        a failure or release is permanent."""
+        sched.task_state[task_index] = TaskState.PENDING
+        if not sched.cancelled:
+            insort(sched.pending, task_index)
+            slave = self._affinity.get((sched.affinity_group, task_index))
+            if slave is not None:
+                heapq.heappush(sched.affine.setdefault(slave, []), task_index)
 
     def _task_eligible(self, task: TaskId) -> bool:
         """A queued task may run while its input dataset and blockers
         are complete.  Lineage recovery can revoke that after the task
         was queued — dispatching it then would silently compute over
-        partial input."""
+        partial input.  ``next_task`` asks once per dataset."""
         sched = self._datasets[task[0]]
         return (
             sched.input_id in self._complete_ids
             and sched.blocking_ids <= self._complete_ids
         )
 
+    def _affinity_hit(
+        self, sched: ScheduledDataset, slave_id: int
+    ) -> Optional[int]:
+        """The lowest queued index of ``sched`` whose affinity entry
+        names ``slave_id`` now; stale notes are dropped on the way."""
+        heap = sched.affine.get(slave_id)
+        while heap:
+            task_index = heap[0]
+            if sched.task_state[task_index] == TaskState.PENDING and (
+                self._affinity.get((sched.affinity_group, task_index))
+                == slave_id
+            ):
+                return task_index
+            heapq.heappop(heap)
+        return None
+
     def next_task(self, slave_id: int) -> Optional[TaskId]:
         """Pick a pending *eligible* task for ``slave_id``.
 
         Two policies compose here:
 
-        * **Fair share across jobs** — one scan collects, per job id,
-          the first eligible task (FIFO within the job) and the first
-          affinity-matching eligible task; the job to serve is then
-          chosen round-robin after the last-served job.  With a single
-          job (all ``job_id`` equal) this is exactly the classic scan.
-        * **Affinity within the chosen job** — the affinity hit wins
-          over plain FIFO position, as before.
+        * **Fair share across jobs** — one walk over the live datasets,
+          in FIFO order, collects each job's eligible datasets; the job
+          to serve is then chosen round-robin after the last-served
+          job.  With a single job (all ``job_id`` equal) this is the
+          classic FIFO order.
+        * **Affinity within the chosen job** — the job's first
+          affinity hit wins over plain FIFO position.
         """
         if slave_id not in self._slave_tasks:
             raise KeyError(f"unknown slave {slave_id}")
-        first_eligible: Dict[Optional[str], int] = {}
-        affinity_hits: Dict[Optional[str], int] = {}
-        for index, (dataset_id, task_index) in enumerate(self._pending):
-            sched = self._datasets[dataset_id]
-            job = sched.job_id
-            if job in first_eligible and (
-                not self.affinity_enabled or job in affinity_hits
+        eligible: Dict[Optional[str], List[ScheduledDataset]] = {}
+        for sched in self._datasets.values():
+            if sched.pending and self._task_eligible(
+                (sched.id, sched.pending[0])
             ):
-                continue  # nothing more to learn about this job
-            if not self._task_eligible((dataset_id, task_index)):
-                continue
-            if job not in first_eligible:
-                first_eligible[job] = index
-            if self.affinity_enabled and job not in affinity_hits:
-                key = (sched.affinity_group, task_index)
-                if self._affinity.get(key) == slave_id:
-                    affinity_hits[job] = index
-        if not first_eligible:
+                eligible.setdefault(sched.job_id, []).append(sched)
+        if not eligible:
             return None
-        job = self._pick_job(first_eligible)
-        choice_index = affinity_hits.get(job, first_eligible[job])
-        task = self._pending.pop(choice_index)
-        dataset_id, task_index = task
+        job = self._pick_job(eligible)
+        sched = eligible[job][0]
+        task_index = sched.pending[0]
+        for candidate in eligible[job] if self.affinity_enabled else ():
+            hit = self._affinity_hit(candidate, slave_id)
+            if hit is not None:
+                sched, task_index = candidate, hit
+                break
+        del sched.pending[bisect_left(sched.pending, task_index)]
+        task = (sched.id, task_index)
         self._last_job = job
         self.job_dispatches[job] = self.job_dispatches.get(job, 0) + 1
-        self._datasets[dataset_id].task_state[task_index] = TaskState.ASSIGNED
+        sched.task_state[task_index] = TaskState.ASSIGNED
         self._assigned[task] = slave_id
         self._slave_tasks[slave_id].add(task)
         return task
@@ -288,10 +274,15 @@ class Scheduler:
         return jobs[0]
 
     def has_pending(self) -> bool:
-        return bool(self._pending)
+        return any(sched.pending for sched in self._datasets.values())
 
     def is_pending(self, task: TaskId) -> bool:
-        return task in self._pending
+        sched = self._datasets.get(task[0])
+        return (
+            sched is not None
+            and not sched.cancelled
+            and sched.task_state.get(task[1]) == TaskState.PENDING
+        )
 
     # -- completion ------------------------------------------------------------
 
@@ -312,10 +303,21 @@ class Scheduler:
         if sched.task_state.get(task_index) != TaskState.ASSIGNED:
             return False, False
         sched.task_state[task_index] = TaskState.DONE
+        sched.done_count += 1
         del self._assigned[task]
         self._slave_tasks[slave_id].discard(task)
-        if self.affinity_enabled:
-            self._affinity[(sched.affinity_group, task_index)] = slave_id
+        key = (sched.affinity_group, task_index)
+        if self.affinity_enabled and self._affinity.get(key) != slave_id:
+            self._affinity[key] = slave_id
+            # Same-group tasks already queued now prefer this slave.
+            for other in self._datasets.values():
+                if (
+                    other.affinity_group == key[0]
+                    and other.task_state.get(task_index) == TaskState.PENDING
+                ):
+                    heapq.heappush(
+                        other.affine.setdefault(slave_id, []), task_index
+                    )
         if sched.complete:
             self.mark_input_complete(dataset_id)
             return True, True
@@ -337,8 +339,8 @@ class Scheduler:
         count = 0
         for task_index in task_indices:
             if sched.task_state.get(task_index) == TaskState.DONE:
-                sched.task_state[task_index] = TaskState.PENDING
-                self._insert_pending((dataset_id, task_index))
+                sched.done_count -= 1
+                self._queue(sched, task_index)
                 count += 1
         return count
 
@@ -349,14 +351,16 @@ class Scheduler:
         Its queued tasks can only waste workers (and, for crash-inducing
         tasks, kill them again).  Tasks already assigned are left to
         finish or fail on their own; a failed one is not requeued (see
-        :meth:`_insert_pending`).  Returns the number of tasks dropped.
+        :meth:`_queue`).  Returns the number of tasks dropped.
         """
         sched = self._datasets.get(dataset_id)
-        if sched is not None:
-            sched.cancelled = True
-        before = len(self._pending)
-        self._pending = [task for task in self._pending if task[0] != dataset_id]
-        return before - len(self._pending)
+        if sched is None:
+            return 0
+        sched.cancelled = True
+        dropped = len(sched.pending)
+        sched.pending = []
+        sched.affine = {}
+        return dropped
 
     def forget_dataset(self, dataset_id: str) -> None:
         """Drop every trace of a released dataset, so the scheduler's
@@ -368,10 +372,6 @@ class Scheduler:
         self._complete_ids.discard(dataset_id)
         if self._datasets.pop(dataset_id, None) is None:
             return
-        # Ranks are per id, not positional: removal never renumbers.
-        self._order.remove(dataset_id)
-        self._order_rank.pop(dataset_id, None)
-        self._pending = [t for t in self._pending if t[0] != dataset_id]
         for task in [t for t in self._assigned if t[0] == dataset_id]:
             slave = self._assigned.pop(task)
             self._slave_tasks.get(slave, set()).discard(task)
@@ -397,13 +397,23 @@ class Scheduler:
             return
         del self._assigned[task]
         self._slave_tasks[slave_id].discard(task)
-        sched.task_state[task_index] = TaskState.PENDING
-        self._insert_pending(task)
         # Affinity must not steer the retry straight back to the slave
         # the task just failed on.
         key = (sched.affinity_group, task_index)
         if self._affinity.get(key) == slave_id:
             del self._affinity[key]
+        self._queue(sched, task_index)
+
+    def strikes(self, task: TaskId, add: int = 0) -> int:
+        """``task``'s failed attempts after charging ``add`` more (0 for
+        a released dataset's task: its strikes left with it)."""
+        sched = self._datasets.get(task[0])
+        if sched is None:
+            return 0
+        count = sched.strikes.get(task[1], 0) + add
+        if add:
+            sched.strikes[task[1]] = count
+        return count
 
     # -- introspection ------------------------------------------------------------
 
@@ -420,4 +430,6 @@ class Scheduler:
 
     def outstanding(self) -> int:
         """Tasks pending or assigned across all runnable datasets."""
-        return len(self._pending) + len(self._assigned)
+        return len(self._assigned) + sum(
+            len(sched.pending) for sched in self._datasets.values()
+        )

@@ -108,3 +108,34 @@ class TestKMeansFile:
 
         prog = run_program(KMeansFile, FLAGS, impl="serial")
         assert np.isfinite(prog.inertia)
+
+
+class TestKMeansReleases:
+    FLAGS = FLAGS + ["--km-iters", "30", "--km-tol", "-1"]
+
+    class Recording(KMeans):
+        def run(self, job):
+            status = super().run(job)
+            self.live = len(job._datasets)
+            return status
+
+    def test_each_iteration_releases_its_source(self, monkeypatch):
+        """Every iteration's point source is released with the rest of
+        the iteration, and releasing it changes nothing computed."""
+        from repro.core.dataset import LocalData
+        from repro.core.job import Job
+
+        released = run_program(self.Recording, self.FLAGS, impl="serial")
+        release = Job.remove_data
+        monkeypatch.setattr(
+            Job,
+            "remove_data",
+            lambda job, data: None
+            if isinstance(data, LocalData)
+            else release(job, data),
+        )
+        kept = run_program(self.Recording, self.FLAGS, impl="serial")
+        assert released.iterations_run == kept.iterations_run == 30
+        assert released.live == 0 and kept.live == 30
+        assert np.array_equal(released.centroids, kept.centroids)
+        assert released.shift_history == kept.shift_history

@@ -315,3 +315,33 @@ class TestApiaryStagnation:
         la = [(r.evals, r.best) for r in a.convergence]
         assert la == [(r.evals, r.best) for r in b.convergence]
         assert la == [(r.evals, r.best) for r in c.convergence]
+
+
+def test_unfused_run_releases_its_reduce_datasets():
+    """``--pso-no-fuse`` releases each reduce dataset a round after the
+    map that read it: the run holds at most one dataset more than the
+    fused run, and computes the same convergence log."""
+    from repro.core.main import run_program
+
+    flags = [
+        "--mrs-seed", "7", "--pso-function", "rastrigin", "--pso-dims", "4",
+        "--pso-subswarms", "4", "--pso-particles", "3", "--pso-inner", "2",
+        "--pso-outer", "40",
+    ]
+    fused = run_program(ApiaryPSO, flags, impl="serial")
+    unfused = run_program(ApiaryPSO, flags + ["--pso-no-fuse"], impl="serial")
+    live = {
+        name: (
+            len(prog._job._datasets),
+            len(prog._job.backend.observability.tracer),
+        )
+        for name, prog in (("fused", fused), ("unfused", unfused))
+    }
+    assert live["unfused"][0] <= live["fused"][0] + 1, live
+    assert live["unfused"][1] <= 2 * live["fused"][1], live
+
+    def log(prog):
+        return [(r.iteration, r.evals, r.best) for r in prog.convergence]
+
+    assert len(log(unfused)) == 40
+    assert log(unfused) == log(fused)

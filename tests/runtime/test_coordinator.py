@@ -210,11 +210,11 @@ def test_fetch_error_while_input_recomputes_is_a_free_retry(coord):
     for _ in range(3 * MAX_TASK_FAILURES):
         transport.task_failed(1, reduced.id, 0, "FetchError('gone')")
     assert reduced.error is None
-    assert transport._failures.count((reduced.id, 0)) == 0
+    assert transport.scheduler.strikes((reduced.id, 0)) == 0
     # The same message against a healthy input does burn the budget.
     mapped.complete = True
     transport.task_failed(1, reduced.id, 0, "FetchError('gone')")
-    assert transport._failures.count((reduced.id, 0)) == 1
+    assert transport.scheduler.strikes((reduced.id, 0)) == 1
 
 
 def test_zero_task_dataset_completes_and_unblocks(coord):

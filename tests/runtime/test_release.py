@@ -1,19 +1,23 @@
 """Releasing a dataset: the one way it leaves a runtime.
 
 ``Job.remove_data`` drops a dataset from every table of the job and its
-backend — the coordinator's dataset map, the scheduler, the failure
-tracker, the lineage map — and folds its spans into one summary row, on
-every runtime.  A long iterative run therefore holds only its live
-iterations, so its per-iteration cost does not grow with the number of
-iterations before it.  Two rules keep a release from stranding work: an
-unfinished reader of a released dataset fails at once, naming it, and
-an operation submitted on a released dataset raises in the caller.
+backend — the coordinator's dataset map, the scheduler (with the
+failure strikes it keeps per dataset), the lineage map — and folds its
+spans into one summary row, on every runtime.  A long iterative run
+therefore holds only its live iterations, so its per-iteration cost
+does not grow with the number of iterations before it.  Two rules keep
+a release from stranding work: an unfinished reader of a released
+dataset fails at once, naming it, and an operation submitted on a
+released dataset raises in the caller.
 Affinity survives a release: the next iteration shares the group.
 """
 
+import os
 import threading
 
 import pytest
+
+import repro.observability
 
 from repro.core.job import Job, JobError
 from repro.core.options import default_options
@@ -25,6 +29,7 @@ from repro.runtime.serial import SerialBackend
 
 from tests.runtime.programs_mp import Tally
 from tests.runtime.test_coordinator import FakeTransport
+from tests.runtime.test_scheduler_scale import LineCounter
 
 #: Seconds a release rule may take before the test calls it a hang.
 DEADLINE = 10.0
@@ -121,9 +126,9 @@ class TestLongRunsStayBounded:
             if iteration % 500 == 0 or iteration == self.ITERATIONS - 1:
                 assert len(transport._datasets) <= bound
                 assert len(scheduler._datasets) <= bound
-                assert len(scheduler._order) <= bound
                 assert len(scheduler._complete_ids) <= bound
-                assert len(transport._failures._counts) <= bound
+                strikes = [s.strikes for s in scheduler._datasets.values()]
+                assert sum(map(len, strikes)) <= bound
                 assert len(tracer._spans) <= bound
                 assert len(tracer) <= self.TASKS * bound
                 assert len(job._datasets) == 3
@@ -133,6 +138,29 @@ class TestLongRunsStayBounded:
         assert kinds == ["map"] + ["reduce"] * self.ITERATIONS
         assert {op["tasks"] for op in operations} == {self.TASKS}
 
+    def test_status_cost_does_not_grow_with_released_datasets(self, fake):
+        """``status()`` runs the same observability code after 100
+        released iterations as after 8000: released datasets count
+        through one folded total, not one row each."""
+        transport, job, program = fake
+        counter = LineCounter(
+            os.path.dirname(repro.observability.__file__) + os.sep
+        )
+        source = job.local_data([(0, 0)], splits=1)
+        last = job.map_data(source, program.map, splits=1)
+        transport.finish_all()
+        consumed = [last]
+        lines = {}
+        for iteration in range(1, 8001):
+            last = job.reduce_data(last, program.reduce, splits=1)
+            transport.finish_all()
+            consumed.append(last)
+            while len(consumed) > 2:
+                job.remove_data(consumed.pop(0))
+            if iteration in (100, 8000):
+                lines[iteration] = counter.count(transport.status)
+        assert lines[100] == lines[8000], lines
+        assert transport.status()["tasks"]["done"] == 8001
 
     def test_late_failure_of_a_released_task_is_not_counted(self, fake):
         """A task in flight when its dataset is released and that then
@@ -143,7 +171,9 @@ class TestLongRunsStayBounded:
         worker, descriptor = transport.sent.pop(0)
         job.remove_data(mapped)
         transport.task_failed(worker, mapped.id, descriptor["task_index"], "Boom()")
-        assert transport._failures._counts == {}
+        assert not any(
+            sched.strikes for sched in transport.scheduler._datasets.values()
+        )
         assert worker not in transport._busy
 
 
@@ -311,7 +341,7 @@ class TestSchedulerForgetting:
         self.run_dataset(scheduler, "iter_1", "iter")
         scheduler.forget_dataset("iter_1")
         scheduler.forget_dataset("input")
-        assert scheduler._datasets == {} and scheduler._order == []
+        assert scheduler._datasets == {}
         assert scheduler._complete_ids == set()
         assert scheduler.affinity_slave("iter", 0) == 1
         assert scheduler.affinity_slave("iter", 1) == 2

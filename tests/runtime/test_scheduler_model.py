@@ -4,8 +4,14 @@ Hypothesis drives random interleavings of slave arrivals/failures,
 task assignment, completions, stale reports and cancellations; after
 every step the scheduler must satisfy its structural invariants, and
 eventually every dataset that was not cancelled must complete as long
-as at least one slave survives.
+as at least one slave survives.  A differential test runs the same
+random schedules through the scheduler and through a reference that
+scans one global queue, the design the per-dataset queues replaced,
+and requires the same task at every dispatch.
 """
+
+import itertools
+from bisect import insort
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
@@ -166,9 +172,9 @@ class SchedulerMachine(RuleBasedStateMachine):
     def no_cancelled_task_pending(self):
         if hasattr(self, "cancelled"):
             assert not [
-                task
-                for task in self.scheduler._pending
-                if task[0] in self.cancelled
+                ds_id
+                for ds_id, sched in self.scheduler._datasets.items()
+                if sched.pending and ds_id in self.cancelled
             ]
 
 
@@ -327,3 +333,186 @@ def test_random_dag_dispatches_match_reference_model(data):
     check_pending_against_model()
     for ds_id in shapes:
         assert scheduler.is_complete(ds_id), f"{ds_id} never completed"
+
+
+# -- differential: per-dataset queues against one scanned global queue -------
+
+
+class ScanningScheduler(Scheduler):
+    """Reference model: every queued task in one list sorted by
+    (dataset insertion rank, task index), scanned whole by every
+    ``next_task``.  Lifecycle bookkeeping is inherited; only the queue
+    and the pick are its own."""
+
+    def __init__(self, affinity=True):
+        super().__init__(affinity)
+        self._ranks = itertools.count()
+        self._rank = {}
+        self._pending = []  # (rank, task index, dataset id)
+
+    def add_dataset(self, sched):
+        self._rank[sched.id] = next(self._ranks)
+        super().add_dataset(sched)
+
+    def _queue(self, sched, task_index):
+        sched.task_state[task_index] = TaskState.PENDING
+        if not sched.cancelled:
+            insort(self._pending, (self._rank[sched.id], task_index, sched.id))
+
+    def _drop(self, dataset_id):
+        before = len(self._pending)
+        self._pending = [e for e in self._pending if e[2] != dataset_id]
+        return before - len(self._pending)
+
+    def cancel_dataset(self, dataset_id):
+        super().cancel_dataset(dataset_id)
+        return self._drop(dataset_id)
+
+    def forget_dataset(self, dataset_id):
+        super().forget_dataset(dataset_id)
+        self._drop(dataset_id)
+
+    def queued(self):
+        return [(dataset_id, index) for _, index, dataset_id in self._pending]
+
+    def next_task(self, slave_id):
+        if slave_id not in self._slave_tasks:
+            raise KeyError(slave_id)
+        first_eligible, affinity_hits = {}, {}
+        for position, (_, task_index, dataset_id) in enumerate(self._pending):
+            sched = self._datasets[dataset_id]
+            job = sched.job_id
+            if job in first_eligible and (
+                not self.affinity_enabled or job in affinity_hits
+            ):
+                continue
+            if not self._task_eligible((dataset_id, task_index)):
+                continue
+            first_eligible.setdefault(job, position)
+            if self.affinity_enabled and job not in affinity_hits:
+                key = (sched.affinity_group, task_index)
+                if self._affinity.get(key) == slave_id:
+                    affinity_hits[job] = position
+        if not first_eligible:
+            return None
+        job = self._pick_job(first_eligible)
+        position = affinity_hits.get(job, first_eligible[job])
+        _, task_index, dataset_id = self._pending.pop(position)
+        task = (dataset_id, task_index)
+        self._last_job = job
+        self.job_dispatches[job] = self.job_dispatches.get(job, 0) + 1
+        self._datasets[dataset_id].task_state[task_index] = TaskState.ASSIGNED
+        self._assigned[task] = slave_id
+        self._slave_tasks[slave_id].add(task)
+        return task
+
+
+def queued(scheduler):
+    return [
+        (ds_id, index)
+        for ds_id, sched in scheduler._datasets.items()
+        for index in sched.pending
+    ]
+
+
+#: Every schedule runs each of these at least once.
+REQUIRED_OPS = ["fail", "lose_slave", "reset", "cancel", "forget"]
+OPS = ["next", "next", "next", "done", "done", "stale", "add", "add_slave"]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dispatch_order_matches_scanning_reference(data):
+    """Random schedules over several jobs, with two same-group datasets
+    runnable at once, slave loss, failures, lineage resets, cancels and
+    releases: both schedulers answer every call alike and keep the same
+    queue, in the same order."""
+    affinity = data.draw(st.booleans(), label="affinity")
+    fast, ref = Scheduler(affinity), ScanningScheduler(affinity)
+    both = (fast, ref)
+    assigned = {}  # task -> slave
+    slaves = []
+    datasets = []
+
+    def call(method, *args):
+        answers = [getattr(s, method)(*args) for s in both]
+        assert answers[0] == answers[1], (method, args, answers)
+        return answers[0]
+
+    def add_slave():
+        slave = len(slaves)
+        slaves.append(slave)
+        call("add_slave", slave)
+
+    def add_dataset(group, job, input_id="input", ntasks=3):
+        ds_id = f"d{len(datasets)}"
+        datasets.append(ds_id)
+        for s in both:
+            s.add_dataset(
+                ScheduledDataset(ds_id, ntasks, group, input_id, job_id=job)
+            )
+
+    for _ in range(3):
+        add_slave()
+    call("mark_input_complete", "input")
+    add_dataset("g", "job-a")
+    add_dataset("g", "job-a")  # same group, runnable at once
+    add_dataset("h", "job-b", ntasks=2)
+    add_dataset("g", None, input_id="d0")
+
+    ops = data.draw(
+        st.lists(st.sampled_from(OPS), min_size=10, max_size=60), label="ops"
+    )
+    ops = data.draw(st.permutations(ops + REQUIRED_OPS), label="schedule")
+    for op in ops + ["drain"]:
+        if op == "next":
+            slave = data.draw(st.sampled_from(slaves))
+            task = call("next_task", slave)
+            if task is not None:
+                assigned[task] = slave
+        elif op in ("done", "fail", "stale") and assigned:
+            task = data.draw(st.sampled_from(sorted(assigned)))
+            if op == "stale":
+                call("task_done", assigned[task] + len(slaves), task)
+            elif op == "done":
+                call("task_done", assigned.pop(task), task)
+            else:
+                call("task_failed", assigned.pop(task), task)
+        elif op == "add":
+            add_dataset(
+                data.draw(st.sampled_from(["g", "h"])),
+                data.draw(st.sampled_from([None, "job-a", "job-b"])),
+                data.draw(st.sampled_from(["input"] + datasets)),
+                data.draw(st.integers(0, 4)),
+            )
+        elif op == "add_slave":
+            add_slave()
+        elif op == "lose_slave" and len(slaves) > 1:
+            slave = slaves.pop(data.draw(st.integers(0, len(slaves) - 1)))
+            for task in call("remove_slave", slave):
+                assigned.pop(task, None)
+        elif op in ("reset", "cancel", "forget"):
+            ds_id = data.draw(st.sampled_from(datasets))
+            if op == "reset":
+                call("unmark_complete", ds_id)
+                indices = data.draw(st.lists(st.integers(0, 3), max_size=3))
+                call("reset_tasks", ds_id, indices)
+            elif op == "cancel":
+                call("cancel_dataset", ds_id)
+            else:
+                call("forget_dataset", ds_id)
+                for task in [t for t in assigned if t[0] == ds_id]:
+                    del assigned[task]
+        elif op == "drain":
+            progress = True
+            while progress:
+                progress = False
+                for slave in slaves:
+                    task = call("next_task", slave)
+                    if task is not None:
+                        call("task_done", slave, task)
+                        progress = True
+        assert queued(fast) == ref.queued()
+        assert fast._assigned == ref._assigned
+        assert fast._affinity == ref._affinity
+        assert fast._complete_ids == ref._complete_ids
