@@ -4,9 +4,10 @@ Not a paper table (the paper's cluster numbers are per-application),
 but the claim "Mrs programs are fast" implies real speedup from real
 worker processes.  We run a compute-bound pi job (pure-Python kernel,
 so each task is genuinely CPU-heavy) on 1, 2, and 4 local slave
-processes, then sweep the multiprocess worker pool over 1/2/4/8
-workers, and report speedup vs the in-process serial run.  The pool
-sweep also writes a machine-readable JSON speedup table.
+processes, then sweep ``--mrs multiprocess`` (slaves forked from the
+master) over 1/2/4/8 slaves, and report speedup vs the in-process
+serial run.  The multiprocess sweep also writes a machine-readable JSON
+speedup table.
 """
 
 import os
@@ -87,7 +88,7 @@ def timed_pool_pi(procs: int, samples: int = SAMPLES):
 
 
 def test_multiprocess_scaling(benchmark, tmp_path):
-    """--mrs-procs sweep: the worker pool's speedup over serial, as a
+    """--mrs-procs sweep: forked slaves' speedup over serial, as a
     printed table and a JSON artifact (speedup.json)."""
     serial_started = time.perf_counter()
     serial = run_program(
@@ -111,17 +112,17 @@ def test_multiprocess_scaling(benchmark, tmp_path):
     rows = [["serial (in-process)", fmt_seconds(serial_s), "1.00x"]]
     for procs, seconds in results.items():
         rows.append([
-            f"{procs} worker(s)",
+            f"{procs} forked slave(s)",
             fmt_seconds(seconds),
             f"{serial_s / seconds:.2f}x",
         ])
     notes = [
-        "includes pool spin-up; speedup is bounded by the "
+        "includes forking the slaves; speedup is bounded by the "
         f"{cores} core(s) available here",
     ]
     title = (
         f"Scaling: pi with {SAMPLES:,} samples, {TASKS} tasks "
-        "on the multiprocess worker pool"
+        "on --mrs multiprocess (forked slaves)"
     )
     print_table(title, headers, rows, notes=notes)
     json_path = os.environ.get(
@@ -130,8 +131,8 @@ def test_multiprocess_scaling(benchmark, tmp_path):
     write_json_table(json_path, title, headers, rows, notes=notes)
     print(f"json table: {json_path}")
 
-    # Same conditional shape as the slave sweep: with real cores the
-    # pool must beat one worker; on a single core it may only add
+    # Same conditional shape as the exec'd-slave sweep: with real cores
+    # more slaves must beat one; on a single core they may only add
     # bounded scheduling overhead.
     if cores >= 4:
         assert results[4] < results[1]

@@ -3,9 +3,9 @@
 
 Generates a small synthetic Gutenberg-style corpus, runs WordCount
 through four execution contexts (the paper's debugging methodology:
-they must agree) — serial, mock parallel, a multiprocess worker pool —
-and finishes with a real distributed run: an in-process master plus
-two slave subprocesses speaking XML-RPC.
+they must agree) — serial, mock parallel, multiprocess (a master with
+slaves forked from it) — and finishes with a real distributed run: an
+in-process master plus two slave subprocesses speaking XML-RPC.
 
 Run:
 
@@ -98,8 +98,8 @@ def main() -> int:
     assert output_counts(mock) == counts, "implementations must agree!"
     print("mockparallel: identical output ✓")
 
-    # 3. Multiprocess: a real worker pool on this machine — parallel
-    #    map/reduce without starting a master and slaves by hand.
+    # 3. Multiprocess: this process becomes a master and forks its
+    #    slaves — parallel map/reduce without starting them by hand.
     pool = run_program(
         WordCountCombined,
         [corpus_root, os.path.join(workdir, "out_pool")],
@@ -107,7 +107,7 @@ def main() -> int:
         procs=2,
     )
     assert output_counts(pool) == counts, "implementations must agree!"
-    print("multiprocess: identical output ✓ (2 worker processes)")
+    print("multiprocess: identical output ✓ (2 forked slaves)")
 
     # 4. Distributed: master in this process, 2 slave subprocesses.
     distributed = run_on_cluster(

@@ -20,11 +20,16 @@ which binds and starts serving.
 
 from __future__ import annotations
 
+import os
 import selectors
 import socket
 import socketserver
 import threading
+import weakref
 from typing import Any
+
+#: Listeners not yet shut down, so a forked child can close its copies.
+_LIVE: "weakref.WeakSet[Listener]" = weakref.WeakSet()
 
 
 class Listener(socketserver.ThreadingMixIn, socketserver.TCPServer):
@@ -52,6 +57,7 @@ class Listener(socketserver.ThreadingMixIn, socketserver.TCPServer):
             daemon=True,
         )
         self._serving.start()
+        _LIVE.add(self)
 
     def _serve(self, wake: socket.socket) -> None:
         with selectors.DefaultSelector() as selector:
@@ -91,3 +97,18 @@ class Listener(socketserver.ThreadingMixIn, socketserver.TCPServer):
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
+
+
+def _close_in_child() -> None:
+    """A forked child closes its copies of the parent's listening
+    sockets and wake pairs, so a port the parent closes stops accepting,
+    and never joins a serving thread it does not have."""
+    for listener in list(_LIVE):
+        wake = vars(listener).pop("_wake", None)
+        if wake is not None:
+            listener.socket.close()
+            for end in wake:
+                end.close()
+
+
+os.register_at_fork(after_in_child=_close_in_child)

@@ -9,7 +9,8 @@ The protocol is deliberately tiny:
 ========================  =======================================
 master method             meaning
 ========================  =======================================
-``signin``                slave announces itself, gets a slave id
+``signin``                slave announces its address (and pid),
+                          gets a slave id
 ``done``                  slave finished a task, reports its output
                           buckets as ``[split, url, sorted, records,
                           bytes]`` (plus piggybacked per-task metrics)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import http.client
 import io
+import os
 import threading
 import time
 import urllib.parse
@@ -293,6 +294,20 @@ def get_pool() -> ConnectionPool:
         if _pool is None:
             _pool = ConnectionPool()
         return _pool
+
+
+def _start_afresh_in_child() -> None:
+    """A forked child gets its own counters and pool, with new locks: a
+    lock another thread of the parent held at the fork would never be
+    released in the child, and the parent's pooled connections are not
+    the child's to use (dropping them closes only the child's copies)."""
+    global _pool_lock, _pool
+    _pool_lock = threading.Lock()
+    _pool = None
+    STATS.__init__()
+
+
+os.register_at_fork(after_in_child=_start_afresh_in_child)
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,8 @@ def configure_process(opts) -> None:
     The one place that does so — every entry point that parses options
     (:func:`main`, :func:`run_program`, ``LocalCluster.start``) calls
     it.  Setting the mode also mirrors it into ``MRS_ZERO_COPY``, the
-    only option->environment mirror, so worker processes spawned later
-    (multiprocess pool, slaves launched with the job's environment)
-    resolve the same path.
+    only option->environment mirror, so slaves launched later with the
+    job's environment resolve the same path (forked ones inherit it).
     """
     from repro.io import serializers
 
@@ -173,7 +172,7 @@ def _make_backend(impl: str, program: Any, opts, args: Sequence[str] = ()) -> An
             program, tmpdir=getattr(opts, "tmpdir", None), opts=opts
         )
     if impl == "multiprocess":
-        from repro.runtime.multiprocess import MultiprocessBackend
+        from repro.runtime.cluster import MultiprocessBackend
 
         return MultiprocessBackend(program, opts, list(args))
     if impl == "master":

@@ -82,16 +82,8 @@ def make_parser(program_class: Any = None) -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="multiprocess: number of worker processes "
+        help="multiprocess: number of slaves forked from the master "
         "(0 = one per CPU core)",
-    )
-    group.add_argument(
-        "--mrs-start-method",
-        dest="start_method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocess: how worker processes are started "
-        "(default: the platform's multiprocessing default)",
     )
     group.add_argument(
         "--mrs-port",

@@ -50,10 +50,6 @@ __all__ = [
 #: Span duration keys that count as user compute.
 _COMPUTE_EVENTS = ("map", "reduce")
 
-#: Roles whose startup means "boot to first task" rather than
-#: "coordinator ready" (they do not own a job; they serve one).
-_EXECUTOR_ROLES = frozenset({"slave", "worker"})
-
 
 class Observability:
     """Per-backend bundle of tracer + registry + events."""
@@ -71,15 +67,13 @@ class Observability:
         #: by :meth:`mark_startup_complete` (the paper's "~2 s" number).
         self.startup_seconds: Optional[float] = None
         #: What the startup number measures for this role: coordinators
-        #: report construction→ready; slaves/workers report their own
+        #: report construction→ready; slaves report their own
         #: boot→first-task latency.
-        self.startup_kind = (
-            "boot_to_first_task" if role in _EXECUTOR_ROLES else "ready"
-        )
+        self.startup_kind = "boot_to_first_task" if role == "slave" else "ready"
         #: dataset id -> operation kind ("map"/"reduce"/"reducemap").
         self._operation_kinds: Dict[str, str] = {}
         #: Per-source registries accumulated by :meth:`merge_remote`
-        #: (one per slave/worker), so the report can break the job down
+        #: (one per slave), so the report can break the job down
         #: by contributing process without double-counting the main
         #: registry.
         self._sources: Dict[str, MetricsRegistry] = {}
@@ -171,9 +165,9 @@ class Observability:
         """Fold a remote process's registry snapshot into this one.
 
         ``source``, when given, names the contributing process (e.g.
-        ``"slave-3"`` or ``"worker-1"``); the snapshot is additionally
-        accumulated into a per-source registry so the report can
-        attribute work to individual slaves/workers.  Each snapshot is
+        ``"slave-3"``); the snapshot is additionally accumulated into a
+        per-source registry so the report can attribute work to
+        individual slaves.  Each snapshot is
         merged into the main registry exactly once regardless.
         """
         self.registry.merge_snapshot(snapshot)

@@ -84,9 +84,9 @@ class EventLog:
         if path:
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
-            # Append mode: several processes (slaves sharing a tmpdir,
-            # pool workers) may target one file; each line is written
-            # with a single write() on an O_APPEND descriptor.
+            # Append mode: several processes (slaves sharing a tmpdir)
+            # may target one file; each line is written with a single
+            # write() on an O_APPEND descriptor.
             self._file = open(path, "a", encoding="utf-8")
 
     # -- emission -------------------------------------------------------

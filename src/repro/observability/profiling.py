@@ -11,7 +11,7 @@ the ``task.profiled`` event is derived when the task commits, so the
 report and the event log both point at the evidence for the job's
 worst tasks.
 
-Each process profiles independently (one profiler per slave/worker),
+Each process profiles independently (one profiler per slave),
 so "N slowest" is per-process; the directory is shared and file names
 carry the pid.
 """

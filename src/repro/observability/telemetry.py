@@ -8,7 +8,7 @@ coordinator already holds.
 * :class:`HealthSampler` — cheap process-health snapshots (CPU time,
   RSS, open fds, disk free on the run dir, task throughput) built from
   ``/proc``/``os``/``shutil`` with graceful fallbacks, **no psutil**.
-  The slave and the pool worker each own one; its samples piggyback on
+  Every slave owns one; its samples piggyback on
   the done and ping messages already flowing, and the coordinator keeps
   the latest per source.
 * :func:`snapshot` — the ``job.telemetry()`` shape: latest health per

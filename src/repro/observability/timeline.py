@@ -3,11 +3,11 @@
 ``python -m repro.observability.analyze EVENTS.jsonl --trace OUT.json``
 turns a job's ``--mrs-event-log`` into a JSON file that
 ``chrome://tracing`` and https://ui.perfetto.dev open directly: one
-track per executing worker/slave (serial backends get a single track),
+track per executing slave (serial backends get a single track),
 a ``B``/``E`` span per task with nested spans for its phases
 (fetch/map/reduce/serialize/transfer), per-fetch-thread sub-lanes
 showing when each remote input bucket was opened, and
-instant events for failures, requeues, and worker/slave deaths — so a
+instant events for failures, requeues, and slave deaths — so a
 1000-task job is inspectable as a flame-style timeline instead of a
 1000-row table.
 
@@ -52,9 +52,7 @@ INSTANT_EVENTS = frozenset(
         "task.failed",
         "task.requeued",
         "slave.lost",
-        "worker.lost",
         "slave.signin",
-        "worker.spawned",
         "spill.bucket",
         "task.profiled",
         "job.startup",

@@ -14,7 +14,7 @@ when the owning dataset accepts the buckets.  The time between two
 consecutive marks is attributed to the later one.
 
 Marks are timestamps on the *recording process's* monotonic clock, so
-raw stamps never cross processes: a slave or worker ships its marks as
+raw stamps never cross processes: a slave ships its marks as
 offsets from its own task start (:meth:`TaskSpan.to_wire`) and the
 coordinator's span for the task re-anchors them at its own last
 ``started`` mark (:meth:`TaskSpan.absorb`).  Every other report of task

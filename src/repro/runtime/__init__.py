@@ -6,8 +6,8 @@ Five execution contexts run the *same* program with identical results:
 * ``bypass`` — calls the program's ``bypass`` method, skipping Mrs.
 * ``mockparallel`` — the master/slave task decomposition on one
   processor, with all intermediate data forced through files.
-* ``multiprocess`` — a local worker pool of ``--mrs-procs`` processes
-  (queue control plane, shared-tmpdir file data plane): true
+* ``multiprocess`` — a master with ``--mrs-procs`` slaves forked from
+  it (XML-RPC control plane, shared-tmpdir file data plane): true
   single-node parallelism without any cluster setup.
 * ``master``/``slave`` — the distributed implementation (XML-RPC
   control plane, file or HTTP data plane).

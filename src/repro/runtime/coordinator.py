@@ -10,16 +10,15 @@ rejection, bucket registration, metrics folding, the 3-strike failure
 policy with error propagation, and ``remove_data``, the one way a
 dataset leaves every table.
 
-A *transport* subclass supplies only what genuinely differs between
-the cluster master (XML-RPC to slave processes) and the multiprocess
-pool (queues to forked workers):
+A *transport* subclass supplies what talking to workers takes: the
+master (:mod:`repro.runtime.master`, XML-RPC to slave processes,
+exec'd or forked) is the one in the program; the tests' in-memory
+``FakeTransport`` is the other:
 
 ======================================  ================================
 hook                                    meaning
 ======================================  ================================
 ``role`` / ``tmpdir_prefix``            observability role, owned rundir
-``worker_label``                        ``"slave"`` / ``"worker"``: the
-                                        event field and metrics source
 ``_live_workers()``                     ids that may be handed a task
 ``_send(worker_id, descriptor)``        deliver a task; raising loses
                                         the worker (``_lose_worker``)
@@ -71,7 +70,6 @@ class Coordinator(Backend):
 
     role = "coordinator"
     tmpdir_prefix = "mrs_"
-    worker_label = "worker"
 
     def __init__(self, program: Any, opts: Any):
         self.program = program
@@ -91,7 +89,7 @@ class Coordinator(Backend):
         self.scheduler = Scheduler(
             affinity=not getattr(opts, "no_affinity", False)
         )
-        #: Source (``slave-3``/``worker-1``) -> its latest health sample;
+        #: Source (``slave-3``) -> its latest health sample;
         #: later fields win, so a ping's RTT and a done's sample share
         #: one entry.
         self._health: Dict[str, Dict[str, float]] = {}
@@ -422,8 +420,7 @@ class Coordinator(Backend):
         """Fold one accepted completion (and its piggybacked worker
         metrics) into the whole-job view.  Caller holds the lock."""
         obs = self.observability
-        label = self.worker_label
-        source = f"{label}-{worker_id}"
+        source = f"slave-{worker_id}"
         obs.registry.counter("tasks.completed").inc()
         obs.registry.histogram("task.seconds").observe(seconds)
         payload = protocol.parse_task_metrics(metrics)
@@ -444,15 +441,14 @@ class Coordinator(Backend):
             self._note_health(source, payload["health"])
         events = obs.events
         if events is not None:
-            emit_task_events(events, span, **{label: worker_id})
+            emit_task_events(events, span, slave=worker_id)
 
     def task_failed(
         self, worker_id: int, dataset_id: str, task_index: int, message: str
     ) -> None:
         task: TaskId = (dataset_id, task_index)
-        label = self.worker_label
         logger.warning(
-            "task %s failed on %s %d: %s", task, label, worker_id, message
+            "task %s failed on slave %d: %s", task, worker_id, message
         )
         self.observability.registry.counter("tasks.failed").inc()
         with self._lock:
@@ -480,7 +476,7 @@ class Coordinator(Backend):
                     "task.failed",
                     dataset_id=dataset_id,
                     task_index=task_index,
-                    **{label: worker_id},
+                    slave=worker_id,
                     error=message,
                     free_retry=free_retry,
                 )
@@ -545,7 +541,6 @@ class Coordinator(Backend):
     def _dispatch(self) -> None:
         """Hand pending tasks to idle workers (sends happen outside the
         lock; a failed send loses the worker)."""
-        label = self.worker_label
         while True:
             to_send: List[Tuple[int, TaskId, Dict[str, Any]]] = []
             with self._lock:
@@ -574,7 +569,7 @@ class Coordinator(Backend):
                         "task.started",
                         dataset_id=dataset_id,
                         task_index=task_index,
-                        **{label: worker_id},
+                        slave=worker_id,
                     )
                 try:
                     self._send(worker_id, descriptor)

@@ -1,10 +1,10 @@
 """Shared-filesystem data-plane helpers.
 
-Both parallel runtimes (cluster master and multiprocess worker pool)
-exchange intermediate data as bucket files under a tmpdir shared by
-every worker.  Input buckets that exist only in the coordinating
-process's memory (``LocalData`` pairs) must be spilled to that tmpdir
-before a task descriptor referencing them can be handed out.
+The slaves of a master, exec'd or forked, exchange intermediate data
+as bucket files under a tmpdir shared by every slave.  Input buckets
+that exist only in the coordinating process's memory (``LocalData``
+pairs) must be spilled to that tmpdir before a task descriptor
+referencing them can be handed out.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""Descriptor execution: the one routine every worker process runs.
+"""Descriptor execution: the one routine every slave runs.
 
-A cluster slave and a multiprocess pool worker receive the same task
-descriptor (:func:`repro.comm.protocol.make_task_descriptor`) and owe
-their coordinator the same answer: where the output buckets are, how
-long the task took, and a per-task metrics payload to piggyback on the
-completion report.  :func:`execute_descriptor` is that whole
-descriptor -> buckets -> metrics path; the callers differ only in how
-the result travels back (``done`` RPC vs result queue).
+A slave, exec'd or forked, receives a task descriptor
+(:func:`repro.comm.protocol.make_task_descriptor`) and owes its master
+an answer: where the output buckets are, how long the task took, and a
+per-task metrics payload to piggyback on the ``done`` RPC.
+:func:`execute_descriptor` is that whole descriptor -> buckets ->
+metrics path.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ def execute_descriptor(
     completion report needs them; raises on any task error (the caller
     turns that into a ``failed`` report).
 
-    ``label`` (``"slave"`` / ``"worker"``) prefixes the per-task
-    registry's names.  A descriptor without an ``outdir`` keeps its
-    output under ``localdir`` and publishes it through ``url_for`` (the
-    http data plane).  ``sampler`` is the process's telemetry health
+    ``label`` (``"slave"``) prefixes the per-task registry's names.  A
+    descriptor without an ``outdir`` keeps its output under
+    ``localdir`` and publishes it through ``url_for`` (the http data
+    plane).  ``sampler`` is the process's telemetry health
     sampler (``None`` only in tests); ``boot_seconds`` is shipped once,
     with the process's first task.
     """
@@ -126,7 +125,7 @@ def execute_descriptor(
     registry.histogram(f"{label}.task.seconds").observe(seconds)
     if boot_seconds is not None:
         # The executing process's boot-to-first-task latency, the
-        # role-appropriate startup number for a slave or worker.
+        # role-appropriate startup number for a slave.
         registry.gauge(f"{label}.boot_to_first_task.seconds").set(boot_seconds)
     # What the transfer plane moved *for this task* (delta against the
     # process-wide stats, same no-double-count discipline as above).

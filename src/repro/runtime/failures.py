@@ -1,8 +1,8 @@
-"""Task-failure policy shared by the parallel runtimes.
+"""Task-failure policy of the parallel runtimes.
 
-The cluster master and the multiprocess worker pool apply the same
-rules when a task attempt dies: retry it elsewhere until a per-task
-budget is exhausted, then fail the owning dataset and transitively
+Every master, whether its slaves were exec'd or forked, applies the
+same rules when a task attempt fails: retry it elsewhere until a
+per-task budget is exhausted, then fail the owning dataset and transitively
 everything that depends on it, so a ``Job.wait`` on any affected
 dataset raises instead of hanging forever.  The strikes themselves live
 with each dataset in the scheduler
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-#: A task is retried on another worker/slave this many times before the
-#: whole dataset is declared failed.
+#: A task is retried on another slave this many times before the whole
+#: dataset is declared failed.
 MAX_TASK_FAILURES = 3
 
 

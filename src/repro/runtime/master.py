@@ -75,9 +75,11 @@ def resolve_slave_wait_timeout(opts: Any = None) -> float:
 class SlaveRecord:
     """Master-side view of one signed-in slave."""
 
-    def __init__(self, slave_id: int, address: str, registry: Any = None):
+    def __init__(self, slave_id: int, address: str, registry: Any = None, pid: int = 0):
         self.id = slave_id
         self.address = address
+        #: The slave's process id on its own host (0 if not reported).
+        self.pid = pid
         self.alive = True
         #: The one client for master->slave calls, shared by every
         #: thread; its latencies go to ``registry``.
@@ -97,7 +99,6 @@ class MasterBackend(Coordinator):
 
     role = "master"
     tmpdir_prefix = "mrs_master_"
-    worker_label = "slave"
 
     def __init__(self, program: Any, opts: Any):
         super().__init__(program, opts)
@@ -258,17 +259,20 @@ class MasterBackend(Coordinator):
     # Slave management (called from RPC handler threads)
     # ------------------------------------------------------------------
 
-    def slave_signin(self, version: int, address: str) -> int:
+    def slave_signin(self, version: int, address: str, pid: int = 0) -> int:
         if version != protocol.PROTOCOL_VERSION:
             raise protocol.ProtocolError(
                 f"slave protocol version {version} != "
                 f"{protocol.PROTOCOL_VERSION}"
             )
         with self._lock:
+            if self._closed:
+                # Nothing will ever send it a task or a quit.
+                raise protocol.ProtocolError("master is shutting down")
             slave_id = self._next_slave_id
             self._next_slave_id += 1
             self._slaves[slave_id] = SlaveRecord(
-                slave_id, address, registry=self.observability.registry
+                slave_id, address, self.observability.registry, pid
             )
             self.scheduler.add_slave(slave_id)
             alive = len(self.alive_slaves())
@@ -422,21 +426,30 @@ class MasterBackend(Coordinator):
     # Liveness and lineage recovery
     # ------------------------------------------------------------------
 
-    def lose_slave(self, slave_id: int, reason: str) -> None:
+    def lose_slave(self, slave_id: int, reason: str, strike: bool = False) -> None:
+        """Stop scheduling onto a slave and requeue its task.  ``strike``
+        charges that task one failed attempt: a forked slave that died
+        running it is evidence against the task, where a missed ping is
+        not."""
         with self._lock:
             record = self._slaves.get(slave_id)
             if record is None or not record.alive:
                 return
             record.alive = False
-            self._busy.pop(slave_id, None)
+            # Counted before a strike can fail a dataset and wake its
+            # waiters.
+            self.observability.registry.counter("slaves.lost").inc()
+            task = self._busy.pop(slave_id, None)
             reassigned = self.scheduler.remove_slave(slave_id)
+            if strike and task is not None:
+                self._strike(task, "killed its slave")
+                self._note_requeued(task)
             recomputed = 0
             if self.data_plane == "http":
                 recomputed = self._recover_lost_data(slave_id)
             alive = len(self.alive_slaves())
             self._cond.notify_all()
         record.client.close()
-        self.observability.registry.counter("slaves.lost").inc()
         self.observability.registry.gauge("slaves.alive").set(alive)
         events = self.observability.events
         if events is not None:
@@ -459,6 +472,14 @@ class MasterBackend(Coordinator):
         self._dispatch()
 
     _lose_worker = lose_slave
+
+    def fail_unfinished(self, reason: str) -> None:
+        """Fail every unfinished dataset: no slave is left to run it."""
+        with self._lock:
+            for dataset in list(self._datasets.values()):
+                if not (dataset.complete or dataset.error):
+                    self._fail(dataset, reason)
+            self._cond.notify_all()
 
     def _recover_lost_data(self, slave_id: int) -> int:
         """Lineage re-execution for the direct (http) data plane.
@@ -562,9 +583,11 @@ class MasterInterface:
         # (and the datasets it tracks) wait for the cycle collector.
         self.backend = weakref.proxy(backend)
 
-    def rpc_signin(self, version: int, slave_host: str, slave_port: int) -> int:
+    def rpc_signin(
+        self, version: int, slave_host: str, slave_port: int, pid: int = 0
+    ) -> int:
         address = format_address(slave_host, slave_port)
-        return self.backend.slave_signin(version, address)
+        return self.backend.slave_signin(version, address, pid)
 
     def rpc_done(
         self,

@@ -15,8 +15,11 @@ Model
 * A *task* is ``(dataset_id, task_index)``; it is pending, assigned to
   a slave, or done.
 * Each :class:`ScheduledDataset` keeps its own queue, done count,
-  strikes and affinity index; the dataset table's insertion order is
-  the FIFO order, so a dispatch costs one look per live dataset.
+  strikes and affinity index, and a sequence number from
+  :meth:`Scheduler.add_dataset` that is never reused: the FIFO order.
+  The scheduler walks only the datasets still waiting for their inputs
+  when one completes, and only those with queued tasks per dispatch,
+  so neither cost grows with the finished datasets a job keeps.
 * Affinity: when a task completes on a slave, the scheduler remembers
   ``(affinity_group, task_index) -> slave``.  Future tasks with the
   same key prefer that slave.  Iterative programs get this for free
@@ -32,6 +35,7 @@ Model
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -79,6 +83,8 @@ class ScheduledDataset:
         self.runnable = False
         #: Failed or released: no task of this dataset is queued again.
         self.cancelled = False
+        #: FIFO position, set by :meth:`Scheduler.add_dataset`.
+        self.seq = 0
 
     @property
     def complete(self) -> bool:
@@ -90,9 +96,13 @@ class Scheduler:
 
     def __init__(self, affinity: bool = True):
         self.affinity_enabled = affinity
-        #: Live datasets in insertion order — FIFO across datasets
-        #: keeps early operations flowing first.
         self._datasets: Dict[str, ScheduledDataset] = {}
+        #: Datasets whose inputs are not all complete yet, by id.
+        self._waiting: Dict[str, ScheduledDataset] = {}
+        #: Datasets with queued tasks, by sequence number — FIFO across
+        #: datasets keeps early operations flowing first.
+        self._queued: Dict[int, ScheduledDataset] = {}
+        self._seq = itertools.count(1)
         self._assigned: Dict[TaskId, int] = {}
         self._slave_tasks: Dict[int, Set[TaskId]] = {}
         self._affinity: Dict[Tuple[str, int], int] = {}
@@ -113,13 +123,15 @@ class Scheduler:
     def add_dataset(self, sched: ScheduledDataset) -> None:
         if sched.id in self._datasets:
             raise ValueError(f"dataset {sched.id} already scheduled")
+        sched.seq = next(self._seq)
         self._datasets[sched.id] = sched
+        self._waiting[sched.id] = sched
         self._maybe_activate(sched)
 
     def mark_input_complete(self, dataset_id: str) -> None:
         """Record that ``dataset_id`` is complete; activate dependents."""
         self._complete_ids.add(dataset_id)
-        for sched in list(self._datasets.values()):
+        for sched in list(self._waiting.values()):
             self._maybe_activate(sched)
 
     def _maybe_activate(self, sched: ScheduledDataset) -> None:
@@ -127,6 +139,7 @@ class Scheduler:
         if sched.runnable or not deps <= self._complete_ids:
             return
         sched.runnable = True
+        del self._waiting[sched.id]
         for task_index in range(sched.ntasks):
             self._queue(sched, task_index)
         if sched.ntasks == 0:
@@ -189,6 +202,7 @@ class Scheduler:
         sched.task_state[task_index] = TaskState.PENDING
         if not sched.cancelled:
             insort(sched.pending, task_index)
+            self._queued[sched.seq] = sched
             slave = self._affinity.get((sched.affinity_group, task_index))
             if slave is not None:
                 heapq.heappush(sched.affine.setdefault(slave, []), task_index)
@@ -236,10 +250,9 @@ class Scheduler:
         if slave_id not in self._slave_tasks:
             raise KeyError(f"unknown slave {slave_id}")
         eligible: Dict[Optional[str], List[ScheduledDataset]] = {}
-        for sched in self._datasets.values():
-            if sched.pending and self._task_eligible(
-                (sched.id, sched.pending[0])
-            ):
+        for seq in sorted(self._queued):
+            sched = self._queued[seq]
+            if self._task_eligible((sched.id, sched.pending[0])):
                 eligible.setdefault(sched.job_id, []).append(sched)
         if not eligible:
             return None
@@ -252,6 +265,8 @@ class Scheduler:
                 sched, task_index = candidate, hit
                 break
         del sched.pending[bisect_left(sched.pending, task_index)]
+        if not sched.pending:
+            del self._queued[sched.seq]
         task = (sched.id, task_index)
         self._last_job = job
         self.job_dispatches[job] = self.job_dispatches.get(job, 0) + 1
@@ -274,7 +289,7 @@ class Scheduler:
         return jobs[0]
 
     def has_pending(self) -> bool:
-        return any(sched.pending for sched in self._datasets.values())
+        return bool(self._queued)
 
     def is_pending(self, task: TaskId) -> bool:
         sched = self._datasets.get(task[0])
@@ -310,7 +325,7 @@ class Scheduler:
         if self.affinity_enabled and self._affinity.get(key) != slave_id:
             self._affinity[key] = slave_id
             # Same-group tasks already queued now prefer this slave.
-            for other in self._datasets.values():
+            for other in self._queued.values():
                 if (
                     other.affinity_group == key[0]
                     and other.task_state.get(task_index) == TaskState.PENDING
@@ -360,6 +375,7 @@ class Scheduler:
         dropped = len(sched.pending)
         sched.pending = []
         sched.affine = {}
+        self._queued.pop(sched.seq, None)
         return dropped
 
     def forget_dataset(self, dataset_id: str) -> None:
@@ -370,8 +386,11 @@ class Scheduler:
         entries stay: later iterations share the dataset's group.
         """
         self._complete_ids.discard(dataset_id)
-        if self._datasets.pop(dataset_id, None) is None:
+        sched = self._datasets.pop(dataset_id, None)
+        if sched is None:
             return
+        self._waiting.pop(dataset_id, None)
+        self._queued.pop(sched.seq, None)
         for task in [t for t in self._assigned if t[0] == dataset_id]:
             slave = self._assigned.pop(task)
             self._slave_tasks.get(slave, set()).discard(task)
@@ -431,5 +450,5 @@ class Scheduler:
     def outstanding(self) -> int:
         """Tasks pending or assigned across all runnable datasets."""
         return len(self._assigned) + sum(
-            len(sched.pending) for sched in self._datasets.values()
+            len(sched.pending) for sched in self._queued.values()
         )

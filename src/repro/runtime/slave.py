@@ -149,7 +149,10 @@ class Slave:
     def signin(self) -> int:
         self.slave_id = int(
             self.master.signin(
-                protocol.PROTOCOL_VERSION, self.rpc.host, self.rpc.port
+                protocol.PROTOCOL_VERSION,
+                self.rpc.host,
+                self.rpc.port,
+                os.getpid(),
             )
         )
         logger.info(

@@ -4,7 +4,7 @@ A *task* is the unit of scheduling: task *j* of an operation consumes
 split column *j* of the input dataset and produces one output bucket
 per output split.  The same three execution paths (map, reduce,
 reduce+map) are used by the serial runtime, the mock-parallel runtime,
-slave worker processes, and the Hadoop simulator's tasktrackers — so a
+slave processes, and the Hadoop simulator's tasktrackers — so a
 program is guaranteed to compute the same thing everywhere.
 """
 
@@ -512,9 +512,9 @@ def run_operation(
 ) -> List[Bucket]:
     """Dispatch one operation by kind, without a full ComputedData.
 
-    This is the execution path of worker processes (cluster slaves and
-    multiprocess pool workers), which receive a bare operation dict in
-    a task descriptor rather than a dataset object.
+    This is the execution path of slave processes, which receive a
+    bare operation dict in a task descriptor rather than a dataset
+    object.
     """
     if isinstance(op, MapOperation):
         pairs: Iterable[KeyValue] = (

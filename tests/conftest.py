@@ -20,7 +20,8 @@ import pytest
 
 from repro.datagen import CorpusSpec, generate_corpus
 
-#: mkdtemp prefixes owned by masters, slaves and pools.  ``mrs_mockp_``
+#: mkdtemp prefixes owned by masters (``mrs_mp_``: with forked slaves)
+#: and slaves.  ``mrs_mockp_``
 #: and ``mrs_cluster_`` are deliberately absent: mockparallel and
 #: LocalCluster outputs are read *after* close()/stop() (run_program's
 #: and run_on_cluster's contract), so those directories live until
@@ -57,13 +58,14 @@ def assert_no_tmpdir_leak():
     assert not leaked, f"backend-owned tmpdirs leaked: {leaked}"
 
 
-#: Threads a launch starts: the three listeners' serving threads and the
-#: master's watchdog.
+#: Threads a launch starts: the three listeners' serving threads, the
+#: master's watchdog and the waiters of forked slaves.
 _LAUNCH_THREADS = (
     "rpc-server-",
     "data-server-",
     "status-server-",
     "master-watchdog",
+    "slave-waiter-",
 )
 
 

@@ -113,7 +113,6 @@ FRAMEWORK_FLAGS = {
     "--mrs-runfile",
     "--mrs-seed",
     "--mrs-slave-wait-timeout",
-    "--mrs-start-method",
     "--mrs-status-http",
     "--mrs-timeout",
     "--mrs-tmpdir",
@@ -136,6 +135,7 @@ REMOVED_FLAGS = [
     "--mrs-native",
     "--mrs-pipeline",
     "--mrs-trace",
+    "--mrs-start-method",
 ]
 
 #: Every environment variable the framework reads or writes.
@@ -175,7 +175,7 @@ class TestOptionCensus:
             if flag.startswith("--")
         }
         assert flags == FRAMEWORK_FLAGS
-        assert len(flags) == 25
+        assert len(flags) == 24
 
     def test_every_option_is_read_outside_the_parser(self):
         source = framework_source(exclude=("core/options.py",))

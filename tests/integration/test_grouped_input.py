@@ -2,7 +2,6 @@
 and the output is byte-identical on every runtime and to one task per
 file: each reduce still sees a key's values in input-file order."""
 
-import multiprocessing
 import os
 
 import pytest
@@ -18,9 +17,6 @@ pytestmark = pytest.mark.integration
 
 N_FILES = 30
 WORDS = ["alpha", "beta", "gamma", "delta", "eps"]
-START_METHODS = sorted(
-    set(multiprocessing.get_all_start_methods()) & {"fork", "spawn"}
-)
 
 
 @pytest.fixture
@@ -64,12 +60,8 @@ def reference(tree, tmp_path, monkeypatch):
     return expected
 
 
-@pytest.mark.parametrize("start_method", START_METHODS)
-def test_pool_matches_per_file_layout(tree, reference, tmp_path, start_method):
-    _, outputs = run(
-        "multiprocess", tree[0], tmp_path / "pool", procs=2,
-        start_method=start_method,
-    )
+def test_pool_matches_per_file_layout(tree, reference, tmp_path):
+    _, outputs = run("multiprocess", tree[0], tmp_path / "pool", procs=2)
     assert outputs == reference
 
 
@@ -87,5 +79,5 @@ def test_worker_killed_mid_group_recovers(tree, reference, tmp_path):
     root, marker = tree
     os.remove(marker)
     _, outputs = run("multiprocess", root, tmp_path / "killed", procs=2)
-    assert marker.exists(), "no worker was killed"
+    assert marker.exists(), "no slave was killed"
     assert outputs == reference

@@ -1,12 +1,10 @@
 """Every view of task time is a view of the spans.
 
-One real cluster run and one real pool run per start method: the
-report's ``phases`` are the sums of its spans' durations, ``task_stats``
+One real cluster run and one ``--mrs multiprocess`` run: the report's
+``phases`` are the sums of its spans' durations, ``task_stats``
 summarizes the spans' seconds, and ``task_count`` is the number of
 tasks run — by construction, because nothing else holds time.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -18,11 +16,7 @@ from repro.util.timing import summarize_seconds
 
 FLAGS = ["--pi-samples", "4000", "--pi-tasks", "4"]
 
-PLANES = ["cluster"] + [
-    f"pool-{method}"
-    for method in ("fork", "spawn")
-    if method in multiprocessing.get_all_start_methods()
-]
+PLANES = ["cluster", "pool"]
 
 
 def run(plane):
@@ -35,11 +29,7 @@ def run(plane):
             return collect(cluster.backend)
     from repro.runtime.multiprocess import MultiprocessBackend
 
-    opts, positional = parse_options(
-        PiEstimator,
-        ["--mrs-procs", "2", "--mrs-start-method", plane.partition("-")[2]]
-        + FLAGS,
-    )
+    opts, positional = parse_options(PiEstimator, ["--mrs-procs", "2"] + FLAGS)
     program = PiEstimator(opts, positional)
     backend = MultiprocessBackend(program, opts, positional)
     try:

@@ -126,15 +126,15 @@ class TestLatestHealth:
         done_with_health(backend, 1, {"t": 10.0, "cpu_seconds": 1.0})
         done_with_health(backend, 2, {"t": 10.0, "cpu_seconds": 9.0})
         with backend._lock:
-            backend._note_health("worker-1", {"rtt_seconds": 0.002})
+            backend._note_health("slave-1", {"rtt_seconds": 0.002})
         latest = backend.telemetry()["latest"]
-        assert latest["worker-2"]["cpu_seconds"] == 9.0
-        assert latest["worker-1"] == {
+        assert latest["slave-2"]["cpu_seconds"] == 9.0
+        assert latest["slave-1"] == {
             "t": 10.0, "cpu_seconds": 1.0, "rtt_seconds": 0.002,
         }
         # The coordinator samples itself on demand.
         assert latest["fake"]["cpu_seconds"] >= 0.0
-        assert set(latest) == {"worker-1", "worker-2", "fake"}
+        assert set(latest) == {"slave-1", "slave-2", "fake"}
 
     def test_later_fields_win(self, transport):
         backend, _, _ = transport

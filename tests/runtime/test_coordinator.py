@@ -140,7 +140,7 @@ def test_task_events_are_derived_only_with_an_event_log(
             if s.seconds is not None
         ]
         assert span.durations["map"] == pytest.approx(0.15)
-        assert calls == ([{"worker": worker_id}] if event_log else [])
+        assert calls == ([{"slave": worker_id}] if event_log else [])
         if event_log:
             phases = [
                 e["fields"]["phase"]

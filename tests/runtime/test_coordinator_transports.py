@@ -1,13 +1,14 @@
-"""Behaviour both coordinator transports must share.
+"""Behaviour every master must share, whoever starts its slaves.
 
-Every test runs against the cluster master and the multiprocess pool.
-Auto-dispatch is disabled: the tests assign tasks by hand and report
-completions and failures through the coordinator's own entry points,
-standing in for slave RPC traffic and for the pool's result queue.
+Every test runs against a bare cluster master and against
+``--mrs multiprocess``, the master with one forked slave.  Auto-dispatch
+is disabled: the tests assign tasks by hand and report completions and
+failures through the coordinator's own entry points, standing in for
+slave RPC traffic; on the forked plane a failed attempt is the slave
+dying mid-task.
 """
 
 import gc
-import multiprocessing
 import os
 import time
 import weakref
@@ -23,22 +24,14 @@ from repro.runtime.multiprocess import MultiprocessBackend
 
 from tests.runtime.programs_mp import Tally
 
-#: The master, and the pool under each start method this host offers
-#: (CI's fork/spawn matrix selects one pool leg with ``-k``).
-PLANES = ["master"] + [
-    f"multiprocess-{method}"
-    for method in ("fork", "spawn")
-    if method in multiprocessing.get_all_start_methods()
-]
+#: A master whose slaves sign in by hand, and one with a forked slave.
+PLANES = ["master", "multiprocess"]
 
 
 def make_backend(plane, tmpdir):
-    kind, _, start_method = plane.partition("-")
-    opts = default_options(
-        tmpdir=tmpdir, procs=1, start_method=start_method or None
-    )
+    opts = default_options(tmpdir=tmpdir, procs=1)
     program = Tally(opts, [])
-    if kind == "master":
+    if plane == "master":
         backend = MasterBackend(program, opts)
     else:
         backend = MultiprocessBackend(program, opts, [])
@@ -47,14 +40,15 @@ def make_backend(plane, tmpdir):
 
 class Harness:
     def __init__(self, plane, backend, program):
-        self.plane = plane.partition("-")[0]
+        self.plane = plane
         self.backend = backend
         self.program = program
         self.job = Job(backend, program)
         if self.plane == "master":
             self.worker = backend.slave_signin(1, "127.0.0.1:9")
         else:
-            self.worker = backend.pool.handles()[0].worker_id
+            (record,) = backend.alive_slaves()
+            self.worker = record.id
 
     def assign(self):
         """What ``_dispatch`` does under the lock, minus the send."""
@@ -72,19 +66,25 @@ class Harness:
         )
 
     def fail(self, task):
-        """One failed attempt, as each plane's own liveness machinery
-        sees it: a ``failed`` report on the cluster, a worker killed
-        mid-task on the pool."""
+        """One failed attempt: a ``failed`` report from a slave signed
+        in by hand, the forked slave killed mid-task on the other
+        plane."""
         if self.plane == "master":
             self.backend.task_failed(self.worker, task[0], task[1], "boom")
             return
-        process = self.backend.pool.get(self.worker).process
+        (record,) = self.backend.alive_slaves()
+        (process,) = [
+            p for p in self.backend.group.processes if p.pid == record.pid
+        ]
         process.kill()
-        process.join(timeout=10)
-        assert not process.is_alive()
-        self.backend._check_workers()
-        # The sweep respawned a replacement; later attempts go there.
-        self.worker = self.backend.pool.handles()[0].worker_id
+        # Returns once the group has lost the slave and forked another.
+        process.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not self.backend.alive_slaves():
+            assert time.monotonic() < deadline, "no replacement signed in"
+            time.sleep(0.005)
+        (replacement,) = self.backend.alive_slaves()
+        self.worker = replacement.id
 
 
 @pytest.fixture(params=PLANES)
@@ -179,8 +179,8 @@ class TestSpillHygiene:
 
     def test_failed_task_of_released_dataset_is_not_requeued(self, harness):
         """A release is permanent: a task in flight when its dataset is
-        released and that then fails (on the pool, its worker dies) is
-        not queued again to run against a deleted run directory."""
+        released and that then fails (or its slave dies) is not queued
+        again to run against a deleted run directory."""
         backend, job, program = harness.backend, harness.job, harness.program
         source = job.local_data([(0, 1)], splits=1)
         mapped = job.map_data(source, program.map, splits=1)
@@ -327,27 +327,23 @@ def assert_status_shape(status):
 
 @pytest.mark.parametrize("plane", PLANES)
 def test_status_has_one_shape_on_every_transport(plane, tmp_path):
-    """A real cluster (master + two slave processes) and a real pool
-    answer ``status()`` in the same shape mid-run and after the run,
-    and ``/metrics`` renders one progress sample per dataset row."""
+    """A real cluster (master + two exec'd slave processes) and a
+    master with two forked slaves answer ``status()`` in the same shape
+    mid-run and after the run, and ``/metrics`` renders one progress
+    sample per dataset row."""
     from repro.observability.telemetry import render_prometheus
     from repro.runtime.cluster import LocalCluster
     from tests.observability.test_telemetry import assert_prometheus_text
 
-    kind, _, start_method = plane.partition("-")
     tmpdir = str(tmp_path / "run")
-    if kind == "master":
+    if plane == "master":
         cluster = LocalCluster(Tally, [], n_slaves=2, tmpdir=tmpdir).start()
         backend, program, stop = cluster.backend, cluster.program, cluster.stop
     else:
-        opts = default_options(tmpdir=tmpdir, procs=2, start_method=start_method)
+        opts = default_options(tmpdir=tmpdir, procs=2)
         program = Tally(opts, [])
         backend = MultiprocessBackend(program, opts, [])
         stop = backend.close
-        deadline = time.monotonic() + 60
-        while backend.status()["workers"]["ready"] < 2:
-            assert time.monotonic() < deadline, "pool never became ready"
-            time.sleep(0.01)
     try:
         job = Job(backend, program)
         source = job.local_data([(i, i) for i in range(8)], splits=4)
@@ -391,24 +387,17 @@ def test_telemetry_is_a_view_over_real_workers(plane, tmp_path):
     for n in range(4):
         (inputs / f"{n}.txt").write_text(f"the quick fox {n}\nthe lazy dog\n")
     args = [str(inputs), str(tmp_path / "out")]
-    kind, _, start_method = plane.partition("-")
     tmpdir = str(tmp_path / "run")
-    if kind == "master":
+    if plane == "master":
         cluster = LocalCluster(WordCount, args, n_slaves=2, tmpdir=tmpdir).start()
         backend, program, stop = cluster.backend, cluster.program, cluster.stop
     else:
         opts, positional = parse_options(
-            WordCount,
-            ["--mrs-tmpdir", tmpdir, "--mrs-procs", "2",
-             "--mrs-start-method", start_method, *args],
+            WordCount, ["--mrs-tmpdir", tmpdir, "--mrs-procs", "2", *args]
         )
         program = WordCount(opts, positional)
         backend = MultiprocessBackend(program, opts, positional)
         stop = backend.close
-        deadline = time.monotonic() + 60
-        while backend.status()["workers"]["ready"] < 2:
-            assert time.monotonic() < deadline, "pool never became ready"
-            time.sleep(0.01)
     try:
         job = Job(backend, program)
         # Four map tasks: the first dispatch hands one to each worker.
@@ -420,11 +409,10 @@ def test_telemetry_is_a_view_over_real_workers(plane, tmp_path):
         disk_records = sum(len(url_io.fetch_pairs(url)) for url in urls)
     finally:
         stop()
-    label = backend.worker_label
     workers = sorted(set(telemetry["latest"]) - {telemetry["role"]})
     assert len(workers) == 2, telemetry["latest"]
     for source in workers:
-        assert source.startswith(f"{label}-")
+        assert source.startswith("slave-")
         sample = telemetry["latest"][source]
         assert sample["rss_bytes"] > 0
         assert "tasks_completed" in sample  # the worker's own count
@@ -446,10 +434,11 @@ def test_closed_backend_frees_datasets_without_gc(plane, tmp_path):
         job = Job(backend, program)
         source = job.local_data([(i, i) for i in range(6)], splits=2)
         mapped = job.map_data(source, program.map, splits=2)
+        threads = [backend._watchdog]
         if plane != "master":
             job.wait(mapped, timeout=60)
             assert mapped.data()
-        threads = [backend._watchdog if plane == "master" else backend._collector]
+            threads += [p._waiter for p in backend.group.processes]
         span = backend.observability.tracer.spans_for(mapped.id)[0]
         refs = [weakref.ref(obj) for obj in (source, mapped, backend, span)]
         backend.close()

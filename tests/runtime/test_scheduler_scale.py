@@ -91,3 +91,37 @@ def test_scheduler_lines_per_task_stay_bounded(tmp_path):
         assert transport.scheduler.outstanding() == 0
     finally:
         transport.close()
+
+
+def test_scheduler_lines_per_iteration_do_not_grow_with_kept_datasets(
+    tmp_path,
+):
+    """An iterative job that never releases keeps every iteration's
+    dataset: the scheduler walks only the datasets still waiting for
+    inputs and those with queued tasks, so an iteration costs the same
+    scheduler lines at iteration 2000 as at iteration 100."""
+    opts = default_options(tmpdir=str(tmp_path / "run"))
+    program = Tally(opts, [])
+    transport = FakeTransport(program, opts)
+    job = Job(transport, program)
+    counter = LineCounter(scheduler_module.__file__)
+    last = [job.local_data([(i, i) for i in range(4)], splits=4)]
+
+    def iteration():
+        last[0] = job.reduce_data(
+            last[0], program.reduce, splits=4, affinity_group="iter"
+        )
+        transport.finish_all()
+        assert last[0].complete
+
+    def lines_at(start):
+        while len(transport._datasets) < start:
+            iteration()
+        return sum(counter.count(iteration) for _ in range(10)) / 10
+
+    try:
+        early, late = lines_at(100), lines_at(2000)
+    finally:
+        transport.close()
+    assert len(transport.scheduler._datasets) > 2000
+    assert late <= 1.2 * early, (early, late)
