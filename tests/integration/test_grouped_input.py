@@ -11,7 +11,11 @@ from repro.core.main import run_program
 from repro.runtime.cluster import LocalCluster
 
 from tests.integration.programs import OrderedJoin
-from tests.runtime.test_multiprocess import output_by_key
+from tests.runtime.test_multiprocess import (
+    START_METHODS,
+    output_by_key,
+    run_multiprocess,
+)
 
 pytestmark = pytest.mark.integration
 
@@ -60,9 +64,13 @@ def reference(tree, tmp_path, monkeypatch):
     return expected
 
 
-def test_pool_matches_per_file_layout(tree, reference, tmp_path):
-    _, outputs = run("multiprocess", tree[0], tmp_path / "pool", procs=2)
-    assert outputs == reference
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_pool_matches_per_file_layout(tree, reference, tmp_path, start_method):
+    out = tmp_path / "pool"
+    run_multiprocess(
+        OrderedJoin, [tree[0], str(out)], start_method, procs=2, reduce_tasks=3
+    )
+    assert output_by_key(out) == reference
 
 
 def test_file_plane_cluster_matches_per_file_layout(tree, reference, tmp_path):

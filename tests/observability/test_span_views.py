@@ -1,6 +1,7 @@
 """Every view of task time is a view of the spans.
 
-One real cluster run and one ``--mrs multiprocess`` run: the report's
+One real cluster run and one ``--mrs multiprocess`` run per way its
+slaves start (all forked, or one exec'd beside them): the report's
 ``phases`` are the sums of its spans' durations, ``task_stats``
 summarizes the spans' seconds, and ``task_count`` is the number of
 tasks run — by construction, because nothing else holds time.
@@ -10,13 +11,12 @@ import pytest
 
 from repro.apps.pi.estimator import PiEstimator
 from repro.core.job import Job
-from repro.core.options import parse_options
 from repro.observability.tracing import PHASES
 from repro.util.timing import summarize_seconds
 
 FLAGS = ["--pi-samples", "4000", "--pi-tasks", "4"]
 
-PLANES = ["cluster", "pool"]
+PLANES = ["cluster", "pool-fork", "pool-spawn"]
 
 
 def run(plane):
@@ -27,11 +27,10 @@ def run(plane):
         with LocalCluster(PiEstimator, FLAGS, n_slaves=2) as cluster:
             cluster.run()
             return collect(cluster.backend)
-    from repro.runtime.multiprocess import MultiprocessBackend
+    from tests.runtime.test_multiprocess import start_multiprocess
 
-    opts, positional = parse_options(PiEstimator, ["--mrs-procs", "2"] + FLAGS)
-    program = PiEstimator(opts, positional)
-    backend = MultiprocessBackend(program, opts, positional)
+    start_method = plane.partition("-")[2]
+    program, backend = start_multiprocess(PiEstimator, FLAGS, start_method, 2)
     try:
         assert program.run(Job(backend, program)) in (None, 0)
         return collect(backend)

@@ -23,6 +23,7 @@ from repro.runtime.master import MasterBackend
 from repro.runtime.multiprocess import MultiprocessBackend
 
 from tests.runtime.programs_mp import Tally
+from tests.runtime.test_multiprocess import START_METHODS, start_multiprocess
 
 #: A master whose slaves sign in by hand, and one with a forked slave.
 PLANES = ["master", "multiprocess"]
@@ -372,13 +373,16 @@ def test_status_has_one_shape_on_every_transport(plane, tmp_path):
         stop()
 
 
-@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize(
+    "plane", ["master"] + [f"multiprocess-{m}" for m in START_METHODS]
+)
 def test_telemetry_is_a_view_over_real_workers(plane, tmp_path):
-    """After a WordCount on real workers, ``telemetry()`` has one latest
-    health entry per worker, and the map dataset's skew row is exactly
-    what its bucket files hold (the file plane: every file on disk)."""
+    """After a WordCount on real workers (two exec'd slaves; two forked
+    slaves; one forked and one exec'd slave), ``telemetry()`` has one
+    latest health entry per worker, and the map dataset's skew row is
+    exactly what its bucket files hold (the file plane: every file on
+    disk)."""
     from repro.apps.wordcount import WordCount
-    from repro.core.options import parse_options
     from repro.io import urls as url_io
     from repro.runtime.cluster import LocalCluster
 
@@ -392,11 +396,10 @@ def test_telemetry_is_a_view_over_real_workers(plane, tmp_path):
         cluster = LocalCluster(WordCount, args, n_slaves=2, tmpdir=tmpdir).start()
         backend, program, stop = cluster.backend, cluster.program, cluster.stop
     else:
-        opts, positional = parse_options(
-            WordCount, ["--mrs-tmpdir", tmpdir, "--mrs-procs", "2", *args]
+        start_method = plane.partition("-")[2]
+        program, backend = start_multiprocess(
+            WordCount, args, start_method, 2, tmpdir=tmpdir
         )
-        program = WordCount(opts, positional)
-        backend = MultiprocessBackend(program, opts, positional)
         stop = backend.close
     try:
         job = Job(backend, program)

@@ -20,7 +20,8 @@ import pytest
 from repro.comm import transfer
 from repro.core.job import Job
 from repro.core.main import run_program
-from repro.core.options import default_options
+from repro.core.options import default_options, parse_options
+from repro.runtime.cluster import program_spec
 from repro.runtime.failures import MAX_TASK_FAILURES
 from repro.runtime.multiprocess import MultiprocessBackend
 
@@ -32,6 +33,48 @@ def make_backend(program_cls, opts_overrides=None, args=()):
     program = program_cls(opts, list(args))
     backend = MultiprocessBackend(program, opts, list(args))
     return Job(backend, program), program, backend
+
+
+#: How an ``--mrs multiprocess`` master's slaves start: all forked from
+#: it (``SlaveGroup.fork``), or one of them exec'd into the same group
+#: (``SlaveGroup.spawn``, as ``LocalCluster`` starts its slaves), which
+#: imports the program by name and shares the forked slaves' file plane.
+START_METHODS = ["fork", "spawn"]
+
+
+def start_multiprocess(program_cls, args, start_method, procs, **overrides):
+    """``(program, backend)``: an ``--mrs multiprocess`` master over the
+    program arguments ``args`` with ``procs`` slaves signed in, started
+    by ``start_method``; ``overrides`` set master options."""
+    spawned = int(start_method == "spawn")
+    opts, positional = parse_options(
+        program_cls, ["--mrs", "multiprocess", *args]
+    )
+    for key, value in dict(overrides, procs=procs - spawned).items():
+        setattr(opts, key, value)
+    program = program_cls(opts, positional)
+    backend = MultiprocessBackend(program, opts, positional)
+    try:
+        if spawned:
+            spec = program_spec(program_cls)
+            assert backend.group.spawn(spawned, spec, args) == procs
+    except BaseException:
+        backend.close()
+        raise
+    return program, backend
+
+
+def run_multiprocess(program_cls, args, start_method, procs, **overrides):
+    """Run the program to completion as :func:`start_multiprocess`
+    launches it; returns the program instance."""
+    program, backend = start_multiprocess(
+        program_cls, args, start_method, procs, **overrides
+    )
+    try:
+        assert program.run(Job(backend, program)) in (None, 0)
+        return program
+    finally:
+        backend.close()
 
 
 def output_by_key(directory):
@@ -49,7 +92,8 @@ def output_by_key(directory):
 
 
 class TestEquivalence:
-    def test_wordcount_byte_identical_to_serial(self, tmp_path):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_wordcount_byte_identical_to_serial(self, tmp_path, start_method):
         from repro.apps.wordcount import WordCount
 
         input_file = tmp_path / "in.txt"
@@ -65,12 +109,12 @@ class TestEquivalence:
             impl="serial",
             reduce_tasks=2,
         )
-        run_program(
+        run_multiprocess(
             WordCount,
             [str(input_file), str(mp_out)],
-            impl="multiprocess",
-            reduce_tasks=2,
+            start_method,
             procs=4,
+            reduce_tasks=2,
         )
         serial_files = output_by_key(serial_out)
         mp_files = output_by_key(mp_out)
