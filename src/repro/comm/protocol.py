@@ -15,21 +15,28 @@ master method             meaning
                           buckets as ``[split, url, sorted, records,
                           bytes]`` (plus piggybacked per-task metrics)
 ``failed``                slave reports a task error
-``ping``                  liveness check (both directions)
+``next``                  idle slave asks for a task (waits up to a
+                          poll period)
 ========================  =======================================
+
+Slaves pull: ``done``, ``failed`` and ``next`` return the next task
+descriptor, ``None`` (ask ``next``) or :data:`QUIT`; a lost reply's
+descriptor is sent again on the slave's next call.
 
 Each reported bucket carries its size once, next to its URL: the
 records and bytes of the file the task wrote (floats on the wire —
-XML-RPC ints stop at 2**31 - 1).  A ``done`` message optionally carries
-a *task metrics* payload — the slave's span for the task (its marks as
-offsets from the task's start), a snapshot of its metrics registry and
-a throttled health sample — so the master can aggregate a whole-job
-view without any extra round trips.
+XML-RPC ints stop at 2**31 - 1).  A zero-record intermediate bucket is
+not written, so it is not reported; user output (an ``outdir``) reports
+every file, empty ones included.  A
+``done`` message optionally carries a *task metrics* payload — the
+slave's span for the task (its marks as offsets from the task's start),
+a snapshot of its metrics registry and a throttled health sample — so
+the master can aggregate a whole-job view without any extra round
+trips.
 
 ========================  =======================================
 slave method              meaning
 ========================  =======================================
-``start_task``            master assigns a task descriptor
 ``remove_data``           master frees a dataset's local files
 ``quit``                  master ends the job
 ``ping``                  liveness check
@@ -43,7 +50,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: Bump when the wire format changes; signin rejects mismatches
 #: ("version skew between master and slaves is a configuration error
 #: worth failing loudly on").
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: The reply that tells a slave to exit.
+QUIT = "quit"
 
 
 class ProtocolError(Exception):

@@ -93,6 +93,8 @@ class RpcClient:
         self.host, self.port = parse_address(address)
         self.timeout = timeout
         self.registry = registry
+        if registry is not None:  # a peer that was never called reads 0
+            registry.counter("rpc.client.calls")
         self.pool = ConnectionPool()
 
     def __getattr__(self, name: str) -> Any:

@@ -59,8 +59,7 @@ class Observability:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         #: Structured event log; None until a consumer asks for events
-        #: (so the hot emit path ``events = obs.events; if events is
-        #: not None: ...`` costs one attribute check when disabled).
+        #: (:meth:`emit` is then one attribute check).
         self.events: Optional[EventLog] = None
         self._created_at = time.perf_counter()
         #: Seconds from backend construction to ready-to-run, set once
@@ -120,18 +119,19 @@ class Observability:
 
         transfer.install_registry(self.registry)
 
+    def emit(self, name: str, **fields: Any) -> None:
+        """Record one event, if the event log is on."""
+        if self.events is not None:
+            self.events.emit(name, **fields)
+
     def mark_startup_complete(self) -> float:
         """Record startup as complete (idempotent); returns the time."""
         if self.startup_seconds is None:
             self.startup_seconds = time.perf_counter() - self._created_at
             self.registry.gauge("startup.seconds").set(self.startup_seconds)
-            events = self.events
-            if events is not None:
-                events.emit(
-                    "job.startup",
-                    seconds=self.startup_seconds,
-                    kind=self.startup_kind,
-                )
+            self.emit(
+                "job.startup", seconds=self.startup_seconds, kind=self.startup_kind
+            )
         return self.startup_seconds
 
     def note_operation(self, dataset_id: str, kind: str) -> None:
@@ -144,20 +144,15 @@ class Observability:
         a ``queued`` mark on every task span, and the matching
         ``dataset.submitted`` / ``task.queued`` events."""
         self.note_operation(dataset.id, dataset.operation.kind)
-        events = self.events
-        if events is not None:
-            events.emit(
-                "dataset.submitted",
-                dataset_id=dataset.id,
-                kind=dataset.operation.kind,
-                tasks=dataset.ntasks,
-            )
+        self.emit(
+            "dataset.submitted",
+            dataset_id=dataset.id,
+            kind=dataset.operation.kind,
+            tasks=dataset.ntasks,
+        )
         for task_index in dataset.task_indices():
             self.tracer.span(dataset.id, task_index).mark("queued")
-            if events is not None:
-                events.emit(
-                    "task.queued", dataset_id=dataset.id, task_index=task_index
-                )
+            self.emit("task.queued", dataset_id=dataset.id, task_index=task_index)
 
     def merge_remote(
         self, snapshot: Dict[str, Any], source: Optional[str] = None

@@ -53,14 +53,17 @@ def max_over_median(values: Sequence[float]) -> Optional[float]:
 
 
 def summary(
-    buckets_by_dataset: Dict[str, Sequence[Any]]
+    buckets_by_dataset: Dict[str, Sequence[Any]],
+    splits: Optional[Dict[str, int]] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Per-dataset skew rows over ``{dataset id: its buckets}``.
 
     Many tasks write into the same split, so sizes are summed per split
-    first; ``buckets`` counts the splits.  Buckets of unknown size
-    (inputs, spills, reports without sizes) are left out, and a dataset
-    with none has no row.
+    first; ``buckets`` counts the splits, and a split that holds no
+    bucket (a task writes no empty intermediate bucket) counts as zero
+    if ``splits`` has its dataset.  Buckets of unknown size (inputs,
+    spills, reports without sizes) are left out, and a dataset with none
+    has no row.
     """
     out: Dict[str, Dict[str, Any]] = {}
     for dataset_id, buckets in buckets_by_dataset.items():
@@ -72,6 +75,10 @@ def summary(
                 entry[1] += bucket.url_size[1]
         if not per_split:
             continue
+        held = {bucket.split for bucket in buckets}
+        for split in range((splits or {}).get(dataset_id, 0)):
+            if split not in held:
+                per_split[split] = [0, 0]
         record_counts = [records for records, _ in per_split.values()]
         byte_sizes = [nbytes for _, nbytes in per_split.values()]
         out[dataset_id] = {

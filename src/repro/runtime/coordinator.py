@@ -20,8 +20,8 @@ hook                                    meaning
 ======================================  ================================
 ``role`` / ``tmpdir_prefix``            observability role, owned rundir
 ``_live_workers()``                     ids that may be handed a task
-``_send(worker_id, descriptor)``        deliver a task; raising loses
-                                        the worker (``_lose_worker``)
+``_send(worker_id, descriptor)``        hand a task over (under the
+                                        lock: it must not block)
 ``_output_dir(dataset)``                where intermediate output lives
 ``_spill_url(path)``                    how a spilled path is published
 ``_job_program`` / ``_job_registry``    service-mode job scoping
@@ -109,11 +109,8 @@ class Coordinator(Backend):
         raise NotImplementedError
 
     def _send(self, worker_id: int, descriptor: Dict[str, Any]) -> None:
-        """Deliver a task descriptor (called outside the lock)."""
-        raise NotImplementedError
-
-    def _lose_worker(self, worker_id: int, reason: str) -> None:
-        """A send to ``worker_id`` failed: stop scheduling onto it."""
+        """Hand a task descriptor to its worker (caller holds the
+        lock; must not block)."""
         raise NotImplementedError
 
     def _shutdown_transport(self) -> None:
@@ -163,6 +160,8 @@ class Coordinator(Backend):
             job.get_dataset(dep_id)
             for dep_id in (dataset.input_id, *dataset.blocking_ids)
         ]
+        if not isinstance(deps[0], ComputedData):
+            self._spill_inputs(deps[0])
         with self._lock:
             self._datasets[dataset.id] = dataset
             for dep in deps:
@@ -193,16 +192,14 @@ class Coordinator(Backend):
     def _drain_scheduler(self) -> None:
         """Publish the zero-task datasets that completed without any
         task report (caller holds the lock)."""
-        events = self.observability.events
         for dataset_id in self.scheduler.take_completed_datasets():
             dataset = self._datasets.get(dataset_id)
             if dataset is not None and not dataset.complete:
                 dataset.complete = True
                 logger.info("dataset %s complete (no tasks)", dataset_id)
-                if events is not None:
-                    events.emit(
-                        "dataset.complete", dataset_id=dataset_id, tasks=0
-                    )
+                self.observability.emit(
+                    "dataset.complete", dataset_id=dataset_id, tasks=0
+                )
         self._cond.notify_all()
 
     def wait(
@@ -278,15 +275,13 @@ class Coordinator(Backend):
             latest = {
                 source: dict(sample) for source, sample in self._health.items()
             }
-            buckets = {
-                ds_id: dataset.existing_buckets()
-                for ds_id, dataset in self._datasets.items()
-            }
+            buckets = {i: d.existing_buckets() for i, d in self._datasets.items()}
+            splits = {i: d.splits for i, d in self._datasets.items()}
         return telemetry_snapshot(
             self.role,
             self.tmpdir,
             latest,
-            skew.summary(buckets),
+            skew.summary(buckets, splits),
         )
 
     def _note_health(self, source: str, sample: Dict[str, float]) -> None:
@@ -309,15 +304,13 @@ class Coordinator(Backend):
             failed = release_dataset(self._datasets, dataset_id)
             self.scheduler.forget_dataset(dataset_id)
             self.observability.tracer.fold(dataset_id)
-            events = self.observability.events
             for failed_id in failed:
                 self.scheduler.cancel_dataset(failed_id)
-                if events is not None:
-                    events.emit(
-                        "dataset.failed",
-                        dataset_id=failed_id,
-                        error=self._datasets[failed_id].error,
-                    )
+                self.observability.emit(
+                    "dataset.failed",
+                    dataset_id=failed_id,
+                    error=self._datasets[failed_id].error,
+                )
             self._cond.notify_all()
         self._release_worker_copies(dataset_id)
         shutil.rmtree(os.path.join(self.tmpdir, dataset_id), ignore_errors=True)
@@ -400,9 +393,7 @@ class Coordinator(Backend):
                 if dataset_complete:
                     dataset.complete = True
                     logger.info("dataset %s complete", dataset_id)
-                    events = self.observability.events
-                    if events is not None:
-                        events.emit("dataset.complete", dataset_id=dataset_id)
+                    self.observability.emit("dataset.complete", dataset_id=dataset_id)
                 self._drain_scheduler()
             self._cond.notify_all()
         if cleanup_dir is not None:
@@ -439,9 +430,8 @@ class Coordinator(Backend):
         obs.merge_remote(payload["registry"], source=source)
         if payload["health"]:
             self._note_health(source, payload["health"])
-        events = obs.events
-        if events is not None:
-            emit_task_events(events, span, slave=worker_id)
+        if obs.events is not None:
+            emit_task_events(obs.events, span, slave=worker_id)
 
     def task_failed(
         self, worker_id: int, dataset_id: str, task_index: int, message: str
@@ -470,16 +460,14 @@ class Coordinator(Backend):
                 and not input_dataset.complete
                 and not input_dataset.error
             )
-            events = self.observability.events
-            if events is not None:
-                events.emit(
-                    "task.failed",
-                    dataset_id=dataset_id,
-                    task_index=task_index,
-                    slave=worker_id,
-                    error=message,
-                    free_retry=free_retry,
-                )
+            self.observability.emit(
+                "task.failed",
+                dataset_id=dataset_id,
+                task_index=task_index,
+                slave=worker_id,
+                error=message,
+                free_retry=free_retry,
+            )
             if not free_retry:
                 self._strike(task, "failed", f"; last: {message}")
             # Always release the attempt.  A struck-out task's dataset
@@ -516,17 +504,14 @@ class Coordinator(Backend):
             dataset.id, *propagate_error(self._datasets, dataset.id)
         ]:
             self.scheduler.cancel_dataset(failed_id)
-        events = self.observability.events
-        if events is not None:
-            events.emit("dataset.failed", dataset_id=dataset.id, error=error)
+        self.observability.emit("dataset.failed", dataset_id=dataset.id, error=error)
 
     def _note_requeued(self, task: TaskId, free_retry: bool = False) -> None:
         """Emit ``task.requeued`` if the task is back in the queue — not
         when its dataset failed or was released (caller holds the
         lock)."""
-        events = self.observability.events
-        if events is not None and self.scheduler.is_pending(task):
-            events.emit(
+        if self.scheduler.is_pending(task):
+            self.observability.emit(
                 "task.requeued",
                 dataset_id=task[0],
                 task_index=task[1],
@@ -539,42 +524,30 @@ class Coordinator(Backend):
     # ------------------------------------------------------------------
 
     def _dispatch(self) -> None:
-        """Hand pending tasks to idle workers (sends happen outside the
-        lock; a failed send loses the worker)."""
-        while True:
-            to_send: List[Tuple[int, TaskId, Dict[str, Any]]] = []
-            with self._lock:
-                if self._closed:
-                    return
-                for worker_id in self._live_workers():
-                    if worker_id in self._busy:
-                        continue
-                    task = self.scheduler.next_task(worker_id)
-                    if task is None:
-                        continue
-                    descriptor = self._build_descriptor(task)
-                    self._busy[worker_id] = task
-                    self.observability.tracer.span(*task).mark("started")
-                    to_send.append((worker_id, task, descriptor))
-            if not to_send:
+        """Hand pending tasks to idle workers."""
+        obs = self.observability
+        with self._lock:
+            if self._closed:
                 return
-            # First work handed out: the job is effectively started even
-            # if the caller never blocked waiting for workers.
-            self.observability.mark_startup_complete()
-            events = self.observability.events
-            for worker_id, (dataset_id, task_index), descriptor in to_send:
-                self.observability.registry.counter("tasks.dispatched").inc()
-                if events is not None:
-                    events.emit(
-                        "task.started",
-                        dataset_id=dataset_id,
-                        task_index=task_index,
-                        slave=worker_id,
-                    )
-                try:
-                    self._send(worker_id, descriptor)
-                except Exception as exc:
-                    self._lose_worker(worker_id, f"start_task failed: {exc}")
+            for worker_id in self._live_workers():
+                if worker_id in self._busy:
+                    continue
+                task = self.scheduler.next_task(worker_id)
+                if task is None:
+                    continue
+                self._busy[worker_id] = task
+                obs.tracer.span(*task).mark("started")
+                # First work handed out: the job is effectively started
+                # even if the caller never blocked waiting for workers.
+                obs.mark_startup_complete()
+                obs.registry.counter("tasks.dispatched").inc()
+                obs.emit(
+                    "task.started",
+                    dataset_id=task[0],
+                    task_index=task[1],
+                    slave=worker_id,
+                )
+                self._send(worker_id, self._build_descriptor(task))
 
     def _build_descriptor(self, task: TaskId) -> Dict[str, Any]:
         """Build the wire descriptor for a task (caller holds the lock)."""
@@ -586,7 +559,7 @@ class Coordinator(Backend):
         input_sorted = []
         for bucket in input_dataset.buckets_for_split(task_index):
             if bucket.url is None:
-                self._spill_bucket(input_dataset, bucket)
+                continue  # an empty in-memory bucket: nothing to read
             input_urls.append(bucket.url)
             input_sorted.append(bucket.url_sorted)
         user_output = dataset.outdir is not None
@@ -616,15 +589,16 @@ class Coordinator(Backend):
             input_sorted=input_sorted,
         )
 
-    def _spill_bucket(self, dataset: BaseDataset, bucket: Bucket) -> None:
-        """Write a coordinator-resident bucket to the data plane so
-        workers can read it (LocalData pairs live only in this
-        process's memory)."""
-        path = dataplane.spill_bucket(dataset, bucket, self.tmpdir)
-        bucket.url = self._spill_url(path)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
+    def _spill_inputs(self, dataset: BaseDataset) -> None:
+        """Write an in-memory input's non-empty buckets to the data
+        plane, once, for workers to read (outside the lock: the dataset
+        is complete and no other thread writes it)."""
+        for bucket in dataset.existing_buckets():
+            if bucket.url is not None or not len(bucket):
+                continue
+            path = dataplane.spill_bucket(dataset, bucket, self.tmpdir)
+            bucket.url = self._spill_url(path)
+            self.observability.emit(
                 "spill.bucket",
                 dataset_id=dataset.id,
                 split=bucket.split,

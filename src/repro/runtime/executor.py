@@ -70,14 +70,18 @@ def execute_descriptor(
     )
     span.mark("fetch")
     shared_outdir = descriptor.get("outdir")
+    user_output = bool(descriptor.get("user_output"))
+    # An intermediate bucket with no records is not written, so it is
+    # not reported either: no reader ever opens it.
     factory = taskrunner.file_bucket_factory(
         shared_outdir or os.path.join(localdir, dataset_id),
         dataset_id,
         task_index,
         ext=descriptor["format_ext"],
-        sidecar=bool(descriptor.get("user_output")),
+        sidecar=user_output,
         key_serializer=descriptor.get("key_serializer"),
         value_serializer=descriptor.get("value_serializer"),
+        keep_empty=user_output,
     )
     if profiler is None:
         out_buckets = taskrunner.run_operation(

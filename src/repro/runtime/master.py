@@ -2,13 +2,13 @@
 
 The master is the :class:`~repro.runtime.coordinator.Coordinator`'s
 XML-RPC transport: it registers slaves as they sign in (a slave needs
-only the master's address and port, section IV), pushes task
-descriptors with ``start_task``, and feeds the slaves' ``done`` /
-``failed`` reports back into the coordinator from RPC handler threads
-while the user program's ``run`` method drives the job from the main
-thread.  What it owns beyond the shared control plane is liveness (the
-ping watchdog), lineage recovery for slave-local data, and the job
-namespaces of service mode.
+only the master's address and port, section IV) and feeds their
+``done`` / ``failed`` reports into the coordinator from RPC handler
+threads while the program's ``run`` drives the job from the main thread.
+Slaves pull: a dispatch fills the slave's one-slot mailbox, and the
+reply to its ``done``, ``failed`` or ``next`` call carries the task.
+The master also owns liveness (the ping watchdog), lineage recovery for
+slave-local data, and the job namespaces of service mode.
 
 Data plane (section IV-B): by default intermediate buckets are files in
 a tmpdir shared by all slaves ("increased fault-tolerance" — a slave's
@@ -43,12 +43,17 @@ logger = logging.getLogger("repro.master")
 PING_INTERVAL = 2.0
 
 #: Consecutive failed pings before a slave is declared lost — the same
-#: 3-strike budget slaves apply to master pings (MASTER_PING_FAILURES),
+#: 3-strike budget slaves apply to failed ``next`` calls (MASTER_FAILURES),
 #: so one transient timeout no longer kills a healthy slave.
 PING_FAILURES = 3
 
 #: RPC timeout for master->slave calls.
 SLAVE_RPC_TIMEOUT = 10.0
+
+#: Longest an idle slave's ``next`` call waits for a task before it
+#: returns nothing and the slave asks again (well under the slave's
+#: 30 s call timeout).
+NEXT_POLL = 0.5
 
 #: Fallback slave sign-in wait when neither --mrs-slave-wait-timeout
 #: nor MRS_SLAVE_WAIT_TIMEOUT is set.
@@ -75,12 +80,21 @@ def resolve_slave_wait_timeout(opts: Any = None) -> float:
 class SlaveRecord:
     """Master-side view of one signed-in slave."""
 
-    def __init__(self, slave_id: int, address: str, registry: Any = None, pid: int = 0):
+    def __init__(self, slave_id: int, address: str, lock: Any, registry: Any, pid: int):
         self.id = slave_id
         self.address = address
         #: The slave's process id on its own host (0 if not reported).
         self.pid = pid
         self.alive = True
+        #: ``(task, descriptor)`` dispatched to this slave and not yet
+        #: taken by one of its calls (a slave runs one task at a time).
+        self.mailbox: Optional[Tuple[TaskId, Dict[str, Any]]] = None
+        #: ``(task, descriptor)`` last taken, to answer a lost reply
+        #: again.
+        self.taken: Optional[Tuple[TaskId, Dict[str, Any]]] = None
+        #: Wakes this slave's waiting ``next`` call; on the
+        #: coordinator's lock.
+        self.wakeup = threading.Condition(lock)
         #: The one client for master->slave calls, shared by every
         #: thread; its latencies go to ``registry``.
         self.client = rpc_client(
@@ -165,7 +179,9 @@ class MasterBackend(Coordinator):
         return (s.id for s in self._slaves.values() if s.alive)
 
     def _send(self, worker_id: int, descriptor: Dict[str, Any]) -> None:
-        self._slaves[worker_id].client.start_task(descriptor)
+        record = self._slaves[worker_id]
+        record.mailbox = (self._busy[worker_id], descriptor)
+        record.wakeup.notify()
 
     def _output_dir(self, dataset: ComputedData) -> Optional[str]:
         if self.data_plane == "file":
@@ -220,6 +236,8 @@ class MasterBackend(Coordinator):
     def _shutdown_transport(self) -> None:
         self._stop_watchdog.set()
         for record in self.alive_slaves():
+            with self._lock:
+                record.wakeup.notify_all()  # its waiting ``next`` answers quit
             try:
                 record.client.quit()
             except Exception:
@@ -272,19 +290,38 @@ class MasterBackend(Coordinator):
             slave_id = self._next_slave_id
             self._next_slave_id += 1
             self._slaves[slave_id] = SlaveRecord(
-                slave_id, address, self.observability.registry, pid
+                slave_id, address, self._lock, self.observability.registry, pid
             )
             self.scheduler.add_slave(slave_id)
             alive = len(self.alive_slaves())
             self._cond.notify_all()
         self.observability.registry.counter("slaves.signins").inc()
         self.observability.registry.gauge("slaves.alive").set(alive)
-        events = self.observability.events
-        if events is not None:
-            events.emit("slave.signin", slave=slave_id, address=address)
+        self.observability.emit("slave.signin", slave=slave_id, address=address)
         logger.info("slave %d signed in from %s", slave_id, address)
         self._dispatch()
         return slave_id
+
+    def pull(self, slave_id: int, wait: float = 0.0) -> Any:
+        """A slave's next descriptor, None after ``wait`` seconds without
+        one, or ``protocol.QUIT`` (master closed or slave lost): the
+        reply to its ``done``, ``failed`` and ``next`` calls."""
+        deadline = time.monotonic() + wait
+        with self._lock:
+            record = self._slaves.get(slave_id)
+            while not self._closed and record is not None and record.alive:
+                if record.mailbox is not None:
+                    record.taken, record.mailbox = record.mailbox, None
+                    return record.taken[1]
+                # Still busy with the task it last took: the reply that
+                # carried it was lost, so send it again, with no strike.
+                if record.taken and self._busy.get(slave_id) == record.taken[0]:
+                    return record.taken[1]
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                record.wakeup.wait(remaining)
+            return protocol.QUIT
 
     def wait_for_slaves(
         self, count: int, timeout: Optional[float] = None
@@ -345,11 +382,9 @@ class MasterBackend(Coordinator):
             registry = self._job_registries.setdefault(
                 namespace, MetricsRegistry()
             )
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "job.registered", job_id=namespace, program=program_spec
-            )
+        self.observability.emit(
+            "job.registered", job_id=namespace, program=program_spec
+        )
         return registry
 
     def job_registry(self, namespace: str) -> Optional[MetricsRegistry]:
@@ -377,11 +412,7 @@ class MasterBackend(Coordinator):
                 self.scheduler.cancel_dataset(ds_id)
                 canceled.append(ds_id)
             self._cond.notify_all()
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "job.cancel", job_id=namespace, datasets=len(canceled)
-            )
+        self.observability.emit("job.cancel", job_id=namespace, datasets=len(canceled))
         return canceled
 
     def release_namespace(self, namespace: str) -> int:
@@ -436,6 +467,7 @@ class MasterBackend(Coordinator):
             if record is None or not record.alive:
                 return
             record.alive = False
+            record.wakeup.notify_all()  # its waiting ``next`` answers quit
             # Counted before a strike can fail a dataset and wake its
             # waiters.
             self.observability.registry.counter("slaves.lost").inc()
@@ -451,15 +483,13 @@ class MasterBackend(Coordinator):
             self._cond.notify_all()
         record.client.close()
         self.observability.registry.gauge("slaves.alive").set(alive)
-        events = self.observability.events
-        if events is not None:
-            events.emit(
-                "slave.lost",
-                slave=slave_id,
-                reason=reason,
-                reassigned=len(reassigned),
-                recomputed=recomputed,
-            )
+        self.observability.emit(
+            "slave.lost",
+            slave=slave_id,
+            reason=reason,
+            reassigned=len(reassigned),
+            recomputed=recomputed,
+        )
         if reassigned or recomputed:
             logger.warning(
                 "slave %d lost (%s); reassigning %d tasks, "
@@ -471,7 +501,20 @@ class MasterBackend(Coordinator):
             )
         self._dispatch()
 
-    _lose_worker = lose_slave
+    def task_failed(
+        self, worker_id: int, dataset_id: str, task_index: int, message: str
+    ) -> None:
+        if self.data_plane == "http" and "FetchError" in message:
+            # Evidence that a slave serving the task's input died: lose
+            # those that do not answer a ping now, so lineage recovery
+            # starts (and this failure is a free retry) before the
+            # watchdog would notice.
+            for record in self.alive_slaves():
+                try:
+                    record.client.ping()
+                except Exception as exc:
+                    self.lose_slave(record.id, f"ping after a failed fetch: {exc}")
+        super().task_failed(worker_id, dataset_id, task_index, message)
 
     def fail_unfinished(self, reason: str) -> None:
         """Fail every unfinished dataset: no slave is left to run it."""
@@ -535,9 +578,7 @@ class MasterBackend(Coordinator):
     def _watchdog_loop(self) -> None:
         while not self._stop_watchdog.wait(PING_INTERVAL):
             records = self.alive_slaves()
-            events = self.observability.events
-            if events is not None:
-                events.emit("heartbeat", alive=len(records))
+            self.observability.emit("heartbeat", alive=len(records))
             for record in records:
                 if self._closed:
                     return
@@ -547,7 +588,7 @@ class MasterBackend(Coordinator):
                 except Exception as exc:
                     # 3-strike budget: a single transient timeout must
                     # not lose a healthy slave (mirrors the slave side's
-                    # MASTER_PING_FAILURES policy).
+                    # MASTER_FAILURES policy).
                     record.ping_failures += 1
                     if record.ping_failures >= PING_FAILURES:
                         self.lose_slave(
@@ -597,20 +638,20 @@ class MasterInterface:
         bucket_urls: Any,
         seconds: float = 0.0,
         metrics: Any = None,
-    ) -> bool:
+    ) -> Any:
         self.backend.task_done(
             slave_id, dataset_id, task_index, bucket_urls, seconds, metrics
         )
-        return True
+        return self.backend.pull(slave_id)
 
     def rpc_failed(
         self, slave_id: int, dataset_id: str, task_index: int, message: str
-    ) -> bool:
+    ) -> Any:
         self.backend.task_failed(slave_id, dataset_id, task_index, message)
-        return True
+        return self.backend.pull(slave_id)
 
-    def rpc_ping(self, slave_id: int = 0) -> bool:
-        return True
+    def rpc_next(self, slave_id: int) -> Any:
+        return self.backend.pull(slave_id, NEXT_POLL)
 
     def rpc_status(self) -> Dict[str, Any]:
         return self.backend.status()

@@ -108,7 +108,6 @@ class SerialBackend(Backend):
                 f"{input_dataset.id} completed; submission order violated"
             )
         obs = self.observability
-        events = obs.events
         reduce_kind = dataset.operation.kind in ("reduce", "reducemap")
         try:
             for task_index in dataset.task_indices():
@@ -128,13 +127,12 @@ class SerialBackend(Backend):
                 if reduce_kind:
                     span.add_duration("shuffle", started - gathering)
                 span.mark("started", started)
-                if events is not None:
-                    events.emit(
-                        "task.started",
-                        t=started,
-                        dataset_id=dataset.id,
-                        task_index=task_index,
-                    )
+                obs.emit(
+                    "task.started",
+                    t=started,
+                    dataset_id=dataset.id,
+                    task_index=task_index,
+                )
                 out_buckets = self._execute(
                     dataset, task_index, input_buckets, factory, span
                 )
@@ -147,21 +145,15 @@ class SerialBackend(Backend):
                 self._completed_tasks[dataset.id] = (
                     self._completed_tasks.get(dataset.id, 0) + 1
                 )
-                if events is not None:
-                    emit_task_events(events, span)
+                if obs.events is not None:
+                    emit_task_events(obs.events, span)
             dataset.complete = True
-            if events is not None:
-                events.emit("dataset.complete", dataset_id=dataset.id)
+            obs.emit("dataset.complete", dataset_id=dataset.id)
         except taskrunner.TaskError as exc:
             obs.registry.counter("tasks.failed").inc()
             dataset.error = str(exc)
-            if events is not None:
-                events.emit(
-                    "task.failed", dataset_id=dataset.id, error=str(exc)
-                )
-                events.emit(
-                    "dataset.failed", dataset_id=dataset.id, error=str(exc)
-                )
+            obs.emit("task.failed", dataset_id=dataset.id, error=str(exc))
+            obs.emit("dataset.failed", dataset_id=dataset.id, error=str(exc))
 
     def _execute(self, dataset, task_index, input_buckets, factory, span=None):
         """Run one task, under cProfile with --mrs-profile-tasks."""

@@ -5,10 +5,13 @@ IV).  A slave:
 
 1. re-instantiates the user's program class locally (user code never
    crosses the wire — only method *names* inside task descriptors),
-2. starts a tiny XML-RPC server so the master can push tasks,
+2. starts a tiny XML-RPC server for the master's pings, ``remove_data``
+   and ``quit``,
 3. optionally starts an HTTP data server over its local output
    directory (``--mrs-data-plane http``),
-4. signs in, then executes one task at a time from its queue.
+4. signs in, then pulls one task at a time: the reply to each ``done``
+   or ``failed`` report carries its next task, and an idle slave asks
+   with ``next``.
 
 One slave uses one core; a node contributes N cores by running N slave
 processes — processes rather than threads because of the GIL
@@ -19,12 +22,10 @@ from __future__ import annotations
 
 import logging
 import os
-import queue
 import shutil
 import signal as signal_mod
 import tempfile
 import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm import protocol, transfer
@@ -37,16 +38,13 @@ from repro.runtime.executor import execute_descriptor
 
 logger = logging.getLogger("repro.slave")
 
-#: How long the main loop sleeps on an empty queue before re-checking
-#: for quit / master liveness.
-IDLE_POLL = 0.2
+#: Consecutive failed ``next`` calls before the slave gives up and
+#: exits (the master is gone; PBS will reap us anyway, but exit
+#: cleanly).
+MASTER_FAILURES = 3
 
-#: Consecutive master ping failures before the slave gives up and exits
-#: (the master is gone; PBS will reap us anyway, but exit cleanly).
-MASTER_PING_FAILURES = 3
-
-#: Seconds between idle master liveness checks.
-MASTER_PING_INTERVAL = 5.0
+#: Seconds between ``next`` calls after a failed one.
+RETRY_INTERVAL = 1.0
 
 
 class SlaveInterface:
@@ -55,19 +53,12 @@ class SlaveInterface:
     def __init__(self, slave: "Slave"):
         self.slave = slave
 
-    def rpc_start_task(self, descriptor: Dict[str, Any]) -> bool:
-        protocol.check_task_descriptor(descriptor)
-        self.slave.task_queue.put(descriptor)
-        return True
-
     def rpc_remove_data(self, dataset_id: str) -> bool:
         self.slave.remove_data(dataset_id)
         return True
 
     def rpc_quit(self) -> bool:
         self.slave.quit_event.set()
-        # Unblock the main loop promptly.
-        self.slave.task_queue.put(None)
         return True
 
     def rpc_ping(self) -> Any:
@@ -87,7 +78,6 @@ class Slave:
         self.program = program
         self.opts = opts
         self.master_address = opts.master
-        self.task_queue: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
         self.quit_event = threading.Event()
         self.data_plane = getattr(opts, "data_plane", "file") or "file"
         self.observability = Observability(role="slave")
@@ -188,7 +178,10 @@ class Slave:
             logger.info("slave resolved program %s%r", spec, args)
         return program
 
-    def execute(self, descriptor: Dict[str, Any]) -> None:
+    def execute(self, descriptor: Dict[str, Any]) -> Any:
+        """Run one task and report it; returns the master's reply, or
+        None if the report failed (``next`` then gets what it held)."""
+        protocol.check_task_descriptor(descriptor)
         dataset_id = descriptor["dataset_id"]
         task_index = int(descriptor["task_index"])
         # Slave startup is role-appropriately "boot to first task":
@@ -212,22 +205,23 @@ class Slave:
             self.observability.registry.histogram("task.seconds").observe(
                 seconds
             )
-            self.master.done(
-                self.slave_id, dataset_id, task_index, urls, seconds, metrics
-            )
+            method, report = "done", (urls, seconds, metrics)
         except Exception as exc:
             logger.warning(
                 "task (%s, %d) failed: %r", dataset_id, task_index, exc
             )
             self.observability.registry.counter("tasks.failed").inc()
-            try:
-                self.master.failed(
-                    self.slave_id, dataset_id, task_index, repr(exc)
-                )
-            except Exception:
-                # Master unreachable; the main loop's liveness check
-                # will notice and exit.
-                pass
+            method, report = "failed", (repr(exc),)
+        try:
+            return getattr(self.master, method)(
+                self.slave_id, dataset_id, task_index, *report
+            )
+        except Exception as exc:
+            logger.warning(
+                "%s report of task (%s, %d) failed: %r",
+                method, dataset_id, task_index, exc,
+            )
+            return None
 
     def remove_data(self, dataset_id: str) -> None:
         path = os.path.join(self.localdir, dataset_id)
@@ -252,7 +246,6 @@ class Slave:
                 "slave received signal %d; draining and exiting", signum
             )
             self.quit_event.set()
-            self.task_queue.put(None)
 
         previous = {}
         for signum in (signal_mod.SIGTERM, signal_mod.SIGINT):
@@ -264,30 +257,22 @@ class Slave:
     def run(self) -> int:
         self.install_signal_handlers()
         self.signin()
-        ping_failures = 0
-        last_ping = time.monotonic()
+        failures = 0
+        reply: Any = None
         try:
-            while not self.quit_event.is_set():
+            while not self.quit_event.is_set() and reply != protocol.QUIT:
+                if reply:
+                    reply = self.execute(reply)
+                    continue
                 try:
-                    descriptor = self.task_queue.get(timeout=IDLE_POLL)
-                except queue.Empty:
-                    now = time.monotonic()
-                    if now - last_ping >= MASTER_PING_INTERVAL:
-                        last_ping = now
-                        try:
-                            self.master.ping(self.slave_id)
-                            ping_failures = 0
-                        except Exception:
-                            ping_failures += 1
-                            if ping_failures >= MASTER_PING_FAILURES:
-                                logger.warning(
-                                    "master unreachable; slave exiting"
-                                )
-                                return 1
-                    continue
-                if descriptor is None:
-                    continue
-                self.execute(descriptor)
+                    reply = self.master.next(self.slave_id)
+                    failures = 0
+                except Exception:
+                    failures += 1
+                    if failures >= MASTER_FAILURES:
+                        logger.warning("master unreachable; slave exiting")
+                        return 1
+                    self.quit_event.wait(RETRY_INTERVAL)
             return 0
         finally:
             self.shutdown()

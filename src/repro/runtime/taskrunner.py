@@ -63,8 +63,10 @@ def file_bucket_factory(
     sidecar: bool = False,
     key_serializer: Optional[str] = None,
     value_serializer: Optional[str] = None,
+    keep_empty: bool = True,
 ) -> BucketFactory:
-    """Output buckets as files: ``<dir>/<dataset>_source_split.<ext>``.
+    """Output buckets as files: ``<dir>/<dataset>_source_split.<ext>``;
+    with ``keep_empty=False`` a bucket with no records is not written.
 
     With ``sidecar=True`` and a lossy ``ext`` (e.g. text), each bucket
     also writes a hidden lossless ``.mrsb`` sidecar and reports *that*
@@ -88,6 +90,7 @@ def file_bucket_factory(
             value_serializer=value_serializer,
         )
 
+    factory.keep_empty = keep_empty  # type: ignore[attr-defined]
     return factory
 
 
@@ -389,17 +392,18 @@ def _persist(
     already-known sort state wholesale — no per-pair sorted-flag
     re-tracking — and file buckets batch-write the whole staged load
     through the buffered spill path instead of one writer call per
-    pair.
-    """
+    pair.  A ``keep_empty = False`` factory makes no empty bucket."""
+    keep_empty = getattr(bucket_factory, "keep_empty", True)
     out: List[Bucket] = []
     for split in range(n_splits):
+        if not keep_empty and not len(staging[split]):
+            continue
         bucket = bucket_factory(split)
         bucket.absorb(staging[split])
         if isinstance(bucket, FileBucket):
-            # Open even when empty so the file (with its format header)
-            # exists for downstream readers and HTTP serving; also
-            # flushes the spill buffer and records the file's sort
-            # order for downstream streaming merges.
+            # Flushes the spill buffer (an empty user-output file still
+            # gets its format header) and records the file's sort order
+            # for downstream streaming merges.
             bucket.open_writer()
             bucket.close_writer()
         out.append(bucket)

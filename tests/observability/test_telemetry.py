@@ -220,6 +220,29 @@ class TestSkew:
         backend.remove_data(mapped.id)
         assert backend.telemetry()["skew"] == {}
 
+    def test_split_with_no_bucket_counts_as_empty(self, transport):
+        """A task reports no bucket for a split it wrote no record to:
+        the row equals the one over every bucket, empty ones reported
+        as zero records and zero bytes."""
+        backend, job, program = transport
+        source = job.local_data([(i, i) for i in range(2)], splits=2)
+        mapped = job.map_data(source, program.map, splits=4)
+        (w0, d0), (w1, d1) = backend.sent
+        backend.task_done(
+            w0, mapped.id, d0["task_index"],
+            [(0, "file:/a", True, 3.0, 30.0), (2, "file:/b", True, 1.0, 10.0)],
+        )
+        backend.task_done(
+            w1, mapped.id, d1["task_index"], [(0, "file:/c", True, 2.0, 20.0)]
+        )
+        every = self.sized_buckets(
+            (0, 0, 3, 30), (0, 1, 0, 0), (0, 2, 1, 10), (0, 3, 0, 0),
+            (1, 0, 2, 20), (1, 1, 0, 0), (1, 2, 0, 0), (1, 3, 0, 0),
+        )
+        row = backend.telemetry()["skew"][mapped.id]
+        assert row == skew.summary({"ds": every})["ds"]
+        assert row["buckets"] == 4 and row["records_total"] == 6
+
     def test_malformed_triples_are_skipped(self, transport):
         """Buckets reported without a size (older triples) and input
         buckets are left out of the view."""

@@ -24,25 +24,14 @@ class FakeTransport(Coordinator):
         super().__init__(program, opts)
         self.workers = list(workers)
         self.sent = []  # (worker_id, descriptor), in send order
-        self.down = set()  # workers whose next send raises
-        self.lost = []
         for worker_id in self.workers:
             self.scheduler.add_slave(worker_id)
 
     def _live_workers(self):
-        return [w for w in self.workers if w not in self.lost]
+        return self.workers
 
     def _send(self, worker_id, descriptor):
-        if worker_id in self.down:
-            raise ConnectionError("worker unreachable")
         self.sent.append((worker_id, descriptor))
-
-    def _lose_worker(self, worker_id, reason):
-        with self._lock:
-            self.lost.append(worker_id)
-            self._busy.pop(worker_id, None)
-            self.scheduler.remove_slave(worker_id)
-        self._dispatch()
 
     def _shutdown_transport(self):
         pass
@@ -237,16 +226,29 @@ def test_zero_task_dataset_completes_and_unblocks(coord):
     )
 
 
-def test_failed_send_loses_worker_and_requeues(coord):
+def test_localdata_spills_once_at_submit_outside_the_lock(coord, monkeypatch):
+    """A LocalData input's non-empty buckets are written once, when the
+    first dataset reading it is submitted, never under the coordinator
+    lock; an empty bucket is not written and is no task's input."""
+    from repro.runtime import dataplane
+
     transport, job, program = coord
-    transport.down.add(1)
-    source = job.local_data([(i, i) for i in range(2)], splits=2)
-    mapped = job.map_data(source, program.map, splits=1)
-    assert transport.lost == [1]
-    ran_on = []
+    spills = []
+    spill_bucket = dataplane.spill_bucket
+
+    def spy(dataset, bucket, tmpdir):
+        spills.append((bucket.split, transport._lock._is_owned()))
+        return spill_bucket(dataset, bucket, tmpdir)
+
+    monkeypatch.setattr(dataplane, "spill_bucket", spy)
+    source = job.local_data([(i, i) for i in range(3)], splits=4)
+    first = job.map_data(source, program.map, splits=1)
+    second = job.map_data(source, program.map, splits=1)
+    inputs = {}
     while transport.sent:
         worker_id, descriptor = transport.sent.pop(0)
-        ran_on.append(worker_id)
+        inputs[descriptor["task_index"]] = descriptor["input_urls"]
         transport.finish(worker_id, descriptor)
-    assert ran_on == [2, 2]  # the survivor runs both, one at a time
-    assert mapped.complete
+    assert first.complete and second.complete
+    assert spills == [(0, False), (1, False), (2, False)]
+    assert [len(inputs[i]) for i in range(4)] == [1, 1, 1, 0]

@@ -46,7 +46,7 @@ class Harness:
         self.program = program
         self.job = Job(backend, program)
         if self.plane == "master":
-            self.worker = backend.slave_signin(1, "127.0.0.1:9")
+            self.worker = backend.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
         else:
             (record,) = backend.alive_slaves()
             self.worker = record.id

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.comm import protocol
 from repro.comm.rpc import RpcServer
 from repro.core.dataset import LocalData
 from repro.core.job import Job
@@ -47,8 +48,8 @@ class TestSubmission:
     def test_default_splits_tracks_slaves(self, backend):
         b, _ = backend
         assert b.default_splits == 1  # no slaves yet
-        b.slave_signin(1, "127.0.0.1:1")
-        b.slave_signin(1, "127.0.0.1:2")
+        b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:1")
+        b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:2")
         assert b.default_splits == 2
 
     def test_reduce_tasks_option_overrides(self, tmp_path):
@@ -66,7 +67,7 @@ class TestCompletionBookkeeping:
         b, job = backend
         source = job.local_data([(0, 1), (1, 2)], splits=2)
         mapped = job.map_data(source, b.program.map, splits=1)
-        slave = b.slave_signin(1, "127.0.0.1:9")
+        slave = b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
         return b, job, mapped, slave
 
     def test_task_done_installs_buckets_and_stats(self, backend):
@@ -105,7 +106,7 @@ class TestFailurePropagation:
         mapped = job.map_data(source, b.program.map, splits=1)
         reduced = job.reduce_data(mapped, b.program.reduce, splits=1)
         final = job.reduce_data(reduced, b.program.reduce, splits=1)
-        slave = b.slave_signin(1, "127.0.0.1:9")
+        slave = b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
         for _ in range(3):  # burn the whole failure budget
             with b._lock:
                 task = b.scheduler.next_task(slave)
@@ -121,7 +122,7 @@ class TestFailurePropagation:
         source = job.local_data([(0, 1)], splits=1)
         mapped = job.map_data(source, b.program.map, splits=1)
         reduced = job.reduce_data(mapped, b.program.reduce, splits=1)
-        slave = b.slave_signin(1, "127.0.0.1:9")
+        slave = b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
         # Pretend the map finished, then got revoked (input incomplete).
         with b._lock:
             task = b.scheduler.next_task(slave)
@@ -193,7 +194,7 @@ class TestLifecycle:
 
         b, _ = backend
         with RpcServer(FakeSlave()) as fake:
-            slave = b.slave_signin(1, fake.address)
+            slave = b.slave_signin(protocol.PROTOCOL_VERSION, fake.address)
             client = b._slaves[slave].client
             assert client.ping() and client.ping()
             assert client.pool.idle_count(fake.host, fake.port) == 1
@@ -206,7 +207,7 @@ class TestStatus:
         b, job = backend
         source = job.local_data([(0, 1)], splits=1)
         mapped = job.map_data(source, b.program.map, splits=1)
-        b.slave_signin(1, "127.0.0.1:9")
+        b.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
         status = b.status()
         assert status["outstanding"] == 1
         assert len(status["slaves"]) == 1

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 import repro.observability
-
+from repro.comm import protocol
 from repro.core.job import Job, JobError
 from repro.core.options import default_options
 from repro.runtime.failures import MAX_TASK_FAILURES
@@ -249,8 +249,8 @@ class TestReleaseNeverStrandsAConsumer:
         try:
             monkeypatch.setattr(backend, "_dispatch", lambda: None)
             job = Job(backend, program)
-            producer = backend.slave_signin(1, "127.0.0.1:9")
-            other = backend.slave_signin(1, "127.0.0.1:9")
+            producer = backend.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
+            other = backend.slave_signin(protocol.PROTOCOL_VERSION, "127.0.0.1:9")
             source = job.local_data([(0, 1)], splits=1)
             mapped = job.map_data(source, program.map, splits=1)
             with backend._lock:
