@@ -36,7 +36,7 @@ def map_output_records(program, lines, combiner_name):
     )
     buckets = taskrunner.execute_task(
         program, dataset, 0,
-        taskrunner.materialize_input_buckets(source, 0),
+        source.buckets_for_split(0),
     )
     return sum(len(b) for b in buckets)
 

@@ -48,14 +48,9 @@ def sorted_lines(program: DistributedSort) -> List[str]:
     out: List[str] = []
     dataset = program.output_data
     for split in range(dataset.splits):
-        pairs = []
-        for bucket in dataset.buckets_for_split(split):
-            if len(bucket) == 0 and bucket.url:
-                dataset.fetchall()
-            pairs.extend(bucket)
         # Within a split the reduce already saw keys in sorted order;
         # buckets store them in emission order.
-        for line, count in pairs:
+        for line, count in dataset.splitdata(split):
             out.extend([line] * count)
     return out
 

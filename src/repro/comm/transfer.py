@@ -23,8 +23,9 @@ stream a task consumes, and the keep-alive client under it:
   skip-ahead resume when a transfer dies mid-stream.
 * :func:`open_streams` — opens a task's remote inputs in parallel, each
   advanced to its first record, and hands the streams back to be read
-  in the task's own thread: a reduce merge reads each key-sorted remote
-  bucket straight off its socket, exactly as it reads a local file.
+  in the task's own thread: a map task reads each remote bucket, and a
+  reduce merge each key-sorted one, straight off its socket, exactly as
+  it reads a local file.
 * :class:`TransferStats` — fetch bytes, connections created/reused and
   retries (RPC calls are not counted here), mirrored into the process's
   metrics registry and piggybacked per task to the coordinator.
@@ -59,6 +60,7 @@ from typing import (
 )
 
 from repro.io import formats
+from repro.io.bucket import is_remote
 
 KeyValue = Tuple[Any, Any]
 Record = Tuple[bytes, KeyValue]
@@ -591,31 +593,23 @@ def open_streams(
     return [chain(head, stream) for head, stream in zip(heads, streams)]
 
 
-def _is_remote(bucket: Any) -> bool:
-    return bool(
-        len(bucket) == 0
-        and bucket.url
-        and bucket.url.startswith(("http://", "https://"))
-    )
-
-
 def bucket_record_streams(
-    input_buckets: Sequence[Any], span: Any = None
-) -> List[Iterator[Record]]:
-    """Key-sorted record streams for a reduce merge, in bucket order.
+    input_buckets: Sequence[Any],
+    open_bucket: Callable[[Any], Iterable[Any]],
+    span: Any = None,
+) -> List[Iterator[Any]]:
+    """``open_bucket(bucket)`` for every input bucket, in bucket order.
 
-    Every stream is :func:`repro.io.bucket.bucket_sorted_records`, the
-    same for local and remote buckets; those behind HTTP URLs are opened
-    together by :func:`open_streams` (fetch spans go to ``span``), the
-    rest inline.  Stream order matches bucket order, so the merge's
-    output — and therefore the reduce output — is byte-identical to a
-    sequential fetch.
+    ``open_bucket`` is a reader from :mod:`repro.io.bucket`:
+    ``bucket_sorted_records`` for a reduce merge, ``bucket_pairs`` for a
+    map task.  Buckets read over HTTP (:func:`repro.io.bucket.is_remote`)
+    are opened together by :func:`open_streams` (fetch spans go to
+    ``span``), the rest inline.  Stream order matches bucket order, so
+    the task's output is byte-identical to a sequential fetch.
     """
-    from repro.io.bucket import bucket_sorted_records
-
-    remote = [bucket for bucket in input_buckets if _is_remote(bucket)]
-    opened = iter(open_streams(remote, bucket_sorted_records, span))
+    remote = [bucket for bucket in input_buckets if is_remote(bucket)]
+    opened = iter(open_streams(remote, open_bucket, span))
     return [
-        next(opened) if _is_remote(bucket) else bucket_sorted_records(bucket)
+        next(opened) if is_remote(bucket) else open_bucket(bucket)
         for bucket in input_buckets
     ]

@@ -37,7 +37,7 @@ from repro.core.operations import (
     callable_name,
 )
 from repro.io import urls as url_io
-from repro.io.bucket import Bucket
+from repro.io.bucket import Bucket, bucket_pairs, load_pairs
 
 KeyValue = Tuple[Any, Any]
 
@@ -150,31 +150,21 @@ class BaseDataset:
 
     # -- data access ----------------------------------------------------
 
-    def _fetch(self, bucket: Bucket) -> None:
-        bucket.collect(
-            url_io.fetch_pairs(
-                bucket.url,
-                key_serializer=self.key_serializer,
-                value_serializer=self.value_serializer,
-            )
-        )
-
     def fetchall(self) -> None:
         """Ensure every bucket's pairs are resident in memory.
 
         Buckets that only carry a URL (data produced remotely or
-        spilled to disk) are fetched and materialized.
+        spilled to disk) are read and materialized.
         """
         for bucket in self.existing_buckets():
-            if len(bucket) == 0 and bucket.url:
-                self._fetch(bucket)
+            load_pairs(bucket, self.key_serializer, self.value_serializer)
 
     def iterdata(self) -> Iterator[KeyValue]:
-        """Iterate all pairs in grid order (fetches remote buckets)."""
+        """Iterate all pairs in grid order, streaming URL-only buckets."""
         for bucket in self.existing_buckets():
-            if len(bucket) == 0 and bucket.url:
-                self._fetch(bucket)
-            yield from bucket
+            yield from bucket_pairs(
+                bucket, self.key_serializer, self.value_serializer
+            )
 
     def data(self) -> List[KeyValue]:
         """Materialize all pairs as a list."""
@@ -182,12 +172,13 @@ class BaseDataset:
 
     def splitdata(self, split: int) -> List[KeyValue]:
         """Materialize the pairs of one split column."""
-        out: List[KeyValue] = []
-        for bucket in self.buckets_for_split(split):
-            if len(bucket) == 0 and bucket.url:
-                self._fetch(bucket)
-            out.extend(bucket)
-        return out
+        return [
+            pair
+            for bucket in self.buckets_for_split(split)
+            for pair in bucket_pairs(
+                bucket, self.key_serializer, self.value_serializer
+            )
+        ]
 
     def clear(self) -> None:
         """Drop all in-memory pairs (URLs are kept)."""

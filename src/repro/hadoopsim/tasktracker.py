@@ -100,9 +100,7 @@ def execute_job_for_parity(
     map_outputs: Dict[int, List[Bucket]] = {}
     total_map_records = 0
     for task_index in map_ds.task_indices():
-        input_buckets = taskrunner.materialize_input_buckets(
-            input_data, task_index
-        )
+        input_buckets = input_data.buckets_for_split(task_index)
         started = time.perf_counter()
         out = taskrunner.execute_task(
             program,
@@ -122,7 +120,7 @@ def execute_job_for_parity(
     reduce_seconds: List[float] = []
     pairs: List[KeyValue] = []
     for task_index in reduce_ds.task_indices():
-        input_buckets = taskrunner.materialize_input_buckets(map_ds, task_index)
+        input_buckets = map_ds.buckets_for_split(task_index)
         started = time.perf_counter()
         out = taskrunner.execute_task(
             program,

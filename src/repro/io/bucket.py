@@ -26,9 +26,17 @@ of re-encoding.
 The *decorated record* ``(keybytes, (key, value))`` is the unit the
 sort/merge plumbing exchanges: :func:`group_sorted_records`,
 :func:`merge_sorted_records`, and :func:`bucket_sorted_records` all
-speak records, while the historical pair-level helpers
-(:func:`group_sorted`, :func:`merge_sorted_buckets`) remain as thin
-views for callers that only care about pairs.
+speak records.
+
+Reading a bucket
+----------------
+A bucket is read either from its resident pairs or, when it holds none
+and names a persisted copy, from its URL (section IV-B: a task
+"resolves each input URL without caring which transport backs it").
+:func:`stream_url` is the one place that choice is made;
+:func:`bucket_pairs` (a map task's inputs, ``Dataset.iterdata``) and
+:func:`bucket_sorted_records` (a reduce task's inputs) are the two
+readers built on it, and both stream a URL rather than loading it.
 
 Spill and merge
 ---------------
@@ -69,22 +77,6 @@ record_value = itemgetter(1)
 DEFAULT_SPILL_BUFFER_PAIRS = 4096
 
 
-def sort_key(pair: KeyValue) -> bytes:
-    """Canonical sort key: stable byte encoding of the record's key.
-
-    Sorting by encoded bytes (rather than the raw key) makes grouping
-    well-defined even for key sets that are not mutually comparable in
-    Python 3 (e.g. mixed int/str keys).
-    """
-    return key_to_bytes(pair[0])
-
-
-def decorate_pairs(pairs: Iterable[KeyValue]) -> Iterator[Record]:
-    """Attach canonical key bytes to a pair stream (one encode each)."""
-    for pair in pairs:
-        yield key_to_bytes(pair[0]), pair
-
-
 def group_sorted_records(
     records: Iterable[Record],
 ) -> Iterator[Tuple[bytes, Any, Iterator[Any]]]:
@@ -107,22 +99,12 @@ def group_sorted_records(
         )
 
 
-def group_sorted(pairs: Iterable[KeyValue]) -> Iterator[Tuple[Any, Iterator[Any]]]:
-    """Group a key-sorted pair stream into ``(key, values)`` items.
-
-    Pair-level view of :func:`group_sorted_records`: each key is
-    encoded once to drive the grouping.
-    """
-    for _, key, values in group_sorted_records(decorate_pairs(pairs)):
-        yield key, values
-
-
 class Bucket:
     """An in-memory collection of key-value pairs.
 
     Internally the pairs ride alongside a parallel array of cached
     canonical key bytes, so ordering decisions (sorted-flag upkeep,
-    :meth:`sort`, :meth:`grouped`, merging) never re-encode a key.
+    :meth:`sort`, grouping, merging) never re-encode a key.
 
     Parameters
     ----------
@@ -205,10 +187,6 @@ class Bucket:
         self._sorted = None
         return self._keys.append, self._pairs.append
 
-    def collect(self, pairs: Iterable[KeyValue]) -> None:
-        for pair in pairs:
-            self.addpair(pair)
-
     def absorb(self, other: "Bucket") -> None:
         """Take every pair of ``other``, reusing its cached key bytes
         and already-known sort state instead of re-deriving them
@@ -263,10 +241,6 @@ class Bucket:
             )
         return sorted_flag
 
-    def sorted_pairs(self) -> List[KeyValue]:
-        self.sort()
-        return self._pairs
-
     def records(self) -> Iterator[Record]:
         """The decorated record view of the current contents."""
         return zip(self._keys, self._pairs)
@@ -276,10 +250,6 @@ class Bucket:
         self.sort()
         return zip(self._keys, self._pairs)
 
-    def grouped_records(self) -> Iterator[Tuple[bytes, Any, Iterator[Any]]]:
-        """Yield ``(keybytes, key, values)`` groups in key order."""
-        return group_sorted_records(self.sorted_records())
-
     def hash_grouped_records(self) -> List[Tuple[bytes, Any, List[Any]]]:
         """Group ``(keybytes, key, values_list)`` WITHOUT sorting.
 
@@ -288,8 +258,7 @@ class Bucket:
         order, exactly as a stable sort would deliver them).  This is
         the combiner's grouping: a combiner needs equal keys brought
         together, not global order, so the sort can be deferred to the
-        (much smaller) combined output.  Callers that need the bucket
-        itself ordered still use :meth:`grouped_records`.
+        (much smaller) combined output.
         """
         groups: dict = {}
         get = groups.get
@@ -314,11 +283,6 @@ class Bucket:
         groups.sort(key=record_key)
         return groups
 
-    def grouped(self) -> Iterator[Tuple[Any, Iterator[Any]]]:
-        """Yield ``(key, values)`` groups in key order."""
-        for _, key, values in self.grouped_records():
-            yield key, values
-
     def clean(self) -> None:
         """Drop in-memory pairs (keep the url so data can be re-read)."""
         self._pairs = []
@@ -340,7 +304,7 @@ class FileBucket(Bucket):
     call per pair; the buffer is flushed by :meth:`flush` and
     :meth:`close_writer`.  With ``retain=False`` the bucket is
     *spill-only*: pairs go to the file but are not also kept in memory,
-    which is what coordinator-side spills and checkpoints want.
+    which is what coordinator-side spills want.
 
     The bucket also tracks whether the spill stream was written in
     canonical key order (``url_sorted`` after :meth:`close_writer`), so
@@ -500,18 +464,6 @@ class FileBucket(Bucket):
             self._writer = None
         self.url_sorted = self._spill_sorted
 
-    def readback(self) -> List[KeyValue]:
-        """Re-read pairs from the backing file (independent of memory)."""
-        from repro.io import urls as url_io
-
-        if self._writer is not None or self._spill_buffer:
-            self.flush()
-        return url_io.fetch_pairs(
-            "file:" + self.path,
-            key_serializer=self.key_serializer,
-            value_serializer=self.value_serializer,
-        )
-
 
 class SidecarFileBucket(FileBucket):
     """A user-facing output file plus a lossless ``.mrsb`` sidecar.
@@ -574,6 +526,66 @@ class SidecarFileBucket(FileBucket):
             self._user_writer = None
 
 
+def stream_url(bucket: Bucket) -> Optional[str]:
+    """The URL a reader streams ``bucket`` from, or None to read its
+    resident pairs: a bucket is read from its persisted copy exactly
+    when it holds no pairs in memory and names one.  The one place
+    that choice is made."""
+    return None if len(bucket) or not bucket.url else bucket.url
+
+
+def is_remote(bucket: Bucket) -> bool:
+    """Whether reading ``bucket`` goes over HTTP (a peer's data server)."""
+    url = stream_url(bucket)
+    return url is not None and url.startswith(("http://", "https://"))
+
+
+def _serializers(
+    bucket: Bucket, key_serializer: Optional[str], value_serializer: Optional[str]
+) -> Tuple[Optional[str], Optional[str]]:
+    """The codecs a URL read uses: the caller's, else the bucket's own."""
+    if key_serializer is None:
+        key_serializer = bucket.key_serializer
+    if value_serializer is None:
+        value_serializer = bucket.value_serializer
+    return key_serializer, value_serializer
+
+
+def bucket_pairs(
+    bucket: Bucket,
+    key_serializer: Optional[str] = None,
+    value_serializer: Optional[str] = None,
+) -> Iterator[KeyValue]:
+    """A bucket's pairs in stored order: its resident pairs, or its URL
+    streamed record by record (``file:`` or ``http:``), never loaded
+    into a list.  A map task reads its inputs through this."""
+    url = stream_url(bucket)
+    if url is None:
+        return iter(bucket)
+    from repro.io import urls as url_io
+
+    ks, vs = _serializers(bucket, key_serializer, value_serializer)
+    return url_io.iter_pairs(url, ks, vs)
+
+
+def load_pairs(
+    bucket: Bucket,
+    key_serializer: Optional[str] = None,
+    value_serializer: Optional[str] = None,
+) -> None:
+    """Make a URL-only bucket's pairs resident (no-op for a resident
+    bucket), with each record's key bytes as the format layer decodes
+    them."""
+    url = stream_url(bucket)
+    if url is not None:
+        from repro.io import urls as url_io
+
+        ks, vs = _serializers(bucket, key_serializer, value_serializer)
+        # The base class's append: a FileBucket must not spill what it
+        # reads back into the file it reads from.
+        Bucket.extend_records(bucket, list(url_io.iter_records(url, ks, vs)))
+
+
 def bucket_sorted_records(
     bucket: Bucket,
     key_serializer: Optional[str] = None,
@@ -586,13 +598,14 @@ def bucket_sorted_records(
     layer: if its persisted copy is known to be key-sorted
     (``url_sorted``), records stream straight off the file with O(1)
     memory; otherwise the records are materialized and sorted once,
-    with each key encoded exactly once.
+    with each key encoded exactly once.  A reduce task reads its
+    inputs through this.
     """
-    if len(bucket) or not bucket.url:
+    url = stream_url(bucket)
+    if url is None:
         return bucket.sorted_records()
-    ks = key_serializer if key_serializer is not None else bucket.key_serializer
-    vs = value_serializer if value_serializer is not None else bucket.value_serializer
-    return sorted_records_from_url(bucket.url, bucket.url_sorted, ks, vs)
+    ks, vs = _serializers(bucket, key_serializer, value_serializer)
+    return sorted_records_from_url(url, bucket.url_sorted, ks, vs)
 
 
 def sorted_records_from_url(
@@ -626,21 +639,3 @@ def merge_sorted_records(streams: List[Iterator[Record]]) -> Iterator[Record]:
     pairs — mixed-type key sets merge fine.
     """
     return heapq.merge(*streams, key=record_key)
-
-
-def merge_sorted_buckets(
-    buckets: Iterable[Bucket],
-    key_serializer: Optional[str] = None,
-    value_serializer: Optional[str] = None,
-) -> Iterator[KeyValue]:
-    """Merge several buckets into one key-sorted pair stream.
-
-    The same merge a reduce task performs over the map-output buckets
-    it fetches from every map source; URL-only buckets stream from
-    their files (see :func:`bucket_sorted_records`).
-    """
-    streams = [
-        bucket_sorted_records(bucket, key_serializer, value_serializer)
-        for bucket in buckets
-    ]
-    return (pair for _, pair in merge_sorted_records(streams))

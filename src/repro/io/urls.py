@@ -3,8 +3,9 @@
 Persisted buckets are named by URL (section IV-B): ``file:`` URLs point
 at any mounted filesystem (NFS, Lustre, local disk); ``http://`` URLs
 point at a slave's built-in data server for direct peer transfer.  A
-reduce task resolves each input URL with :func:`fetch_pairs` without
-caring which transport backs it.
+task streams each input URL through :func:`iter_pairs` or
+:func:`iter_records` (by way of :mod:`repro.io.bucket`'s readers)
+without caring which transport backs it.
 
 HTTP fetches ride the transfer plane (:mod:`repro.comm.transfer`):
 pooled keep-alive connections, one retry/timeout policy, negotiated

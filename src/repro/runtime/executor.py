@@ -50,22 +50,18 @@ def execute_descriptor(
     started = time.perf_counter()
     fetch_before = transfer.STATS.totals()
     # A fresh span per execution, shipped whole on the completion
-    # report: input fetch ends at the "fetch" mark, compute at
-    # "map"/"reduce", output writing at "serialize", URL publication at
-    # "transfer".
+    # report: setup ends at the "fetch" mark, compute at "map"/"reduce"
+    # (which includes streaming the inputs), output writing at
+    # "serialize", URL publication at "transfer".
     span = TaskSpan(dataset_id, task_index)
     span.mark("started", started)
     op = Operation.from_dict(descriptor["op"])
-    # Reduce-kind tasks merge their inputs, and the merge streams
-    # straight from the bucket files — so those inputs stay URL-only
-    # (the read cost lands in "reduce" instead of "fetch").  Map
-    # inputs are iterated as plain pairs and are fetched here.
+    # The inputs stay URL-only: the task streams them as it runs.
     input_buckets = taskrunner.buckets_from_urls(
         descriptor["input_urls"],
         split=task_index,
         key_serializer=descriptor.get("input_key_serializer"),
         value_serializer=descriptor.get("input_value_serializer"),
-        streaming=op.kind in ("reduce", "reducemap"),
         sorted_flags=descriptor.get("input_sorted"),
     )
     span.mark("fetch")

@@ -114,15 +114,12 @@ class SerialBackend(Backend):
                 span = obs.tracer.span(dataset.id, task_index)
                 # Gathering a reduce task's input is the shuffle: map
                 # outputs were partitioned at write time, so all that
-                # remains is collecting each split's buckets.  Any
-                # file-backed buckets stay URL-only here; the reduce
-                # merge streams them (their read cost lands in the
-                # "reduce" phase).
+                # remains is collecting each split's buckets.  Nothing
+                # is read here; the task streams its inputs (their read
+                # cost lands in the "map" or "reduce" phase).
                 factory = self._bucket_factory(dataset, task_index)
                 gathering = time.perf_counter()
-                input_buckets = taskrunner.materialize_input_buckets(
-                    input_dataset, task_index, streaming=reduce_kind
-                )
+                input_buckets = input_dataset.buckets_for_split(task_index)
                 started = time.perf_counter()
                 if reduce_kind:
                     span.add_duration("shuffle", started - gathering)

@@ -10,10 +10,11 @@ program is guaranteed to compute the same thing everywhere.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.comm.transfer import bucket_record_streams, open_streams
+from repro.comm.transfer import bucket_record_streams
 from repro.core.dataset import ComputedData
 from repro.core.operations import (
     MapOperation,
@@ -24,11 +25,11 @@ from repro.core.operations import (
 from repro.io.bucket import (
     Bucket,
     FileBucket,
+    bucket_pairs,
     bucket_sorted_records,
     group_sorted_records,
     merge_sorted_records,
 )
-from repro.io import urls as url_io
 from repro.io.partition import hash_partition_bytes
 from repro.util.hashing import _MASK, _MIX, _crc32, key_to_bytes
 
@@ -294,7 +295,9 @@ def _merged_groups(input_buckets: Sequence[Bucket], span: Any = None):
     sequential fetch.
     """
     return group_sorted_records(
-        merge_sorted_records(bucket_record_streams(input_buckets, span=span))
+        merge_sorted_records(
+            bucket_record_streams(input_buckets, bucket_sorted_records, span)
+        )
     )
 
 
@@ -410,49 +413,6 @@ def _persist(
     return out
 
 
-def materialize_input_buckets(
-    dataset: Any, task_index: int, streaming: bool = False
-) -> List[Bucket]:
-    """Resolve split column ``task_index`` of ``dataset`` into buckets
-    with in-memory pairs (fetching any URL-only buckets), decoding with
-    the dataset's declared serializers.
-
-    With ``streaming=True`` (reduce-side inputs), URL-only buckets are
-    *not* fetched: they pass through carrying the dataset's serializer
-    names, and the reduce task's merge streams them straight from their
-    files (see :func:`repro.io.bucket.bucket_sorted_records`) instead
-    of materializing every source bucket as a list up front.
-    """
-    buckets = dataset.buckets_for_split(task_index)
-    key_ser = getattr(dataset, "key_serializer", None)
-    value_ser = getattr(dataset, "value_serializer", None)
-    resolved: List[Optional[Bucket]] = []
-    fetches: List[Tuple[int, Bucket]] = []
-    for bucket in buckets:
-        if len(bucket) == 0 and bucket.url:
-            if streaming:
-                if bucket.key_serializer is None:
-                    bucket.key_serializer = key_ser
-                if bucket.value_serializer is None:
-                    bucket.value_serializer = value_ser
-                resolved.append(bucket)
-                continue
-            fetches.append((len(resolved), bucket))
-            resolved.append(None)
-        else:
-            resolved.append(bucket)
-    for (index, source), pairs in zip(
-        fetches,
-        _fetch_all(
-            [bucket.url for _, bucket in fetches], key_ser, value_ser
-        ),
-    ):
-        fresh = Bucket(source=source.source, split=source.split, url=source.url)
-        fresh.collect(pairs)
-        resolved[index] = fresh
-    return resolved  # type: ignore[return-value]
-
-
 def buckets_from_urls(
     urls: Sequence[str],
     split: int,
@@ -461,50 +421,24 @@ def buckets_from_urls(
     streaming: bool = False,
     sorted_flags: Optional[Sequence[bool]] = None,
 ) -> List[Bucket]:
-    """Fetch input buckets by URL (slave-side task input path).
+    """URL-only input buckets for a task descriptor's ``input_urls``.
 
-    With ``streaming=True`` the buckets stay URL-only so a reduce
-    task's merge can stream them; ``sorted_flags`` (parallel to
-    ``urls``, from the task descriptor) marks which persisted files are
-    already in canonical key order and can merge with O(1) memory.
+    Nothing is read here: every task streams its inputs when it runs.
+    ``sorted_flags`` (parallel to ``urls``, from the descriptor) marks
+    which persisted files are already in canonical key order, so a
+    reduce merge can stream them with O(1) memory.  ``streaming`` is
+    ignored; it is kept for callers written when map inputs were read
+    here.
     """
     resolved: List[Bucket] = []
     for source, url in enumerate(urls):
         bucket = Bucket(source=source, split=split, url=url)
         bucket.key_serializer = key_serializer
         bucket.value_serializer = value_serializer
-        if streaming and sorted_flags is not None and source < len(sorted_flags):
+        if sorted_flags is not None and source < len(sorted_flags):
             bucket.url_sorted = bool(sorted_flags[source])
         resolved.append(bucket)
-    if not streaming:
-        for bucket, pairs in zip(
-            resolved, _fetch_all(list(urls), key_serializer, value_serializer)
-        ):
-            bucket.collect(pairs)
     return resolved
-
-
-def _fetch_all(
-    urls: Sequence[str],
-    key_serializer: Optional[str],
-    value_serializer: Optional[str],
-) -> List[Iterable[KeyValue]]:
-    """Materialize the pairs behind each URL, in order.
-
-    HTTP URLs are fetched in parallel over the transfer plane's pooled
-    connections by :func:`repro.comm.transfer.open_streams` — the same
-    helper that opens a reduce merge's remote inputs; file URLs are
-    read inline.
-    """
-
-    def fetch(url: str) -> List[KeyValue]:
-        return url_io.fetch_pairs(url, key_serializer, value_serializer)
-
-    def remote(url: str) -> bool:
-        return url.startswith(("http://", "https://"))
-
-    fetched = iter(open_streams([url for url in urls if remote(url)], fetch))
-    return [next(fetched) if remote(url) else fetch(url) for url in urls]
 
 
 def run_operation(
@@ -521,8 +455,10 @@ def run_operation(
     object.
     """
     if isinstance(op, MapOperation):
-        pairs: Iterable[KeyValue] = (
-            pair for bucket in input_buckets for pair in bucket
+        # Each input streams in bucket order (remote ones opened in
+        # parallel): its read time lands in the "map" phase.
+        pairs = itertools.chain.from_iterable(
+            bucket_record_streams(input_buckets, bucket_pairs, span)
         )
         return run_map_task(program, op, pairs, bucket_factory, span=span)
     if isinstance(op, ReduceMapOperation):

@@ -182,13 +182,14 @@ class TestCompression:
 
 
 def merged_within(buckets, timeout=60.0):
-    """Merge ``bucket_record_streams(buckets)`` on a daemon thread,
+    """Merge the buckets' sorted record streams on a daemon thread,
     failing instead of hanging the suite if it does not finish."""
     merged, errors = [], []
 
     def consume():
         try:
-            merged.extend(merge_sorted_records(bucket_record_streams(buckets)))
+            streams = bucket_record_streams(buckets, bucket_sorted_records)
+            merged.extend(merge_sorted_records(streams))
         except Exception as exc:
             errors.append(exc)
 
@@ -249,7 +250,8 @@ class TestPrefetchMerge:
             buckets = self.make_remote_buckets(tmp_path, server)
             span = TaskSpan("ds", 0)
             span.mark("started")
-            list(merge_sorted_records(bucket_record_streams(buckets, span)))
+            streams = bucket_record_streams(buckets, bucket_sorted_records, span)
+            list(merge_sorted_records(streams))
         fetches = span.to_dict()["fetches"]
         assert len(fetches) == len(buckets)
         assert {f["source"] for f in fetches} == {0, 1, 2, 3}
@@ -264,7 +266,7 @@ class TestPrefetchMerge:
         with DataServer(str(tmp_path)) as server:
             buckets = self.make_remote_buckets(tmp_path, server, n=1)
             span = TaskSpan("ds", 0)
-            streams = bucket_record_streams(buckets, span)
+            streams = bucket_record_streams(buckets, bucket_sorted_records, span)
             assert len(list(streams[0])) == 50
         assert span.fetch_spans == []
 
@@ -329,7 +331,7 @@ class TestPrefetchMerge:
             missing = Bucket(source=3, split=0, url=server.url_for("no.mrsb"))
             missing.url_sorted = True
             with pytest.raises(FetchError):
-                bucket_record_streams(buckets + [missing])
+                bucket_record_streams(buckets + [missing], bucket_sorted_records)
         assert not any(
             thread.name.startswith("mrs-fetch-")
             for thread in threading.enumerate()

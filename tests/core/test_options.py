@@ -92,7 +92,7 @@ class TestDefaultOptions:
 #: Every framework flag.  A new one must earn its place: two existing
 #: non-test callers need different values, or it is a deployment setting
 #: (addresses, paths, tokens, process counts); otherwise it is a constant
-#: next to the code that uses it (docs/programming-guide.md, section 14).
+#: next to the code that uses it (docs/programming-guide.md, section 13).
 FRAMEWORK_FLAGS = {
     "--mrs",
     "--mrs-auth-token",

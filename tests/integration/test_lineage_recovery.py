@@ -12,7 +12,9 @@ import time
 import pytest
 
 from repro.core.job import Job
+from repro.core.options import default_options
 from repro.runtime.cluster import LocalCluster
+from repro.runtime.serial import SerialBackend
 from tests.integration.programs import SummingProgram
 
 pytestmark = pytest.mark.integration
@@ -116,6 +118,76 @@ class TestHttpPlaneLineageRecovery:
             assert reduced in done
             assert reduced.error is None, reduced.error
             assert dict(reduced.data()) == {0: 4, 1: 4}
+        finally:
+            cluster.stop()
+
+    def test_map_consumer_in_flight_during_loss_still_completes(
+        self, monkeypatch
+    ):
+        """The same with a ``map_data`` consumer: its tasks stream their
+        inputs, so the dead URL raises ``FetchError`` inside the map.
+        That failure must still make the master ping and lose the dead
+        slave and be a free retry; the output equals serial."""
+        pairs = [(i, i) for i in range(8)]
+
+        def pipeline(job, program):
+            # Every map task emits both keys, and with three splits the
+            # keys hash to different columns: two consumer tasks each
+            # read a bucket from every producer.
+            source = job.local_data(pairs, splits=3)
+            mapped = job.map_data(source, program.map, splits=3)
+            job.wait(mapped, timeout=60)
+            return mapped
+
+        program = SummingProgram(default_options(), [])
+        serial_job = Job(SerialBackend(program), program)
+        serial_mapped = pipeline(serial_job, program)
+        remapped = serial_job.map_data(serial_mapped, program.map, splits=2)
+        serial_job.wait(remapped)
+        want = remapped.data()
+
+        cluster = LocalCluster(
+            SummingProgram, [], n_slaves=2, data_plane="http"
+        )
+        cluster.start()
+        try:
+            backend = cluster.backend
+            job = Job(backend, cluster.program)
+            mapped = pipeline(job, cluster.program)
+            failures, losses = [], []
+            task_failed, lose_slave = backend.task_failed, backend.lose_slave
+
+            def record_failure(worker_id, dataset_id, task_index, message):
+                failures.append(message)
+                task_failed(worker_id, dataset_id, task_index, message)
+
+            def record_loss(slave_id, reason, strike=False):
+                losses.append(reason)
+                lose_slave(slave_id, reason, strike)
+
+            monkeypatch.setattr(backend, "task_failed", record_failure)
+            monkeypatch.setattr(backend, "lose_slave", record_loss)
+            # Kill a slave that holds some of the consumer's input.
+            producer = backend._producers[(mapped.id, 0)]
+            pid = next(r.pid for r in backend.alive_slaves() if r.id == producer)
+            cluster.kill_slave(
+                [p.pid for p in cluster._group.processes].index(pid)
+            )
+            # Queued at once, in an affinity group of its own: its tasks
+            # are handed out long before the watchdog's pings could
+            # declare the slave lost, and none waits for the dead one.
+            consumer = job.map_data(
+                mapped, cluster.program.map, splits=2, affinity_group="next"
+            )
+            done = job.wait(consumer, timeout=90)
+            assert consumer in done
+            assert consumer.error is None, consumer.error
+            assert consumer.data() == want
+            assert any("FetchError" in message for message in failures)
+            assert any(
+                reason.startswith("ping after a failed fetch")
+                for reason in losses
+            ), losses
         finally:
             cluster.stop()
 

@@ -1,5 +1,5 @@
 """Bucket invariants: sort/group, merge, file backing, sidecars, and
-key-sorted URL inputs (streaming, reduce-side merge, checkpoint flag)."""
+key-sorted URL inputs (streaming, reduce-side merge)."""
 
 import os
 
@@ -10,13 +10,18 @@ from repro.core.operations import ReduceOperation
 from repro.core.options import default_options
 from repro.core.program import MapReduce
 from repro.io import formats
+from repro.io import urls as url_io
 from repro.io.bucket import (
     Bucket,
     FileBucket,
     SidecarFileBucket,
-    group_sorted,
-    merge_sorted_buckets,
-    sort_key,
+    bucket_pairs,
+    bucket_sorted_records,
+    group_sorted_records,
+    is_remote,
+    load_pairs,
+    merge_sorted_records,
+    stream_url,
 )
 from repro.io.serializers import get_serializer
 from repro.runtime.taskrunner import memory_bucket_factory, run_reduce_task
@@ -25,8 +30,39 @@ from repro.util.hashing import key_to_bytes
 
 def make_bucket(pairs, **kw):
     bucket = Bucket(**kw)
-    bucket.collect(pairs)
+    for pair in pairs:
+        bucket.addpair(pair)
     return bucket
+
+
+def sorted_pairs(bucket):
+    """The bucket's pairs in canonical key order (sorts it in place)."""
+    return [pair for _, pair in bucket.sorted_records()]
+
+
+def grouped(bucket):
+    """``(key, values)`` groups of the bucket in canonical key order."""
+    return [
+        (key, list(values))
+        for _, key, values in group_sorted_records(bucket.sorted_records())
+    ]
+
+
+def decorated(pairs):
+    return [(key_to_bytes(key), (key, value)) for key, value in pairs]
+
+
+def merged_pairs(buckets):
+    """The reduce-side merge of several buckets, as pairs."""
+    streams = [bucket_sorted_records(bucket) for bucket in buckets]
+    return [pair for _, pair in merge_sorted_records(streams)]
+
+
+def readback(bucket):
+    """Re-read a file bucket's pairs from its file, not from memory."""
+    return url_io.fetch_pairs(
+        bucket.url, bucket.key_serializer, bucket.value_serializer
+    )
 
 
 class TestBucket:
@@ -37,11 +73,11 @@ class TestBucket:
 
     def test_sort_orders_by_canonical_key(self):
         bucket = make_bucket([("b", 1), ("a", 2), ("b", 0)])
-        assert bucket.sorted_pairs() == [("a", 2), ("b", 1), ("b", 0)]
+        assert sorted_pairs(bucket) == [("a", 2), ("b", 1), ("b", 0)]
 
     def test_sort_is_stable_for_equal_keys(self):
         bucket = make_bucket([("k", i) for i in range(10)])
-        assert [v for _, v in bucket.sorted_pairs()] == list(range(10))
+        assert [v for _, v in sorted_pairs(bucket)] == list(range(10))
 
     def test_already_sorted_detection(self):
         bucket = make_bucket([("a", 1), ("b", 2), ("c", 3)])
@@ -53,11 +89,11 @@ class TestBucket:
         """int and str keys cannot be compared directly in Python 3;
         the canonical byte encoding makes grouping well-defined."""
         bucket = make_bucket([(1, "x"), ("a", "y"), (2, "z")])
-        assert len(bucket.sorted_pairs()) == 3
+        assert len(sorted_pairs(bucket)) == 3
 
     def test_grouped(self):
         bucket = make_bucket([("b", 1), ("a", 2), ("b", 3)])
-        groups = [(k, list(vs)) for k, vs in bucket.grouped()]
+        groups = grouped(bucket)
         assert groups == [("a", [2]), ("b", [1, 3])]
 
     def test_clean_drops_pairs_keeps_url(self):
@@ -99,7 +135,7 @@ class TestLazySortedness:
             add_pair(pair)
         assert list(bucket) == [("a", 1), ("b", 2)]
         assert bucket.is_sorted
-        assert bucket.sorted_pairs() == [("a", 1), ("b", 2)]
+        assert sorted_pairs(bucket) == [("a", 1), ("b", 2)]
 
     def test_collector_marks_sort_state_unknown(self):
         bucket = make_bucket([("a", 1), ("b", 2)])
@@ -116,7 +152,7 @@ class TestLazySortedness:
         bulk.extend_records(records)
         loop = make_bucket(pairs)
         assert list(bulk) == list(loop)
-        assert bulk.sorted_pairs() == loop.sorted_pairs()
+        assert sorted_pairs(bulk) == sorted_pairs(loop)
 
 
 class TestHashGroupedRecords:
@@ -135,25 +171,29 @@ class TestHashGroupedRecords:
         pairs = [("b", 1), (1, "x"), ("a", 2), ("b", 3), (1, "y")]
         bucket = make_bucket(pairs)
         hashed = {kb: values for kb, _, values in bucket.hash_grouped_records()}
-        by_sort = {
-            key_to_bytes(key): list(values) for key, values in bucket.grouped()
-        }
+        by_sort = {key_to_bytes(key): values for key, values in grouped(bucket)}
         assert hashed == by_sort
 
 
 class TestGroupSorted:
     def test_empty(self):
-        assert list(group_sorted([])) == []
+        assert list(group_sorted_records([])) == []
 
     def test_values_are_lazy_iterators(self):
-        pairs = sorted([("a", 1), ("a", 2), ("b", 3)], key=sort_key)
-        for key, values in group_sorted(pairs):
+        records = sorted(
+            decorated([("a", 1), ("a", 2), ("b", 3)]), key=lambda r: r[0]
+        )
+        for _, key, values in group_sorted_records(records):
             first = next(values)
             assert first in (1, 3)
             break  # abandoning the group iterator must not blow up
 
     def test_single_key(self):
-        groups = [(k, list(v)) for k, v in group_sorted([("x", i) for i in range(5)])]
+        records = decorated([("x", i) for i in range(5)])
+        groups = [
+            (key, list(values))
+            for _, key, values in group_sorted_records(records)
+        ]
         assert groups == [("x", [0, 1, 2, 3, 4])]
 
 
@@ -161,17 +201,17 @@ class TestMergeSorted:
     def test_merge_two_buckets(self):
         b1 = make_bucket([("a", 1), ("c", 3)])
         b2 = make_bucket([("b", 2), ("d", 4)])
-        merged = [k for k, _ in merge_sorted_buckets([b1, b2])]
+        merged = [k for k, _ in merged_pairs([b1, b2])]
         assert merged == ["a", "b", "c", "d"]
 
     def test_merge_preserves_source_order_for_ties(self):
         b1 = make_bucket([("k", "first")], source=0)
         b2 = make_bucket([("k", "second")], source=1)
-        values = [v for _, v in merge_sorted_buckets([b1, b2])]
+        values = [v for _, v in merged_pairs([b1, b2])]
         assert values == ["first", "second"]
 
     def test_merge_empty(self):
-        assert list(merge_sorted_buckets([])) == []
+        assert merged_pairs([]) == []
 
 
 class TestFileBucket:
@@ -181,7 +221,7 @@ class TestFileBucket:
         bucket.addpair(("word", 3))
         bucket.addpair((5, [1, 2]))
         bucket.close_writer()
-        assert bucket.readback() == [("word", 3), (5, [1, 2])]
+        assert readback(bucket) == [("word", 3), (5, [1, 2])]
         assert bucket.url == "file:" + path
 
     def test_empty_file_created_on_open(self, tmp_path):
@@ -190,7 +230,7 @@ class TestFileBucket:
         bucket.open_writer()
         bucket.close_writer()
         assert os.path.exists(path)
-        assert bucket.readback() == []
+        assert readback(bucket) == []
 
     def test_text_format_selected_by_extension(self, tmp_path):
         path = str(tmp_path / "out.txt")
@@ -219,7 +259,7 @@ class TestFileBucketSpill:
         bucket.addpair(("a", 1))
         bucket.close_writer()
         assert len(bucket) == 0
-        assert bucket.readback() == [("a", 1)]
+        assert readback(bucket) == [("a", 1)]
 
     def test_flush_threshold_writes_before_close(self, tmp_path):
         path = str(tmp_path / "thresh.mrsb")
@@ -232,7 +272,7 @@ class TestFileBucketSpill:
         bucket.addpair(("c", 3))
         bucket.close_writer()
         assert os.path.getsize(path) > size_after_two
-        assert bucket.readback() == [("a", 1), ("b", 2), ("c", 3)]
+        assert readback(bucket) == [("a", 1), ("b", 2), ("c", 3)]
 
     def test_collector_still_tracks_spill_order(self, tmp_path):
         bucket = FileBucket(str(tmp_path / "collected.mrsb"))
@@ -242,7 +282,7 @@ class TestFileBucketSpill:
             add_pair(pair)
         bucket.close_writer()
         assert not bucket.url_sorted
-        assert bucket.readback() == [("b", 1), ("a", 2)]
+        assert readback(bucket) == [("b", 1), ("a", 2)]
 
     def test_extend_records_scans_batch_order(self, tmp_path):
         in_order = [(key_to_bytes(k), (k, v)) for k, v in [("a", 1), ("b", 2)]]
@@ -272,7 +312,57 @@ class TestFileBucketSpill:
         bucket.absorb(staged)
         bucket.close_writer()
         assert not bucket.url_sorted
-        assert bucket.readback() == [("b", 1), ("a", 2)]
+        assert readback(bucket) == [("b", 1), ("a", 2)]
+
+
+class TestReaders:
+    """The one read decision: resident pairs, or the URL when none are
+    resident."""
+
+    def spilled(self, tmp_path, pairs):
+        bucket = FileBucket(
+            str(tmp_path / "r.mrsb"), key_serializer="str", value_serializer="int"
+        )
+        for pair in pairs:
+            bucket.addpair(pair)
+        bucket.close_writer()
+        return bucket
+
+    def test_resident_pairs_win_over_the_url(self, tmp_path):
+        bucket = self.spilled(tmp_path, [("b", 1), ("a", 2)])
+        os.unlink(bucket.path)  # a read of the URL would fail
+        assert stream_url(bucket) is None
+        assert list(bucket_pairs(bucket)) == [("b", 1), ("a", 2)]
+        assert [pair for _, pair in bucket_sorted_records(bucket)] == [
+            ("a", 2), ("b", 1),
+        ]
+
+    def test_url_only_bucket_streams_with_its_serializers(self, tmp_path):
+        bucket = self.spilled(tmp_path, [("b", 1), ("a", 2)])
+        bucket.clean()
+        assert stream_url(bucket) == bucket.url
+        assert not is_remote(bucket)
+        assert list(bucket_pairs(bucket)) == [("b", 1), ("a", 2)]
+        assert len(bucket) == 0  # streamed, not loaded
+
+    def test_load_pairs_reads_back_without_rewriting(self, tmp_path):
+        bucket = self.spilled(tmp_path, [("b", 1), ("a", 2)])
+        bucket.clean()
+        before = open(bucket.path, "rb").read()
+        load_pairs(bucket)
+        assert list(bucket) == [("b", 1), ("a", 2)]
+        assert sorted_pairs(bucket) == [("a", 2), ("b", 1)]
+        bucket.close_writer()
+        assert open(bucket.path, "rb").read() == before
+        load_pairs(bucket)  # resident now: a no-op
+        assert len(bucket) == 2
+
+    def test_only_url_only_http_buckets_are_remote(self):
+        remote = Bucket(url="http://127.0.0.1:1/x.mrsb")
+        assert is_remote(remote)
+        remote.addpair(("k", 1))
+        assert not is_remote(remote)
+        assert not is_remote(Bucket())
 
 
 class TestSidecarFileBucket:
@@ -282,7 +372,7 @@ class TestSidecarFileBucket:
         bucket.addpair(("word", 7))
         bucket.close_writer()
         assert open(path).read() == "word\t7\n"
-        assert bucket.readback() == [("word", 7)]  # lossless sidecar
+        assert readback(bucket) == [("word", 7)]  # lossless sidecar
         assert bucket.url.endswith(".mrsb")
 
     def test_empty_sidecar(self, tmp_path):
@@ -291,7 +381,7 @@ class TestSidecarFileBucket:
         bucket.open_writer()
         bucket.close_writer()
         assert os.path.exists(path)
-        assert bucket.readback() == []
+        assert readback(bucket) == []
 
 
 @given(
@@ -305,11 +395,11 @@ def test_grouping_partitions_all_pairs(pairs):
     bucket = make_bucket(pairs)
     total = 0
     seen_keys = []
-    for key, values in bucket.grouped():
-        count = len(list(values))
+    for key, values in grouped(bucket):
+        count = len(values)
         assert count >= 1
         total += count
-        seen_keys.append(sort_key((key, None)))
+        seen_keys.append(key_to_bytes(key))
     assert total == len(pairs)
     assert seen_keys == sorted(seen_keys)
     assert len(seen_keys) == len(set(seen_keys))
@@ -429,61 +519,3 @@ class TestSortedUrlStreaming:
             sorted_records_from_url(f"file:{path}", False, "str", "int")
         )
         assert [r[1][0] for r in records] == ["a", "b", "c"]
-
-
-class TestCheckpointSortedFlags:
-    def test_roundtrip_preserves_sorted_flag(self, tmp_path):
-        from repro.core.dataset import BaseDataset
-        from repro.io import checkpoint
-
-        dataset = BaseDataset(
-            splits=1, prefix="t", key_serializer="str", value_serializer="int"
-        )
-        sorted_bucket = Bucket(source=0, split=0)
-        for word in ["a", "b", "c"]:
-            sorted_bucket.addpair((word, 1))
-        unsorted_bucket = Bucket(source=1, split=0)
-        for word in ["z", "y"]:
-            unsorted_bucket.addpair((word, 1))
-        dataset.add_bucket(sorted_bucket)
-        dataset.add_bucket(unsorted_bucket)
-        dataset.complete = True
-        path = str(tmp_path / "ckpt")
-        checkpoint.write_checkpoint(path, dataset)
-
-        loaded = checkpoint.load_checkpoint(path)
-        flags = {
-            (b.source, b.split): b.url_sorted
-            for b in loaded.existing_buckets()
-        }
-        assert flags[(0, 0)] is True
-        assert flags[(1, 0)] is False
-
-    def test_version_1_manifest_still_loads(self, tmp_path):
-        import json
-
-        from repro.core.dataset import BaseDataset
-        from repro.io import checkpoint
-
-        dataset = BaseDataset(
-            splits=1, prefix="t", key_serializer="str", value_serializer="int"
-        )
-        bucket = Bucket(source=0, split=0)
-        bucket.addpair(("a", 1))
-        dataset.add_bucket(bucket)
-        dataset.complete = True
-        path = str(tmp_path / "ckpt")
-        checkpoint.write_checkpoint(path, dataset)
-        manifest_path = os.path.join(path, checkpoint.MANIFEST)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        manifest["version"] = 1
-        for entry in manifest["buckets"]:
-            entry.pop("sorted", None)
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
-
-        loaded = checkpoint.load_checkpoint(path)
-        (bucket,) = loaded.existing_buckets()
-        assert bucket.url_sorted is False  # conservative default
-        assert list(bucket) == [("a", 1)]

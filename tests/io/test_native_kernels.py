@@ -17,6 +17,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.io import urls as url_io
 from repro.io.bucket import Bucket, FileBucket
 from repro.io.partition import hash_partition_bytes
 from repro.native import compile as native_compile
@@ -193,9 +194,12 @@ class TestCompileLayer:
                 bucket.addpair((word, 1))
             bucket.open_writer()
             bucket.close_writer()
-            assert bucket.readback() == [("b", 1), ("a", 1), ("c", 1), ("a", 1)]
-            bucket.sort()
-            assert [p[0] for p in bucket.sorted_pairs()] == ["a", "a", "b", "c"]
+            assert url_io.fetch_pairs(bucket.url, "str", "int") == [
+                ("b", 1), ("a", 1), ("c", 1), ("a", 1),
+            ]
+            assert [
+                pair[0] for _, pair in bucket.sorted_records()
+            ] == ["a", "a", "b", "c"]
         finally:
             kernels.set_mode("auto")
 

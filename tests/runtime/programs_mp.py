@@ -21,24 +21,6 @@ class Tally(mrs.MapReduce):
         yield sum(values)
 
 
-class Rotate(mrs.MapReduce):
-    """One iteration rotates every value to the next key.
-
-    The state after ``k`` iterations depends on ``k`` (modulo
-    ``nkeys``), so a resumed run that silently lost or repeated an
-    iteration produces a different answer — exactly what the
-    checkpoint-resumption tests need to detect.
-    """
-
-    nkeys = 4
-
-    def map(self, key, value):
-        yield ((key + 1) % self.nkeys, value)
-
-    def reduce(self, key, values):
-        yield sum(values)
-
-
 class CrashOnce(mrs.MapReduce):
     """Map that SIGKILLs its own slave process on the first attempt.
 

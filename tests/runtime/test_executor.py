@@ -2,15 +2,20 @@
 behind both the cluster slave and the pool worker."""
 
 import os
+import tracemalloc
 import xmlrpc.client
+
+import repro as mrs
 
 from repro.comm import protocol
 from repro.core.dataset import LocalData
+from repro.core.job import Job
 from repro.core.operations import MapOperation, ReduceOperation
 from repro.core.options import default_options
 from repro.io import urls as url_io
 from repro.runtime import dataplane
 from repro.runtime.executor import execute_descriptor
+from repro.runtime.serial import SerialBackend
 
 from tests.runtime.programs_mp import Tally
 
@@ -140,3 +145,74 @@ def test_sampler_adds_health_and_buckets(tmp_path):
         assert nbytes == os.path.getsize(path) > 0
         assert records == len(url_io.fetch_pairs(url))
     assert sum(entry[3] for entry in urls) == 9  # one per input pair
+
+
+class Silent(mrs.MapReduce):
+    """A map that reads every record and emits nothing."""
+
+    def map(self, key, value):
+        return None
+
+
+def write_text(path, nbytes):
+    line = "the quick brown fox jumps over the lazy dog %d\n"
+    with open(path, "w") as f:
+        written = index = 0
+        while written < nbytes:
+            written += f.write(line % index)
+            index += 1
+    return path
+
+
+def peak_bytes(run):
+    """Bytes allocated at the peak of ``run()`` beyond what was live
+    before it, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+#: A map task's input size for the streaming checks, and the most it
+#: may allocate: a task that reads its input into lists first peaks
+#: near 20 MB on this input, while a streaming one needs only its own
+#: set-up (under 10 kB).
+STREAM_INPUT_BYTES = 4 << 20
+STREAM_PEAK_LIMIT = 1 << 20
+
+
+def test_map_task_streams_its_input_through_execute_descriptor(tmp_path):
+    """A map task reads its input record by record: over a 4 MB text
+    file, with a mapper that emits nothing, the task never holds the
+    file's records."""
+    path = write_text(str(tmp_path / "in.txt"), STREAM_INPUT_BYTES)
+    descriptor = protocol.make_task_descriptor(
+        dataset_id="map_s",
+        task_index=0,
+        op_dict=MapOperation(map_name="map", splits=2).to_dict(),
+        input_urls=["file:" + path],
+        outdir=str(tmp_path / "out"),
+        format_ext="mrsb",
+    )
+    program = Silent(default_options(), [])
+    results = []
+    peak = peak_bytes(
+        lambda: results.append(execute_descriptor(program, descriptor, "slave"))
+    )
+    assert results[0][0] == []  # nothing emitted, nothing written
+    assert peak < STREAM_PEAK_LIMIT, f"map task peaked at {peak} bytes"
+
+
+def test_map_task_streams_its_input_through_serial_backend(tmp_path):
+    path = write_text(str(tmp_path / "in.txt"), STREAM_INPUT_BYTES)
+    program = Silent(default_options(), [])
+    job = Job(SerialBackend(program), program)
+    source = job.file_data([path])
+    mapped = job.map_data(source, program.map, splits=2)
+    peak = peak_bytes(lambda: job.wait(mapped))
+    assert mapped.complete and mapped.data() == []
+    assert peak < STREAM_PEAK_LIMIT, f"map task peaked at {peak} bytes"

@@ -116,6 +116,25 @@ class TestMockParallelBackend:
         with pytest.raises(JobError):
             job2.wait(mapped2)
 
+    def test_fetchall_leaves_spill_files_intact(self, tmp_path):
+        """Making intermediate buckets resident reads their files and
+        never writes them: a consumer that reads the files afterwards
+        sees every record."""
+        job, p, backend = make_job(MockParallelBackend, tmpdir=str(tmp_path))
+        src = job.local_data([(i, i) for i in range(20000)], splits=1)
+        mapped = job.map_data(src, p.map, splits=1)
+        job.wait(mapped)
+        (bucket,) = mapped.existing_buckets()
+        before = open(bucket.path, "rb").read()
+        mapped.fetchall()
+        assert len(bucket) == 20000
+        assert open(bucket.path, "rb").read() == before
+        reduced = job.reduce_data(mapped, p.reduce, splits=1)
+        job.wait(reduced)
+        mapped.clear()
+        assert len(mapped.data()) == 20000
+        assert sorted(reduced.data()) == [(0, 6667), (1, 6667), (2, 6666)]
+
     def test_remove_data_deletes_spills(self, tmp_path):
         job, p, backend = make_job(MockParallelBackend, tmpdir=str(tmp_path))
         src = job.local_data([(i, i) for i in range(4)])

@@ -53,7 +53,8 @@ def program():
 
 def input_bucket(pairs):
     bucket = Bucket(0, 0)
-    bucket.collect(pairs)
+    for pair in pairs:
+        bucket.addpair(pair)
     return bucket
 
 
@@ -185,7 +186,7 @@ class TestReduceTask:
 
 class TestExecuteTask:
     def run_one(self, program, dataset, input_dataset, task_index=0):
-        buckets = taskrunner.materialize_input_buckets(input_dataset, task_index)
+        buckets = input_dataset.buckets_for_split(task_index)
         return taskrunner.execute_task(program, dataset, task_index, buckets)
 
     def test_dispatch_map(self, program):
@@ -247,12 +248,17 @@ class TestFileBucketFactory:
 
 class TestBucketsFromUrls:
     def test_fetch_and_index(self, tmp_path):
-        from repro.io.bucket import FileBucket
+        from repro.io.bucket import FileBucket, bucket_pairs
 
         path = str(tmp_path / "b.mrsb")
         fb = FileBucket(path)
         fb.addpair(("x", 1))
         fb.close_writer()
-        buckets = taskrunner.buckets_from_urls(["file:" + path], split=3)
+        buckets = taskrunner.buckets_from_urls(
+            ["file:" + path], split=3, sorted_flags=[True]
+        )
         assert buckets[0].split == 3
-        assert list(buckets[0]) == [("x", 1)]
+        assert buckets[0].url_sorted
+        # Nothing is read until the task streams the bucket.
+        assert len(buckets[0]) == 0
+        assert list(bucket_pairs(buckets[0])) == [("x", 1)]
